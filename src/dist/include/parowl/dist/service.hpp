@@ -159,7 +159,9 @@ class DistService {
  private:
   Response execute_locked(const std::string& query_text);
   void count(const Response& response);
-  [[nodiscard]] std::string cache_key(const std::string& normalized) const;
+  [[nodiscard]] static std::string cache_key(
+      const std::string& normalized,
+      const std::vector<std::uint64_t>& versions);
 
   DistOptions options_;
   rdf::Dictionary& dict_;

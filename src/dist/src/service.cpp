@@ -134,16 +134,16 @@ DistService::Response DistService::execute(const std::string& query_text) {
   return response;
 }
 
-std::string DistService::cache_key(const std::string& normalized) const {
+std::string DistService::cache_key(
+    const std::string& normalized, const std::vector<std::uint64_t>& versions) {
   // Text + shard version vector: a refresh of any partition changes the
   // key, so stale merged results become unreachable instead of needing a
   // version floor (no single version covers a merged result).
   std::string key = normalized;
   key += '\x01';
-  const std::shared_lock lock(catalog_mutex_);
-  for (std::uint32_t p = 0; p < catalog_.num_partitions(); ++p) {
+  for (const std::uint64_t v : versions) {
     key += 'v';
-    key += std::to_string(catalog_.shard(p).version);
+    key += std::to_string(v);
   }
   return key;
 }
@@ -160,18 +160,22 @@ DistService::Response DistService::execute_locked(
   }
 
   Response response;
-  const std::string normalized = serve::normalize_query(query_text);
-  const std::string key = cache_key(normalized);
+  // The key and the stamp come from one read of the version vector, so a
+  // hit under this key carries rows of exactly these versions.
+  std::vector<std::uint64_t> versions;
   {
     const std::shared_lock lock(catalog_mutex_);
-    const std::vector<std::uint64_t> versions = catalog_.versions();
-    response.snapshot_version =
-        *std::max_element(versions.begin(), versions.end());
+    versions = catalog_.versions();
   }
+  const std::string key =
+      cache_key(serve::normalize_query(query_text), versions);
+  response.snapshot_version =
+      *std::max_element(versions.begin(), versions.end());
 
   if (auto hit = cache_.lookup(key)) {
     response.cache_hit = true;
-    response.results = std::move(*hit);
+    response.snapshot_version = hit->stamp(response.snapshot_version);
+    response.results = std::move(hit->results);
     if (request_span) {
       request_span->arg({"cache", "hit"});
       request_span->arg({"rows", response.results.size()});
@@ -243,13 +247,23 @@ DistService::Response DistService::execute_locked(
     response.results = std::move(expanded.results);
   }
 
-  serve::CachedResult entry;
-  entry.results = response.results;
-  // Footprint fields matter only for on_update invalidation, which the
-  // distributed tier replaces with version-vector keys; stamp the entry
-  // with the max shard version so the floor check stays a no-op.
-  entry.version = response.snapshot_version;
-  cache_.insert(key, std::move(entry));
+  // Cache only an answer routed entirely at the keyed versions.  A refresh
+  // that landed while this request was routing may have mixed shard
+  // versions into the rows, which then belong under neither key.
+  bool unchanged = false;
+  {
+    const std::shared_lock lock(catalog_mutex_);
+    unchanged = catalog_.versions() == versions;
+  }
+  if (unchanged) {
+    serve::CachedResult entry;
+    entry.results = response.results;
+    // Footprint fields matter only for on_update invalidation, which the
+    // distributed tier replaces with version-vector keys; stamp the entry
+    // with the max shard version so the floor check stays a no-op.
+    entry.version = response.snapshot_version;
+    cache_.insert(key, std::move(entry));
+  }
   if (request_span) {
     request_span->arg({"cache", "miss"});
     request_span->arg({"partitions", route.partitions_touched});

@@ -1,26 +1,29 @@
 #pragma once
 
 // Parallel ingest pipeline: split the input into chunks at safe statement
-// boundaries, parse each chunk on its own thread into thread-local intern
-// tables, then merge the thread-local dictionaries in chunk order so global
-// TermIds are assigned in canonical first-occurrence-by-byte-offset order.
-// The resulting Dictionary and TripleStore are bit-identical to the serial
-// parser for any thread count (the same invariant the materializer and the
-// cluster runtime keep for closure).
+// boundaries, parse each chunk on its own thread into a chunk-local
+// dictionary and triple list, then merge so global TermIds are assigned in
+// canonical first-occurrence-by-byte-offset order.  The resulting
+// Dictionary and TripleStore are bit-identical to the serial parser for any
+// thread count (the same invariant the materializer and the cluster runtime
+// keep for closure).
 //
-// Stages:
+// Stages (all on one util::ThreadTeam):
 //   1. scan   — find split points: newline boundaries (N-Triples) or the
 //               conservative top-level statement scanner (Turtle), plus the
 //               prefix/base environment at each chunk start.
-//   2. parse  — each thread parses its chunk into a local Dictionary and
-//               TripleStore with the shared serial line parser, recording
-//               local ParseStats and error positions.
-//   3. merge  — walk chunks in order: Dictionary::intern_batch assigns
-//               global ids (chunk-order concatenation of local first-intern
-//               orders == serial first-occurrence order), triples are
-//               remapped and inserted in chunk order (reproducing the
-//               serial insertion log and duplicate counts), and diagnostics
-//               are rebased to document-global line/byte positions.
+//   2. parse  — each thread parses its chunk into a local Dictionary and a
+//               plain triple list with the shared serial line parser,
+//               recording local ParseStats and error positions.  No local
+//               store and no local dedup.
+//   3. merge  — Dictionary::absorb resolves every term's first occurrence
+//               in chunk order on hash-sharded workers and numbers the new
+//               ones serially (== serial first-occurrence ids); triples are
+//               remapped per chunk into one batch, and
+//               TripleStore::insert_all keeps each first occurrence in
+//               batch order (== the serial insertion log; every other
+//               occurrence is a duplicate); diagnostics are rebased to
+//               document-global line/byte positions.
 
 #include <cstddef>
 #include <functional>
@@ -38,15 +41,17 @@
 namespace parowl::rdf {
 
 struct IngestOptions {
-  /// Worker threads for the parse stage; 0 = hardware concurrency.
+  /// Worker threads for the parse and merge stages; 0 = hardware
+  /// concurrency.
   unsigned threads = 1;
 
   /// Observability sinks/sampling (docs/architecture.md "Observability").
   obs::ObsOptions obs;
 
-  /// Streaming consumer invoked during the merge stage with each newly
-  /// inserted (deduplicated, globally interned) slice of the store's
-  /// insertion log.  The concatenation of the slices is the store's full
+  /// Streaming consumer invoked at the end of the merge stage with each
+  /// chunk's newly inserted (deduplicated, globally interned) slice of the
+  /// store's insertion log, in chunk order; the serial path makes one
+  /// slice.  The concatenation of the slices is the store's full
   /// appended range in canonical order, independent of `threads` — the same
   /// bit-identity invariant the parser itself keeps — so streaming
   /// partitioners can consume the ingest without a second pass.  Called on

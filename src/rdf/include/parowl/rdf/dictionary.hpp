@@ -1,12 +1,19 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "parowl/rdf/term.hpp"
+
+namespace parowl::util {
+class ThreadTeam;
+}
 
 namespace parowl::rdf {
 
@@ -39,19 +46,28 @@ class Dictionary {
   /// no observable effect on ids or iteration order.
   void reserve(std::size_t expected_terms);
 
-  /// Estimate of term count for a serialization of `input_bytes` bytes
-  /// (N-Triples/Turtle).  Deliberately generous: over-reserving buckets is
-  /// cheap, rehashing mid-load is not.
+  /// Rough term count for a serialization of `input_bytes` bytes
+  /// (N-Triples/Turtle).  Growing past it is cheap — a rehash moves 8-byte
+  /// slots and never rehashes a string — so it errs low rather than
+  /// reserving memory the load will not use.
   [[nodiscard]] static std::size_t estimate_terms(std::size_t input_bytes) {
-    return input_bytes / 96 + 16;
+    return input_bytes / 256 + 16;
   }
 
-  /// Bulk-merge every term of `other` (in its id order) into this
-  /// dictionary.  `remap` maps the other dictionary's ids to this one's:
-  /// remap[id_in_other] == id_here, with remap[0] == kAnyTerm.  Used by the
-  /// parallel ingest merge phase: merging thread-local dictionaries in
-  /// chunk order reproduces the serial first-occurrence id assignment.
-  void intern_batch(const Dictionary& other, std::vector<TermId>& remap);
+  /// Append the terms of `parts` as if every term of parts[0], then of
+  /// parts[1], ... had been interned here in id order: ids, kinds and
+  /// lexical forms come out exactly as that serial loop would leave them.
+  /// remaps[i][local id in parts[i]] is the id here (remaps[i][0] ==
+  /// kAnyTerm).  The parallel ingest merges its per-chunk dictionaries
+  /// with this, which is what keeps global ids in first-occurrence order.
+  ///
+  /// It runs on `team`: members own disjoint index shards and resolve each
+  /// term's first occurrence in (part, local id) order, a serial integer
+  /// pass numbers the new terms, and the members then fill the index and
+  /// move the strings in.  `parts` are consumed: they are left empty.
+  void absorb(std::span<Dictionary> parts,
+              std::vector<std::vector<TermId>>& remaps,
+              util::ThreadTeam& team);
 
   /// Look up an existing term; returns kAnyTerm (0) if absent.
   [[nodiscard]] TermId find(std::string_view lexical, TermKind kind) const;
@@ -79,19 +95,43 @@ class Dictionary {
     TermKind kind;
   };
 
-  struct Key {
-    std::string_view lexical;
-    TermKind kind;
-    friend bool operator==(const Key&, const Key&) = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept;
+  /// One open-addressing slot: the term id (kAnyTerm = empty) and the low
+  /// 32 bits of the term's hash, which place the slot and filter probes
+  /// before any string comparison.
+  struct Slot {
+    TermId id = kAnyTerm;
+    std::uint32_t hash = 0;
   };
 
-  // Entries live in a deque so string_views held by the map stay valid as
-  // the dictionary grows.
+  /// Index shard: linear probing over a power-of-two slot array kept at
+  /// most half full.  A term's shard comes from the top bits of its hash.
+  struct Shard {
+    std::vector<Slot> slots;
+    std::size_t size = 0;
+
+    /// The slot holding a term with this hash for which `same(id)` holds,
+    /// or the empty slot where it belongs (the caller fills it).  Grows
+    /// first, so a filled slot never overloads the shard.
+    template <typename Same>
+    Slot& claim(std::uint32_t hash, Same&& same);
+    template <typename Same>
+    [[nodiscard]] const Slot* find(std::uint32_t hash, Same&& same) const;
+    void grow(std::size_t min_slots);
+  };
+
+  static constexpr unsigned kShardBits = 6;
+  static constexpr std::size_t kShards = std::size_t{1} << kShardBits;
+
+  [[nodiscard]] static std::uint64_t hash_term(std::string_view lexical,
+                                               TermKind kind);
+  [[nodiscard]] static std::size_t shard_of(std::uint64_t hash) {
+    return static_cast<std::size_t>(hash >> (64 - kShardBits));
+  }
+
+  // Entries live in a deque so references returned by lexical() stay valid
+  // as the dictionary grows.
   std::deque<Entry> entries_;
-  std::unordered_map<Key, TermId, KeyHash> index_;
+  std::array<Shard, kShards> shards_;
 };
 
 }  // namespace parowl::rdf

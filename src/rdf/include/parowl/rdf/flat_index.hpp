@@ -151,12 +151,20 @@ class SmallIdList {
 class TripleSet {
  public:
   /// Insert `t`; returns true if it was new.
-  bool insert(const Triple& t) {
+  bool insert(const Triple& t) { return insert(t, TripleHash{}(t)); }
+
+  [[nodiscard]] bool contains(const Triple& t) const {
+    return contains(t, TripleHash{}(t));
+  }
+
+  /// Variants taking `hash` == TripleHash{}(t), for callers that already
+  /// computed it (the store picks a shard from the same hash).
+  bool insert(const Triple& t, std::size_t hash) {
     assert(t.s != kAnyTerm && t.p != kAnyTerm && t.o != kAnyTerm);
     if (slots_.size() < 2 * (size_ + 1)) {
       grow();
     }
-    for (std::size_t i = TripleHash{}(t)&mask_;; i = (i + 1) & mask_) {
+    for (std::size_t i = hash & mask_;; i = (i + 1) & mask_) {
       Triple& s = slots_[i];
       if (s == t) {
         return false;
@@ -169,11 +177,11 @@ class TripleSet {
     }
   }
 
-  [[nodiscard]] bool contains(const Triple& t) const {
+  [[nodiscard]] bool contains(const Triple& t, std::size_t hash) const {
     if (slots_.empty()) {
       return false;
     }
-    for (std::size_t i = TripleHash{}(t)&mask_;; i = (i + 1) & mask_) {
+    for (std::size_t i = hash & mask_;; i = (i + 1) & mask_) {
       const Triple& s = slots_[i];
       if (s == t) {
         return true;

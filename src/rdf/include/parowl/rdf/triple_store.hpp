@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -12,6 +13,10 @@
 
 #include "parowl/rdf/flat_index.hpp"
 #include "parowl/rdf/term.hpp"
+
+namespace parowl::util {
+class ThreadTeam;
+}
 
 namespace parowl::rdf {
 
@@ -48,7 +53,8 @@ class TripleStore {
   /// probes — are rebuilt on demand (ensure_endpoint_index), which keeps
   /// the materializer's insert path to three index touches.
   bool insert(const Triple& t) {
-    if (!set_.insert(t)) {
+    const std::size_t hash = TripleHash{}(t);
+    if (!set_[set_shard(hash)].insert(t, hash)) {
       return false;
     }
     log_.push_back(t);
@@ -60,16 +66,34 @@ class TripleStore {
     }
     PredicateIndex& idx = predicate_arena_[pslot - 1];
     idx.triples.push_back(t);
-    list_for(idx.objects_slot, idx.obj_lists, t.s).push_back(t.o);
-    list_for(idx.subjects_slot, idx.subj_lists, t.o).push_back(t.s);
+    idx.objects.list(t.s).push_back(t.o);
+    idx.subjects.list(t.o).push_back(t.s);
     return true;
   }
 
   /// Insert every triple from `ts`; returns the number actually added.
-  std::size_t insert_all(std::span<const Triple> ts);
+  ///
+  /// The result — log order, predicate order, every posting list — is
+  /// exactly that of inserting the triples one by one in order: the first
+  /// occurrence of each new triple is appended.  With `threads` > 1 the
+  /// work is spread over a team of that many threads (see the team
+  /// overload); with 1 it is the plain per-triple loop.
+  std::size_t insert_all(std::span<const Triple> ts, unsigned threads = 1);
+
+  /// insert_all on an existing team (a team of one runs the serial loop):
+  ///   1. dedup — each member owns the duplicate-filter shards congruent to
+  ///      its index and walks the whole batch in order, so within a shard
+  ///      the first occurrence wins;
+  ///   2. ordered compaction of the new triples onto the log;
+  ///   3. a serial pass that registers new predicates in first-seen order;
+  ///   4. per touched predicate, its triple list, its subject->objects
+  ///      postings and its object->subjects postings as three independent
+  ///      tasks, each filled in log order.
+  std::size_t insert_all(std::span<const Triple> ts, util::ThreadTeam& team);
 
   [[nodiscard]] bool contains(const Triple& t) const {
-    return set_.contains(t);
+    const std::size_t hash = TripleHash{}(t);
+    return set_[set_shard(hash)].contains(t, hash);
   }
   [[nodiscard]] std::size_t size() const { return log_.size(); }
   [[nodiscard]] bool empty() const { return log_.empty(); }
@@ -91,9 +115,7 @@ class TripleStore {
     if (idx == nullptr) {
       return {};
     }
-    const std::uint32_t* slot = idx->objects_slot.find(s);
-    return slot != nullptr ? idx->obj_lists[*slot - 1].view()
-                           : std::span<const TermId>();
+    return idx->objects.view(s);
   }
 
   /// Subjects s such that (s, p, o) is present.
@@ -102,9 +124,7 @@ class TripleStore {
     if (idx == nullptr) {
       return {};
     }
-    const std::uint32_t* slot = idx->subjects_slot.find(o);
-    return slot != nullptr ? idx->subj_lists[*slot - 1].view()
-                           : std::span<const TermId>();
+    return idx->subjects.view(o);
   }
 
   /// Distinct predicates present, in first-seen order.
@@ -132,11 +152,7 @@ class TripleStore {
   template <typename Fn>
   void for_subject_each(TermId s, Fn&& fn) const {
     ensure_endpoint_index();
-    const std::uint32_t* slot = subject_slot_.find(s);
-    if (slot == nullptr) {
-      return;
-    }
-    for (std::uint32_t i : subject_postings_[*slot - 1].view()) {
+    for (std::uint32_t i : subject_index_.view(s)) {
       fn(log_[i]);
     }
   }
@@ -144,11 +160,7 @@ class TripleStore {
   template <typename Fn>
   void for_object_each(TermId o, Fn&& fn) const {
     ensure_endpoint_index();
-    const std::uint32_t* slot = object_slot_.find(o);
-    if (slot == nullptr) {
-      return;
-    }
-    for (std::uint32_t i : object_postings_[*slot - 1].view()) {
+    for (std::uint32_t i : object_index_.view(o)) {
       fn(log_[i]);
     }
   }
@@ -219,27 +231,49 @@ class TripleStore {
   void clear();
 
  private:
-  struct PredicateIndex {
-    std::vector<Triple> triples;  // insertion order within this predicate
-    // subject -> objects and object -> subjects posting lists.  The IdMap
-    // stores arena_index + 1 (0 = absent); the lists live in deques so they
-    // never move when the slot table rehashes.
-    IdMap<std::uint32_t> objects_slot;
-    IdMap<std::uint32_t> subjects_slot;
-    std::deque<SmallIdList> obj_lists;
-    std::deque<SmallIdList> subj_lists;
+  /// Duplicate-filter shards.  A triple's shard comes from the top bits of
+  /// its TripleHash and its slot from the low bits, so a probe still hashes
+  /// once; the shards let the bulk insert dedup on all threads at once.
+  static constexpr unsigned kSetShardBits = 6;
+  static constexpr std::size_t kSetShards = std::size_t{1} << kSetShardBits;
+  static std::size_t set_shard(std::size_t hash) {
+    return static_cast<std::size_t>(static_cast<std::uint64_t>(hash) >>
+                                    (64 - kSetShardBits));
+  }
+
+  /// key -> posting list.  The IdMap stores arena_index + 1 (0 = absent);
+  /// the lists live in a deque so they never move when the slot table
+  /// rehashes.
+  struct PostingIndex {
+    IdMap<std::uint32_t> slot;
+    std::deque<SmallIdList> lists;
+
+    SmallIdList& list(TermId key) {
+      std::uint32_t& s = slot[key];
+      if (s == 0) {
+        lists.emplace_back();
+        s = static_cast<std::uint32_t>(lists.size());
+      }
+      return lists[s - 1];
+    }
+    [[nodiscard]] std::span<const std::uint32_t> view(TermId key) const {
+      const std::uint32_t* s = slot.find(key);
+      return s != nullptr ? lists[*s - 1].view()
+                          : std::span<const std::uint32_t>();
+    }
+    void clear() {
+      slot.clear();
+      lists.clear();
+    }
   };
 
-  template <typename List>
-  static List& list_for(IdMap<std::uint32_t>& slots, std::deque<List>& arena,
-                        TermId key) {
-    std::uint32_t& slot = slots[key];
-    if (slot == 0) {
-      arena.emplace_back();
-      slot = static_cast<std::uint32_t>(arena.size());
-    }
-    return arena[slot - 1];
-  }
+  /// One predicate's access paths.  The bulk insert fills the three
+  /// members from different threads, so each gets its own cache line.
+  struct PredicateIndex {
+    alignas(64) std::vector<Triple> triples;  // insertion order
+    alignas(64) PostingIndex objects;         // subject -> objects
+    alignas(64) PostingIndex subjects;        // object -> subjects
+  };
 
   [[nodiscard]] const PredicateIndex* find_predicate(TermId p) const {
     const std::uint32_t* slot = predicate_slot_.find(p);
@@ -257,7 +291,7 @@ class TripleStore {
   void build_endpoint_tail() const;
 
   std::vector<Triple> log_;
-  TripleSet set_;
+  std::array<TripleSet, kSetShards> set_;
   IdMap<std::uint32_t> predicate_slot_;  // predicate -> arena index + 1
   std::deque<PredicateIndex> predicate_arena_;
   std::vector<TermId> predicates_;
@@ -270,10 +304,8 @@ class TripleStore {
   // that.  Built lazily, on first such probe, so the insert hot path never
   // pays for them; `mutable` because the rebuild happens under const
   // accessors.
-  mutable IdMap<std::uint32_t> subject_slot_;
-  mutable IdMap<std::uint32_t> object_slot_;
-  mutable std::deque<SmallIdList> subject_postings_;
-  mutable std::deque<SmallIdList> object_postings_;
+  mutable PostingIndex subject_index_;  // subject -> log indices
+  mutable PostingIndex object_index_;   // object -> log indices
   mutable std::atomic<std::size_t> endpoint_built_{0};
   mutable std::atomic<std::size_t> endpoint_builds_{0};
   mutable std::mutex endpoint_mu_;

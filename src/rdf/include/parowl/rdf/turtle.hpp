@@ -71,9 +71,12 @@ TurtleSpans scan_turtle_spans(std::string_view text);
 /// Parse a document fragment with an explicit starting environment and
 /// global position (line_base = '\n' count before the fragment, byte_base =
 /// the fragment's byte offset) so diagnostics carry document-global
-/// line/byte numbers identical to a serial parse.
+/// line/byte numbers identical to a serial parse.  Triples are appended to
+/// `out` in document order, duplicates included; the returned
+/// ParseStats::duplicates is always 0 (the caller's dedup counts them).
 ParseStats parse_turtle_fragment(std::string_view fragment, Dictionary& dict,
-                                 TripleStore& store, const TurtleEnv& env,
-                                 std::size_t line_base, std::size_t byte_base);
+                                 std::vector<Triple>& out,
+                                 const TurtleEnv& env, std::size_t line_base,
+                                 std::size_t byte_base);
 
 }  // namespace parowl::rdf

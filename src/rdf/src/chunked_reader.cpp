@@ -9,17 +9,19 @@
 #include "parowl/obs/obs.hpp"
 #include "parowl/rdf/turtle.hpp"
 #include "parowl/util/strings.hpp"
+#include "parowl/util/thread_team.hpp"
 #include "parowl/util/timer.hpp"
 
 namespace parowl::rdf {
 namespace {
 
-/// Everything one parse worker produces.  Thread-local tables use local
-/// TermIds; stats/diagnostics are local to the chunk until the merge rebases
-/// them (N-Triples) — the Turtle fragment parser formats globally itself.
+/// Everything one parse worker produces besides its dictionary: the
+/// chunk's triples in document order over chunk-local TermIds, duplicates
+/// included (the merge's global dedup counts them), plus stats and
+/// diagnostics local to the chunk until the merge rebases them (N-Triples)
+/// — the Turtle fragment parser formats globally itself.
 struct ChunkResult {
-  Dictionary dict;
-  TripleStore store;
+  std::vector<Triple> triples;
   ParseStats stats;
   std::size_t lines = 0;  // lines scanned (N-Triples; for error rebasing)
 };
@@ -35,8 +37,9 @@ unsigned resolve_threads(unsigned requested) {
 /// getline loop in parse_ntriples.  Diagnostics record chunk-local
 /// line/offset in first_error_line/first_error_offset; the message text is
 /// kept raw in first_error for the merge to format.
-void parse_ntriples_chunk(std::string_view chunk, ChunkResult& out) {
-  out.dict.reserve(Dictionary::estimate_terms(chunk.size()));
+void parse_ntriples_chunk(std::string_view chunk, Dictionary& dict,
+                          ChunkResult& out) {
+  dict.reserve(Dictionary::estimate_terms(chunk.size()));
   std::string error;
   std::size_t pos = 0;
   while (pos < chunk.size()) {
@@ -51,11 +54,9 @@ void parse_ntriples_chunk(std::string_view chunk, ChunkResult& out) {
       continue;
     }
     error.clear();
-    if (const auto t = parse_ntriples_line(line, out.dict, &error)) {
+    if (const auto t = parse_ntriples_line(line, dict, &error)) {
       ++out.stats.triples;
-      if (!out.store.insert(*t)) {
-        ++out.stats.duplicates;
-      }
+      out.triples.push_back(*t);
     } else {
       ++out.stats.bad_lines;
       if (out.stats.first_error_line == 0) {
@@ -67,49 +68,58 @@ void parse_ntriples_chunk(std::string_view chunk, ChunkResult& out) {
   }
 }
 
-/// Run `fn(i)` for i in [0, n) on `threads` workers (inline when 1).
-template <typename Fn>
-void run_parallel(std::size_t n, unsigned threads, Fn&& fn) {
-  if (threads <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
+/// Merge the per-chunk tables into the global ones exactly as a serial
+/// parse of the chunks in order would have built them, on all members of
+/// `team`.  The dictionaries merge first (first occurrence in chunk order
+/// takes the next id); then every chunk's triples are remapped into one
+/// batch and bulk-inserted, which keeps each triple's first occurrence in
+/// batch order.  After the insert, chunk i's slice of the new log — the
+/// triples whose first occurrence lies in chunk i — is handed to
+/// options.chunk_sink (when set), in chunk order, so streaming consumers see the same deltas
+/// as a chunk-at-a-time merge.  Returns the number of parsed triples that
+/// were duplicates (of earlier triples or of triples already in `store`).
+std::size_t merge_chunks(std::vector<Dictionary>& dicts,
+                         std::vector<ChunkResult>& chunks, Dictionary& dict,
+                         TripleStore& store, const IngestOptions& options,
+                         util::ThreadTeam& team) {
+  std::vector<std::vector<TermId>> remaps;
+  {
+    PAROWL_SPAN("rdf.merge.dict", {{"chunks", dicts.size()}});
+    dict.absorb(dicts, remaps, team);
   }
-  std::vector<std::thread> pool;
-  pool.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pool.emplace_back([&fn, i] { fn(i); });
+  PAROWL_SPAN("rdf.merge.store", {{"chunks", chunks.size()}});
+  std::vector<std::size_t> offset(chunks.size() + 1, 0);
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    offset[c + 1] = offset[c] + chunks[c].triples.size();
   }
-  for (auto& t : pool) t.join();
-}
-
-/// Merge thread-local tables into the global ones, chunk order first —
-/// this is what makes global ids equal the serial first-occurrence order.
-/// Returns extra duplicates discovered across chunk boundaries.  After each
-/// chunk's triples land in the store, the freshly appended slice of the
-/// insertion log is handed to `sink` (when set) so streaming consumers see
-/// the exact serial-order delta regardless of thread count.
-std::size_t merge_chunks(std::vector<ChunkResult>& chunks, Dictionary& dict,
-                         TripleStore& store,
-                         const IngestOptions& options) {
-  std::size_t total_terms = 0;
-  for (const ChunkResult& c : chunks) total_terms += c.dict.size();
-  dict.reserve(total_terms);
-  std::size_t cross_duplicates = 0;
-  std::vector<TermId> remap;
-  for (ChunkResult& c : chunks) {
-    dict.intern_batch(c.dict, remap);
-    const std::size_t before = store.size();
-    for (const Triple& t : c.store.triples()) {
-      if (!store.insert({remap[t.s], remap[t.p], remap[t.o]})) {
-        ++cross_duplicates;
+  std::vector<Triple> batch(offset.back());
+  team.for_each(chunks.size(), [&](std::size_t c) {
+    const std::vector<TermId>& remap = remaps[c];
+    Triple* out = batch.data() + offset[c];
+    for (const Triple& t : chunks[c].triples) {
+      *out++ = {remap[t.s], remap[t.p], remap[t.o]};
+    }
+    chunks[c].triples = {};
+  });
+  const std::size_t before = store.size();
+  const std::size_t added = store.insert_all(batch, team);
+  if (options.chunk_sink) {
+    // The new log is the batch's first occurrences in batch order, so one
+    // walk of the batch against it finds where each chunk's slice ends.
+    const std::span<const Triple> log(store.triples());
+    std::size_t j = before;
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+      const std::size_t start = j;
+      for (std::size_t i = offset[c]; i < offset[c + 1] && j < log.size();
+           ++i) {
+        j += batch[i] == log[j] ? 1 : 0;
+      }
+      if (j > start) {
+        options.chunk_sink(log.subspan(start, j - start));
       }
     }
-    if (options.chunk_sink && store.size() > before) {
-      options.chunk_sink(std::span<const Triple>(store.triples())
-                             .subspan(before, store.size() - before));
-    }
   }
-  return cross_duplicates;
+  return batch.size() - added;
 }
 
 /// Serial-path variant: the whole appended range [before, size()) is one
@@ -125,7 +135,6 @@ void flush_serial_sink(const TripleStore& store, std::size_t before,
 void sum_stats(const std::vector<ChunkResult>& chunks, ParseStats& out) {
   for (const ChunkResult& c : chunks) {
     out.triples += c.stats.triples;
-    out.duplicates += c.stats.duplicates;
     out.bad_lines += c.stats.bad_lines;
   }
 }
@@ -181,16 +190,18 @@ IngestStats ingest_ntriples(std::string_view text, Dictionary& dict,
   }
   stats.scan_seconds = sw.elapsed_seconds();
   const std::size_t n = bounds.size() - 1;
+  util::ThreadTeam team(threads);
+  std::vector<Dictionary> dicts(n);
   std::vector<ChunkResult> chunks(n);
   sw.restart();
   {
     PAROWL_SPAN("rdf.parse", {{"chunks", n}});
-    run_parallel(n, threads, [&](std::size_t i) {
+    team.for_each(n, [&](std::size_t i) {
       obs::Span chunk_span("rdf.parse.chunk",
                            {{"chunk", i},
                             {"bytes", bounds[i + 1] - bounds[i]}});
       parse_ntriples_chunk(text.substr(bounds[i], bounds[i + 1] - bounds[i]),
-                           chunks[i]);
+                           dicts[i], chunks[i]);
     });
   }
   stats.parse_seconds = sw.elapsed_seconds();
@@ -199,7 +210,8 @@ IngestStats ingest_ntriples(std::string_view text, Dictionary& dict,
   sw.restart();
   PAROWL_SPAN("rdf.merge", {{"chunks", n}});
   sum_stats(chunks, stats.parse);
-  stats.parse.duplicates += merge_chunks(chunks, dict, store, options);
+  stats.parse.duplicates +=
+      merge_chunks(dicts, chunks, dict, store, options, team);
   // First malformed line, rebased to document-global line/byte numbers.
   std::size_t lines_before = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -282,19 +294,20 @@ IngestStats ingest_turtle(std::string_view text, Dictionary& dict,
   stats.scan_seconds = sw.elapsed_seconds();
 
   // Stage 2: parallel fragment parsing into thread-local tables.
+  util::ThreadTeam team(threads);
+  std::vector<Dictionary> dicts(n);
   std::vector<ChunkResult> chunks(n);
   sw.restart();
   {
     PAROWL_SPAN("rdf.parse", {{"chunks", n}});
-    run_parallel(n, threads, [&](std::size_t i) {
+    team.for_each(n, [&](std::size_t i) {
       obs::Span chunk_span("rdf.parse.chunk",
                            {{"chunk", i},
                             {"bytes", bounds[i + 1] - bounds[i]}});
-      chunks[i].dict.reserve(
-          Dictionary::estimate_terms(bounds[i + 1] - bounds[i]));
+      dicts[i].reserve(Dictionary::estimate_terms(bounds[i + 1] - bounds[i]));
       chunks[i].stats = parse_turtle_fragment(
-          text.substr(bounds[i], bounds[i + 1] - bounds[i]), chunks[i].dict,
-          chunks[i].store, envs[i], newline_base[i], bounds[i]);
+          text.substr(bounds[i], bounds[i + 1] - bounds[i]), dicts[i],
+          chunks[i].triples, envs[i], newline_base[i], bounds[i]);
     });
   }
   stats.parse_seconds = sw.elapsed_seconds();
@@ -304,7 +317,8 @@ IngestStats ingest_turtle(std::string_view text, Dictionary& dict,
   sw.restart();
   PAROWL_SPAN("rdf.merge", {{"chunks", n}});
   sum_stats(chunks, stats.parse);
-  stats.parse.duplicates += merge_chunks(chunks, dict, store, options);
+  stats.parse.duplicates +=
+      merge_chunks(dicts, chunks, dict, store, options, team);
   for (const ChunkResult& c : chunks) {
     if (!c.stats.first_error.empty()) {
       stats.parse.first_error = c.stats.first_error;

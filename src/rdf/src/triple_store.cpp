@@ -1,5 +1,10 @@
 #include "parowl/rdf/triple_store.hpp"
 
+#include <algorithm>
+#include <limits>
+
+#include "parowl/util/thread_team.hpp"
+
 namespace parowl::rdf {
 
 TripleStore::TripleStore() = default;
@@ -20,10 +25,8 @@ TripleStore& TripleStore::operator=(const TripleStore& other) {
   predicate_slot_ = other.predicate_slot_;
   predicate_arena_ = other.predicate_arena_;
   predicates_ = other.predicates_;
-  subject_slot_ = other.subject_slot_;
-  object_slot_ = other.object_slot_;
-  subject_postings_ = other.subject_postings_;
-  object_postings_ = other.object_postings_;
+  subject_index_ = other.subject_index_;
+  object_index_ = other.object_index_;
   endpoint_built_.store(other.endpoint_built_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
   endpoint_builds_.store(
@@ -45,10 +48,8 @@ TripleStore& TripleStore::operator=(TripleStore&& other) noexcept {
   predicate_slot_ = std::move(other.predicate_slot_);
   predicate_arena_ = std::move(other.predicate_arena_);
   predicates_ = std::move(other.predicates_);
-  subject_slot_ = std::move(other.subject_slot_);
-  object_slot_ = std::move(other.object_slot_);
-  subject_postings_ = std::move(other.subject_postings_);
-  object_postings_ = std::move(other.object_postings_);
+  subject_index_ = std::move(other.subject_index_);
+  object_index_ = std::move(other.object_index_);
   endpoint_built_.store(other.endpoint_built_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
   endpoint_builds_.store(
@@ -67,8 +68,8 @@ void TripleStore::build_endpoint_tail() const {
   for (; i < log_.size(); ++i) {
     const Triple& t = log_[i];
     const auto log_index = static_cast<std::uint32_t>(i);
-    list_for(subject_slot_, subject_postings_, t.s).push_back(log_index);
-    list_for(object_slot_, object_postings_, t.o).push_back(log_index);
+    subject_index_.list(t.s).push_back(log_index);
+    object_index_.list(t.o).push_back(log_index);
   }
   endpoint_built_.store(i, std::memory_order_release);
 }
@@ -83,11 +84,151 @@ void TripleStore::for_object(
   for_object_each(o, [&fn](const Triple& t) { fn(t); });
 }
 
-std::size_t TripleStore::insert_all(std::span<const Triple> ts) {
-  std::size_t added = 0;
-  for (const Triple& t : ts) {
-    added += insert(t) ? 1 : 0;
+std::size_t TripleStore::insert_all(std::span<const Triple> ts,
+                                   unsigned threads) {
+  if (threads <= 1 || ts.size() <= 1) {
+    std::size_t added = 0;
+    for (const Triple& t : ts) {
+      added += insert(t) ? 1 : 0;
+    }
+    return added;
   }
+  util::ThreadTeam team(threads);
+  return insert_all(ts, team);
+}
+
+std::size_t TripleStore::insert_all(std::span<const Triple> ts,
+                                   util::ThreadTeam& team) {
+  const unsigned members = team.size();
+  // The bulk path indexes the batch and the log with 32-bit positions.
+  if (members <= 1 || ts.size() <= 1 ||
+      log_.size() + ts.size() > std::numeric_limits<std::uint32_t>::max()) {
+    return insert_all(ts, 1u);
+  }
+
+  // 1. Dedup.  Member m owns the filter shards s with s % members == m and
+  // walks the batch in order, so each shard sees its triples in batch
+  // order and keeps the first occurrence.  Each member lists the batch
+  // indices it admitted, ascending.
+  std::vector<std::vector<std::uint32_t>> fresh(members);
+  team.run([&](unsigned m) {
+    std::vector<std::uint32_t>& mine = fresh[m];
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      const std::size_t hash = TripleHash{}(ts[i]);
+      const std::size_t shard = set_shard(hash);
+      if (shard % members == m && set_[shard].insert(ts[i], hash)) {
+        mine.push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+  });
+  std::size_t added = 0;
+  for (const auto& f : fresh) {
+    added += f.size();
+  }
+  if (added == 0) {
+    return 0;
+  }
+
+  // 2. Ordered compaction.  Member r copies the admitted triples of batch
+  // range r to the log; the range's output offset is the number of
+  // admitted triples before it, counted from the sorted index lists.
+  const std::size_t before = log_.size();
+  log_.resize(before + added);
+  const auto range_begin = [&](std::size_t r) {
+    return ts.size() * r / members;
+  };
+  const auto admitted_before = [&](std::size_t i) {
+    std::size_t n = 0;
+    for (const auto& f : fresh) {
+      n += static_cast<std::size_t>(
+          std::lower_bound(f.begin(), f.end(), i) - f.begin());
+    }
+    return n;
+  };
+  team.run([&](unsigned r) {
+    const std::size_t lo = range_begin(r);
+    const std::size_t hi = range_begin(r + 1);
+    std::vector<std::uint8_t> keep(hi - lo, 0);
+    for (const auto& f : fresh) {
+      for (auto it = std::lower_bound(f.begin(), f.end(), lo);
+           it != f.end() && *it < hi; ++it) {
+        keep[*it - lo] = 1;
+      }
+    }
+    std::size_t out = before + admitted_before(lo);
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (keep[i - lo] != 0) {
+        log_[out++] = ts[i];
+      }
+    }
+  });
+  fresh = {};
+
+  // 3. New predicates in first-seen order, and each touched predicate's
+  // new log positions, in log order.
+  std::vector<std::vector<std::uint32_t>> rows(predicate_arena_.size());
+  TermId last_p = kAnyTerm;
+  std::vector<std::uint32_t>* last_rows = nullptr;
+  for (std::size_t i = before; i < log_.size(); ++i) {
+    const TermId p = log_[i].p;
+    if (p != last_p) {
+      std::uint32_t& pslot = predicate_slot_[p];
+      if (pslot == 0) {
+        predicate_arena_.emplace_back();
+        pslot = static_cast<std::uint32_t>(predicate_arena_.size());
+        predicates_.push_back(p);
+        rows.emplace_back();
+      }
+      last_p = p;
+      last_rows = &rows[pslot - 1];
+    }
+    last_rows->push_back(static_cast<std::uint32_t>(i));
+  }
+
+  // 4. Index fill: three independent tasks per touched predicate, the
+  // biggest first so the longest task starts earliest.
+  struct Task {
+    std::uint32_t slot;
+    std::uint32_t part;  // 0 triples, 1 subject->objects, 2 object->subjects
+  };
+  std::vector<Task> tasks;
+  for (std::uint32_t slot = 0; slot < rows.size(); ++slot) {
+    if (!rows[slot].empty()) {
+      for (std::uint32_t part = 0; part < 3; ++part) {
+        tasks.push_back(Task{slot, part});
+      }
+    }
+  }
+  std::stable_sort(tasks.begin(), tasks.end(),
+                   [&rows](const Task& a, const Task& b) {
+                     return rows[a.slot].size() > rows[b.slot].size();
+                   });
+  team.for_each(tasks.size(), [&](std::size_t k) {
+    const Task task = tasks[k];
+    PredicateIndex& idx = predicate_arena_[task.slot];
+    const std::vector<std::uint32_t>& at = rows[task.slot];
+    switch (task.part) {
+      case 0: {
+        const std::size_t old = idx.triples.size();
+        idx.triples.resize(old + at.size());
+        Triple* out = idx.triples.data() + old;
+        for (const std::uint32_t i : at) {
+          *out++ = log_[i];
+        }
+        break;
+      }
+      case 1:
+        for (const std::uint32_t i : at) {
+          idx.objects.list(log_[i].s).push_back(log_[i].o);
+        }
+        break;
+      default:
+        for (const std::uint32_t i : at) {
+          idx.subjects.list(log_[i].o).push_back(log_[i].s);
+        }
+        break;
+    }
+  });
   return added;
 }
 
@@ -104,14 +245,14 @@ std::size_t TripleStore::count(const TriplePattern& pattern) const {
 
 void TripleStore::clear() {
   log_.clear();
-  set_.clear();
+  for (TripleSet& shard : set_) {
+    shard.clear();
+  }
   predicate_slot_.clear();
   predicate_arena_.clear();
   predicates_.clear();
-  subject_slot_.clear();
-  object_slot_.clear();
-  subject_postings_.clear();
-  object_postings_.clear();
+  subject_index_.clear();
+  object_index_.clear();
   endpoint_built_.store(0, std::memory_order_relaxed);
 }
 

@@ -19,16 +19,19 @@ constexpr std::string_view kXsdBoolean =
 
 /// Character-level parser over a document (or a fragment of one, when
 /// seeded with the environment and global position of the fragment start).
+/// Triples go into a store, which counts duplicates, or onto a plain list,
+/// whose reader deduplicates them itself.
 class TurtleParser {
  public:
-  TurtleParser(std::string_view text, Dictionary& dict, TripleStore& store,
-               TurtleEnv env = {}, std::size_t line_base = 0,
-               std::size_t byte_base = 0)
+  TurtleParser(std::string_view text, Dictionary& dict, TripleStore* store,
+               std::vector<Triple>* list, TurtleEnv env = {},
+               std::size_t line_base = 0, std::size_t byte_base = 0)
       : text_(text),
         line_base_(line_base),
         byte_base_(byte_base),
         dict_(dict),
         store_(store),
+        list_(list),
         prefixes_(std::move(env.prefixes)),
         base_(std::move(env.base)) {}
 
@@ -213,7 +216,9 @@ class TurtleParser {
           return false;
         }
         ++stats_.triples;
-        if (!store_.insert({subject, predicate, object})) {
+        if (list_ != nullptr) {
+          list_->push_back({subject, predicate, object});
+        } else if (!store_->insert({subject, predicate, object})) {
           ++stats_.duplicates;
         }
         if (!match_char(',')) {
@@ -400,7 +405,8 @@ class TurtleParser {
   std::size_t line_base_ = 0;
   std::size_t byte_base_ = 0;
   Dictionary& dict_;
-  TripleStore& store_;
+  TripleStore* store_;
+  std::vector<Triple>* list_;
   std::unordered_map<std::string, std::string> prefixes_;
   std::string base_;
   std::string error_;
@@ -419,14 +425,16 @@ ParseStats parse_turtle(std::istream& in, Dictionary& dict,
 ParseStats parse_turtle_text(std::string_view text, Dictionary& dict,
                              TripleStore& store) {
   dict.reserve(Dictionary::estimate_terms(text.size()));
-  return TurtleParser(text, dict, store).run();
+  return TurtleParser(text, dict, &store, nullptr).run();
 }
 
 ParseStats parse_turtle_fragment(std::string_view fragment, Dictionary& dict,
-                                 TripleStore& store, const TurtleEnv& env,
-                                 std::size_t line_base,
+                                 std::vector<Triple>& out,
+                                 const TurtleEnv& env, std::size_t line_base,
                                  std::size_t byte_base) {
-  return TurtleParser(fragment, dict, store, env, line_base, byte_base).run();
+  return TurtleParser(fragment, dict, nullptr, &out, env, line_base,
+                      byte_base)
+      .run();
 }
 
 TurtleSpans scan_turtle_spans(std::string_view text) {
@@ -520,8 +528,8 @@ TurtleEnv scan_turtle_env(std::string_view span, const TurtleEnv& env) {
   // relative-IRI resolution, and failure/recovery semantics are then exactly
   // those of a serial pass over the same bytes.
   Dictionary scratch_dict;
-  TripleStore scratch_store;
-  TurtleParser parser(span, scratch_dict, scratch_store, env);
+  std::vector<Triple> scratch_triples;
+  TurtleParser parser(span, scratch_dict, nullptr, &scratch_triples, env);
   parser.run();
   return std::move(parser).env();
 }

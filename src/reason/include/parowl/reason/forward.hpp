@@ -52,11 +52,13 @@ struct ForwardOptions {
   /// Off = the std::function match path (ablation baseline).
   bool devirtualize = true;
 
-  /// Worker threads for the matching pass of each iteration.  The frontier
-  /// is sharded into contiguous blocks; derivations accumulate in
-  /// per-shard buffers and are merged at the round barrier, so the closure
-  /// — log order and all statistics included — is bit-identical for every
-  /// thread count.  0 = hardware concurrency.
+  /// Worker threads for each iteration's matching pass and round-barrier
+  /// insert.  The frontier is sharded into contiguous blocks; derivations
+  /// accumulate in per-shard buffers, and at the round barrier the buffers,
+  /// taken in shard order, form one batch for TripleStore::insert_all on
+  /// the same threads, so the closure — log order and all statistics
+  /// included — is bit-identical for every thread count.  0 = hardware
+  /// concurrency.
   unsigned threads = 1;
 
   /// Observability sinks/sampling (docs/architecture.md "Observability"):
@@ -145,21 +147,19 @@ class ForwardEngine {
     std::uint32_t pivot = 0;
   };
 
-  /// A deduplicated derivation awaiting the round barrier, tagged with the
-  /// rule that produced it (for firings_per_rule at merge time).
-  struct Pending {
-    rdf::Triple triple;
-    std::uint32_t rule = 0;
-  };
-
-  /// Per-thread accumulation state for one iteration's matching pass.
+  /// Per-thread accumulation state for one iteration's matching pass: the
+  /// deduplicated derivations awaiting the round barrier, in emission
+  /// order, each tagged with the rule that produced it (for
+  /// firings_per_rule at merge time).
   struct Shard {
-    std::vector<Pending> pending;
+    std::vector<rdf::Triple> pending;
+    std::vector<std::uint32_t> rules;  // rules[i] derived pending[i]
     rdf::TripleSet seen;
     std::size_t attempts = 0;
 
     void reset() {
       pending.clear();
+      rules.clear();
       seen.reset();  // keeps capacity across iterations
       attempts = 0;
     }

@@ -3,10 +3,12 @@
 #include "parowl/obs/obs.hpp"
 
 #include <algorithm>
-#include <barrier>
 #include <bit>
 #include <cassert>
+#include <span>
 #include <thread>
+
+#include "parowl/util/thread_team.hpp"
 
 namespace parowl::reason {
 namespace {
@@ -247,8 +249,8 @@ void ForwardEngine::join(std::size_t rule_index, unsigned done_mask,
     }
     const rdf::Triple derived{pattern.s, pattern.p, pattern.o};
     if (!store_.contains(derived) && shard.seen.insert(derived)) {
-      shard.pending.push_back(
-          Pending{derived, static_cast<std::uint32_t>(rule_index)});
+      shard.pending.push_back(derived);
+      shard.rules.push_back(static_cast<std::uint32_t>(rule_index));
     }
     return;
   }
@@ -328,8 +330,8 @@ std::vector<ForwardEngine::Derivation> ForwardEngine::match_delta(
   }
   std::vector<Derivation> out;
   out.reserve(shard.pending.size());
-  for (const Pending& pd : shard.pending) {
-    out.push_back(Derivation{pd.triple, pd.rule});
+  for (std::size_t i = 0; i < shard.pending.size(); ++i) {
+    out.push_back(Derivation{shard.pending[i], shard.rules[i]});
   }
   return out;
 }
@@ -378,15 +380,20 @@ ForwardStats ForwardEngine::run(std::size_t delta_begin) {
   }
 
   std::vector<Shard> shards(threads);
-  // Cross-shard dedup at the merge barrier; within a shard, Shard::seen
-  // already deduplicated, so this set is only consulted with > 1 shard.
-  rdf::TripleSet merged_seen;
+  // Round-barrier team: the matching pass and the barrier insert both run
+  // on it; the calling thread is member 0.
+  util::ThreadTeam team(threads);
+  // The round's derivations in shard order, when there is more than one
+  // shard (one shard's buffer is inserted in place).
+  std::vector<rdf::Triple> batch;
+  // Rewrite mode only: cross-shard dedup ahead of interception, which must
+  // see each derivation once for the eq_* statistics to match one thread.
+  rdf::TripleSet rewrite_seen;
 
-  // Per-iteration work descriptor, published to the pool by the start
-  // barrier and consumed before the finish barrier.
+  // Per-iteration work descriptor, read by every member during the
+  // matching pass.
   std::size_t work_begin = 0;
   std::size_t work_end = 0;
-  bool done = false;
 
   const auto shard_bounds = [&](unsigned shard_index) {
     // Contiguous blocks in frontier order: concatenating shard buffers in
@@ -408,30 +415,6 @@ ForwardStats ForwardEngine::run(std::size_t delta_begin) {
     }
   };
 
-  // Round-barrier pool: workers sleep on `start` while the main thread
-  // merges and inserts; the main thread participates as shard 0.
-  std::barrier<> start(threads);
-  std::barrier<> finish(threads);
-  std::vector<std::jthread> pool;
-  for (unsigned t = 1; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      while (true) {
-        start.arrive_and_wait();
-        if (done) {
-          return;
-        }
-        run_shard(t);
-        finish.arrive_and_wait();
-      }
-    });
-  }
-  const auto release_pool = [&] {
-    if (!pool.empty()) {
-      done = true;
-      start.arrive_and_wait();
-    }
-  };
-
   while (stats.iterations < options_.max_iterations) {
     const std::size_t frontier_end = store_.size();
     if (frontier_begin >= frontier_end) {
@@ -447,34 +430,34 @@ ForwardStats ForwardEngine::run(std::size_t delta_begin) {
     }
     work_begin = frontier_begin;
     work_end = frontier_end;
-    if (!pool.empty()) {
-      start.arrive_and_wait();
-    }
-    run_shard(0);
-    if (!pool.empty()) {
-      finish.arrive_and_wait();
+    {
+      PAROWL_SPAN("reason.round.match", {});
+      team.run(run_shard);
     }
 
     // Merge at the barrier: concatenated shard buffers replay the
-    // single-threaded emission order, so first-occurrence wins both the
-    // cross-shard dedup and the per-rule firing credit — statistics and
-    // log order are identical for every thread count.  Under rewrite,
-    // every pending triple passes through the class map first: sameAs
-    // heads fold into it, everything else is inserted canonically (the
-    // rewrite can collapse distinct pendings, so credit follows the
-    // actual insert to keep the per-rule sum equal to `derived`).
+    // single-threaded emission order, so first occurrence wins both the
+    // dedup and the per-rule firing credit — statistics and log order are
+    // identical for every thread count.
+    obs::Span merge_span("reason.round.merge", {});
     std::size_t added = 0;
     bool eq_changed = false;
     const std::size_t attempts_before = stats.attempts;
-    merged_seen.reset();
-    for (Shard& shard : shards) {
+    for (const Shard& shard : shards) {
       stats.attempts += shard.attempts;
-      for (const Pending& pd : shard.pending) {
-        if (shards.size() > 1 && !merged_seen.insert(pd.triple)) {
-          continue;
-        }
-        if (rewrite) {
-          const rdf::Triple t = options_.equality->rewrite(pd.triple);
+    }
+    if (rewrite) {
+      // Every pending triple passes through the class map first: sameAs
+      // heads fold into it, everything else is inserted canonically (the
+      // rewrite can collapse distinct pendings, so credit follows the
+      // actual insert to keep the per-rule sum equal to `derived`).
+      rewrite_seen.reset();
+      for (const Shard& shard : shards) {
+        for (std::size_t i = 0; i < shard.pending.size(); ++i) {
+          if (shards.size() > 1 && !rewrite_seen.insert(shard.pending[i])) {
+            continue;
+          }
+          const rdf::Triple t = options_.equality->rewrite(shard.pending[i]);
           if (t.p == options_.same_as) {
             eq_changed = intercept_same_as(t, stats) || eq_changed;
             continue;
@@ -485,14 +468,41 @@ ForwardStats ForwardEngine::run(std::size_t delta_begin) {
           }
           if (store_.insert(t)) {
             ++added;
-            ++stats.firings_per_rule[pd.rule];
+            ++stats.firings_per_rule[shard.rules[i]];
           }
-          continue;
         }
-        added += store_.insert(pd.triple) ? 1 : 0;
-        ++stats.firings_per_rule[pd.rule];
+      }
+    } else {
+      std::span<const rdf::Triple> derived(shards[0].pending);
+      if (shards.size() > 1) {
+        std::vector<std::size_t> offset(shards.size() + 1, 0);
+        for (std::size_t i = 0; i < shards.size(); ++i) {
+          offset[i + 1] = offset[i] + shards[i].pending.size();
+        }
+        batch.resize(offset.back());
+        team.run([&](unsigned i) {
+          std::copy(shards[i].pending.begin(), shards[i].pending.end(),
+                    batch.begin() + static_cast<std::ptrdiff_t>(offset[i]));
+        });
+        derived = batch;
+      }
+      const std::size_t before = store_.size();
+      added = store_.insert_all(derived, team);
+      // The new log is the batch's first occurrences in batch order: one
+      // walk credits each new triple to the rule that derived it first.
+      const std::span<const rdf::Triple> log(store_.triples());
+      std::size_t j = before;
+      for (const Shard& shard : shards) {
+        for (std::size_t i = 0; i < shard.pending.size() && j < log.size();
+             ++i) {
+          if (shard.pending[i] == log[j]) {
+            ++stats.firings_per_rule[shard.rules[i]];
+            ++j;
+          }
+        }
       }
     }
+    merge_span.close();
     stats.derived += added;
     round_span.arg({"derived", added});
     PAROWL_COUNT("reason.iterations", 1);
@@ -516,7 +526,6 @@ ForwardStats ForwardEngine::run(std::size_t delta_begin) {
     // whole store again under naive evaluation).
     frontier_begin = options_.semi_naive ? frontier_end : 0;
   }
-  release_pool();
   if (rewrite) {
     options_.equality->freeze();
     PAROWL_COUNT("reason.eq.intercepted", stats.eq_intercepted);

@@ -19,7 +19,9 @@ namespace parowl::serve {
 
 /// Normalize SPARQL text for use as a cache key: trim, collapse whitespace
 /// runs to single spaces, strip '#' comments.  Two spellings of the same
-/// query that differ only in layout share one cache entry.
+/// query that differ only in layout share one cache entry.  A '#' inside an
+/// <IRI> or a quoted literal is part of the query, not a comment, and
+/// whitespace there is kept as written.
 [[nodiscard]] std::string normalize_query(std::string_view text);
 
 /// A cached query answer plus the metadata the invalidation protocol needs.
@@ -37,6 +39,22 @@ struct CachedResult {
 
   /// Snapshot version the results were computed against.
   std::uint64_t version = 0;
+};
+
+/// A cache hit: the cached rows and the snapshot version they were
+/// computed against.
+struct CacheHit {
+  query::ResultSet results;
+  std::uint64_t version = 0;
+
+  /// Version to stamp on a response that pinned snapshot `pinned` and was
+  /// answered from this hit.  Another reader may have cached rows from a
+  /// newer snapshot than the pin; those rows belong to that newer version.
+  /// An entry older than the pin survived every invalidation since it was
+  /// computed, so its rows still hold at the pin.
+  [[nodiscard]] std::uint64_t stamp(std::uint64_t pinned) const {
+    return pinned > version ? pinned : version;
+  }
 };
 
 /// Sharded LRU cache of query results keyed on normalized SPARQL text.
@@ -61,7 +79,7 @@ class ResultCache {
   ResultCache(std::size_t shards, std::size_t capacity_per_shard);
 
   /// Look up `key` (already normalized).  A hit refreshes LRU recency.
-  [[nodiscard]] std::optional<query::ResultSet> lookup(const std::string& key);
+  [[nodiscard]] std::optional<CacheHit> lookup(const std::string& key);
 
   /// Insert (or refresh) an entry.  Rejected when `entry.version` is older
   /// than the latest update's version floor (the answer may predate an

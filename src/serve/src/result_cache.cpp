@@ -27,6 +27,22 @@ std::string normalize_query(std::string_view text) {
       out += ' ';
       pending_space = false;
     }
+    if (c == '<' || c == '"' || c == '\'') {
+      // Copy an IRI or quoted literal verbatim up to its closing delimiter
+      // (a backslash escapes the next character in a literal).  A '<' with
+      // no '>' before the end of the line is the less-than operator.
+      const char close = c == '<' ? '>' : c;
+      std::size_t end = i + 1;
+      while (end < text.size() && text[end] != close &&
+             !(c == '<' && (text[end] == '\n' || text[end] == ' '))) {
+        end += (c != '<' && text[end] == '\\') ? 2 : 1;
+      }
+      if (end < text.size() && text[end] == close) {
+        out.append(text.substr(i, end + 1 - i));
+        i = end;
+        continue;
+      }
+    }
     out += c;
   }
   return out;
@@ -48,7 +64,7 @@ ResultCache::Shard& ResultCache::shard_for(const std::string& key) {
   return *shards_[h % shards_.size()];
 }
 
-std::optional<query::ResultSet> ResultCache::lookup(const std::string& key) {
+std::optional<CacheHit> ResultCache::lookup(const std::string& key) {
   if (!enabled()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
@@ -62,7 +78,8 @@ std::optional<query::ResultSet> ResultCache::lookup(const std::string& key) {
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second->second.results;
+  const CachedResult& entry = it->second->second;
+  return CacheHit{entry.results, entry.version};
 }
 
 void ResultCache::insert(const std::string& key, CachedResult entry) {
@@ -71,13 +88,16 @@ void ResultCache::insert(const std::string& key, CachedResult entry) {
   }
   // An in-flight query may finish against snapshot v after an update already
   // published v+1 and ran its invalidation pass; caching that answer would
-  // resurrect exactly the staleness the pass removed.
+  // resurrect exactly the staleness the pass removed.  The floor is read
+  // under the shard lock: on_update raises it before sweeping this shard
+  // under the same lock, so an insert either lands before the sweep (and
+  // is swept) or sees the raised floor.
+  Shard& shard = shard_for(key);
+  const std::scoped_lock lock(shard.mutex);
   if (entry.version < version_floor_.load(std::memory_order_acquire)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  Shard& shard = shard_for(key);
-  const std::scoped_lock lock(shard.mutex);
   if (const auto it = shard.index.find(key); it != shard.index.end()) {
     it->second->second = std::move(entry);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);

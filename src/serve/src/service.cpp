@@ -133,13 +133,15 @@ Response QueryService::execute_locked(const std::string& query_text) {
 
   // Pin a snapshot first: the answer (cached or computed) is then valid for
   // `snap` or newer, and a stale insert after a concurrent update is caught
-  // by the cache's version floor.
+  // by the cache's version floor.  A hit is stamped with the version its
+  // rows came from when that is newer than the pin (CacheHit::stamp).
   const SnapshotPtr snap = registry_.current();
   response.snapshot_version = snap->version;
 
   if (auto hit = cache_.lookup(key)) {
     response.cache_hit = true;
-    response.results = std::move(*hit);
+    response.snapshot_version = hit->stamp(snap->version);
+    response.results = std::move(hit->results);
     if (request_span) {
       request_span->arg({"cache", "hit"});
       request_span->arg({"rows", response.results.size()});

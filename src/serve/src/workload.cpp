@@ -57,10 +57,10 @@ struct Collector {
         break;
     }
     latency.record_seconds(response.latency_seconds);
-    {
-      const std::scoped_lock lock(mutex);
-      ++answered;
-    }
+    // Notify under the lock: the waiter may destroy this collector as soon
+    // as it sees the count, so nothing here may touch it after unlocking.
+    const std::scoped_lock lock(mutex);
+    ++answered;
     all_done.notify_all();
   }
 
@@ -139,10 +139,9 @@ WorkloadReport run_closed_loop(const SubmitFn& submit,
         bool answered = false;
         submit(q, [&](const Response& r) {
           collector.record(r);
-          {
-            const std::scoped_lock lock(done_mutex);
-            answered = true;
-          }
+          // Notify under the lock: the waiter's stack frame owns done_cv.
+          const std::scoped_lock lock(done_mutex);
+          answered = true;
           done_cv.notify_one();
         });
         {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <span>
+#include <string>
 #include <string_view>
 #include <tuple>
 #include <utility>
@@ -32,10 +33,10 @@ struct Fixture {
 
   Fixture(const Fixture&) = delete;
 
-  explicit Fixture(const char* dataset) {
+  explicit Fixture(const char* dataset, std::uint32_t scale = 1) {
     if (std::string_view(dataset) == "lubm") {
       gen::LubmOptions o;
-      o.universities = 1;
+      o.universities = scale;
       gen::generate_lubm(o, dict, base);
     } else {
       gen::MdcOptions o;
@@ -146,6 +147,21 @@ TEST(EngineEquivalenceTest, LubmClosureIdenticalWithLiteralGuard) {
   // same way: guarded heads still count as attempts in every mode.
   const Fixture f("lubm");
   check_all_modes(f, &f.dict);
+}
+
+// At LUBM(20) each round's barrier insert carries tens of thousands of
+// derivations, so the bulk insert's dedup shards, ordered compaction and
+// per-predicate index tasks all split real work across the threads.
+TEST(EngineEquivalenceTest, Lubm20ClosureBitIdenticalAcrossThreads) {
+  const Fixture f("lubm", 20);
+  const RunResult ref = run_engine(f, with(true, true, 1, &f.dict));
+  ASSERT_GT(ref.stats.derived, 10000u);
+  expect_firings_sum_to_derived(ref, "lubm20 reference");
+  for (const unsigned threads : {2u, 3u, 4u, 8u}) {
+    const std::string label = "lubm20 threads=" + std::to_string(threads);
+    const RunResult r = run_engine(f, with(true, true, threads, &f.dict));
+    expect_bit_identical(ref, r, label.c_str());
+  }
 }
 
 TEST(EngineEquivalenceTest, MdcClosureIdenticalAcrossAllModes) {

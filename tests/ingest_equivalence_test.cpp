@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -104,6 +105,65 @@ std::string lubm_ntriples(unsigned universities) {
 
 TEST(IngestEquivalence, NtriplesLubm1BitIdenticalAcrossThreads) {
   sweep_ntriples(lubm_ntriples(1), "lubm1.nt");
+}
+
+/// The chunk_sink slices a chunk-at-a-time merge produces: chunk i's slice
+/// is what a serial parse of chunks 0..i adds to the store while parsing
+/// chunk i (skipped when empty); one slice for a serial ingest.
+std::vector<std::vector<Triple>> expected_slices(const std::string& text,
+                                                 unsigned threads) {
+  std::vector<std::size_t> bounds{0, text.size()};
+  if (threads > 1) {
+    bounds = chunk_newline_boundaries(text, threads);
+  }
+  Dictionary dict;
+  TripleStore store;
+  std::vector<std::vector<Triple>> slices;
+  for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
+    const std::size_t before = store.size();
+    std::istringstream in(text.substr(bounds[i], bounds[i + 1] - bounds[i]));
+    parse_ntriples(in, dict, store);
+    if (store.size() > before) {
+      slices.emplace_back(store.triples().begin() +
+                              static_cast<std::ptrdiff_t>(before),
+                          store.triples().end());
+    }
+  }
+  return slices;
+}
+
+// At LUBM(20) every chunk holds thousands of terms and triples, so the
+// sharded dictionary merge and the bulk store insert split real work across
+// threads.  The text repeats its first tenth at the end, so the global
+// dedup also meets duplicates that span chunks.
+TEST(IngestEquivalence, NtriplesLubm20BitIdenticalWithSinkSlices) {
+  std::string text = lubm_ntriples(20);
+  const std::size_t tenth = text.find('\n', text.size() / 10) + 1;
+  text += text.substr(0, tenth);
+
+  Dictionary golden_dict;
+  TripleStore golden_store;
+  std::istringstream golden_in(text);
+  const ParseStats golden_stats =
+      parse_ntriples(golden_in, golden_dict, golden_store);
+  ASSERT_GT(golden_stats.duplicates, 0u);
+  const std::string golden_bytes = snapshot_bytes(golden_dict, golden_store);
+
+  for (const unsigned threads : kThreadSweep) {
+    const std::string label = "lubm20 threads=" + std::to_string(threads);
+    Dictionary dict;
+    TripleStore store;
+    IngestOptions opts;
+    opts.threads = threads;
+    std::vector<std::vector<Triple>> slices;
+    opts.chunk_sink = [&slices](std::span<const Triple> slice) {
+      slices.emplace_back(slice.begin(), slice.end());
+    };
+    const IngestStats stats = ingest_ntriples(text, dict, store, opts);
+    expect_stats_equal(stats.parse, golden_stats, label);
+    EXPECT_EQ(snapshot_bytes(dict, store), golden_bytes) << label;
+    EXPECT_EQ(slices, expected_slices(text, threads)) << label;
+  }
 }
 
 TEST(IngestEquivalence, NtriplesWithDuplicatesCommentsAndErrors) {

@@ -68,6 +68,13 @@ struct DataPartCase {
   std::uint32_t k;
 };
 
+// Without this, gtest prints the raw bytes of the case (a string pointer
+// and padding), so the listed test name changed with every process's
+// address layout.
+void PrintTo(const DataPartCase& c, std::ostream* os) {
+  *os << c.policy << "_k" << c.k;
+}
+
 class DataPartitionProperty : public ::testing::TestWithParam<DataPartCase> {
  protected:
   rdf::Dictionary dict;

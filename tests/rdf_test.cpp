@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "parowl/rdf/dictionary.hpp"
 #include "parowl/rdf/flat_index.hpp"
 #include "parowl/rdf/graph_stats.hpp"
 #include "parowl/rdf/ntriples.hpp"
 #include "parowl/rdf/triple_store.hpp"
+#include "parowl/util/rng.hpp"
+#include "parowl/util/thread_team.hpp"
 
 namespace parowl::rdf {
 namespace {
@@ -355,6 +360,146 @@ TEST(TripleStore, CopyPreservesIndexesIndependently) {
   EXPECT_EQ(b.subjects(2, 3).size(), 3u);
   EXPECT_FALSE(a.contains({5, 2, 3}));
   EXPECT_TRUE(b.contains({5, 2, 3}));
+}
+
+
+// ---------------------------------------------------------------------------
+// Bulk paths: insert_all(batch, threads) and Dictionary::absorb must leave
+// exactly what the serial per-item loops leave.
+
+/// Every observable index of `got` equals that of `want`: the log, the
+/// predicate order, and every posting list in order.
+void expect_same_store(const TripleStore& got, const TripleStore& want,
+                       const std::string& label) {
+  ASSERT_EQ(got.triples(), want.triples()) << label << " (log order)";
+  ASSERT_EQ(got.predicates(), want.predicates()) << label;
+  for (const TermId p : want.predicates()) {
+    const auto a = got.with_predicate(p);
+    const auto b = want.with_predicate(p);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << label << " with_predicate " << p;
+  }
+  for (const Triple& t : want.triples()) {
+    const auto os = got.objects(t.p, t.s);
+    const auto ow = want.objects(t.p, t.s);
+    EXPECT_TRUE(std::equal(os.begin(), os.end(), ow.begin(), ow.end()))
+        << label << " objects(" << t.p << ", " << t.s << ")";
+    const auto ss = got.subjects(t.p, t.o);
+    const auto sw = want.subjects(t.p, t.o);
+    EXPECT_TRUE(std::equal(ss.begin(), ss.end(), sw.begin(), sw.end()))
+        << label << " subjects(" << t.p << ", " << t.o << ")";
+    EXPECT_TRUE(got.contains(t)) << label;
+  }
+}
+
+TEST(TripleStore, ParallelInsertAllMatchesSerialLoop) {
+  // A store that already holds some triples, then a batch with duplicates
+  // inside it, duplicates of stored triples, and predicates first seen
+  // part-way through.  Small id ranges make repeats common.
+  util::Rng rng(7);
+  const auto draw = [&rng](TermId hi) {
+    return static_cast<TermId>(1 + rng.below(hi));
+  };
+  std::vector<Triple> prior;
+  for (int i = 0; i < 300; ++i) {
+    prior.push_back({draw(60), draw(3), draw(60)});
+  }
+  std::vector<Triple> batch;
+  for (int i = 0; i < 6000; ++i) {
+    // Predicates 4..9 appear only after the first third of the batch.
+    const TermId p = i < 2000 ? draw(3) : draw(9);
+    batch.push_back({draw(80), p, draw(80)});
+    if (i % 7 == 0) {
+      batch.push_back(prior[static_cast<std::size_t>(i) % prior.size()]);
+    }
+    if (i % 11 == 0) {
+      batch.push_back(batch[batch.size() / 2]);
+    }
+  }
+
+  TripleStore serial;
+  serial.insert_all(prior);
+  std::size_t serial_added = 0;
+  for (const Triple& t : batch) {
+    serial_added += serial.insert(t) ? 1 : 0;
+  }
+  ASSERT_LT(serial_added, batch.size());  // the batch really has repeats
+
+  for (const unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    TripleStore store;
+    store.insert_all(prior, threads);
+    EXPECT_EQ(store.insert_all(batch, threads), serial_added) << label;
+    expect_same_store(store, serial, label);
+    // A second bulk insert of the same batch adds nothing.
+    EXPECT_EQ(store.insert_all(batch, threads), 0u) << label;
+    EXPECT_EQ(store.size(), serial.size()) << label;
+  }
+}
+
+TEST(TripleStore, InsertAllOnTeamAppendsFirstOccurrencesInBatchOrder) {
+  util::ThreadTeam team(4);
+  TripleStore store;
+  store.insert({1, 1, 1});
+  const std::vector<Triple> batch{
+      {2, 1, 2}, {1, 1, 1}, {3, 2, 3}, {2, 1, 2}, {4, 3, 4}, {3, 2, 3}};
+  EXPECT_EQ(store.insert_all(batch, team), 3u);
+  const std::vector<Triple> want{{1, 1, 1}, {2, 1, 2}, {3, 2, 3}, {4, 3, 4}};
+  EXPECT_EQ(store.triples(), want);
+  EXPECT_EQ(store.predicates(), (std::vector<TermId>{1, 2, 3}));
+}
+
+TEST(Dictionary, AbsorbMatchesSerialInterning) {
+  // Parts overlap each other and the target; one lexical form appears
+  // under two kinds.
+  const auto fill = [](Dictionary& d, int from, int to, TermKind kind) {
+    for (int i = from; i < to; ++i) {
+      d.intern("http://ex/t" + std::to_string(i), kind);
+    }
+  };
+  for (const unsigned members : {1u, 2u, 3u, 4u}) {
+    const std::string label = "members=" + std::to_string(members);
+    std::vector<Dictionary> parts(4);
+    fill(parts[0], 0, 500, TermKind::kIri);
+    fill(parts[1], 300, 900, TermKind::kIri);
+    fill(parts[1], 0, 50, TermKind::kLiteral);
+    parts[2].intern_blank("b0");
+    fill(parts[3], 850, 1200, TermKind::kIri);
+    fill(parts[3], 0, 10, TermKind::kLiteral);
+
+    Dictionary serial;
+    fill(serial, 100, 200, TermKind::kIri);  // already present
+    Dictionary merged = serial;
+    std::vector<std::vector<TermId>> want(parts.size());
+    for (std::size_t c = 0; c < parts.size(); ++c) {
+      want[c].push_back(kAnyTerm);
+      for (TermId id = 1; id <= parts[c].size(); ++id) {
+        want[c].push_back(
+            serial.intern(parts[c].lexical(id), parts[c].kind(id)));
+      }
+    }
+
+    util::ThreadTeam team(members);
+    std::vector<std::vector<TermId>> remaps;
+    merged.absorb(parts, remaps, team);
+    EXPECT_EQ(remaps, want) << label;
+    ASSERT_EQ(merged.size(), serial.size()) << label;
+    for (TermId id = 1; id <= serial.size(); ++id) {
+      EXPECT_EQ(merged.lexical(id), serial.lexical(id)) << label;
+      EXPECT_EQ(merged.kind(id), serial.kind(id)) << label;
+      EXPECT_EQ(merged.find(serial.lexical(id), serial.kind(id)), id)
+          << label;
+    }
+    for (const Dictionary& part : parts) {
+      EXPECT_EQ(part.size(), 0u) << label << " (parts are consumed)";
+    }
+    // The merged index keeps interning normally.
+    const TermId fresh = merged.intern_iri("http://ex/fresh");
+    EXPECT_EQ(fresh, serial.size() + 1) << label;
+    EXPECT_EQ(merged.intern_iri("http://ex/t850"),
+              serial.find_iri("http://ex/t850"))
+        << label;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <future>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -56,6 +57,64 @@ TEST(NormalizeQuery, CollapsesLayoutDifferences) {
 TEST(NormalizeQuery, StripsComments) {
   EXPECT_EQ(serve::normalize_query("SELECT ?x # everything\nWHERE { }"),
             "SELECT ?x WHERE { }");
+}
+
+TEST(NormalizeQuery, HashInsideIriOrLiteralIsNotAComment) {
+  // One-line queries whose prefix IRI ends in '#': read as a comment, the
+  // '#' cut both down to the same key.
+  const std::string prefix =
+      std::string("PREFIX ub: <") + gen::kUnivBenchNs + "> ";
+  const std::string students =
+      serve::normalize_query(prefix + "SELECT ?x WHERE { ?x a ub:Student }");
+  const std::string undergrads = serve::normalize_query(
+      prefix + "SELECT ?x WHERE { ?x a ub:UndergraduateStudent }");
+  EXPECT_NE(students, undergrads);
+  EXPECT_EQ(students, prefix + "SELECT ?x WHERE { ?x a ub:Student }");
+  EXPECT_EQ(serve::normalize_query(
+                "SELECT ?x WHERE { ?x <http://e/p> \"a # b\" } # note"),
+            "SELECT ?x WHERE { ?x <http://e/p> \"a # b\" }");
+  // A '<' that opens no IRI is an operator; a comment after it still goes.
+  EXPECT_EQ(serve::normalize_query("FILTER(?n < 3) # small\n}"),
+            "FILTER(?n < 3) }");
+}
+
+TEST(QueryService, OneLinePrefixedQueriesGetTheirOwnCacheEntries) {
+  ServeFixtureData fx;
+  serve::QueryService service(fx.dict, *fx.vocab, std::move(fx.store),
+                              small_options());
+  const std::string prefix =
+      std::string("PREFIX ub: <") + gen::kUnivBenchNs + "> ";
+  const serve::Response students =
+      service.execute(prefix + "SELECT ?x WHERE { ?x a ub:Student }");
+  const serve::Response undergrads = service.execute(
+      prefix + "SELECT ?x WHERE { ?x a ub:UndergraduateStudent }");
+  ASSERT_EQ(students.status, serve::RequestStatus::kOk);
+  ASSERT_EQ(undergrads.status, serve::RequestStatus::kOk);
+  EXPECT_FALSE(undergrads.cache_hit);
+  EXPECT_GT(students.results.size(), undergrads.results.size());
+  EXPECT_GT(undergrads.results.size(), 0u);
+}
+
+TEST(ResultCache, HitFromNewerSnapshotCarriesThatVersion) {
+  // A reader pinned snapshot v; meanwhile another reader cached rows it
+  // computed at v + 1.  The hit must be stamped v + 1, not v.
+  serve::ResultCache cache(/*shards=*/1, /*capacity_per_shard=*/8);
+  const std::uint64_t pinned = 3;
+  serve::CachedResult newer;
+  newer.version = pinned + 1;
+  newer.predicate_footprint = {7};
+  newer.results.columns = {"x"};
+  newer.results.rows = {{1}, {2}};
+  cache.insert("q", newer);
+
+  const std::optional<serve::CacheHit> hit = cache.lookup("q");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->version, pinned + 1);
+  EXPECT_EQ(hit->stamp(pinned), pinned + 1);
+  EXPECT_EQ(hit->results.rows, newer.results.rows);
+  // An entry older than the pin survived every invalidation since: it
+  // answers for the pinned snapshot.
+  EXPECT_EQ(hit->stamp(pinned + 5), pinned + 5);
 }
 
 TEST(ResultCache, LruEvictsOldest) {
@@ -250,6 +309,7 @@ TEST(QueryService, UpdateInvalidatesByPredicateFootprint) {
   // answer.
   const serve::Response names_after = service.execute(q_names);
   EXPECT_TRUE(names_after.cache_hit);
+  EXPECT_EQ(names_after.snapshot_version, 2u);  // cached at 1, pinned at 2
   EXPECT_EQ(names_after.results.rows, names_before.results.rows);
 
   const serve::ServiceStats stats = service.stats();

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "parowl/util/rng.hpp"
 #include "parowl/util/strings.hpp"
 #include "parowl/util/table.hpp"
+#include "parowl/util/thread_team.hpp"
 #include "parowl/util/timer.hpp"
 
 namespace parowl::util {
@@ -175,6 +179,40 @@ TEST(Table, ShortRowsArePadded) {
 TEST(Format, Helpers) {
   EXPECT_EQ(fmt_double(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_int(-42), "-42");
+}
+
+TEST(ThreadTeam, RunCallsEveryMemberOnItsOwnThread) {
+  ThreadTeam team(4);
+  ASSERT_EQ(team.size(), 4u);
+  for (int job = 0; job < 3; ++job) {  // the team is reused across jobs
+    std::vector<std::thread::id> ran(team.size());
+    team.run([&](unsigned member) { ran[member] = std::this_thread::get_id(); });
+    EXPECT_EQ(ran[0], std::this_thread::get_id());  // the caller is member 0
+    EXPECT_EQ(std::set<std::thread::id>(ran.begin(), ran.end()).size(), 4u);
+  }
+}
+
+TEST(ThreadTeam, MemberExceptionIsRethrownOnTheCaller) {
+  ThreadTeam team(3);
+  EXPECT_THROW(team.run([](unsigned member) {
+    if (member == 2) {
+      throw std::runtime_error("member 2 failed");
+    }
+  }),
+               std::runtime_error);
+  // The team stays usable after a failed job.
+  std::vector<int> ran(team.size(), 0);
+  team.run([&](unsigned member) { ran[member] = 1; });
+  EXPECT_EQ(std::count(ran.begin(), ran.end(), 1), 3);
+}
+
+TEST(ThreadTeam, ForEachVisitsEveryIndexOnce) {
+  for (const unsigned size : {0u, 1u, 3u}) {
+    ThreadTeam team(size);
+    std::vector<int> hits(1000, 0);
+    team.for_each(hits.size(), [&](std::size_t i) { ++hits[i]; });
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 1000) << size;
+  }
 }
 
 }  // namespace
