@@ -20,24 +20,26 @@ class ThreadTeam;
 
 namespace parowl::rdf {
 
-/// Append-only, duplicate-free triple store with the indexes the inference
-/// engines need.
+/// Duplicate-free triple store with the indexes the inference engines need.
 ///
-/// Datalog materialization is monotone: triples are only ever added, never
-/// retracted, so the store keeps an insertion-ordered log (used by the
-/// semi-naive engine to address deltas by index range) plus three access
-/// paths:
+/// Materialization only adds triples; incremental maintenance
+/// (reason::Maintainer) also retracts them, through erase_all.  Either
+/// way the store keeps an insertion-ordered log (used by the semi-naive
+/// engine to address deltas by index range) plus three access paths:
 ///   * by predicate                    — with_predicate(p)
 ///   * by (predicate, subject) -> objects  — objects(p, s)
 ///   * by (predicate, object)  -> subjects — subjects(p, o)
-/// which are exactly the probes a single-join rule body performs.
+/// which are exactly the probes a single-join rule body performs.  After
+/// any sequence of inserts and erasures, every observable index equals
+/// that of a fresh store built by inserting the current log in order.
 ///
 /// All indexes are open-addressing IdMaps (flat_index.hpp) pointing into
 /// deque arenas: probes touch one cache line on average and inserts do no
 /// per-key node allocation, while the posting lists themselves stay
 /// pointer-stable — a span returned by objects()/subjects()/with_predicate()
-/// is invalidated only when a triple with the same key is inserted, exactly
-/// as with the node-based containers this replaced.
+/// is invalidated only when a triple with the same key is inserted (or any
+/// triple is erased), exactly as with the node-based containers this
+/// replaced.
 class TripleStore {
  public:
   TripleStore();
@@ -90,6 +92,18 @@ class TripleStore {
   ///      postings and its object->subjects postings as three independent
   ///      tasks, each filled in log order.
   std::size_t insert_all(std::span<const Triple> ts, util::ThreadTeam& team);
+
+  /// Remove every triple of `ts` that is present (absent ones are
+  /// ignored); returns the number removed.  The log is compacted stably,
+  /// each touched predicate's triple list and each touched (p,s) / (p,o)
+  /// posting list is filtered once, and the endpoint postings are dropped
+  /// (their log indices shift) to be rebuilt by the next unbound probe.
+  /// When a predicate empties or loses its first triple, the predicate
+  /// order is rebuilt from the surviving log, so predicates() stays in
+  /// first-seen order and an emptied predicate re-registers on its next
+  /// insert.  Cost: the log compaction plus the touched lists, not a
+  /// rebuild of the store.
+  std::size_t erase_all(std::span<const Triple> ts);
 
   [[nodiscard]] bool contains(const Triple& t) const {
     const std::size_t hash = TripleHash{}(t);

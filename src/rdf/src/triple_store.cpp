@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <tuple>
 
 #include "parowl/util/thread_team.hpp"
 
@@ -230,6 +231,96 @@ std::size_t TripleStore::insert_all(std::span<const Triple> ts,
     }
   });
   return added;
+}
+
+std::size_t TripleStore::erase_all(std::span<const Triple> ts) {
+  // 1. Drop the doomed triples from the duplicate filter; `gone` keeps the
+  // ones that were present.
+  TripleSet gone;
+  std::vector<Triple> doomed;
+  for (const Triple& t : ts) {
+    const std::size_t hash = TripleHash{}(t);
+    if (set_[set_shard(hash)].erase(t, hash)) {
+      gone.insert(t, hash);
+      doomed.push_back(t);
+    }
+  }
+  if (doomed.empty()) {
+    return 0;
+  }
+  const auto is_gone = [&gone](const Triple& t) { return gone.contains(t); };
+
+  // 2. Stable log compaction.
+  std::erase_if(log_, is_gone);
+
+  // 3. Per touched predicate: its triple list, then each touched subject's
+  // objects list and each touched object's subjects list, one filter per
+  // list.  Sorting the doomed triples groups them by (p, s), then by (p, o).
+  const auto by_ps = [](const Triple& a, const Triple& b) {
+    return std::tie(a.p, a.s, a.o) < std::tie(b.p, b.s, b.o);
+  };
+  const auto by_po = [](const Triple& a, const Triple& b) {
+    return std::tie(a.p, a.o, a.s) < std::tie(b.p, b.o, b.s);
+  };
+  std::sort(doomed.begin(), doomed.end(), by_ps);
+  bool reorder = false;
+  for (auto first = doomed.begin(); first != doomed.end();) {
+    const TermId p = first->p;
+    const auto last = std::find_if(
+        first, doomed.end(), [p](const Triple& t) { return t.p != p; });
+    PredicateIndex& idx = predicate_arena_[*predicate_slot_.find(p) - 1];
+    reorder = reorder || is_gone(idx.triples.front());
+    std::erase_if(idx.triples, is_gone);
+    reorder = reorder || idx.triples.empty();
+    for (auto it = first; it != last; ++it) {
+      if (it == first || it[-1].s != it->s) {
+        const TermId s = it->s;
+        idx.objects.list(s).retain(
+            [&](TermId o) { return !gone.contains({s, p, o}); });
+      }
+    }
+    std::sort(first, last, by_po);
+    for (auto it = first; it != last; ++it) {
+      if (it == first || it[-1].o != it->o) {
+        const TermId o = it->o;
+        idx.subjects.list(o).retain(
+            [&](TermId s) { return !gone.contains({s, p, o}); });
+      }
+    }
+    first = last;
+  }
+
+  // 4. Predicate order: first-seen order over the surviving log, which the
+  // erasure changed only if some predicate lost its first triple or all of
+  // them.  The scan stops once every live predicate is placed.
+  if (reorder) {
+    const auto live = static_cast<std::size_t>(
+        std::count_if(predicate_arena_.begin(), predicate_arena_.end(),
+                      [](const PredicateIndex& idx) {
+                        return !idx.triples.empty();
+                      }));
+    IdMap<std::uint32_t> slots;
+    std::deque<PredicateIndex> arena;
+    std::vector<TermId> order;
+    for (auto it = log_.begin(); order.size() < live; ++it) {
+      std::uint32_t& slot = slots[it->p];
+      if (slot == 0) {
+        arena.push_back(
+            std::move(predicate_arena_[*predicate_slot_.find(it->p) - 1]));
+        slot = static_cast<std::uint32_t>(arena.size());
+        order.push_back(it->p);
+      }
+    }
+    predicate_slot_ = std::move(slots);
+    predicate_arena_ = std::move(arena);
+    predicates_ = std::move(order);
+  }
+
+  // 5. The endpoint postings hold log indices, which just shifted.
+  subject_index_.clear();
+  object_index_.clear();
+  endpoint_built_.store(0, std::memory_order_release);
+  return doomed.size();
 }
 
 void TripleStore::match(const TriplePattern& pattern,

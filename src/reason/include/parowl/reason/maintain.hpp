@@ -88,6 +88,11 @@ struct MaintainResult {
   std::size_t overdelete_iterations = 0;  // overdelete BFS frontier rounds
   std::size_t rederive_iterations = 0;    // forward-engine iterations
 
+  /// Rewrite mode only: class unions this batch performed and the store
+  /// rebuilds they triggered (see IncrementalResult).
+  std::size_t eq_merges = 0;
+  std::size_t eq_rebuilds = 0;
+
   double overdelete_seconds = 0.0;
   double rederive_seconds = 0.0;
   double total_seconds = 0.0;
@@ -110,8 +115,10 @@ struct MaintainResult {
 /// add/delete batches (ROADMAP item 2; Ajileye/Motik/Horrocks give the
 /// distributed recipe this is the single-store core of).
 ///
-/// The maintainer owns no data: `apply` mutates the store and the asserted
-/// base handed to it.  The contract is the oracle equality the test suite
+/// The maintainer owns no data: `apply` edits the store and the asserted
+/// base handed to it in place, so a batch costs its overdeletion cone and
+/// the posting lists the cone touches, not a pass over the whole closure
+/// or base.  The contract is the oracle equality the test suite
 /// pins: after `apply`, the store holds exactly the triples a from-scratch
 /// `materialize` of the updated base would produce (log order differs —
 /// survivors keep their original positions — so equality is on the sorted
@@ -124,7 +131,7 @@ class Maintainer {
              MaintainOptions options = {});
 
   /// Apply one mixed batch to `store` (a materialized closure) whose
-  /// asserted triples are `base` (schema + instance, insertion order).
+  /// asserted triples are `base` (schema + instance).
   ///
   /// Semantics are batch-atomic: the updated base is (base \ deletions)
   /// + additions, so a triple deleted and re-added in the same batch stays.
@@ -133,11 +140,13 @@ class Maintainer {
   /// a schema change invalidates the compiled rule-base and needs a full
   /// re-materialization.
   ///
-  /// On success `store` is replaced by the maintained closure: survivors in
-  /// original log order, then additions, rederivations, and new derivations
-  /// (see MaintainResult::first_new_index); `base` is updated in place.
-  MaintainResult apply(rdf::TripleStore& store,
-                       std::vector<rdf::Triple>& base,
+  /// On success `store` holds the maintained closure: the condemned facts
+  /// are erased in place (TripleStore::erase_all), so survivors keep their
+  /// log order, then additions, rederivations, and new derivations append
+  /// (see MaintainResult::first_new_index); `base` loses the effective
+  /// deletions and gains the additions.  A rejected batch leaves both as
+  /// they were.
+  MaintainResult apply(rdf::TripleStore& store, rdf::TripleSet& base,
                        std::span<const rdf::Triple> additions,
                        std::span<const rdf::Triple> deletions) const;
 

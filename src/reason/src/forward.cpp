@@ -307,9 +307,10 @@ void ForwardEngine::fire_rule(std::size_t rule_index, std::size_t pivot,
 template <bool Devirt>
 void ForwardEngine::process_range(std::size_t lo, std::size_t hi,
                                   Shard& shard) {
-  // The store log is append-only and never resized during the matching
-  // pass (derivations go to `shard.pending`; inserts happen at the round
-  // barrier), so indexing it directly is safe — also from worker threads.
+  // The store log only grows during a run and is never resized during the
+  // matching pass (derivations go to `shard.pending`; inserts happen at the
+  // round barrier), so indexing it directly is safe — also from worker
+  // threads.
   const std::vector<rdf::Triple>& log = store_.triples();
   for (std::size_t i = lo; i < hi; ++i) {
     dispatch_triple<Devirt>(log[i], shard);

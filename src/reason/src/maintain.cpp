@@ -130,6 +130,22 @@ bool one_step_derivable(const rdf::TripleStore& store,
   return false;
 }
 
+/// Facts that can never leave the closure during one batch: the updated
+/// base, (base \ deletions) + additions, plus the compile-time ground
+/// facts.  Reads the base as it was before the batch, so nothing is edited
+/// until the batch can no longer be rejected.
+struct ProtectedFacts {
+  const rdf::TripleSet& base;
+  const rdf::TripleSet& deleted;
+  const rdf::TripleSet& added;
+  rdf::TripleSet ground;
+
+  [[nodiscard]] bool contains(const rdf::Triple& t) const {
+    return (base.contains(t) && !deleted.contains(t)) || added.contains(t) ||
+           ground.contains(t);
+  }
+};
+
 /// Backward well-founded proof search for the FBF strategy: `t` is alive iff
 /// it is protected (asserted / compile-time ground fact) or some rule
 /// instantiation derives it from facts that are themselves alive, where the
@@ -139,9 +155,12 @@ bool one_step_derivable(const rdf::TripleStore& store,
 class AliveChecker {
  public:
   AliveChecker(const rdf::TripleStore& store, const rules::RuleSet& rules,
-               const rdf::TripleSet& protected_set,
+               const ProtectedFacts& protected_facts,
                const rdf::TripleSet& dead)
-      : store_(store), rules_(rules), protected_(protected_set), dead_(dead) {}
+      : store_(store),
+        rules_(rules),
+        protected_(protected_facts),
+        dead_(dead) {}
 
   /// Fresh per-root memo: `true` verdicts cached within one root check are
   /// safe (the dead set is fixed for its duration) but must not leak across
@@ -197,7 +216,7 @@ class AliveChecker {
 
   const rdf::TripleStore& store_;
   const rules::RuleSet& rules_;
-  const rdf::TripleSet& protected_;
+  const ProtectedFacts& protected_;
   const rdf::TripleSet& dead_;
   rdf::TripleSet proven_;
   std::vector<rdf::Triple> stack_;
@@ -210,8 +229,7 @@ Maintainer::Maintainer(const rdf::Dictionary& dict,
                        MaintainOptions options)
     : dict_(dict), vocab_(vocab), options_(std::move(options)) {}
 
-MaintainResult Maintainer::apply(rdf::TripleStore& store,
-                                 std::vector<rdf::Triple>& base,
+MaintainResult Maintainer::apply(rdf::TripleStore& store, rdf::TripleSet& base,
                                  std::span<const rdf::Triple> additions,
                                  std::span<const rdf::Triple> deletions) const {
   obs::configure(options_.obs);
@@ -249,21 +267,14 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
     }
   }
 
-  rdf::TripleSet base_set;
-  for (const rdf::Triple& t : base) {
-    base_set.insert(t);
-  }
-  rdf::TripleSet addition_set;
-  for (const rdf::Triple& t : additions) {
-    addition_set.insert(t);
-  }
+  const rdf::TripleSet addition_set(additions);
 
   // Effective deletions: present in the base and not re-added in the same
   // batch (batch-atomic semantics).  Deduplicated, batch order.
   std::vector<rdf::Triple> effective;
   rdf::TripleSet delete_set;
   for (const rdf::Triple& t : deletions) {
-    if (base_set.contains(t) && !addition_set.contains(t) &&
+    if (base.contains(t) && !addition_set.contains(t) &&
         delete_set.insert(t)) {
       effective.push_back(t);
     }
@@ -282,29 +293,37 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
     }
   }
 
+  // The updated base is (base \ effective) + additions.  It is edited only
+  // after the last rejection point, so a rejected batch leaves it as is.
+  const auto update_base = [&] {
+    PAROWL_SPAN("maintain.base", {{"base", base.size()}});
+    for (const rdf::Triple& t : effective) {
+      base.erase(t);
+    }
+    for (const rdf::Triple& t : additions) {
+      result.base_added += base.insert(t) ? 1 : 0;
+    }
+  };
+
   if (effective.empty()) {
     // Pure-addition batch: the existing semi-naive delta path.  The base
     // still records every addition (dedup against the base, not the
     // closure: an addition that was merely derived before becomes asserted
     // and must survive a later deletion of its support).
+    const std::size_t before = store.size();
     const IncrementalResult inc = materialize_incremental(
         store, dict_, vocab_, additions, options_.horst, options_.threads,
         options_.equality_mode, options_.equality);
     assert(!inc.schema_changed);
-    for (const rdf::Triple& t : additions) {
-      if (!base_set.contains(t)) {
-        base_set.insert(t);
-        base.push_back(t);
-        ++result.base_added;
-      }
-    }
+    update_base();
     result.inferred = inc.inferred;
     result.rederive_iterations = inc.iterations;
     result.rederive_seconds = inc.reason_seconds;
+    result.eq_merges = inc.eq_merges;
+    result.eq_rebuilds = inc.eq_rebuilds;
     // A class-map merge rebuilds the store log; the log-order delta is then
     // meaningless and the serve layer must treat everything as new.
-    result.first_new_index =
-        inc.eq_rebuilds > 0 ? 0 : store.size() - inc.added - inc.inferred;
+    result.first_new_index = inc.eq_rebuilds > 0 ? 0 : before;
     result.total_seconds = total.elapsed_seconds();
     return result;
   }
@@ -317,36 +336,12 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
   const rules::CompiledRules compiled = compile_ontology(store, vocab_, hopts);
   const DispatchIndex dispatch(compiled.rules);
 
-  // The updated base: deletions dropped in place, additions appended.
-  // (A triple deleted and re-added in the same batch never reaches
-  // `delete_set`, so it survives the first loop and the second loop's
-  // insert dedups it.)
-  rdf::TripleSet new_base_set;
-  std::vector<rdf::Triple> new_base;
-  new_base.reserve(base.size() + additions.size());
-  for (const rdf::Triple& t : base) {
-    if (!delete_set.contains(t) && new_base_set.insert(t)) {
-      new_base.push_back(t);
-    }
-  }
-  for (const rdf::Triple& t : additions) {
-    if (new_base_set.insert(t)) {
-      new_base.push_back(t);
-      ++result.base_added;
-    }
-  }
-
   // Facts that can never leave the closure: the updated base plus the
   // compile-time ground facts (schema-derived; instance deletions cannot
   // touch their support).  The overdelete walk prunes at them — anything
   // still asserted keeps itself and everything it supports.
-  rdf::TripleSet protected_set;
-  for (const rdf::Triple& t : new_base) {
-    protected_set.insert(t);
-  }
-  for (const rdf::Triple& t : compiled.ground_facts) {
-    protected_set.insert(t);
-  }
+  const ProtectedFacts protected_facts{base, delete_set, addition_set,
+                                       rdf::TripleSet(compiled.ground_facts)};
 
   // --- Overdelete pass -----------------------------------------------------
   // BFS over the derivation graph: condemned facts route through the
@@ -360,7 +355,7 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
   std::vector<rdf::Triple> cone;  // BFS queue, deterministic order
   const bool fbf = options_.strategy == MaintainStrategy::kFbf;
   bool equality_undermined = false;
-  AliveChecker checker(store, compiled.rules, protected_set, condemned);
+  AliveChecker checker(store, compiled.rules, protected_facts, condemned);
   {
     PAROWL_SPAN("maintain.overdelete", {{"deletions", effective.size()}});
     for (const rdf::Triple& t : effective) {
@@ -409,7 +404,7 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
           }
           // The closure is a fixpoint, so a head joined from closure facts
           // is already present — unless the literal guard dropped it.
-          if (store.contains(head) && !protected_set.contains(head) &&
+          if (store.contains(head) && !protected_facts.contains(head) &&
               !condemned.contains(head)) {
             if (fbf) {
               // Enqueue for its own backward check; re-enqueueing on every
@@ -435,8 +430,8 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
     }
   }
   if (equality_undermined) {
-    // The cone phase only reads the store, so rejecting here leaves the
-    // closure, the base, and the class map exactly as they were.
+    // The cone phase only reads the store and the base, so rejecting here
+    // leaves the closure, the base, and the class map exactly as they were.
     result.equality_rejected = true;
     return result;
   }
@@ -444,34 +439,42 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
   result.overdelete_seconds = overdelete_watch.elapsed_seconds();
   PAROWL_COUNT("maintain.overdeleted", result.overdeleted);
   PAROWL_COUNT("maintain.kept_alive", result.kept_alive);
+  update_base();
 
-  // --- Rebuild + rederive pass --------------------------------------------
-  // Survivors keep their log order; then additions, rederivation seeds, and
-  // the semi-naive closure of both append at the tail.
+  // --- Erase + rederive pass -----------------------------------------------
+  // The condemned facts leave the store in place, so survivors keep their
+  // log order; then additions, rederivation seeds, and the semi-naive
+  // closure of both append at the tail.
   util::Stopwatch rederive_watch;
   {
     PAROWL_SPAN("maintain.rederive", {{"condemned", result.overdeleted}});
-    rdf::TripleStore next;
-    for (const rdf::Triple& t : store.triples()) {
-      if (!condemned.contains(t)) {
-        next.insert(t);
-      }
-    }
-    result.first_new_index = next.size();
-
-    for (const rdf::Triple& t : additions) {
-      next.insert(t);
-    }
-
-    if (!fbf) {
-      // DRed rederivation seeds: a condemned fact with a one-step
-      // derivation from the surviving closure re-enters; the semi-naive
-      // run below completes the transitive rederivations.  (FBF never
-      // condemns a fact with surviving support, so it skips this.)
+    {
+      PAROWL_SPAN("maintain.erase", {{"condemned", result.overdeleted}});
+      std::vector<rdf::Triple> doomed;
+      doomed.reserve(result.overdeleted);
       for (const rdf::Triple& t : cone) {
-        if (!next.contains(t) && one_step_derivable(next, compiled.rules, t)) {
-          next.insert(t);
-          ++result.rederived;
+        if (condemned.contains(t)) {
+          doomed.push_back(t);
+        }
+      }
+      store.erase_all(doomed);
+    }
+    result.first_new_index = store.size();
+
+    {
+      PAROWL_SPAN("maintain.seed", {{"cone", cone.size()}});
+      store.insert_all(additions);
+      if (!fbf) {
+        // DRed rederivation seeds: a condemned fact with a one-step
+        // derivation from the surviving closure re-enters; the semi-naive
+        // run below completes the transitive rederivations.  (FBF never
+        // condemns a fact with surviving support, so it skips this.)
+        for (const rdf::Triple& t : cone) {
+          if (!store.contains(t) &&
+              one_step_derivable(store, compiled.rules, t)) {
+            store.insert(t);
+            ++result.rederived;
+          }
         }
       }
     }
@@ -485,9 +488,15 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
       fopts.equality = options_.equality;
       fopts.same_as = vocab_.owl_same_as;
     }
-    const ForwardStats stats = ForwardEngine(next, compiled.rules, fopts)
-                                   .run(result.first_new_index);
+    ForwardStats stats;
+    {
+      PAROWL_SPAN("maintain.close", {{"from", result.first_new_index}});
+      stats = ForwardEngine(store, compiled.rules, fopts)
+                  .run(result.first_new_index);
+    }
     result.rederive_iterations = stats.iterations;
+    result.eq_merges = stats.eq_merges;
+    result.eq_rebuilds = stats.eq_rebuilds;
     if (rewrite && stats.eq_rebuilds > 0) {
       // New additions triggered a merge: the rebuilt log has no stable
       // survivor prefix, so the serve layer must treat everything as new.
@@ -496,17 +505,14 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store,
 
     // Net removals: condemned facts that did not make it back.
     for (const rdf::Triple& t : cone) {
-      if (condemned.contains(t) && !next.contains(t)) {
+      if (condemned.contains(t) && !store.contains(t)) {
         result.removed_triples.push_back(t);
       }
     }
     result.removed = result.removed_triples.size();
     result.inferred =
-        next.size() - result.first_new_index;  // additions + rederived + new
-
-    store = std::move(next);
+        store.size() - result.first_new_index;  // additions + rederived + new
   }
-  base = std::move(new_base);
   result.rederive_seconds = rederive_watch.elapsed_seconds();
   PAROWL_COUNT("maintain.rederived", result.rederived);
   PAROWL_COUNT("maintain.removed", result.removed);
@@ -527,6 +533,8 @@ obs::FieldList fields(const MaintainResult& r) {
       {"inferred", r.inferred},
       {"overdelete_iterations", r.overdelete_iterations},
       {"rederive_iterations", r.rederive_iterations},
+      {"eq_merges", r.eq_merges},
+      {"eq_rebuilds", r.eq_rebuilds},
       {"overdelete_seconds", r.overdelete_seconds},
       {"rederive_seconds", r.rederive_seconds},
       {"total_seconds", r.total_seconds},

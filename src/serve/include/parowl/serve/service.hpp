@@ -75,14 +75,15 @@ class QueryService {
   /// `store` must already be materialized (the service answers from the
   /// closure; it runs no inference at query time).  `dict`/`vocab` outlive
   /// the service.  `base` is the asserted-triple provenance incremental
-  /// deletion maintains against (empty = treat the whole store as
-  /// asserted; see make_initial_snapshot).  Pass the frozen `equality`
-  /// class map when `store` was materialized under sameAs rewriting: the
-  /// service then expands answers through it at query time and threads it
-  /// through updates (the updater clones + extends the map per batch).
+  /// deletion maintains against, built into one presized set here (empty =
+  /// treat the whole store as asserted; see make_initial_snapshot).  Pass
+  /// the frozen `equality` class map when `store` was materialized under
+  /// sameAs rewriting: the service then expands answers through it at
+  /// query time and threads it through updates (the updater clones +
+  /// extends the map per batch).
   QueryService(rdf::Dictionary& dict, const ontology::Vocabulary& vocab,
                rdf::TripleStore store, ServiceOptions options = {},
-               std::vector<rdf::Triple> base = {},
+               std::span<const rdf::Triple> base = {},
                std::shared_ptr<const reason::EqualityManager> equality =
                    nullptr);
 
@@ -102,16 +103,14 @@ class QueryService {
   /// no admission control).  Shares the cache and counters.
   Response execute(const std::string& query_text);
 
-  /// Apply one instance-triple batch (see Updater).  The triples' terms
-  /// must already be interned — use with_dict_exclusive to intern them.
-  UpdateOutcome apply_update(std::span<const rdf::Triple> additions);
-
-  /// Apply one mixed add/delete batch: retract `deletions` from the
-  /// asserted base, add `additions`, and maintain the closure incrementally
-  /// (delete-and-rederive; see Updater).  Batch-atomic; readers never
-  /// observe a half-maintained snapshot.
+  /// Apply one batch (see Updater): retract `deletions` from the asserted
+  /// base, add `additions`, and maintain the closure incrementally
+  /// (DRed/FBF for deletions, the semi-naive delta for pure additions).
+  /// Batch-atomic; readers never observe a half-maintained snapshot.  The
+  /// triples' terms must already be interned — use with_dict_exclusive to
+  /// intern them.
   UpdateOutcome apply_update(std::span<const rdf::Triple> additions,
-                             std::span<const rdf::Triple> deletions);
+                             std::span<const rdf::Triple> deletions = {});
 
   /// Run `fn(dict)` holding the exclusive dictionary lock (interning).
   template <typename Fn>

@@ -3,7 +3,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 
+#include "parowl/rdf/flat_index.hpp"
 #include "parowl/rdf/triple_store.hpp"
 #include "parowl/reason/equality.hpp"
 
@@ -32,11 +34,11 @@ struct KbSnapshot {
 
   /// The *asserted* triples (schema + instance) this closure was
   /// materialized from — what incremental deletion maintains against
-  /// (reason::Maintainer).  Null means "everything in the store is
-  /// asserted": the conservative default when a service is built from an
-  /// already-materialized store with no base provenance.  Shared across
-  /// versions whose base did not change.
-  std::shared_ptr<const std::vector<rdf::Triple>> base;
+  /// (reason::Maintainer).  A set: maintenance only asks membership, never
+  /// order.  Null means "everything in the store is asserted": the
+  /// conservative default when a service is built from an
+  /// already-materialized store with no base provenance.
+  std::shared_ptr<const rdf::TripleSet> base;
 
   /// Frozen equality class map when the store was materialized under
   /// sameAs rewriting (null = naive closure).  Immutable like the store:
@@ -72,13 +74,14 @@ class SnapshotRegistry {
 };
 
 /// Build the initial snapshot (version 1) from a materialized store.
-/// `base` is the asserted-triple provenance for incremental deletion; pass
-/// empty to treat the whole store as asserted (deletions then retract any
-/// closure triple directly, which is still maintained correctly — there is
-/// just no asserted/derived distinction to exploit).  `equality` is the
+/// `base` is the asserted-triple provenance for incremental deletion (built
+/// into one presized set here); pass empty to treat the whole store as
+/// asserted (deletions then retract any closure triple directly, which is
+/// still maintained correctly — there is just no asserted/derived
+/// distinction to exploit).  `equality` is the
 /// frozen class map of a rewrite-mode closure (null for naive stores).
 [[nodiscard]] SnapshotPtr make_initial_snapshot(
-    rdf::TripleStore store, std::vector<rdf::Triple> base = {},
+    rdf::TripleStore store, std::span<const rdf::Triple> base = {},
     std::shared_ptr<const reason::EqualityManager> equality = nullptr);
 
 }  // namespace parowl::serve

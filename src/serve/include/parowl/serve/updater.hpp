@@ -20,14 +20,14 @@ struct UpdateOutcome {
   /// class map (maintain.equality_rejected), or an all-no-op batch).
   std::uint64_t version = 0;
 
-  /// The incremental closure's own statistics (added/inferred/rejected).
-  /// Always populated, for mixed batches too (added/inferred/schema_changed
-  /// mirror the maintenance result).
+  /// The incremental closure's headline statistics, mirrored from
+  /// `maintain` so every batch kind reports one shape: schema_changed,
+  /// added (asserted triples new to the base), inferred, iterations,
+  /// reason_seconds, eq_merges and eq_rebuilds.
   reason::IncrementalResult result;
 
-  /// Full maintenance statistics when the batch carried deletions
-  /// (overdeleted/rederived/removed and the per-pass timings); default-
-  /// constructed for pure-addition batches.
+  /// Full maintenance statistics (overdeleted/rederived/removed and the
+  /// per-pass timings; the deletion fields stay zero for pure additions).
   reason::MaintainResult maintain;
 
   /// Distinct predicates of the delta — the footprint handed to the cache.
@@ -39,23 +39,22 @@ struct UpdateOutcome {
   /// Cache entries dropped by this batch.
   std::size_t invalidated = 0;
 
-  double copy_seconds = 0.0;   // building the successor store
+  double copy_seconds = 0.0;   // copying the store and base for RCU
   double total_seconds = 0.0;  // copy + closure + invalidate + publish
 };
 
 /// The write side of the serving layer: applies an instance-triple batch to
 /// the current snapshot and publishes the successor version.
 ///
-/// Copy-on-update RCU: the updater clones the current store, runs the
-/// incremental closure (`reason::materialize_incremental` for pure
-/// additions, `reason::Maintainer` delete-and-rederive for mixed batches)
-/// on the clone, invalidates overlapping cache entries, and atomically
-/// swaps the new snapshot in.  Readers keep their version until they
-/// finish; nothing ever blocks a query, and no query can observe a
-/// half-maintained store.  Invalidation runs *before* publication so no
-/// reader can hit a stale cached answer under the new version, and the
-/// cache's version floor stops in-flight queries from re-inserting answers
-/// computed against the old snapshot.
+/// Copy-on-update RCU: the updater clones the current store and asserted
+/// base, runs `reason::Maintainer` on the clones (the semi-naive delta for
+/// pure additions, DRed or FBF for deletions), invalidates overlapping
+/// cache entries, and atomically swaps the new snapshot in.  Readers keep
+/// their version until they finish; nothing ever blocks a query, and no
+/// query can observe a half-maintained store.  Invalidation runs *before*
+/// publication so no reader can hit a stale cached answer under the new
+/// version, and the cache's version floor stops in-flight queries from
+/// re-inserting answers computed against the old snapshot.
 ///
 /// One Updater serializes its own batches (internal mutex), but the KB
 /// design assumes a single logical writer — concurrent Updaters on one
@@ -73,17 +72,17 @@ class Updater {
           unsigned reason_threads = 1,
           reason::MaintainStrategy strategy = reason::MaintainStrategy::kDRed);
 
-  /// Apply one batch of *instance* triples.  Schema triples are rejected
-  /// (outcome.result.schema_changed) without publishing — a schema change
-  /// invalidates the compiled rule-base and needs a full re-materialization.
-  UpdateOutcome apply(std::span<const rdf::Triple> additions);
-
-  /// Apply one mixed batch: retract `deletions` from the asserted base and
-  /// add `additions`, maintaining the closure incrementally (DRed/FBF).
-  /// Batch-atomic: a triple in both lists stays.  Deleting a never-present
-  /// triple is a no-op; an all-no-op batch publishes nothing (version 0).
+  /// Apply one batch of *instance* triples: retract `deletions` from the
+  /// asserted base and add `additions`, maintaining the closure
+  /// incrementally.  Batch-atomic: a triple in both lists stays.  Deleting
+  /// a never-present triple is a no-op.  Nothing is published (version 0)
+  /// for a rejected batch — schema triples (outcome.result.schema_changed;
+  /// a schema change invalidates the compiled rule-base and needs a full
+  /// re-materialization) or a deletion touching the equality class map
+  /// (outcome.maintain.equality_rejected) — nor for a batch that changes
+  /// neither the closure, the class map nor a recorded base.
   UpdateOutcome apply(std::span<const rdf::Triple> additions,
-                      std::span<const rdf::Triple> deletions);
+                      std::span<const rdf::Triple> deletions = {});
 
   /// Number of batches successfully published.
   [[nodiscard]] std::uint64_t batches_applied() const;

@@ -35,12 +35,12 @@ std::vector<rdf::TermId> footprint_of(const query::SelectQuery& q,
 QueryService::QueryService(
     rdf::Dictionary& dict, const ontology::Vocabulary& vocab,
     rdf::TripleStore store, ServiceOptions options,
-    std::vector<rdf::Triple> base,
+    std::span<const rdf::Triple> base,
     std::shared_ptr<const reason::EqualityManager> equality)
     : options_(std::move(options)),
       dict_(dict),
       same_as_(vocab.owl_same_as),
-      registry_(make_initial_snapshot(std::move(store), std::move(base),
+      registry_(make_initial_snapshot(std::move(store), base,
                                       std::move(equality))),
       cache_(options_.cache_shards,
              options_.cache_enabled ? options_.cache_capacity_per_shard : 0),
@@ -212,21 +212,12 @@ Response QueryService::execute_locked(const std::string& query_text) {
 }
 
 UpdateOutcome QueryService::apply_update(
-    std::span<const rdf::Triple> additions) {
-  PAROWL_SPAN("serve.update", {{"additions", additions.size()}});
-  // Shared lock: the incremental closure reads term kinds (literal guard)
-  // concurrently with result rendering, but must exclude parser interning.
-  const std::shared_lock lock(dict_mutex_);
-  return updater_.apply(additions);
-}
-
-UpdateOutcome QueryService::apply_update(
     std::span<const rdf::Triple> additions,
     std::span<const rdf::Triple> deletions) {
   PAROWL_SPAN("serve.update", {{"additions", additions.size()},
                                {"deletions", deletions.size()}});
-  // Shared lock, same as the additions path: maintenance reads term kinds
-  // (literal guard) but interns nothing.
+  // Shared lock: maintenance reads term kinds (literal guard) concurrently
+  // with result rendering, but must exclude parser interning.
   const std::shared_lock lock(dict_mutex_);
   return updater_.apply(additions, deletions);
 }

@@ -28,15 +28,14 @@ void SnapshotRegistry::publish(SnapshotPtr next) {
 }
 
 SnapshotPtr make_initial_snapshot(
-    rdf::TripleStore store, std::vector<rdf::Triple> base,
+    rdf::TripleStore store, std::span<const rdf::Triple> base,
     std::shared_ptr<const reason::EqualityManager> equality) {
   auto snap = std::make_shared<KbSnapshot>();
   snap->version = 1;
   snap->delta_begin = store.size();  // nothing is "new" in the first version
   snap->store = std::move(store);
   if (!base.empty()) {
-    snap->base =
-        std::make_shared<const std::vector<rdf::Triple>>(std::move(base));
+    snap->base = std::make_shared<const rdf::TripleSet>(base);
   }
   assert(equality == nullptr || equality->frozen());
   snap->equality = std::move(equality);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "parowl/obs/obs.hpp"
 #include "parowl/util/timer.hpp"
 
 namespace parowl::serve {
@@ -26,122 +27,49 @@ Updater::Updater(SnapshotRegistry& registry, ResultCache* cache,
       reason_threads_(reason_threads),
       strategy_(strategy) {}
 
-UpdateOutcome Updater::apply(std::span<const rdf::Triple> additions) {
-  const std::scoped_lock lock(write_mutex_);
-  UpdateOutcome outcome;
-  util::Stopwatch total;
-
-  const SnapshotPtr old_snap = registry_.current();
-
-  auto next = std::make_shared<KbSnapshot>();
-  {
-    util::Stopwatch copy_watch;
-    next->store = old_snap->store;  // copy-on-update: readers keep theirs
-    outcome.copy_seconds = copy_watch.elapsed_seconds();
-  }
-  next->delta_begin = next->store.size();
-  next->version = old_snap->version + 1;
-
-  // Rewrite mode: the class map is extended on a private clone (RCU, like
-  // the store) so readers expanding through the old snapshot never race.
-  std::shared_ptr<reason::EqualityManager> eq_next;
-  if (old_snap->equality != nullptr) {
-    eq_next = std::make_shared<reason::EqualityManager>(*old_snap->equality);
-  }
-
-  outcome.result = reason::materialize_incremental(
-      next->store, dict_, vocab_, additions, {}, reason_threads_,
-      eq_next != nullptr ? reason::EqualityMode::kRewrite
-                         : reason::EqualityMode::kNaive,
-      eq_next.get());
-  // A merge can change the fixpoint without growing the store (the new
-  // sameAs fact is intercepted and existing triples are remapped in
-  // place), so "unchanged" must also check the map.
-  if (outcome.result.schema_changed ||
-      (next->store.size() == next->delta_begin &&
-       outcome.result.eq_merges == 0)) {
-    // Rejected or a pure-duplicate batch: the fixpoint is unchanged, keep
-    // the current snapshot (and every cache entry) as is.
-    outcome.total_seconds = total.elapsed_seconds();
-    return outcome;
-  }
-  if (outcome.result.eq_rebuilds > 0) {
-    // A merge rebuilt (reordered) the store log: the survivor-prefix
-    // contract is void, so the whole store is the delta.  The footprint
-    // below then spans every stored predicate, which is exactly what makes
-    // cached pre-merge answers unreachable.
-    next->delta_begin = 0;
-  }
-  next->equality = std::move(eq_next);
-
-  // The base grows by the genuinely new asserted triples; derived triples
-  // already present stay derived.  Null base means "everything asserted" —
-  // keep that convention by leaving it null (the new triples are in the
-  // store log either way).
-  if (old_snap->base != nullptr) {
-    auto base = std::make_shared<std::vector<rdf::Triple>>(*old_snap->base);
-    rdf::TripleSet base_set;
-    for (const rdf::Triple& t : *base) {
-      base_set.insert(t);
-    }
-    for (const rdf::Triple& t : additions) {
-      if (base_set.insert(t)) {
-        base->push_back(t);
-      }
-    }
-    next->base = std::move(base);
-  }
-
-  // Footprint of the delta: every predicate among the new triples.
-  const auto& log = next->store.triples();
-  for (std::size_t i = next->delta_begin; i < log.size(); ++i) {
-    outcome.delta_predicates.push_back(log[i].p);
-  }
-  sort_unique(outcome.delta_predicates);
-
-  // Invalidate before publishing: after the swap no reader can find a
-  // cached answer the delta made stale.
-  if (cache_ != nullptr) {
-    outcome.invalidated =
-        cache_->on_update(outcome.delta_predicates, next->version);
-  }
-  outcome.version = next->version;
-  registry_.publish(std::move(next));
-  ++batches_;
-  outcome.total_seconds = total.elapsed_seconds();
-  return outcome;
-}
-
 UpdateOutcome Updater::apply(std::span<const rdf::Triple> additions,
                              std::span<const rdf::Triple> deletions) {
-  if (deletions.empty()) {
-    return apply(additions);
-  }
   const std::scoped_lock lock(write_mutex_);
   UpdateOutcome outcome;
   util::Stopwatch total;
 
   const SnapshotPtr old_snap = registry_.current();
 
+  // A null base means every closure triple counts as asserted (see
+  // KbSnapshot::base).  A deletion batch then needs that base as a set; a
+  // pure-addition batch only asks about its own additions, so a scratch
+  // base holding the ones already in the closure answers the same, and the
+  // null convention carries over to the next version.
+  const bool tracked = old_snap->base != nullptr || !deletions.empty();
   auto next = std::make_shared<KbSnapshot>();
-  std::vector<rdf::Triple> base;
+  auto base = std::make_shared<rdf::TripleSet>();
   {
+    PAROWL_SPAN("serve.update.copy");
     util::Stopwatch copy_watch;
     next->store = old_snap->store;  // copy-on-update: readers keep theirs
-    // No recorded base: conservatively treat every closure triple as
-    // asserted (see KbSnapshot::base).
-    base = old_snap->base != nullptr ? *old_snap->base
-                                     : old_snap->store.triples();
+    if (old_snap->base != nullptr) {
+      *base = *old_snap->base;
+    } else if (tracked) {
+      *base = rdf::TripleSet(old_snap->store.triples());
+    } else {
+      for (const rdf::Triple& t : additions) {
+        if (next->store.contains(t)) {
+          base->insert(t);
+        }
+      }
+    }
     outcome.copy_seconds = copy_watch.elapsed_seconds();
   }
+  const std::size_t old_size = next->store.size();
   next->version = old_snap->version + 1;
 
   reason::MaintainOptions mopts;
   mopts.strategy = strategy_;
   mopts.threads = reason_threads_;
   // Rewrite mode: hand the maintainer a private clone of the class map
-  // (RCU).  It only ever *grows* the clone — batches that would shrink a
-  // class come back equality_rejected and the clone is discarded.
+  // (RCU) so readers expanding through the old snapshot never race.  It
+  // only ever *grows* the clone — batches that would shrink a class come
+  // back equality_rejected and the clone is discarded.
   std::shared_ptr<reason::EqualityManager> eq_next;
   if (old_snap->equality != nullptr) {
     eq_next = std::make_shared<reason::EqualityManager>(*old_snap->equality);
@@ -149,36 +77,40 @@ UpdateOutcome Updater::apply(std::span<const rdf::Triple> additions,
     mopts.equality = eq_next.get();
   }
   const reason::Maintainer maintainer(dict_, vocab_, mopts);
-  outcome.maintain = maintainer.apply(next->store, base, additions, deletions);
+  outcome.maintain =
+      maintainer.apply(next->store, *base, additions, deletions);
+  const reason::MaintainResult& m = outcome.maintain;
 
-  // Mirror the headline numbers into the legacy stats block so existing
-  // callers see one shape for both batch kinds.
-  outcome.result.schema_changed = outcome.maintain.schema_changed;
-  outcome.result.added = outcome.maintain.base_added;
-  outcome.result.inferred = outcome.maintain.inferred;
-  outcome.result.iterations = outcome.maintain.rederive_iterations;
-  outcome.result.reason_seconds = outcome.maintain.rederive_seconds;
+  outcome.result.schema_changed = m.schema_changed;
+  outcome.result.added = m.base_added;
+  outcome.result.inferred = m.inferred;
+  outcome.result.iterations = m.rederive_iterations;
+  outcome.result.reason_seconds = m.rederive_seconds;
+  outcome.result.eq_merges = m.eq_merges;
+  outcome.result.eq_rebuilds = m.eq_rebuilds;
 
-  const bool changed = outcome.maintain.base_added > 0 ||
-                       outcome.maintain.base_deleted > 0 ||
-                       outcome.maintain.removed > 0 ||
-                       outcome.maintain.inferred > 0;
-  if (outcome.maintain.schema_changed || outcome.maintain.equality_rejected ||
-      !changed) {
-    // Rejected (schema change / deletion touching the equality map), or an
-    // all-no-op batch (deletes of absent triples plus duplicate adds): the
-    // fixpoint is unchanged, keep the current snapshot and every cache
+  // Publish only what a reader or a later batch could tell apart: a
+  // changed closure or class map (a merge can change the fixpoint without
+  // growing the store — the new sameAs fact is intercepted and existing
+  // triples are remapped), or a changed recorded base.
+  const bool changed = next->store.size() != old_size || m.removed > 0 ||
+                       m.eq_merges > 0 || m.base_deleted > 0 ||
+                       (tracked && m.base_added > 0);
+  if (m.schema_changed || m.equality_rejected || !changed) {
+    // The fixpoint is unchanged: keep the current snapshot and every cache
     // entry as is.
     outcome.total_seconds = total.elapsed_seconds();
     return outcome;
   }
 
-  // first_new_index is already 0 when a merge rebuilt the store log, so the
-  // footprint below covers every stored predicate in that case.
-  next->delta_begin = outcome.maintain.first_new_index;
+  // first_new_index is 0 when a merge rebuilt the store log, so the
+  // footprint below then spans every stored predicate, which is exactly
+  // what makes cached pre-merge answers unreachable.
+  next->delta_begin = m.first_new_index;
   next->equality = std::move(eq_next);
-  next->base =
-      std::make_shared<const std::vector<rdf::Triple>>(std::move(base));
+  if (tracked) {
+    next->base = std::move(base);
+  }
 
   // Footprint of the delta: the new triples' predicates AND the removed
   // triples' predicates — a cached answer that contained a deleted (or
@@ -187,11 +119,13 @@ UpdateOutcome Updater::apply(std::span<const rdf::Triple> additions,
   for (std::size_t i = next->delta_begin; i < log.size(); ++i) {
     outcome.delta_predicates.push_back(log[i].p);
   }
-  for (const rdf::Triple& t : outcome.maintain.removed_triples) {
+  for (const rdf::Triple& t : m.removed_triples) {
     outcome.delta_predicates.push_back(t.p);
   }
   sort_unique(outcome.delta_predicates);
 
+  // Invalidate before publishing: after the swap no reader can find a
+  // cached answer the delta made stale.
   if (cache_ != nullptr) {
     outcome.invalidated =
         cache_->on_update(outcome.delta_predicates, next->version);

@@ -132,16 +132,17 @@ TEST_P(HorstSweep, AllEngineModesAgree) {
   }
 }
 
+// Static storage zero-fills the padding bytes of each case, so the
+// "GetParam() = 16-byte object <...>" suffix gtest lists is the same on
+// every build instead of echoing stack garbage from temporaries.
+constexpr SweepCase kSweepCases[] = {
+    {true, true, false, "lubm"},    {false, true, false, "lubm"},
+    {true, false, false, "lubm"},   {true, true, true, "lubm"},
+    {true, true, false, "mdc"},     {false, false, false, "mdc"},
+    {true, true, false, "sameas"},  {true, false, true, "sameas"}};
+
 INSTANTIATE_TEST_SUITE_P(
-    Configurations, HorstSweep,
-    ::testing::Values(SweepCase{true, true, false, "lubm"},
-                      SweepCase{false, true, false, "lubm"},
-                      SweepCase{true, false, false, "lubm"},
-                      SweepCase{true, true, true, "lubm"},
-                      SweepCase{true, true, false, "mdc"},
-                      SweepCase{false, false, false, "mdc"},
-                      SweepCase{true, true, false, "sameas"},
-                      SweepCase{true, false, true, "sameas"}),
+    Configurations, HorstSweep, ::testing::ValuesIn(kSweepCases),
     [](const auto& param_info) {
       const SweepCase& c = param_info.param;
       return std::string(c.dataset) + (c.same_as ? "_sa" : "") +

@@ -27,6 +27,7 @@
 #include "parowl/reason/maintain.hpp"
 #include "parowl/reason/materialize.hpp"
 #include "parowl/serve/service.hpp"
+#include "store_equality.hpp"
 
 namespace parowl::reason {
 namespace {
@@ -144,10 +145,10 @@ struct Kb {
   }
 };
 
-Kb lubm_kb() {
+Kb lubm_kb(std::uint32_t universities = 1) {
   Kb kb;
   gen::LubmOptions o;
-  o.universities = 1;
+  o.universities = universities;
   gen::generate_lubm(o, kb.dict, kb.store);
   kb.finish();
   return kb;
@@ -163,10 +164,9 @@ Kb mdc_kb() {
 }
 
 /// From-scratch closure of `base` — the oracle every variant is pinned to.
-std::vector<rdf::Triple> oracle_closure(Kb& kb,
-                                        const std::vector<rdf::Triple>& base) {
+std::vector<rdf::Triple> oracle_closure(Kb& kb, const rdf::TripleSet& base) {
   rdf::TripleStore fresh;
-  fresh.insert_all(base);
+  base.for_each([&fresh](const rdf::Triple& t) { fresh.insert(t); });
   materialize(fresh, kb.dict, kb.vocab, {});
   return sorted_triples(fresh);
 }
@@ -183,10 +183,10 @@ void run_stream_against_oracle(Kb kb, MaintainStrategy strategy,
 
   // One (store, base) replica per thread count, maintained in lockstep.
   std::vector<rdf::TripleStore> stores;
-  std::vector<std::vector<rdf::Triple>> bases;
+  std::vector<rdf::TripleSet> bases;
   for (std::size_t i = 0; i < std::size(kThreads); ++i) {
     stores.push_back(kb.store);
-    bases.push_back(kb.base);
+    bases.emplace_back(kb.base);
   }
 
   MixedStream stream(kb.dict, kb.vocab, kb.base, seed);
@@ -236,8 +236,8 @@ TEST(IncrementalEquivalenceCross, StrategiesAgreeOnIdenticalStreams) {
   Kb kb = lubm_kb();
   rdf::TripleStore dred_store = kb.store;
   rdf::TripleStore fbf_store = kb.store;
-  std::vector<rdf::Triple> dred_base = kb.base;
-  std::vector<rdf::Triple> fbf_base = kb.base;
+  rdf::TripleSet dred_base(kb.base);
+  rdf::TripleSet fbf_base(kb.base);
 
   MixedStream stream(kb.dict, kb.vocab, kb.base, /*seed=*/99);
   for (int round = 0; round < 5; ++round) {
@@ -310,11 +310,129 @@ TEST(IncrementalEquivalenceServe, CacheOnAndOffConvergeToOracle) {
   }
 
   // Both snapshots equal the from-scratch closure of the final base.
-  const auto* final_base = with_cache.snapshot()->base.get();
+  const rdf::TripleSet* final_base = with_cache.snapshot()->base.get();
   ASSERT_NE(final_base, nullptr);
   const std::vector<rdf::Triple> want = oracle_closure(kb, *final_base);
   EXPECT_EQ(sorted_triples(with_cache.snapshot()->store), want);
   EXPECT_EQ(sorted_triples(without_cache.snapshot()->store), want);
+}
+
+// In-place maintenance at a scale where overdeletion cones are real: LUBM(5)
+// mixed batches through QueryService, both strategies.  After every round
+// the served store equals the from-scratch closure of the expected base, is
+// indistinguishable from a store rebuilt from its own log (erasing in place
+// left no trace in any index), and the service's base set equals the
+// expected base.
+TEST_P(IncrementalEquivalence, Lubm5ServeRoundsKeepStoreAndBaseExact) {
+  Kb kb = lubm_kb(5);
+  serve::ServiceOptions opts;
+  opts.threads = 1;
+  opts.maintain_strategy = GetParam();
+  rdf::TripleStore closure = kb.store;
+  serve::QueryService service(kb.dict, kb.vocab, std::move(closure), opts,
+                              kb.base);
+
+  rdf::TripleSet expected_base(kb.base);
+  MixedStream stream(kb.dict, kb.vocab, kb.base, /*seed=*/23);
+  std::size_t condemned = 0;
+  for (int round = 0; round < 6; ++round) {
+    const std::string label =
+        std::string(name_of(GetParam())) + " round " + std::to_string(round);
+    const MixedStream::Batch batch = stream.next();
+    const serve::UpdateOutcome outcome =
+        service.apply_update(batch.adds, batch.dels);
+    ASSERT_GT(outcome.version, 0u) << label;
+    condemned += outcome.maintain.overdeleted;
+
+    // Batch-atomic model of the base: (base \ (dels \ adds)) + adds.
+    const rdf::TripleSet adds(batch.adds);
+    for (const rdf::Triple& t : batch.dels) {
+      if (!adds.contains(t)) {
+        expected_base.erase(t);
+      }
+    }
+    for (const rdf::Triple& t : batch.adds) {
+      expected_base.insert(t);
+    }
+
+    const serve::SnapshotPtr snap = service.snapshot();
+    ASSERT_NE(snap->base, nullptr) << label;
+    ASSERT_EQ(snap->base->size(), expected_base.size()) << label;
+    ASSERT_TRUE(*snap->base == expected_base) << label;
+    ASSERT_EQ(sorted_triples(snap->store), oracle_closure(kb, expected_base))
+        << label;
+    rdf::expect_same_store(snap->store, rdf::rebuilt_from_log(snap->store),
+                           label, outcome.maintain.removed_triples);
+  }
+  // The deletions reached past themselves into derived facts.
+  EXPECT_GT(condemned, 6u * 20u);
+}
+
+// A rewrite-mode batch refused at the last rejection point — its overdelete
+// cone reaches a sameAs derivation — leaves the store, the base set and the
+// published version untouched: the base is edited only after that point.
+TEST(IncrementalEquivalenceServe,
+     EqualityRejectedBatchLeavesEverythingUntouched) {
+  rdf::Dictionary dict;
+  ontology::Vocabulary vocab(dict);
+  const auto iri = [&dict](const std::string& local) {
+    return dict.intern_iri("http://inc.test/" + local);
+  };
+  // code is functional; every Coded individual has code c42 (hasValue).
+  const rdf::TermId code = iri("code");
+  const rdf::TermId coded = iri("Coded");
+  const rdf::TermId c42 = iri("c42");
+  const rdf::TermId x = iri("x");
+  const rdf::TermId y = iri("y");
+  rdf::TripleStore store;
+  store.insert({code, vocab.rdf_type, vocab.owl_functional_property});
+  store.insert({coded, vocab.owl_on_property, code});
+  store.insert({coded, vocab.owl_has_value, c42});
+  store.insert({x, vocab.rdf_type, coded});
+  const std::vector<rdf::Triple> asserted = store.triples();
+  auto eq = std::make_shared<EqualityManager>();
+  MaterializeOptions mopts;
+  mopts.equality_mode = EqualityMode::kRewrite;
+  mopts.equality = eq.get();
+  materialize(store, dict, vocab, mopts);
+  ASSERT_TRUE(store.contains({x, code, c42}));
+  // x sits in no class, so deleting (x type Coded) passes the endpoint
+  // check; the cone (x type Coded -> x code c42 -> rdfp1) then reaches a
+  // sameAs head.
+  ASSERT_FALSE(eq->tracked(x));
+  const std::vector<rdf::Triple> adds = {{y, vocab.rdf_type, coded}};
+  const std::vector<rdf::Triple> dels = {{x, vocab.rdf_type, coded}};
+
+  // The maintainer itself: store and base set exactly as they were.
+  {
+    rdf::TripleStore copy = store;
+    rdf::TripleSet base(asserted);
+    EqualityManager eq_copy = *eq;
+    MaintainOptions opts;
+    opts.equality_mode = EqualityMode::kRewrite;
+    opts.equality = &eq_copy;
+    const MaintainResult r =
+        Maintainer(dict, vocab, opts).apply(copy, base, adds, dels);
+    EXPECT_TRUE(r.equality_rejected);
+    EXPECT_EQ(copy.triples(), store.triples());
+    EXPECT_TRUE(base == rdf::TripleSet(asserted));
+  }
+
+  // Through the service: nothing is published.
+  serve::QueryService service(dict, vocab, std::move(store), {}, asserted,
+                              eq);
+  const serve::SnapshotPtr before = service.snapshot();
+  const std::vector<rdf::Triple> log_before = before->store.triples();
+  const rdf::TripleSet base_before = *before->base;
+  const serve::UpdateOutcome outcome = service.apply_update(adds, dels);
+  EXPECT_TRUE(outcome.maintain.equality_rejected);
+  EXPECT_EQ(outcome.version, 0u);
+  const serve::SnapshotPtr after = service.snapshot();
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(after->version, 1u);
+  EXPECT_EQ(after->store.triples(), log_before);
+  EXPECT_TRUE(*after->base == base_before);
+  EXPECT_TRUE(base_before == rdf::TripleSet(asserted));
 }
 
 // ---------------------------------------------------------------------------

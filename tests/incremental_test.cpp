@@ -42,7 +42,7 @@ class IncrementalMaintain
   rdf::Dictionary dict;
   ontology::Vocabulary vocab{dict};
   rdf::TripleStore store;          // materialized closure under maintenance
-  std::vector<rdf::Triple> base;   // asserted triples (schema + instance)
+  rdf::TripleSet base;             // asserted triples (schema + instance)
 
   rdf::TermId anc, parent, a, b, c, d;
 
@@ -59,7 +59,7 @@ class IncrementalMaintain
     store.insert({b, parent, c});
     store.insert({c, parent, d});
     store.insert({a, anc, b});  // redundant assertion: also derivable
-    base = store.triples();
+    base = rdf::TripleSet(store.triples());
     materialize(store, dict, vocab, {});
   }
 
@@ -76,7 +76,7 @@ class IncrementalMaintain
   /// From-scratch closure of the *current* base — the maintenance oracle.
   std::vector<rdf::Triple> oracle() {
     rdf::TripleStore fresh;
-    fresh.insert_all(base);
+    base.for_each([&fresh](const rdf::Triple& t) { fresh.insert(t); });
     materialize(fresh, dict, vocab, {});
     return sorted_triples(fresh);
   }
@@ -118,7 +118,7 @@ TEST_P(IncrementalMaintain, SoleSupportDeletionCascades) {
 
 TEST_P(IncrementalMaintain, DeleteThenReaddInOneBatchIsIdentity) {
   const std::vector<rdf::Triple> before = sorted_triples(store);
-  const std::vector<rdf::Triple> base_before = base;
+  const rdf::TripleSet base_before = base;
   const MaintainResult r = maintain({{c, parent, d}}, {{c, parent, d}});
 
   // Batch-atomic: the triple is in both lists, so it stays.
@@ -141,7 +141,7 @@ TEST_P(IncrementalMaintain, DeletingAbsentTripleIsNoOp) {
 
 TEST_P(IncrementalMaintain, EmptyBatchIsNoOp) {
   const std::vector<rdf::Triple> before = sorted_triples(store);
-  const std::vector<rdf::Triple> base_before = base;
+  const rdf::TripleSet base_before = base;
   const MaintainResult r = maintain({}, {});
 
   EXPECT_EQ(r.base_deleted, 0u);
@@ -169,7 +169,7 @@ TEST_P(IncrementalMaintain, MixedBatchMatchesOracle) {
 
 TEST_P(IncrementalMaintain, SchemaTripleInBatchRejectsWhole) {
   const std::vector<rdf::Triple> before = sorted_triples(store);
-  const std::vector<rdf::Triple> base_before = base;
+  const rdf::TripleSet base_before = base;
   const MaintainResult r =
       maintain({}, {{parent, vocab.rdfs_subproperty_of, anc}});
 
@@ -272,6 +272,31 @@ TEST_P(IncrementalServe, NoOpBatchPublishesNothing) {
   EXPECT_EQ(outcome.version, 0u);
   EXPECT_EQ(service.snapshot()->version, 1u);
   EXPECT_EQ(outcome.invalidated, 0u);
+}
+
+// Asserting a fact the closure already derives changes no answer, but the
+// recorded base must keep it: it has to survive a later deletion of its
+// support.  The additions-only batch is therefore published.
+TEST_P(IncrementalServe, AssertingDerivedFactSurvivesLaterDeletion) {
+  ServeKb kb;
+  rdf::TripleStore closure = kb.store;
+  serve::QueryService service(kb.dict, kb.vocab, std::move(closure),
+                              kb.options(GetParam()), kb.base);
+  const rdf::Triple derived{kb.a, kb.anc, kb.c};
+  ASSERT_TRUE(service.snapshot()->store.contains(derived));
+  ASSERT_FALSE(service.snapshot()->base->contains(derived));
+
+  const serve::UpdateOutcome add = service.apply_update({&derived, 1});
+  EXPECT_EQ(add.version, 2u);
+  EXPECT_EQ(add.result.added, 1u);
+  EXPECT_TRUE(add.delta_predicates.empty());  // the closure is unchanged
+  EXPECT_TRUE(service.snapshot()->base->contains(derived));
+
+  const std::vector<rdf::Triple> dels = {{kb.b, kb.parent, kb.c}};
+  const serve::UpdateOutcome del = service.apply_update({}, dels);
+  EXPECT_EQ(del.version, 3u);
+  EXPECT_TRUE(service.snapshot()->store.contains(derived));
+  EXPECT_FALSE(service.snapshot()->store.contains({kb.b, kb.anc, kb.c}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Strategies, IncrementalServe,

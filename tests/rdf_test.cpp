@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "parowl/rdf/triple_store.hpp"
 #include "parowl/util/rng.hpp"
 #include "parowl/util/thread_team.hpp"
+#include "store_equality.hpp"
 
 namespace parowl::rdf {
 namespace {
@@ -324,6 +326,190 @@ TEST(SmallIdList, SpillsPastInlineCapacity) {
   EXPECT_EQ(list.size(), 10u);
 }
 
+TEST(SmallIdList, RetainFiltersInPlaceAndMovesBackInline) {
+  SmallIdList list;
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    list.push_back(i);
+  }
+  list.retain([](std::uint32_t v) { return v % 2 == 0; });  // 5 left: spilled
+  EXPECT_EQ(std::vector<std::uint32_t>(list.view().begin(), list.view().end()),
+            (std::vector<std::uint32_t>{0, 2, 4, 6, 8}));
+  list.retain([](std::uint32_t v) { return v != 4; });  // 4 left: inline
+  EXPECT_EQ(std::vector<std::uint32_t>(list.view().begin(), list.view().end()),
+            (std::vector<std::uint32_t>{0, 2, 6, 8}));
+  // Pushing past kInline again spills from the inline entries.
+  list.push_back(10);
+  list.push_back(12);
+  EXPECT_EQ(std::vector<std::uint32_t>(list.view().begin(), list.view().end()),
+            (std::vector<std::uint32_t>{0, 2, 6, 8, 10, 12}));
+  list.retain([](std::uint32_t) { return false; });
+  EXPECT_TRUE(list.view().empty());
+  list.push_back(7);
+  EXPECT_EQ(list.size(), 1u);
+  EXPECT_EQ(list.view()[0], 7u);
+}
+
+TEST(TripleSet, EraseKeepsProbeChains) {
+  // 1. Clusters that wrap around the table end.  Up to 15 entries keep the
+  // initial 32-slot table; pick keys whose home slot is 29..31 or 0..1, so
+  // their probe runs cross slot 31 -> 0, and erase them in many orders.
+  constexpr std::size_t kSlots = 32;
+  std::vector<Triple> tail_keys;
+  std::vector<Triple> head_keys;
+  for (TermId s = 1; tail_keys.size() < 8 || head_keys.size() < 6; ++s) {
+    const Triple t{s, 1, 1};
+    const std::size_t home = TripleHash{}(t) & (kSlots - 1);
+    if (home >= 29 && tail_keys.size() < 8) {
+      tail_keys.push_back(t);
+    } else if (home <= 1 && head_keys.size() < 6) {
+      head_keys.push_back(t);
+    }
+  }
+  std::vector<Triple> keys = tail_keys;
+  keys.insert(keys.end(), head_keys.begin(), head_keys.end());
+  util::Rng rng(11);
+  for (int round = 0; round < 200; ++round) {
+    TripleSet set;
+    std::vector<Triple> order = keys;
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.below(i)]);
+    }
+    for (const Triple& t : order) {
+      ASSERT_TRUE(set.insert(t));
+    }
+    std::set<Triple> model(keys.begin(), keys.end());
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.below(i)]);
+    }
+    for (const Triple& victim : order) {
+      ASSERT_TRUE(set.erase(victim)) << "round " << round;
+      ASSERT_FALSE(set.erase(victim)) << "erased twice, round " << round;
+      model.erase(victim);
+      ASSERT_EQ(set.size(), model.size());
+      for (const Triple& t : keys) {
+        ASSERT_EQ(set.contains(t), model.count(t) == 1)
+            << "round " << round << " key " << t.s;
+      }
+    }
+    EXPECT_TRUE(set.empty());
+  }
+
+  // 2. Random insert/erase/probe against std::set over a small id range, so
+  // collisions, growth and erase of absent keys are all frequent.
+  TripleSet set;
+  std::set<Triple> model;
+  const auto draw = [&rng] {
+    return Triple{static_cast<TermId>(1 + rng.below(40)),
+                  static_cast<TermId>(1 + rng.below(3)),
+                  static_cast<TermId>(1 + rng.below(40))};
+  };
+  for (int op = 0; op < 40000; ++op) {
+    const Triple t = draw();
+    if (rng.chance(0.55)) {
+      ASSERT_EQ(set.insert(t), model.insert(t).second) << "op " << op;
+    } else {
+      ASSERT_EQ(set.erase(t), model.erase(t) == 1) << "op " << op;
+    }
+    ASSERT_EQ(set.size(), model.size());
+    if (op % 4000 == 0) {
+      for (TermId s = 1; s <= 40; ++s) {
+        for (TermId o = 1; o <= 40; ++o) {
+          const Triple probe{s, 2, o};
+          ASSERT_EQ(set.contains(probe), model.count(probe) == 1);
+        }
+      }
+    }
+  }
+  // Iteration yields exactly the members; equality ignores slot layout.
+  std::set<Triple> iterated;
+  set.for_each([&iterated](const Triple& t) { iterated.insert(t); });
+  EXPECT_EQ(iterated, model);
+  const std::vector<Triple> members(model.begin(), model.end());
+  EXPECT_EQ(TripleSet(members), set);
+  TripleSet fewer(members);
+  fewer.erase(members.front());
+  EXPECT_FALSE(fewer == set);
+}
+
+TEST(TripleStore, EraseAllMatchesRebuildFromLog) {
+  // After every erase_all / insert step, the store must be
+  // indistinguishable from a fresh store built by inserting its surviving
+  // log in order.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    util::Rng rng(seed);
+    const auto draw = [&rng](TermId p_hi) {
+      return Triple{static_cast<TermId>(1 + rng.below(30)),
+                    static_cast<TermId>(1 + rng.below(p_hi)),
+                    static_cast<TermId>(1 + rng.below(30))};
+    };
+    TripleStore store;
+    for (int i = 0; i < 600; ++i) {
+      store.insert(draw(6));
+    }
+    for (int step = 0; step < 6; ++step) {
+      const std::string label =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const std::vector<Triple> log = store.triples();
+      std::vector<Triple> doomed;
+      for (const Triple& t : log) {
+        if (rng.chance(0.2)) {
+          doomed.push_back(t);
+        }
+      }
+      if (step % 2 == 0) {
+        // Empty one predicate entirely...
+        const TermId gone = store.predicates()[rng.below(
+            store.predicates().size())];
+        for (const Triple& t : store.with_predicate(gone)) {
+          doomed.push_back(t);
+        }
+      } else {
+        // ...or doom the first triple of the log, so its predicate loses
+        // its first-seen position.
+        doomed.push_back(log.front());
+      }
+      // Absent triples and repeats are ignored.
+      doomed.push_back({99, 99, 99});
+      doomed.push_back(doomed.front());
+
+      std::set<Triple> doomed_set(doomed.begin(), doomed.end());
+      std::size_t present = 0;
+      for (const Triple& t : doomed_set) {
+        present += store.contains(t) ? 1 : 0;
+      }
+      // Probe the endpoint index first, so erase_all must drop a built one.
+      (void)store.count({log.front().s, kAnyTerm, kAnyTerm});
+      EXPECT_EQ(store.erase_all(doomed), present) << label;
+      expect_same_store(store, rebuilt_from_log(store), label + " erase",
+                        doomed);
+
+      // More inserts: fresh triples, re-adds of doomed ones (which may
+      // re-register an emptied predicate), and a brand-new predicate —
+      // alternately through the serial and the bulk paths.
+      std::vector<Triple> batch;
+      for (int i = 0; i < 80; ++i) {
+        batch.push_back(draw(7));
+      }
+      for (std::size_t i = 0; i < doomed.size(); i += 3) {
+        batch.push_back(doomed[i]);
+      }
+      if (step % 2 == 0) {
+        for (const Triple& t : batch) {
+          store.insert(t);
+        }
+      } else {
+        store.insert_all(batch, 3);
+      }
+      expect_same_store(store, rebuilt_from_log(store), label + " insert",
+                        doomed);
+    }
+    const std::size_t all = store.size();
+    EXPECT_EQ(store.erase_all(store.triples()), all);
+    EXPECT_TRUE(store.empty());
+    EXPECT_TRUE(store.predicates().empty());
+  }
+}
+
 TEST(TripleStore, EndpointIndexIsLazyButCoherent) {
   // for_subject / for_object are served by a lazily built index; probing,
   // inserting more, and probing again must reflect every insert.
@@ -366,31 +552,6 @@ TEST(TripleStore, CopyPreservesIndexesIndependently) {
 // ---------------------------------------------------------------------------
 // Bulk paths: insert_all(batch, threads) and Dictionary::absorb must leave
 // exactly what the serial per-item loops leave.
-
-/// Every observable index of `got` equals that of `want`: the log, the
-/// predicate order, and every posting list in order.
-void expect_same_store(const TripleStore& got, const TripleStore& want,
-                       const std::string& label) {
-  ASSERT_EQ(got.triples(), want.triples()) << label << " (log order)";
-  ASSERT_EQ(got.predicates(), want.predicates()) << label;
-  for (const TermId p : want.predicates()) {
-    const auto a = got.with_predicate(p);
-    const auto b = want.with_predicate(p);
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-        << label << " with_predicate " << p;
-  }
-  for (const Triple& t : want.triples()) {
-    const auto os = got.objects(t.p, t.s);
-    const auto ow = want.objects(t.p, t.s);
-    EXPECT_TRUE(std::equal(os.begin(), os.end(), ow.begin(), ow.end()))
-        << label << " objects(" << t.p << ", " << t.s << ")";
-    const auto ss = got.subjects(t.p, t.o);
-    const auto sw = want.subjects(t.p, t.o);
-    EXPECT_TRUE(std::equal(ss.begin(), ss.end(), sw.begin(), sw.end()))
-        << label << " subjects(" << t.p << ", " << t.o << ")";
-    EXPECT_TRUE(got.contains(t)) << label;
-  }
-}
 
 TEST(TripleStore, ParallelInsertAllMatchesSerialLoop) {
   // A store that already holds some triples, then a batch with duplicates

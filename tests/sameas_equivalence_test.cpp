@@ -312,7 +312,8 @@ TEST(SameAsEquivalence, IncrementalMergeMatchesNaiveRematerialization) {
 TEST(SameAsEquivalence, MaintainerRejectsDeletionsTouchingTheMap) {
   EqFixture f("cliques");
   RewriteRun rewrite = rewrite_closure(f);
-  std::vector<rdf::Triple> base = f.base.triples();
+  const std::vector<rdf::Triple>& asserted = f.base.triples();
+  rdf::TripleSet base(asserted);
   const std::vector<rdf::Triple> log_before = rewrite.store.triples();
 
   reason::MaintainOptions mopts;
@@ -321,11 +322,10 @@ TEST(SameAsEquivalence, MaintainerRejectsDeletionsTouchingTheMap) {
   const reason::Maintainer maintainer(f.dict, *f.vocab, mopts);
 
   // (a) deleting an asserted sameAs edge would shrink a clique.
-  const auto same_as_edge =
-      std::find_if(base.begin(), base.end(), [&](const rdf::Triple& t) {
-        return t.p == f.vocab->owl_same_as;
-      });
-  ASSERT_NE(same_as_edge, base.end());
+  const auto same_as_edge = std::find_if(
+      asserted.begin(), asserted.end(),
+      [&](const rdf::Triple& t) { return t.p == f.vocab->owl_same_as; });
+  ASSERT_NE(same_as_edge, asserted.end());
   {
     const reason::MaintainResult r =
         maintainer.apply(rewrite.store, base, {}, {&*same_as_edge, 1});
@@ -335,12 +335,12 @@ TEST(SameAsEquivalence, MaintainerRejectsDeletionsTouchingTheMap) {
 
   // (b) deleting a payload fact whose endpoint sits in a class: the
   // rederivation cone cannot be trusted in representative space.
-  const auto tracked_payload =
-      std::find_if(base.begin(), base.end(), [&](const rdf::Triple& t) {
+  const auto tracked_payload = std::find_if(
+      asserted.begin(), asserted.end(), [&](const rdf::Triple& t) {
         return t.p != f.vocab->owl_same_as &&
                (rewrite.eq.tracked(t.s) || rewrite.eq.tracked(t.o));
       });
-  ASSERT_NE(tracked_payload, base.end());
+  ASSERT_NE(tracked_payload, asserted.end());
   {
     const reason::MaintainResult r =
         maintainer.apply(rewrite.store, base, {}, {&*tracked_payload, 1});
@@ -355,7 +355,8 @@ TEST(SameAsEquivalence, MaintainerStillDeletesOnEqualityFreeData) {
   EqFixture f("lubm");
   RewriteRun rewrite = rewrite_closure(f);
   ASSERT_TRUE(rewrite.eq.empty());
-  std::vector<rdf::Triple> base = f.base.triples();
+  const std::vector<rdf::Triple>& asserted = f.base.triples();
+  rdf::TripleSet base(asserted);
 
   reason::MaintainOptions mopts;
   mopts.equality_mode = reason::EqualityMode::kRewrite;
@@ -365,9 +366,9 @@ TEST(SameAsEquivalence, MaintainerStillDeletesOnEqualityFreeData) {
   // Any instance triple will do; schema triples are rejected elsewhere.
   const ontology::Vocabulary& v = *f.vocab;
   const auto instance =
-      std::find_if(base.begin(), base.end(),
+      std::find_if(asserted.begin(), asserted.end(),
                    [&](const rdf::Triple& t) { return !v.is_schema_triple(t); });
-  ASSERT_NE(instance, base.end());
+  ASSERT_NE(instance, asserted.end());
   const reason::MaintainResult r =
       maintainer.apply(rewrite.store, base, {}, {&*instance, 1});
   EXPECT_FALSE(r.equality_rejected);

@@ -9,8 +9,8 @@
 # tier1 is every fast deterministic suite, tier2 the slower sweeps.  The
 # ASan subset covers the transport/worker/cluster/fault layers plus the
 # ingest pipeline, triple codec, partitioner suite (streaming state
-# machines + split-merge), and incremental maintenance (DRed/FBF store
-# rebuilds) — the places where serialization and concurrency bugs would
+# machines + split-merge), and incremental maintenance (DRed/FBF in-place
+# erasure) — the places where serialization and concurrency bugs would
 # live.
 
 set -euo pipefail
@@ -43,12 +43,13 @@ cmake --build --preset asan -j "$jobs" \
   sameas_equivalence_test sameas_serve_test graph_partition_test
 ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|Dist|Incremental|SameAs|Partition|Streaming|SplitMerge'
 
-echo "=== tsan subset (obs, dist executor + replica RCU, async steal/token, incremental serve loop, equality rewrite, reader->partitioner chunk sink, parallel ingest merge + bulk insert, engine round barrier) ==="
+echo "=== tsan subset (obs, dist executor + replica RCU, async steal/token, incremental serve loop + serve oracles, equality rewrite, reader->partitioner chunk sink, parallel ingest merge + bulk insert, engine round barrier) ==="
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" --target obs_test dist_test async_test \
-  incremental_test sameas_equivalence_test sameas_serve_test \
+  incremental_test incremental_equivalence_test sameas_equivalence_test \
+  sameas_serve_test \
   graph_partition_test ingest_equivalence_test engine_equivalence_test \
   rdf_test util_test
-ctest --preset tsan -j "$jobs" -R 'Obs|Dist|Async|IncrementalServe|SameAs|StreamingPartitioner|Ingest|EngineEquivalence|TripleStore|Dictionary|ThreadTeam'
+ctest --preset tsan -j "$jobs" -R 'Obs|Dist|Async|IncrementalServe|IncrementalEquivalence|SameAs|StreamingPartitioner|Ingest|EngineEquivalence|TripleStore|Dictionary|ThreadTeam'
 
 echo "=== ci green ==="

@@ -589,7 +589,7 @@ int cmd_update(const Args& args) {
       static_cast<unsigned>(std::stoul(args.option("--threads", "1")));
 
   // The loaded KB is the asserted base; compute the closure it maintains.
-  std::vector<rdf::Triple> base = store.triples();
+  rdf::TripleSet base(store.triples());
   reason::MaterializeOptions mo;
   mo.threads = threads;
   const reason::MaterializeResult mr =
@@ -876,9 +876,7 @@ int cmd_serve_bench(const Args& args) {
         const std::size_t d = std::min(deletes_per_batch, live.size());
         dels.assign(live.end() - static_cast<std::ptrdiff_t>(d), live.end());
         live.resize(live.size() - d);
-        const serve::UpdateOutcome outcome =
-            dels.empty() ? service.apply_update(batch)
-                         : service.apply_update(batch, dels);
+        const serve::UpdateOutcome outcome = service.apply_update(batch, dels);
         deletes_applied += outcome.maintain.base_deleted;
         live.insert(live.end(), batch.begin(), batch.end());
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
