@@ -34,8 +34,28 @@ constexpr std::uint32_t kRecoveryEpochGap = 1u << 20;
 
 /// Safety valve: consecutive full scheduler cycles in which *nothing*
 /// happened anywhere (no arrival, no evaluation, no steal, no token hop,
-/// no ack released) before the async executor declares a livelock.
+/// no ack released) before the async executor declares a livelock.  The
+/// threaded executor counts a worker's idle polls the same way, but resets
+/// the count whenever any worker progressed or is inside a step, and also
+/// requires kAsyncStallSeconds of that standstill: a stall is the whole
+/// cluster standing still, not one worker waiting on a peer's long
+/// evaluation or absorb.
 constexpr std::uint32_t kAsyncStallLimit = 10000;
+constexpr double kAsyncStallSeconds = 2.0;
+
+/// Counts the workers inside an evaluation for as long as it lives.
+class StepGuard {
+ public:
+  explicit StepGuard(std::atomic<std::uint32_t>& busy) : busy_(busy) {
+    busy_.fetch_add(1, std::memory_order_acq_rel);
+  }
+  ~StepGuard() { busy_.fetch_sub(1, std::memory_order_acq_rel); }
+  StepGuard(const StepGuard&) = delete;
+  StepGuard& operator=(const StepGuard&) = delete;
+
+ private:
+  std::atomic<std::uint32_t>& busy_;
+};
 
 }  // namespace
 
@@ -678,7 +698,14 @@ ClusterResult Cluster::run_async_threaded() {
   std::uint32_t epoch_base =
       start_round_ > 0 ? start_round_ + kRecoveryEpochGap : 0;
   std::atomic<bool> terminated{n == 0};
+  // The two failure causes: the cluster stood still (see
+  // kAsyncStallLimit), or termination probes exceeded max_rounds.
   std::atomic<bool> stalled{false};
+  std::atomic<bool> over_budget{false};
+  // Cluster-wide progress: bumped by every worker cycle that progressed,
+  // plus the number of workers inside an evaluation right now.
+  std::atomic<std::uint64_t> progress_ticks{0};
+  std::atomic<std::uint32_t> in_step{0};
   std::atomic<std::uint64_t> steals{0};
   std::atomic<std::uint64_t> stolen_tuples{0};
   std::atomic<std::uint64_t> steal_derivations{0};
@@ -704,9 +731,12 @@ ClusterResult Cluster::run_async_threaded() {
         std::uint32_t probe_launch_epoch = epoch_base;
         bool initiator_dirty_since_launch = false;
         std::uint32_t my_stall = 0;
+        std::uint64_t seen_ticks = 0;
+        util::Stopwatch standstill;  // since the cluster last progressed
 
         while (!terminated.load(std::memory_order_acquire) &&
-               !stalled.load(std::memory_order_acquire)) {
+               !stalled.load(std::memory_order_acquire) &&
+               !over_budget.load(std::memory_order_acquire)) {
           bool progress = false;
           bool passive = false;
           std::vector<Batch> tokens;
@@ -723,6 +753,7 @@ ClusterResult Cluster::run_async_threaded() {
               progress = true;
             }
             if (worker.backlog() > 0) {
+              const StepGuard busy(in_step);
               const auto step = worker.async_step(ao.chunk, nullptr);
               c.activations += 1;
               activations.fetch_add(1);
@@ -770,6 +801,7 @@ ClusterResult Cluster::run_async_threaded() {
                     ctl[victim]->m, std::adopt_lock);
                 Worker& vic = *workers_[victim];
                 if (vic.backlog() > ao.chunk) {
+                  const StepGuard busy(in_step);
                   shard = vic.grant_steal(ao.steal_batch);
                   derivations = vic.evaluate_shard(shard.lo, shard.hi);
                   ctl[victim]->dirty.store(true,
@@ -806,6 +838,7 @@ ClusterResult Cluster::run_async_threaded() {
           if (progress) {
             c.idle_polls = 0;
             my_stall = 0;
+            progress_ticks.fetch_add(1, std::memory_order_acq_rel);
           } else {
             obs::Span idle_span("parallel.idle", {{"worker", w}}, 100 + w);
             util::Stopwatch idle_watch;
@@ -820,7 +853,15 @@ ClusterResult Cluster::run_async_threaded() {
             }
             std::this_thread::yield();
             c.idle_seconds += idle_watch.elapsed_seconds();
-            if (++my_stall > kAsyncStallLimit) {
+            const std::uint64_t ticks =
+                progress_ticks.load(std::memory_order_acquire);
+            if (ticks != seen_ticks ||
+                in_step.load(std::memory_order_acquire) > 0) {
+              seen_ticks = ticks;
+              my_stall = 0;
+              standstill.restart();
+            } else if (++my_stall > kAsyncStallLimit &&
+                       standstill.elapsed_seconds() > kAsyncStallSeconds) {
               stalled.store(true, std::memory_order_release);
             }
           }
@@ -843,7 +884,7 @@ ClusterResult Cluster::run_async_threaded() {
               }
               token_epochs.fetch_add(1);
               if (token_epochs.load() > options_.max_rounds) {
-                stalled.store(true, std::memory_order_release);
+                over_budget.store(true, std::memory_order_release);
               }
             } else if (c.has_token &&
                        c.token_epoch == probe_launch_epoch) {
@@ -876,8 +917,15 @@ ClusterResult Cluster::run_async_threaded() {
   }  // jthreads join
 
   if (stalled.load()) {
-    throw DeliveryFailure("async threaded run stalled or exceeded "
-                          "max_rounds token epochs");
+    throw DeliveryFailure(
+        "async threaded run stalled: no worker progressed over " +
+        std::to_string(kAsyncStallLimit) + " idle polls and " +
+        std::to_string(static_cast<int>(kAsyncStallSeconds)) + " s");
+  }
+  if (over_budget.load()) {
+    throw DeliveryFailure(
+        "async threaded run exceeded max_rounds (" +
+        std::to_string(options_.max_rounds) + ") token epochs");
   }
 
   // One consistent final cut: after termination nothing is in flight, so

@@ -10,6 +10,7 @@
 #include "parowl/rdf/dictionary.hpp"
 #include "parowl/rdf/flat_index.hpp"
 #include "parowl/rdf/triple_store.hpp"
+#include "parowl/reason/clique.hpp"
 #include "parowl/reason/equality.hpp"
 #include "parowl/rules/rule.hpp"
 
@@ -30,9 +31,11 @@ enum class EqualityMode {
 /// Options for the forward-chaining engine.
 struct ForwardOptions {
   /// Semi-naive (delta-driven) evaluation: each iteration only matches rule
-  /// bodies against the triples derived in the previous iteration.  The
-  /// naive alternative re-derives everything each iteration; kept for the
-  /// ablation bench.
+  /// bodies against the triples derived in the previous iteration, and
+  /// symmetric-transitive predicates are closed by the union-find clique
+  /// operator instead of their generic joins.  The naive alternative
+  /// re-derives everything each iteration through the generic joins alone;
+  /// kept as the independent oracle and for the ablation bench.
   bool semi_naive = true;
 
   /// When set, derived triples whose subject is a literal are discarded
@@ -89,6 +92,12 @@ struct ForwardStats {
   /// within one iteration count once (for the first deriving rule in
   /// frontier order), so the per-rule sum always equals `derived`.
   std::vector<std::size_t> firings_per_rule;
+  /// Head instantiations per rule; sums to `attempts`.  The clique
+  /// operator's candidate pairs count for the predicate's transitive rule.
+  std::vector<std::size_t> attempts_per_rule;
+  /// Clique-operator output: triples emitted into round batches (before
+  /// the barrier's dedup against the other rules' output).
+  std::size_t clique_emitted = 0;
 
   // Equality-rewriting breakdown (all zero in naive mode).
   std::size_t eq_intercepted = 0;  // sameAs triples kept out of the store
@@ -108,6 +117,16 @@ struct ForwardStats {
 
 /// Stats protocol (obs/report.hpp): obs::to_json / obs::print / obs::publish.
 [[nodiscard]] obs::FieldList fields(const ForwardStats& s);
+
+/// Per-rule view of a run for the stats protocol: fields
+/// `<rule name>.<rule index>.attempts` and `.firings` for every rule that
+/// was attempted (compiled rules share names, so the index disambiguates).
+struct RuleReport {
+  const ForwardStats& stats;
+  const rules::RuleSet& rules;
+};
+
+[[nodiscard]] obs::FieldList fields(const RuleReport& r);
 
 /// Bottom-up datalog evaluation over a triple store.
 ///
@@ -155,13 +174,17 @@ class ForwardEngine {
     std::vector<rdf::Triple> pending;
     std::vector<std::uint32_t> rules;  // rules[i] derived pending[i]
     rdf::TripleSet seen;
-    std::size_t attempts = 0;
+    std::vector<std::size_t> attempts;  // per rule
+    /// The clique operator closes the symmetric-transitive predicates this
+    /// pass: their symmetric rules are skipped, and their transitive rules
+    /// fire only where the shared term is a literal.
+    bool clique = false;
 
-    void reset() {
+    void reset(std::size_t num_rules) {
       pending.clear();
       rules.clear();
       seen.reset();  // keeps capacity across iterations
-      attempts = 0;
+      attempts.assign(num_rules, 0);
     }
   };
 
@@ -227,6 +250,9 @@ class ForwardEngine {
   std::vector<Bucket> pivot_buckets_;
   std::vector<PivotRef> wildcard_pivots_;
   std::vector<PivotRef> all_pivots_;
+
+  /// Symmetric-transitive predicates and each rule's role for them.
+  CliqueAnalysis cliques_;
 
   /// Constant term ids appearing anywhere in the rule set (rewrite mode
   /// only).  Merging one of these — a folded schema constant, a vocabulary

@@ -5,9 +5,12 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <optional>
 #include <span>
+#include <string>
 #include <thread>
 
+#include "clique_closure.hpp"
 #include "parowl/util/thread_team.hpp"
 
 namespace parowl::reason {
@@ -27,7 +30,10 @@ int bound_count(const rdf::TriplePattern& p) {
 ForwardEngine::ForwardEngine(rdf::TripleStore& store,
                              const rules::RuleSet& rules,
                              ForwardOptions options)
-    : store_(store), rules_(rules), options_(options) {
+    : store_(store),
+      rules_(rules),
+      options_(options),
+      cliques_(analyze_cliques(rules)) {
   // Compile the rule set into the dispatch index: every (rule, pivot) pair,
   // bucketed by the pivot atom's predicate.  A pivot with a constant
   // predicate c can only bind triples with predicate c; a pivot whose
@@ -242,7 +248,7 @@ void ForwardEngine::join(std::size_t rule_index, unsigned done_mask,
     const auto pattern = to_pattern(rule.head, binding);
     assert(pattern.s != rdf::kAnyTerm && pattern.p != rdf::kAnyTerm &&
            pattern.o != rdf::kAnyTerm);
-    ++shard.attempts;
+    ++shard.attempts[rule_index];
     if (options_.dict != nullptr &&
         options_.dict->kind(pattern.s) == rdf::TermKind::kLiteral) {
       return;  // literal guard: no statements about literals
@@ -297,9 +303,23 @@ template <bool Devirt>
 void ForwardEngine::fire_rule(std::size_t rule_index, std::size_t pivot,
                               const rdf::Triple& delta_triple, Shard& shard) {
   const rules::Rule& rule = rules_[rule_index];
+  const CliqueRole role =
+      shard.clique ? cliques_.roles[rule_index] : CliqueRole::kNone;
+  if (role == CliqueRole::kSymmetric) {
+    return;  // the clique operator closes this predicate
+  }
   rules::Binding binding{};
   if (!bind_atom(rule.body[pivot], delta_triple, binding)) {
     return;
+  }
+  if (role == CliqueRole::kTransitive) {
+    // Only a literal shared term escapes the operator's components.
+    const rdf::TermId mid = binding[static_cast<std::size_t>(
+        cliques_.middle_var[rule_index])];
+    if (options_.dict == nullptr ||
+        options_.dict->kind(mid) != rdf::TermKind::kLiteral) {
+      return;
+    }
   }
   join<Devirt>(rule_index, 1u << pivot, binding, shard);
 }
@@ -324,6 +344,7 @@ std::vector<ForwardEngine::Derivation> ForwardEngine::match_delta(
   // returned instead of merged into the store.  `join` only reads the
   // store (contains + match), so the victim's log stays untouched.
   Shard shard;
+  shard.reset(rules_.size());
   if (options_.devirtualize) {
     process_range<true>(lo, hi, shard);
   } else {
@@ -341,6 +362,7 @@ ForwardStats ForwardEngine::run(std::size_t delta_begin) {
   obs::configure(options_.obs);
   ForwardStats stats;
   stats.firings_per_rule.assign(rules_.size(), 0);
+  stats.attempts_per_rule.assign(rules_.size(), 0);
   const std::size_t endpoint_builds_before = store_.endpoint_index_builds();
 
   std::size_t frontier_begin = options_.semi_naive ? delta_begin : 0;
@@ -374,13 +396,31 @@ ForwardStats ForwardEngine::run(std::size_t delta_begin) {
     }
   }
 
+  // The clique operator serves semi-naive runs only: naive evaluation keeps
+  // the generic joins as the independent oracle.  Its forests start from
+  // the whole store; a component the first frontier does not touch is
+  // already a clique, because every rule instance over the prefix has its
+  // head in the prefix or in the frontier (true of run(0), of worker
+  // rounds, and of DRed/FBF rederivation).
+  const bool clique = options_.semi_naive && !cliques_.predicates.empty();
+  std::optional<CliqueClosure> closure;
+  if (clique) {
+    closure.emplace(cliques_.predicates, options_.dict);
+    closure->rebuild(store_);
+  }
+
   unsigned threads = options_.threads;
   if (threads == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     threads = hw == 0 ? 1 : hw;
   }
 
-  std::vector<Shard> shards(threads);
+  // One shard per thread, plus a last one for the clique operator's output:
+  // the round batch is the thread shards in order, then the operator's.
+  std::vector<Shard> shards(threads + (clique ? 1 : 0));
+  for (std::size_t i = 0; i < threads; ++i) {
+    shards[i].clique = clique;
+  }
   // Round-barrier team: the matching pass and the barrier insert both run
   // on it; the calling thread is member 0.
   util::ThreadTeam team(threads);
@@ -427,13 +467,25 @@ ForwardStats ForwardEngine::run(std::size_t delta_begin) {
                           {"frontier", frontier_end - frontier_begin}});
 
     for (Shard& shard : shards) {
-      shard.reset();
+      shard.reset(rules_.size());
     }
     work_begin = frontier_begin;
     work_end = frontier_end;
     {
       PAROWL_SPAN("reason.round.match", {});
       team.run(run_shard);
+    }
+    if (clique) {
+      // Serial and in frontier order, so the batch — and with it the log —
+      // is the same for every thread count.
+      obs::Span clique_span("reason.round.clique", {});
+      Shard& out = shards.back();
+      const std::size_t components = closure->close_round(
+          store_, frontier_begin, out.pending, out.rules, out.attempts);
+      stats.clique_emitted += out.pending.size();
+      clique_span.arg({"components", components});
+      clique_span.arg({"emitted", out.pending.size()});
+      PAROWL_COUNT("reason.clique.emitted", out.pending.size());
     }
 
     // Merge at the barrier: concatenated shard buffers replay the
@@ -445,7 +497,10 @@ ForwardStats ForwardEngine::run(std::size_t delta_begin) {
     bool eq_changed = false;
     const std::size_t attempts_before = stats.attempts;
     for (const Shard& shard : shards) {
-      stats.attempts += shard.attempts;
+      for (std::size_t r = 0; r < shard.attempts.size(); ++r) {
+        stats.attempts_per_rule[r] += shard.attempts[r];
+        stats.attempts += shard.attempts[r];
+      }
     }
     if (rewrite) {
       // Every pending triple passes through the class map first: sameAs
@@ -481,9 +536,11 @@ ForwardStats ForwardEngine::run(std::size_t delta_begin) {
           offset[i + 1] = offset[i] + shards[i].pending.size();
         }
         batch.resize(offset.back());
-        team.run([&](unsigned i) {
-          std::copy(shards[i].pending.begin(), shards[i].pending.end(),
-                    batch.begin() + static_cast<std::ptrdiff_t>(offset[i]));
+        team.run([&](unsigned m) {
+          for (std::size_t i = m; i < shards.size(); i += threads) {
+            std::copy(shards[i].pending.begin(), shards[i].pending.end(),
+                      batch.begin() + static_cast<std::ptrdiff_t>(offset[i]));
+          }
         });
         derived = batch;
       }
@@ -517,6 +574,9 @@ ForwardStats ForwardEngine::run(std::size_t delta_begin) {
       frontier_begin = rewrite_store(frontier_end, stats);
       if (!options_.semi_naive) {
         frontier_begin = 0;
+      }
+      if (clique) {
+        closure->rebuild(store_);
       }
       continue;
     }
@@ -552,6 +612,7 @@ obs::FieldList fields(const ForwardStats& s) {
       {"derived", s.derived},
       {"attempts", s.attempts},
       {"rules_fired", s.firings_per_rule.size()},
+      {"clique_emitted", s.clique_emitted},
       {"eq_intercepted", s.eq_intercepted},
       {"eq_merges", s.eq_merges},
       {"eq_remapped", s.eq_remapped},
@@ -559,6 +620,19 @@ obs::FieldList fields(const ForwardStats& s) {
       {"eq_conflicts", s.eq_conflicts},
       {"endpoint_index_builds", s.endpoint_index_builds},
   };
+}
+
+obs::FieldList fields(const RuleReport& r) {
+  obs::FieldList out;
+  for (std::size_t i = 0; i < r.stats.attempts_per_rule.size(); ++i) {
+    if (r.stats.attempts_per_rule[i] == 0) {
+      continue;
+    }
+    const std::string name = r.rules[i].name + "." + std::to_string(i);
+    out.emplace_back(name + ".attempts", r.stats.attempts_per_rule[i]);
+    out.emplace_back(name + ".firings", r.stats.firings_per_rule[i]);
+  }
+  return out;
 }
 
 }  // namespace parowl::reason

@@ -209,6 +209,7 @@ MaterializeResult materialize(rdf::TripleStore& store,
       fopts.same_as = vocab.owl_same_as;
     }
     const ForwardStats stats = ForwardEngine(store, active, fopts).run(0);
+    obs::publish(RuleReport{stats, active}, "reason.rule");
     result.iterations = stats.iterations;
     result.eq_merges = stats.eq_merges;
     result.eq_conflicts = stats.eq_conflicts;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "parowl/gen/lubm.hpp"
+#include "parowl/gen/uobm.hpp"
 #include "parowl/parallel/cluster.hpp"
 #include "parowl/parallel/router.hpp"
 #include "parowl/partition/data_partition.hpp"
@@ -282,6 +283,62 @@ TEST_F(AsyncEquivalenceTest, KillRestoreUnderFaultsMatchesSync) {
   EXPECT_TRUE(result.report.recovered);
   EXPECT_GT(result.report.injected.total(), 0u);
   std::filesystem::remove_all(ckpt);
+}
+
+// UOBM(10) under the threaded asynchronous executor, 20 runs at each of
+// k = 2 and 4.  Its hasSameHomeTownWith cliques make single async steps and
+// absorbs long, so a worker can sit idle for thousands of polls while a peer
+// is still busy: that is waiting, not a stall, and every run must complete
+// with the synchronous closure.
+TEST(AsyncEquivalenceUobm, ThreadedAsyncCompletesRepeatedly) {
+  rdf::Dictionary dict;
+  const ontology::Vocabulary vocab(dict);
+  rdf::TripleStore store;
+  gen::UobmOptions gopts;
+  gopts.base.universities = 10;
+  gopts.base.seed = 42;
+  gopts.hometowns = 100;  // as `parowl gen uobm --scale 10`
+  gen::generate_uobm(gopts, dict, store);
+  const rules::CompiledRules compiled =
+      reason::compile_ontology(store, vocab, {});
+  const partition::HashOwnerPolicy policy;
+
+  const auto run = [&](std::uint32_t parts, ExecutionMode mode) {
+    partition::DataPartitioning dp =
+        partition::partition_data(store, dict, vocab, policy, parts);
+    const auto router = std::make_shared<OwnerRouter>(std::move(dp.owners));
+    MemoryTransport transport(parts);
+    ClusterOptions copts;
+    copts.mode = mode;
+    Cluster cluster(transport, copts);
+    WorkerOptions wopts;
+    wopts.dict = &dict;
+    for (std::uint32_t p = 0; p < parts; ++p) {
+      cluster.add_worker(compiled.rules, router, wopts);
+      cluster.load(p, dp.parts[p]);
+    }
+    const ClusterResult result = cluster.run();
+    std::vector<std::vector<rdf::Triple>> logs;
+    for (std::uint32_t p = 0; p < parts; ++p) {
+      std::vector<rdf::Triple> log = cluster.worker(p).store().triples();
+      std::sort(log.begin(), log.end());
+      logs.push_back(std::move(log));
+    }
+    return std::pair(std::move(logs), result.union_results);
+  };
+
+  for (const std::uint32_t parts : {2u, 4u}) {
+    const auto want = run(parts, ExecutionMode::kSequentialSimulated);
+    for (int rep = 0; rep < 20; ++rep) {
+      const std::string label =
+          "k=" + std::to_string(parts) + " run " + std::to_string(rep);
+      std::pair<std::vector<std::vector<rdf::Triple>>, std::size_t> got;
+      ASSERT_NO_THROW(got = run(parts, ExecutionMode::kAsyncThreaded))
+          << label;
+      ASSERT_EQ(got.second, want.second) << label;
+      ASSERT_EQ(got.first, want.first) << label;
+    }
+  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "parowl/gen/lubm.hpp"
 #include "parowl/gen/mdc.hpp"
 #include "parowl/gen/sameas.hpp"
+#include "parowl/gen/uobm.hpp"
 #include "parowl/reason/equality.hpp"
 #include "parowl/reason/materialize.hpp"
 
@@ -38,6 +39,11 @@ struct Fixture {
       gen::LubmOptions o;
       o.universities = scale;
       gen::generate_lubm(o, dict, base);
+    } else if (std::string_view(dataset) == "uobm") {
+      gen::UobmOptions o;
+      o.base.universities = scale;
+      o.hometowns = 10 * scale;  // as `parowl gen uobm`
+      gen::generate_uobm(o, dict, base);
     } else {
       gen::MdcOptions o;
       o.fields = 2;
@@ -172,6 +178,23 @@ TEST(EngineEquivalenceTest, MdcClosureIdenticalAcrossAllModes) {
 TEST(EngineEquivalenceTest, MdcClosureIdenticalWithLiteralGuard) {
   const Fixture f("mdc");
   check_all_modes(f, &f.dict);
+}
+
+// UOBM's hasSameHomeTownWith is symmetric and transitive, so semi-naive
+// runs close it with the clique operator while naive evaluation keeps the
+// generic rdfp3/rdfp4 joins: the two must still reach the same closure, and
+// the operator must produce each clique pair about once.
+TEST(EngineEquivalenceTest, UobmClosureIdenticalAcrossAllModes) {
+  const Fixture f("uobm", 3);
+  check_all_modes(f, &f.dict);
+  const RunResult r = run_engine(f, with(true, true, 1, &f.dict));
+  EXPECT_GT(r.stats.clique_emitted, r.stats.derived / 2);
+  EXPECT_LE(r.stats.attempts, 2 * r.stats.derived);
+  std::size_t attempts = 0;
+  for (const std::size_t n : r.stats.attempts_per_rule) {
+    attempts += n;
+  }
+  EXPECT_EQ(attempts, r.stats.attempts);
 }
 
 TEST(EngineEquivalenceTest, DeltaRunsAgreeAcrossThreadCounts) {

@@ -22,6 +22,7 @@
 #include "parowl/gen/lubm.hpp"
 #include "parowl/gen/lubm_queries.hpp"
 #include "parowl/gen/mdc.hpp"
+#include "parowl/gen/uobm.hpp"
 #include "parowl/partition/data_partition.hpp"
 #include "parowl/rdf/flat_index.hpp"
 #include "parowl/reason/maintain.hpp"
@@ -227,6 +228,81 @@ TEST_P(IncrementalEquivalence, LubmSecondSeedMatchesOracle) {
 
 TEST_P(IncrementalEquivalence, MdcRandomStreamMatchesOracle) {
   run_stream_against_oracle(mdc_kb(), GetParam(), /*seed=*/7, /*rounds=*/4);
+}
+
+// UOBM's hasSameHomeTownWith cliques under DRed: the rederivation closure
+// runs the clique operator, whose forests start from the surviving store.
+// Rounds delete base edges (splitting cliques), add edges that merge two
+// cliques, a self-loop and a literal-object edge, then mix both; after each
+// round the maintained store equals a from-scratch closure, with the log
+// bit-identical at 1 and 4 threads.  (FBF's alive check walks whole cliques
+// and is far too slow here; see EXPERIMENTS.md.)
+TEST(IncrementalEquivalenceUobm, DredCliqueSplitsAndMergesMatchOracle) {
+  Kb kb;
+  gen::UobmOptions o;
+  o.base.universities = 2;
+  o.hometowns = 20;  // as `parowl gen uobm --scale 2`
+  gen::generate_uobm(o, kb.dict, kb.store);
+  kb.finish();
+  const rdf::TermId hometown = kb.dict.find(
+      std::string(gen::kUnivBenchNs) + "hasSameHomeTownWith",
+      rdf::TermKind::kIri);
+  std::vector<rdf::Triple> edges;
+  for (const rdf::Triple& t : kb.base) {
+    if (t.p == hometown) {
+      edges.push_back(t);
+    }
+  }
+  ASSERT_GE(edges.size(), 40u);
+
+  std::mt19937_64 rng(16);
+  std::shuffle(edges.begin(), edges.end(), rng);
+  // Two people in different cliques of the initial closure.
+  const rdf::TermId x = edges[0].s;
+  rdf::TermId y = rdf::kAnyTerm;
+  for (const rdf::Triple& t : edges) {
+    if (!kb.store.contains({x, hometown, t.s})) {
+      y = t.s;
+      break;
+    }
+  }
+  ASSERT_NE(y, rdf::kAnyTerm);
+  const rdf::TermId lit = kb.dict.intern_literal("\"Springfield\"");
+
+  struct Round {
+    std::vector<rdf::Triple> adds;
+    std::vector<rdf::Triple> dels;
+  };
+  const std::vector<Round> rounds = {
+      {{}, {edges.begin() + 1, edges.begin() + 16}},
+      {{{x, hometown, y}, {edges[20].o, hometown, edges[30].o}}, {}},
+      {{{edges[40].s, hometown, edges[40].s}, {x, hometown, lit}}, {}},
+      {{{edges[1].s, hometown, y}}, {edges[0], edges[16], edges[17]}},
+      {{}, {{x, hometown, y}}},
+  };
+
+  constexpr unsigned kThreads[] = {1, 4};
+  std::vector<rdf::TripleStore> stores(std::size(kThreads), kb.store);
+  std::vector<rdf::TripleSet> bases(std::size(kThreads),
+                                    rdf::TripleSet(kb.base));
+  for (std::size_t round = 0; round < rounds.size(); ++round) {
+    for (std::size_t i = 0; i < std::size(kThreads); ++i) {
+      MaintainOptions opts;
+      opts.threads = kThreads[i];
+      const MaintainResult r = Maintainer(kb.dict, kb.vocab, opts)
+                                   .apply(stores[i], bases[i],
+                                          rounds[round].adds,
+                                          rounds[round].dels);
+      ASSERT_FALSE(r.schema_changed) << "round " << round;
+      if (round == 0) {
+        // Derived pairs went with the edges: some clique really split.
+        EXPECT_GT(r.removed, rounds[0].dels.size());
+      }
+    }
+    ASSERT_EQ(stores[0].triples(), stores[1].triples()) << "round " << round;
+    ASSERT_EQ(sorted_triples(stores[0]), oracle_closure(kb, bases[0]))
+        << "round " << round;
+  }
 }
 
 // DRed and FBF must agree with each other on identical streams (they both

@@ -158,6 +158,11 @@ struct EquivalenceCase {
   std::uint32_t k;
 };
 
+// Listed names stay stable across builds (see DataPartCase's PrintTo).
+void PrintTo(const EquivalenceCase& c, std::ostream* os) {
+  *os << c.policy << "_k" << c.k;
+}
+
 class EquivalenceProperty : public ::testing::TestWithParam<EquivalenceCase> {
 };
 

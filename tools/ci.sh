@@ -9,9 +9,9 @@
 # tier1 is every fast deterministic suite, tier2 the slower sweeps.  The
 # ASan subset covers the transport/worker/cluster/fault layers plus the
 # ingest pipeline, triple codec, partitioner suite (streaming state
-# machines + split-merge), and incremental maintenance (DRed/FBF in-place
-# erasure) — the places where serialization and concurrency bugs would
-# live.
+# machines + split-merge), incremental maintenance (DRed/FBF in-place
+# erasure), and the forward engine's clique operator — the places where
+# serialization and concurrency bugs would live.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -34,22 +34,22 @@ if [ "$full" = 1 ]; then
   ctest --preset default -j "$jobs" -L tier2
 fi
 
-echo "=== asan subset (transport/worker/cluster/fault/async/ingest/codec/dist/incremental/sameas/partition) ==="
+echo "=== asan subset (transport/worker/cluster/fault/async/ingest/codec/dist/incremental/sameas/partition/clique) ==="
 cmake --preset asan
 cmake --build --preset asan -j "$jobs" \
   --target transport_test worker_test cluster_test fault_injection_test \
   async_test async_equivalence_test codec_test ingest_equivalence_test \
   dist_test incremental_test incremental_equivalence_test \
-  sameas_equivalence_test sameas_serve_test graph_partition_test
-ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|Dist|Incremental|SameAs|Partition|Streaming|SplitMerge'
+  sameas_equivalence_test sameas_serve_test graph_partition_test clique_test
+ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|Dist|Incremental|SameAs|Partition|Streaming|SplitMerge|Clique'
 
-echo "=== tsan subset (obs, dist executor + replica RCU, async steal/token, incremental serve loop + serve oracles, equality rewrite, reader->partitioner chunk sink, parallel ingest merge + bulk insert, engine round barrier) ==="
+echo "=== tsan subset (obs, dist executor + replica RCU, async steal/token, incremental serve loop + serve oracles, equality rewrite, reader->partitioner chunk sink, parallel ingest merge + bulk insert, engine round barrier, clique operator, async-threaded executor on UOBM) ==="
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" --target obs_test dist_test async_test \
   incremental_test incremental_equivalence_test sameas_equivalence_test \
   sameas_serve_test \
   graph_partition_test ingest_equivalence_test engine_equivalence_test \
-  rdf_test util_test
-ctest --preset tsan -j "$jobs" -R 'Obs|Dist|Async|IncrementalServe|IncrementalEquivalence|SameAs|StreamingPartitioner|Ingest|EngineEquivalence|TripleStore|Dictionary|ThreadTeam'
+  rdf_test util_test clique_test async_equivalence_test
+ctest --preset tsan -j "$jobs" -R 'Obs|Dist|Async|IncrementalServe|IncrementalEquivalence|SameAs|StreamingPartitioner|Ingest|EngineEquivalence|TripleStore|Dictionary|ThreadTeam|Clique'
 
 echo "=== ci green ==="

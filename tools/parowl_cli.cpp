@@ -1286,17 +1286,8 @@ int cmd_cluster(const Args& args) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc < 2) {
-    return usage();
-  }
-  const std::string command = argv[1];
-  const Args args(argc, argv, 2);
-  // One RAII session covers every command: configure the sinks up front,
-  // flush the trace/metrics files on the way out.
-  const obs::Session obs_session(obs_options_from(args));
+/// Dispatch one command; usage() for an unknown one.
+int run_command(const std::string& command, const Args& args) {
   if (command == "gen") {
     return cmd_gen(args);
   }
@@ -1331,4 +1322,25 @@ int main(int argc, char** argv) {
     return cmd_serve_dist(args);
   }
   return usage();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc < 2) {
+    return usage();
+  }
+  // Any failure — a bad flag value, unreadable input, a cluster delivery
+  // failure — ends in a message and a non-zero status, never an abort.
+  try {
+    const std::string command = argv[1];
+    const Args args(argc, argv, 2);
+    // One RAII session covers every command: configure the sinks up front,
+    // flush the trace/metrics files on the way out.
+    const obs::Session obs_session(obs_options_from(args));
+    return run_command(command, args);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

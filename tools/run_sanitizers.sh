@@ -16,7 +16,7 @@ presets=("${@:-asan ubsan tsan}")
 # Word-split the default so `run_sanitizers.sh` runs all of them.
 read -r -a presets <<<"${presets[*]}"
 
-tsan_filter='Forward|EngineEquivalence|Serve|Worker|Cluster|Async|Parallel|Updater|Snapshot|Fault|Ingest|Obs|Dist|Incremental|SameAs|TripleStore|Dictionary|ThreadTeam'
+tsan_filter='Forward|EngineEquivalence|Serve|Worker|Cluster|Async|Parallel|Updater|Snapshot|Fault|Ingest|Obs|Dist|Incremental|SameAs|TripleStore|Dictionary|ThreadTeam|Clique'
 
 for preset in "${presets[@]}"; do
   case "$preset" in
