@@ -24,8 +24,9 @@ enum class ExecutionMode {
   /// of physical concurrency.
   kSequentialSimulated,
 
-  /// One thread per worker with std::barrier round synchronization; real
-  /// concurrency (used by the correctness tests and on multi-core hosts).
+  /// One thread (ThreadTeam member) per worker with std::barrier round
+  /// synchronization; real concurrency (used by the correctness tests and
+  /// on multi-core hosts).
   kThreaded,
 
   /// Asynchronous discrete-event simulation (no barriers): the §VI-B
@@ -229,7 +230,11 @@ class Cluster {
 
   /// Run to global quiescence; computes stats and the simulated makespan.
   /// Recovers internally from an injected crash when checkpoints allow.
-  ClusterResult run();
+  /// The threaded executors run worker m as member m of `team`, and the
+  /// post-run union count runs on it too.  `team` must belong to the
+  /// calling thread and have one member per worker; when it is null (or
+  /// sized otherwise) the run makes such a team itself.
+  ClusterResult run(util::ThreadTeam* team = nullptr);
 
   /// Restore every worker from the newest round whose complete per-worker
   /// checkpoint set loads cleanly (torn or damaged files disqualify their
@@ -245,15 +250,17 @@ class Cluster {
 
  private:
   ClusterResult run_sequential();
-  ClusterResult run_threaded();
+  ClusterResult run_threaded(util::ThreadTeam& team);
   ClusterResult run_async();
-  ClusterResult run_async_threaded();
+  ClusterResult run_async_threaded(util::ThreadTeam& team);
   /// Bounded ack/retry delivery of one round, sequential flavour.
   void deliver_round_sequential(std::uint32_t round);
   void checkpoint_worker(Worker& worker, std::uint32_t round);
   [[nodiscard]] bool checkpoint_due(std::uint32_t round) const;
   void finalize(ClusterResult& result);
   void finalize_async(ClusterResult& result, const AsyncStats& stats);
+  /// Fill result.report and publish it with the run's headline gauges.
+  void publish_report(ClusterResult& result);
 
   Transport& transport_;
   ClusterOptions options_;

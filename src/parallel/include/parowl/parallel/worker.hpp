@@ -258,6 +258,11 @@ class Worker {
     return store_.size() - base_size_;
   }
 
+  /// Those triples: the store's log past the initial load.
+  [[nodiscard]] std::span<const rdf::Triple> derived() const {
+    return std::span<const rdf::Triple>(store_.triples()).subspan(base_size_);
+  }
+
   /// Unique derivations credited per rule, accumulated across rounds
   /// (forward strategy only; empty under query-driven workers).
   [[nodiscard]] const std::vector<std::size_t>& rule_firings() const {
@@ -311,5 +316,19 @@ class Worker {
   /// pending_ (+ outbox when logging), ship it.
   void ship_async(Batch batch, std::vector<SentRecord>* sent);
 };
+
+/// Number of distinct triples across `logs` that `exclude` (when non-null)
+/// does not contain.  Counted on `team`: member m owns the triples whose
+/// top TripleHash bits select it, walks every log in order and keeps its
+/// share in its own flat TripleSet, so members never share a set.  The
+/// slot of a triple comes from the low hash bits, so the top-bit split
+/// leaves each member's set evenly filled.
+[[nodiscard]] std::size_t count_distinct(
+    std::span<const std::span<const rdf::Triple>> logs,
+    util::ThreadTeam& team, const rdf::TripleStore* exclude = nullptr);
+
+/// The union_results of a run: distinct derivations across `workers`.
+[[nodiscard]] std::size_t union_of_derived(
+    std::span<const std::unique_ptr<Worker>> workers, util::ThreadTeam& team);
 
 }  // namespace parowl::parallel

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <queue>
-#include <unordered_set>
 
 #include "parowl/obs/obs.hpp"
+#include "parowl/util/thread_team.hpp"
 
 namespace parowl::parallel {
 namespace {
@@ -181,15 +181,11 @@ AsyncResult AsyncSimulator::run() {
   }
 
   // Result-tuple union (same accounting as the round-based cluster).
-  std::unordered_set<rdf::Triple, rdf::TripleHash> union_results;
   for (const auto& worker : workers_) {
     result.results_per_partition.push_back(worker->result_size());
-    const auto& log = worker->store().triples();
-    for (std::size_t i = worker->base_size(); i < log.size(); ++i) {
-      union_results.insert(log[i]);
-    }
   }
-  result.union_results = union_results.size();
+  util::ThreadTeam team(static_cast<unsigned>(workers_.size()));
+  result.union_results = union_of_derived(workers_, team);
   // First-class idle metric, matching the async cluster executors.
   PAROWL_COUNT("parallel.idle_ns",
                static_cast<std::uint64_t>(result.wait_seconds * 1e9));

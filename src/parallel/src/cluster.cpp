@@ -7,12 +7,13 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <thread>
-#include <unordered_set>
 
 #include "parowl/obs/obs.hpp"
 #include "parowl/util/log.hpp"
+#include "parowl/util/thread_team.hpp"
 #include "parowl/util/timer.hpp"
 
 namespace parowl::parallel {
@@ -177,7 +178,7 @@ std::int64_t Cluster::restore_from_checkpoints() {
   throw SimulatedCrash("no complete checkpoint round available");
 }
 
-ClusterResult Cluster::run() {
+ClusterResult Cluster::run(util::ThreadTeam* team) {
   assert(options_.mode != ExecutionMode::kAsyncSimulated &&
          "async mode is handled by AsyncSimulator, not Cluster");
   if (obs::Tracer::global().enabled()) {
@@ -191,20 +192,25 @@ ClusterResult Cluster::run() {
   crash_armed_ = options_.fault_tolerance.crash_at_round >= 0 &&
                  (options_.mode == ExecutionMode::kSequentialSimulated ||
                   options_.mode == ExecutionMode::kAsync);
-  const auto dispatch = [this]() {
+  std::optional<util::ThreadTeam> own;
+  if (team == nullptr || team->size() != workers_.size()) {
+    team = &own.emplace(static_cast<unsigned>(workers_.size()));
+  }
+  const auto dispatch = [this, team]() {
     switch (options_.mode) {
       case ExecutionMode::kAsync:
         return run_async();
       case ExecutionMode::kAsyncThreaded:
-        return run_async_threaded();
+        return run_async_threaded(*team);
       case ExecutionMode::kThreaded:
-        return run_threaded();
+        return run_threaded(*team);
       default:
         return run_sequential();
     }
   };
+  ClusterResult result;
   try {
-    return dispatch();
+    result = dispatch();
   } catch (const SimulatedCrash&) {
     // The killed worker restarts from its last checkpoint; restoring every
     // worker to the same consistent cut is equivalent, since at a round
@@ -214,8 +220,11 @@ ClusterResult Cluster::run() {
     recovered_ = true;
     recovered_from_round_ = round;
     util::log_warn("recovered from crash: resuming at round ", round + 1);
-    return dispatch();
+    result = dispatch();
   }
+  // The result-tuple union for the OR metric.
+  result.union_results = union_of_derived(workers_, *team);
+  return result;
 }
 
 void Cluster::deliver_round_sequential(std::uint32_t round) {
@@ -288,7 +297,7 @@ ClusterResult Cluster::run_sequential() {
   return result;
 }
 
-ClusterResult Cluster::run_threaded() {
+ClusterResult Cluster::run_threaded(util::ThreadTeam& team) {
   util::Stopwatch wall;
   ClusterResult result;
   const FaultToleranceOptions& ft = options_.fault_tolerance;
@@ -334,52 +343,51 @@ ClusterResult Cluster::run_threaded() {
   std::barrier receive_barrier(n);
   std::atomic<std::uint64_t> ckpts{0};
 
-  {
-    std::vector<std::jthread> threads;
-    threads.reserve(workers_.size());
-    for (auto& worker_ptr : workers_) {
-      threads.emplace_back([&, worker = worker_ptr.get()]() {
-        for (std::uint32_t round = start_round_; round < options_.max_rounds;
-             ++round) {
-          const std::size_t sent = worker->compute_and_send(round);
-          round_sent.fetch_add(sent);
-
-          util::Stopwatch sync_watch;
-          compute_barrier.arrive_and_wait();
-          worker->mutable_rounds()[round].sync_seconds +=
-              sync_watch.elapsed_seconds();
-
-          if (done.load()) {
-            return;
-          }
-
-          // Ack/retry delivery loop, in lockstep across threads: collect &
-          // ack, barrier, retransmit what the board is missing, barrier —
-          // until a sweep resends nothing.
-          worker->collect(round, &ack_board_);
-          while (true) {
-            collect_barrier.arrive_and_wait();
-            resent_total.fetch_add(
-                worker->retransmit_unacked(round, ack_board_));
-            resend_barrier.arrive_and_wait();
-            if (delivery_done.load() || delivery_failed.load()) {
-              break;
-            }
-            worker->collect(round, &ack_board_);
-          }
-          if (delivery_failed.load()) {
-            return;
-          }
-          worker->aggregate_round(round);
-          if (checkpoint_due(round)) {
-            checkpoint_worker(*worker, round);
-            ckpts.fetch_add(1);
-          }
-          receive_barrier.arrive_and_wait();
-        }
-      });
+  // Worker m runs as team member m.
+  team.run([&](unsigned m) noexcept {
+    if (m >= workers_.size()) {
+      return;  // a cluster without workers still gets a team of one
     }
-  }  // jthreads join
+    Worker* worker = workers_[m].get();
+    for (std::uint32_t round = start_round_; round < options_.max_rounds;
+         ++round) {
+      const std::size_t sent = worker->compute_and_send(round);
+      round_sent.fetch_add(sent);
+
+      util::Stopwatch sync_watch;
+      compute_barrier.arrive_and_wait();
+      worker->mutable_rounds()[round].sync_seconds +=
+          sync_watch.elapsed_seconds();
+
+      if (done.load()) {
+        return;
+      }
+
+      // Ack/retry delivery loop, in lockstep across threads: collect &
+      // ack, barrier, retransmit what the board is missing, barrier —
+      // until a sweep resends nothing.
+      worker->collect(round, &ack_board_);
+      while (true) {
+        collect_barrier.arrive_and_wait();
+        resent_total.fetch_add(
+            worker->retransmit_unacked(round, ack_board_));
+        resend_barrier.arrive_and_wait();
+        if (delivery_done.load() || delivery_failed.load()) {
+          break;
+        }
+        worker->collect(round, &ack_board_);
+      }
+      if (delivery_failed.load()) {
+        return;
+      }
+      worker->aggregate_round(round);
+      if (checkpoint_due(round)) {
+        checkpoint_worker(*worker, round);
+        ckpts.fetch_add(1);
+      }
+      receive_barrier.arrive_and_wait();
+    }
+  });
 
   checkpoints_written_ += ckpts.load();
   if (delivery_failed.load()) {
@@ -666,7 +674,7 @@ ClusterResult Cluster::run_async() {
   return result;
 }
 
-ClusterResult Cluster::run_async_threaded() {
+ClusterResult Cluster::run_async_threaded(util::ThreadTeam& team) {
   util::Stopwatch wall;
   ClusterResult result;
   AsyncStats stats;
@@ -720,201 +728,199 @@ ClusterResult Cluster::run_async_threaded() {
     }
   }
 
-  {
-    std::vector<std::jthread> threads;
-    threads.reserve(n);
-    for (std::uint32_t w = 0; w < n; ++w) {
-      threads.emplace_back([&, w]() {
-        Worker& worker = *workers_[w];
-        Ctl& c = *ctl[w];
-        bool probe_outstanding = false;
-        std::uint32_t probe_launch_epoch = epoch_base;
-        bool initiator_dirty_since_launch = false;
-        std::uint32_t my_stall = 0;
-        std::uint64_t seen_ticks = 0;
-        util::Stopwatch standstill;  // since the cluster last progressed
+  // Worker w runs as team member w.
+  team.run([&](unsigned w) noexcept {
+    if (w >= n) {
+      return;  // a cluster without workers still gets a team of one
+    }
+    Worker& worker = *workers_[w];
+    Ctl& c = *ctl[w];
+    bool probe_outstanding = false;
+    std::uint32_t probe_launch_epoch = epoch_base;
+    bool initiator_dirty_since_launch = false;
+    std::uint32_t my_stall = 0;
+    std::uint64_t seen_ticks = 0;
+    util::Stopwatch standstill;  // since the cluster last progressed
 
-        while (!terminated.load(std::memory_order_acquire) &&
-               !stalled.load(std::memory_order_acquire) &&
-               !over_budget.load(std::memory_order_acquire)) {
-          bool progress = false;
-          bool passive = false;
-          std::vector<Batch> tokens;
+    while (!terminated.load(std::memory_order_acquire) &&
+           !stalled.load(std::memory_order_acquire) &&
+           !over_budget.load(std::memory_order_acquire)) {
+      bool progress = false;
+      bool passive = false;
+      std::vector<Batch> tokens;
 
-          {
-            const std::scoped_lock lock(c.m);
-            auto arrivals = worker.async_collect(&ack_board_);
-            tokens = std::move(arrivals.tokens);
-            if (arrivals.fresh > 0 || arrivals.batches > 0) {
-              c.dirty.store(true, std::memory_order_release);
-              if (w == 0) {
-                initiator_dirty_since_launch = true;
-              }
-              progress = true;
-            }
-            if (worker.backlog() > 0) {
-              const StepGuard busy(in_step);
-              const auto step = worker.async_step(ao.chunk, nullptr);
-              c.activations += 1;
-              activations.fetch_add(1);
-              c.dirty.store(true, std::memory_order_release);
-              if (w == 0) {
-                initiator_dirty_since_launch = true;
-              }
-              progress = progress || step.consumed > 0;
-            }
-            c.backlog_hint.store(worker.backlog(),
-                                 std::memory_order_release);
-          }
-
-          for (const Batch& token : tokens) {
-            if (token.token_epoch < epoch_base) {
-              continue;
-            }
-            c.has_token = true;
-            c.token_epoch = token.token_epoch;
-            c.token_black = c.token_black || token.token_black;
-            token_passes.fetch_add(1);
-            progress = true;
-          }
-
-          if (!progress && ao.steal) {
-            // Pick the most backlogged peer by hint, then try its lock —
-            // never while holding our own (no nested worker locks).
-            std::uint32_t victim = w;
-            std::size_t best = ao.chunk;  // only steal real backlog
-            for (std::uint32_t v = 0; v < n; ++v) {
-              const std::size_t b =
-                  v == w ? 0
-                         : ctl[v]->backlog_hint.load(
-                               std::memory_order_acquire);
-              if (v != w && workers_[v]->can_steal_from() && b > best) {
-                best = b;
-                victim = v;
-              }
-            }
-            if (victim != w && ctl[victim]->m.try_lock()) {
-              Worker::StealShard shard;
-              std::vector<reason::ForwardEngine::Derivation> derivations;
-              {
-                const std::lock_guard<std::mutex> vlock(
-                    ctl[victim]->m, std::adopt_lock);
-                Worker& vic = *workers_[victim];
-                if (vic.backlog() > ao.chunk) {
-                  const StepGuard busy(in_step);
-                  shard = vic.grant_steal(ao.steal_batch);
-                  derivations = vic.evaluate_shard(shard.lo, shard.hi);
-                  ctl[victim]->dirty.store(true,
-                                           std::memory_order_release);
-                  ctl[victim]->backlog_hint.store(
-                      vic.backlog(), std::memory_order_release);
-                }
-              }
-              if (shard.hi > shard.lo) {
-                obs::Span steal_span("parallel.steal",
-                                     {{"worker", w}, {"victim", victim}},
-                                     100 + w);
-                std::size_t shipped = 0;
-                {
-                  const std::scoped_lock lock(c.m);
-                  shipped = worker.ship_steal_results(victim, derivations,
-                                                      nullptr);
-                  c.dirty.store(true, std::memory_order_release);
-                }
-                if (w == 0) {
-                  initiator_dirty_since_launch = true;
-                }
-                c.activations += 1;
-                activations.fetch_add(1);
-                steals.fetch_add(1);
-                stolen_tuples.fetch_add(shard.hi - shard.lo);
-                steal_derivations.fetch_add(shipped);
-                steal_span.arg({"tuples", shard.hi - shard.lo});
-                progress = true;
-              }
-            }
-          }
-
-          if (progress) {
-            c.idle_polls = 0;
-            my_stall = 0;
-            progress_ticks.fetch_add(1, std::memory_order_acq_rel);
-          } else {
-            obs::Span idle_span("parallel.idle", {{"worker", w}}, 100 + w);
-            util::Stopwatch idle_watch;
-            c.idle_polls += 1;
-            if (c.idle_polls %
-                    std::max<std::uint32_t>(1, ao.retransmit_after) ==
-                0) {
-              const std::scoped_lock lock(c.m);
-              if (worker.release_acked(ack_board_) > 0) {
-                worker.retransmit_unacked_async(ack_board_);
-              }
-            }
-            std::this_thread::yield();
-            c.idle_seconds += idle_watch.elapsed_seconds();
-            const std::uint64_t ticks =
-                progress_ticks.load(std::memory_order_acquire);
-            if (ticks != seen_ticks ||
-                in_step.load(std::memory_order_acquire) > 0) {
-              seen_ticks = ticks;
-              my_stall = 0;
-              standstill.restart();
-            } else if (++my_stall > kAsyncStallLimit &&
-                       standstill.elapsed_seconds() > kAsyncStallSeconds) {
-              stalled.store(true, std::memory_order_release);
-            }
-          }
-
-          {
-            const std::scoped_lock lock(c.m);
-            passive = worker.backlog() == 0 &&
-                      worker.release_acked(ack_board_) == 0;
-          }
-
+      {
+        const std::scoped_lock lock(c.m);
+        auto arrivals = worker.async_collect(&ack_board_);
+        tokens = std::move(arrivals.tokens);
+        if (arrivals.fresh > 0 || arrivals.batches > 0) {
+          c.dirty.store(true, std::memory_order_release);
           if (w == 0) {
-            if (!probe_outstanding && passive && n > 1) {
-              probe_launch_epoch += 1;
-              probe_outstanding = true;
-              initiator_dirty_since_launch = false;
-              c.dirty.store(false, std::memory_order_release);
-              {
-                const std::scoped_lock lock(c.m);
-                worker.send_token(1, probe_launch_epoch, false, nullptr);
-              }
-              token_epochs.fetch_add(1);
-              if (token_epochs.load() > options_.max_rounds) {
-                over_budget.store(true, std::memory_order_release);
-              }
-            } else if (c.has_token &&
-                       c.token_epoch == probe_launch_epoch) {
-              const bool white = !c.token_black;
-              c.has_token = false;
-              c.token_black = false;
-              probe_outstanding = false;
-              if (white && !initiator_dirty_since_launch && passive) {
-                terminated.store(true, std::memory_order_release);
-              }
-            } else if (n == 1 && passive) {
-              terminated.store(true, std::memory_order_release);
-            }
-          } else if (c.has_token && passive) {
-            const bool black =
-                c.token_black || c.dirty.load(std::memory_order_acquire);
-            c.dirty.store(false, std::memory_order_release);
-            c.has_token = false;
-            c.token_black = false;
-            {
-              const std::scoped_lock lock(c.m);
-              worker.send_token((w + 1) % static_cast<std::uint32_t>(n),
-                                c.token_epoch, black, nullptr);
-            }
-            token_passes.fetch_add(1);
+            initiator_dirty_since_launch = true;
+          }
+          progress = true;
+        }
+        if (worker.backlog() > 0) {
+          const StepGuard busy(in_step);
+          const auto step = worker.async_step(ao.chunk, nullptr);
+          c.activations += 1;
+          activations.fetch_add(1);
+          c.dirty.store(true, std::memory_order_release);
+          if (w == 0) {
+            initiator_dirty_since_launch = true;
+          }
+          progress = progress || step.consumed > 0;
+        }
+        c.backlog_hint.store(worker.backlog(),
+                             std::memory_order_release);
+      }
+
+      for (const Batch& token : tokens) {
+        if (token.token_epoch < epoch_base) {
+          continue;
+        }
+        c.has_token = true;
+        c.token_epoch = token.token_epoch;
+        c.token_black = c.token_black || token.token_black;
+        token_passes.fetch_add(1);
+        progress = true;
+      }
+
+      if (!progress && ao.steal) {
+        // Pick the most backlogged peer by hint, then try its lock —
+        // never while holding our own (no nested worker locks).
+        std::uint32_t victim = w;
+        std::size_t best = ao.chunk;  // only steal real backlog
+        for (std::uint32_t v = 0; v < n; ++v) {
+          const std::size_t b =
+              v == w ? 0
+                     : ctl[v]->backlog_hint.load(
+                           std::memory_order_acquire);
+          if (v != w && workers_[v]->can_steal_from() && b > best) {
+            best = b;
+            victim = v;
           }
         }
-      });
+        if (victim != w && ctl[victim]->m.try_lock()) {
+          Worker::StealShard shard;
+          std::vector<reason::ForwardEngine::Derivation> derivations;
+          {
+            const std::lock_guard<std::mutex> vlock(
+                ctl[victim]->m, std::adopt_lock);
+            Worker& vic = *workers_[victim];
+            if (vic.backlog() > ao.chunk) {
+              const StepGuard busy(in_step);
+              shard = vic.grant_steal(ao.steal_batch);
+              derivations = vic.evaluate_shard(shard.lo, shard.hi);
+              ctl[victim]->dirty.store(true,
+                                       std::memory_order_release);
+              ctl[victim]->backlog_hint.store(
+                  vic.backlog(), std::memory_order_release);
+            }
+          }
+          if (shard.hi > shard.lo) {
+            obs::Span steal_span("parallel.steal",
+                                 {{"worker", w}, {"victim", victim}},
+                                 100 + w);
+            std::size_t shipped = 0;
+            {
+              const std::scoped_lock lock(c.m);
+              shipped = worker.ship_steal_results(victim, derivations,
+                                                  nullptr);
+              c.dirty.store(true, std::memory_order_release);
+            }
+            if (w == 0) {
+              initiator_dirty_since_launch = true;
+            }
+            c.activations += 1;
+            activations.fetch_add(1);
+            steals.fetch_add(1);
+            stolen_tuples.fetch_add(shard.hi - shard.lo);
+            steal_derivations.fetch_add(shipped);
+            steal_span.arg({"tuples", shard.hi - shard.lo});
+            progress = true;
+          }
+        }
+      }
+
+      if (progress) {
+        c.idle_polls = 0;
+        my_stall = 0;
+        progress_ticks.fetch_add(1, std::memory_order_acq_rel);
+      } else {
+        obs::Span idle_span("parallel.idle", {{"worker", w}}, 100 + w);
+        util::Stopwatch idle_watch;
+        c.idle_polls += 1;
+        if (c.idle_polls %
+                std::max<std::uint32_t>(1, ao.retransmit_after) ==
+            0) {
+          const std::scoped_lock lock(c.m);
+          if (worker.release_acked(ack_board_) > 0) {
+            worker.retransmit_unacked_async(ack_board_);
+          }
+        }
+        std::this_thread::yield();
+        c.idle_seconds += idle_watch.elapsed_seconds();
+        const std::uint64_t ticks =
+            progress_ticks.load(std::memory_order_acquire);
+        if (ticks != seen_ticks ||
+            in_step.load(std::memory_order_acquire) > 0) {
+          seen_ticks = ticks;
+          my_stall = 0;
+          standstill.restart();
+        } else if (++my_stall > kAsyncStallLimit &&
+                   standstill.elapsed_seconds() > kAsyncStallSeconds) {
+          stalled.store(true, std::memory_order_release);
+        }
+      }
+
+      {
+        const std::scoped_lock lock(c.m);
+        passive = worker.backlog() == 0 &&
+                  worker.release_acked(ack_board_) == 0;
+      }
+
+      if (w == 0) {
+        if (!probe_outstanding && passive && n > 1) {
+          probe_launch_epoch += 1;
+          probe_outstanding = true;
+          initiator_dirty_since_launch = false;
+          c.dirty.store(false, std::memory_order_release);
+          {
+            const std::scoped_lock lock(c.m);
+            worker.send_token(1, probe_launch_epoch, false, nullptr);
+          }
+          token_epochs.fetch_add(1);
+          if (token_epochs.load() > options_.max_rounds) {
+            over_budget.store(true, std::memory_order_release);
+          }
+        } else if (c.has_token &&
+                   c.token_epoch == probe_launch_epoch) {
+          const bool white = !c.token_black;
+          c.has_token = false;
+          c.token_black = false;
+          probe_outstanding = false;
+          if (white && !initiator_dirty_since_launch && passive) {
+            terminated.store(true, std::memory_order_release);
+          }
+        } else if (n == 1 && passive) {
+          terminated.store(true, std::memory_order_release);
+        }
+      } else if (c.has_token && passive) {
+        const bool black =
+            c.token_black || c.dirty.load(std::memory_order_acquire);
+        c.dirty.store(false, std::memory_order_release);
+        c.has_token = false;
+        c.token_black = false;
+        {
+          const std::scoped_lock lock(c.m);
+          worker.send_token((w + 1) % static_cast<std::uint32_t>(n),
+                            c.token_epoch, black, nullptr);
+        }
+        token_passes.fetch_add(1);
+      }
     }
-  }  // jthreads join
+  });
 
   if (stalled.load()) {
     throw DeliveryFailure(
@@ -963,7 +969,6 @@ void Cluster::finalize_async(ClusterResult& result, const AsyncStats& stats) {
   // per-worker maxima (the parallel-makespan contribution of each
   // component), and sync_seconds is the idle analogue.
   result.async_stats = stats;
-  std::unordered_set<rdf::Triple, rdf::TripleHash> union_results;
   for (const auto& worker : workers_) {
     double reason_total = 0.0;
     double io_total = 0.0;
@@ -979,40 +984,13 @@ void Cluster::finalize_async(ClusterResult& result, const AsyncStats& stats) {
         std::max(result.aggregate_seconds, aggregate_total);
     result.reason_seconds_per_worker.push_back(reason_total);
     result.results_per_partition.push_back(worker->result_size());
-    const auto& log = worker->store().triples();
-    for (std::size_t i = worker->base_size(); i < log.size(); ++i) {
-      union_results.insert(log[i]);
-    }
   }
-  result.union_results = union_results.size();
   for (const double idle : stats.idle_seconds_per_worker) {
     result.sync_seconds = std::max(result.sync_seconds, idle);
   }
 
-  RunReport& rep = result.report;
-  for (const auto& worker : workers_) {
-    for (const RoundStats& rs : worker->rounds()) {
-      rep.batches_sent += rs.sent_messages;
-      rep.retransmissions += rs.retransmitted;
-      rep.redeliveries += rs.redelivered;
-      rep.checksum_failures += rs.corrupt_batches;
-    }
-  }
-  rep.injected = transport_.injected_faults();
-  rep.checkpoints_written = checkpoints_written_;
-  rep.backoff_seconds = backoff_seconds_;
-  rep.recovered = recovered_;
-  rep.recovered_from_round = recovered_from_round_;
-
-  obs::publish(rep, "parallel.run");
+  publish_report(result);
   obs::publish(stats, "parallel.async");
-  auto& registry = obs::MetricsRegistry::global();
-  registry.gauge("parallel.rounds").set(static_cast<double>(result.rounds));
-  registry.gauge("parallel.reason_seconds").set(result.reason_seconds);
-  registry.gauge("parallel.io_seconds").set(result.io_seconds);
-  registry.gauge("parallel.sync_seconds").set(result.sync_seconds);
-  registry.gauge("parallel.aggregate_seconds").set(result.aggregate_seconds);
-  registry.gauge("parallel.simulated_seconds").set(result.simulated_seconds);
   // First-class idle metric: total idle nanoseconds across workers.
   PAROWL_COUNT("parallel.idle_ns",
                static_cast<std::uint64_t>(stats.idle_seconds * 1e9));
@@ -1020,6 +998,16 @@ void Cluster::finalize_async(ClusterResult& result, const AsyncStats& stats) {
 
 void Cluster::finalize(ClusterResult& result) {
   const NetworkModel& net = options_.network;
+  // A worker's communication cost in one round: measured, or modeled.
+  const auto comm_of = [&net](const RoundStats& rs) {
+    return net.use_measured_io
+               ? rs.io_seconds
+               : net.latency_seconds * static_cast<double>(rs.sent_messages) +
+                     net.bytes_per_tuple *
+                         static_cast<double>(rs.sent_tuples +
+                                             rs.received_tuples) /
+                         net.bandwidth_bytes_per_sec;
+  };
 
   // Per-round maxima and the simulated makespan.
   result.breakdown.assign(result.rounds, RoundBreakdown{});
@@ -1035,14 +1023,7 @@ void Cluster::finalize(ClusterResult& result) {
       rb.aggregate_max = std::max(rb.aggregate_max, rs.aggregate_seconds);
       rb.tuples_exchanged += rs.sent_tuples;
 
-      const double comm =
-          net.use_measured_io
-              ? rs.io_seconds
-              : net.latency_seconds * static_cast<double>(rs.sent_messages) +
-                    net.bytes_per_tuple *
-                        static_cast<double>(rs.sent_tuples +
-                                            rs.received_tuples) /
-                        net.bandwidth_bytes_per_sec;
+      const double comm = comm_of(rs);
       rb.io_max = std::max(rb.io_max, comm);
       compute_max = std::max(
           compute_max, rs.reason_seconds + rs.aggregate_seconds + comm);
@@ -1055,17 +1036,8 @@ void Cluster::finalize(ClusterResult& result) {
           continue;
         }
         RoundStats& rs = worker->mutable_rounds()[round];
-        const double comm =
-            net.use_measured_io
-                ? rs.io_seconds
-                : net.latency_seconds *
-                          static_cast<double>(rs.sent_messages) +
-                      net.bytes_per_tuple *
-                          static_cast<double>(rs.sent_tuples +
-                                              rs.received_tuples) /
-                          net.bandwidth_bytes_per_sec;
         const double own =
-            rs.reason_seconds + rs.aggregate_seconds + comm;
+            rs.reason_seconds + rs.aggregate_seconds + comm_of(rs);
         rs.sync_seconds = std::max(0.0, compute_max - own);
       }
     }
@@ -1083,9 +1055,8 @@ void Cluster::finalize(ClusterResult& result) {
     result.simulated_seconds += rb.reason_max + rb.aggregate_max + rb.io_max;
   }
 
-  // Per-worker reasoning totals (for predictive rebalancing) and the
-  // result-tuple union for the OR metric.
-  std::unordered_set<rdf::Triple, rdf::TripleHash> union_results;
+  // Per-worker reasoning totals (for predictive rebalancing) and result
+  // sizes for the OR metric.
   for (const auto& worker : workers_) {
     double reason_total = 0.0;
     for (const RoundStats& rs : worker->rounds()) {
@@ -1093,13 +1064,12 @@ void Cluster::finalize(ClusterResult& result) {
     }
     result.reason_seconds_per_worker.push_back(reason_total);
     result.results_per_partition.push_back(worker->result_size());
-    const auto& log = worker->store().triples();
-    for (std::size_t i = worker->base_size(); i < log.size(); ++i) {
-      union_results.insert(log[i]);
-    }
   }
-  result.union_results = union_results.size();
+  result.simulated_seconds += backoff_seconds_;
+  publish_report(result);
+}
 
+void Cluster::publish_report(ClusterResult& result) {
   // Fault-tolerance accounting.
   RunReport& rep = result.report;
   for (const auto& worker : workers_) {
@@ -1115,7 +1085,6 @@ void Cluster::finalize(ClusterResult& result) {
   rep.backoff_seconds = backoff_seconds_;
   rep.recovered = recovered_;
   rep.recovered_from_round = recovered_from_round_;
-  result.simulated_seconds += backoff_seconds_;
 
   // Export the run's headline numbers into the global registry.
   obs::publish(rep, "parallel.run");

@@ -3,11 +3,11 @@
 #include <cassert>
 #include <stdexcept>
 #include <memory>
-#include <unordered_set>
 
 #include "parowl/obs/obs.hpp"
 #include "parowl/ontology/ontology.hpp"
 #include "parowl/rules/dependency_graph.hpp"
+#include "parowl/util/thread_team.hpp"
 #include "parowl/util/timer.hpp"
 
 namespace parowl::parallel {
@@ -58,6 +58,7 @@ Plan make_plan(const rdf::TripleStore& store, const rdf::Dictionary& dict,
                const ontology::Vocabulary& vocab,
                const rules::CompiledRules& compiled,
                const ParallelOptions& options) {
+  PAROWL_SPAN("parallel.plan", {{"partitions", options.partitions}});
   Plan plan;
 
   if (options.approach == Approach::kDataPartition) {
@@ -147,9 +148,25 @@ ParallelResult parallel_materialize(const rdf::TripleStore& store,
   wopts.strategy = options.local_strategy;
   wopts.dict = &dict;
 
-  // Run under the chosen executor.
+  // Run under the chosen executor.  One team, a member per worker, loads
+  // the workers and aggregates their results once they have stopped.
   const auto num_workers = static_cast<std::uint32_t>(plan.workers.size());
+  util::ThreadTeam team(num_workers);
   std::vector<const Worker*> workers;
+
+  // Add the planned workers to `executor` and load them on the team; each
+  // load writes only its own worker.
+  const auto start = [&](auto& executor) {
+    for (WorkerPlan& wp : plan.workers) {
+      const std::uint32_t id =
+          executor.add_worker(std::move(wp.rule_base), wp.router, wopts);
+      workers.push_back(&executor.worker(id));
+    }
+    PAROWL_SPAN("parallel.load", {{"workers", num_workers}});
+    team.for_each(num_workers, [&](std::size_t w) {
+      executor.load(static_cast<std::uint32_t>(w), *plan.workers[w].base);
+    });
+  };
 
   std::unique_ptr<Transport> owned_transport;
   std::unique_ptr<FaultyTransport> faulty;
@@ -158,20 +175,16 @@ ParallelResult parallel_materialize(const rdf::TripleStore& store,
 
   if (options.mode == ExecutionMode::kAsyncSimulated) {
     async.emplace(num_workers, options.network, options.faults);
-    for (std::uint32_t w = 0; w < num_workers; ++w) {
-      async->add_worker(std::move(plan.workers[w].rule_base),
-                        plan.workers[w].router, wopts);
-      async->load(w, *plan.workers[w].base);
+    start(*async);
+    {
+      PAROWL_SPAN("parallel.execute", {{"workers", num_workers}});
+      result.async = async->run();
     }
-    result.async = async->run();
     result.cluster.simulated_seconds = result.async->simulated_seconds;
     result.cluster.sync_seconds = result.async->wait_seconds;
     result.cluster.results_per_partition =
         result.async->results_per_partition;
     result.cluster.union_results = result.async->union_results;
-    for (std::uint32_t w = 0; w < num_workers; ++w) {
-      workers.push_back(&async->worker(w));
-    }
   } else {
     Transport* transport = options.transport;
     if (transport == nullptr) {
@@ -190,51 +203,39 @@ ParallelResult parallel_materialize(const rdf::TripleStore& store,
     copts.async = options.async_exec;
     copts.obs = options.obs;
     cluster.emplace(*transport, copts);
-    for (std::uint32_t w = 0; w < num_workers; ++w) {
-      cluster->add_worker(std::move(plan.workers[w].rule_base),
-                          plan.workers[w].router, wopts);
-      cluster->load(w, *plan.workers[w].base);
-    }
-    result.cluster = cluster->run();
-    for (std::uint32_t w = 0; w < num_workers; ++w) {
-      workers.push_back(&cluster->worker(w));
-    }
+    start(*cluster);
+    PAROWL_SPAN("parallel.execute", {{"workers", num_workers}});
+    result.cluster = cluster->run(&team);
   }
 
   result.output_replication = partition::output_replication(
       result.cluster.results_per_partition, result.cluster.union_results);
 
   // Merge: input ∪ schema ground facts ∪ all worker results (master-side
-  // aggregation; timed for the Fig. 2 breakdown).
+  // aggregation; timed for the Fig. 2 breakdown).  The team insert is
+  // bit-identical to inserting the triples one by one, so the merged log
+  // is the serial one.
   util::Stopwatch merge_watch;
-  std::unordered_set<rdf::Triple, rdf::TripleHash> baseline(
-      store.triples().begin(), store.triples().end());
-  std::size_t inferred = 0;
-  std::unordered_set<rdf::Triple, rdf::TripleHash> seen;
-  auto count_new = [&](const rdf::Triple& t) {
-    if (!baseline.contains(t) && seen.insert(t).second) {
-      ++inferred;
+  {
+    PAROWL_SPAN("parallel.merge", {{"build_merged", options.build_merged}});
+    if (options.build_merged) {
+      rdf::TripleStore merged;
+      merged.insert_all(store.triples(), team);
+      merged.insert_all(compiled.ground_facts, team);
+      for (const Worker* worker : workers) {
+        merged.insert_all(worker->store().triples(), team);
+      }
+      // Every worker's base is part of the (duplicate-free) input, so the
+      // merge added exactly the distinct derivations.
+      result.inferred = merged.size() - store.size();
+      result.merged.emplace(std::move(merged));
+    } else {
+      std::vector<std::span<const rdf::Triple>> logs{compiled.ground_facts};
+      for (const Worker* worker : workers) {
+        logs.push_back(worker->derived());
+      }
+      result.inferred = count_distinct(logs, team, &store);
     }
-  };
-  for (const rdf::Triple& t : compiled.ground_facts) {
-    count_new(t);
-  }
-  for (const Worker* worker : workers) {
-    const auto& log = worker->store().triples();
-    for (std::size_t i = worker->base_size(); i < log.size(); ++i) {
-      count_new(log[i]);
-    }
-  }
-  result.inferred = inferred;
-
-  if (options.build_merged) {
-    rdf::TripleStore merged;
-    merged.insert_all(store.triples());
-    merged.insert_all(compiled.ground_facts);
-    for (const Worker* worker : workers) {
-      merged.insert_all(worker->store().triples());
-    }
-    result.merged.emplace(std::move(merged));
   }
   result.merge_seconds = merge_watch.elapsed_seconds();
   return result;

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <istream>
+#include <numeric>
 #include <ostream>
 #include <unordered_map>
 
 #include "parowl/obs/obs.hpp"
 #include "parowl/rdf/codec.hpp"
 #include "parowl/reason/forward.hpp"
+#include "parowl/util/thread_team.hpp"
 #include "parowl/util/timer.hpp"
 
 namespace parowl::parallel {
@@ -132,18 +134,18 @@ std::size_t Worker::compute_and_send(std::uint32_t round) {
   obs::Span send_span("parallel.send", {{"round", round}, {"worker", id_}},
                       worker_track(id_));
   util::Stopwatch io_watch;
-  for (const Outgoing& out : batches) {
+  for (Outgoing& out : batches) {
     Batch batch;
     batch.from = id_;
     batch.to = out.dest;
     batch.round = round;
     batch.seq = 0;  // one envelope per destination per round
     batch.attempt = 0;
-    batch.tuples = out.tuples;
+    batch.tuples = std::move(out.tuples);
     batch.checksum = batch_checksum(batch.tuples);
+    sent += batch.tuples.size();
     pending_.push_back(batch);  // kept for retransmission until acked
     transport_->send_batch(std::move(batch));
-    sent += out.tuples.size();
     rs.sent_messages += 1;
   }
   rs.io_seconds += io_watch.elapsed_seconds();
@@ -917,6 +919,38 @@ bool Worker::load_checkpoint(std::istream& in, std::uint32_t* round,
     *round = saved_round;
   }
   return true;
+}
+
+std::size_t count_distinct(std::span<const std::span<const rdf::Triple>> logs,
+                           util::ThreadTeam& team,
+                           const rdf::TripleStore* exclude) {
+  const unsigned members = team.size();
+  std::vector<std::size_t> counts(members, 0);
+  team.run([&](unsigned m) {
+    rdf::TripleSet mine;
+    for (const std::span<const rdf::Triple> log : logs) {
+      for (const rdf::Triple& t : log) {
+        const std::size_t hash = rdf::TripleHash{}(t);
+        if ((static_cast<std::uint64_t>(hash) >> 58) % members == m &&
+            (exclude == nullptr || !exclude->contains(t))) {
+          mine.insert(t, hash);
+        }
+      }
+    }
+    counts[m] = mine.size();
+  });
+  return std::accumulate(counts.begin(), counts.end(), std::size_t{0});
+}
+
+std::size_t union_of_derived(std::span<const std::unique_ptr<Worker>> workers,
+                             util::ThreadTeam& team) {
+  PAROWL_SPAN("parallel.union", {{"workers", workers.size()}});
+  std::vector<std::span<const rdf::Triple>> logs;
+  logs.reserve(workers.size());
+  for (const auto& worker : workers) {
+    logs.push_back(worker->derived());
+  }
+  return count_distinct(logs, team);
 }
 
 }  // namespace parowl::parallel

@@ -3,11 +3,15 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <unordered_set>
 
 #include "parowl/gen/lubm.hpp"
 #include "parowl/gen/mdc.hpp"
+#include "parowl/gen/uobm.hpp"
+#include "parowl/ontology/ontology.hpp"
 #include "parowl/parallel/pipeline.hpp"
 #include "parowl/reason/materialize.hpp"
+#include "parowl/rules/dependency_graph.hpp"
 
 namespace parowl::parallel {
 namespace {
@@ -382,6 +386,206 @@ TEST_F(ClusterTest, MdcParallelMatchesSerial) {
     ASSERT_TRUE(result.merged->contains(t));
   }
 }
+
+// -- End-of-run aggregation ---------------------------------------------
+//
+// The master's union count, `inferred` and merged store, across every
+// approach, the deterministic executors and k in {1, 2, 4}, on LUBM(2)
+// and UOBM(1).
+
+enum class Kb { kLubm2, kUobm1 };
+
+struct AggregationCase {
+  Kb kb;
+  Approach approach;
+  ExecutionMode mode;
+  std::uint32_t k;
+};
+
+// The listed test name, e.g. "uobm1_hybrid_threaded_k4".
+void PrintTo(const AggregationCase& c, std::ostream* os) {
+  *os << (c.kb == Kb::kLubm2 ? "lubm2" : "uobm1")
+      << (c.approach == Approach::kDataPartition   ? "_data"
+          : c.approach == Approach::kRulePartition ? "_rule"
+                                                   : "_hybrid")
+      << (c.mode == ExecutionMode::kSequentialSimulated ? "_sequential"
+          : c.mode == ExecutionMode::kThreaded          ? "_threaded"
+                                                        : "_async")
+      << "_k" << c.k;
+}
+
+std::vector<AggregationCase> aggregation_cases() {
+  std::vector<AggregationCase> cases;
+  for (const Kb kb : {Kb::kLubm2, Kb::kUobm1}) {
+    for (const Approach approach :
+         {Approach::kDataPartition, Approach::kRulePartition,
+          Approach::kHybrid}) {
+      for (const ExecutionMode mode :
+           {ExecutionMode::kSequentialSimulated, ExecutionMode::kThreaded,
+            ExecutionMode::kAsync}) {
+        for (const std::uint32_t k : {1u, 2u, 4u}) {
+          cases.push_back({kb, approach, mode, k});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+/// One generated KB and its serial closure, built once per test binary.
+struct AggregationKb {
+  rdf::Dictionary dict;
+  ontology::Vocabulary vocab{dict};
+  rdf::TripleStore store;
+  rdf::TripleStore closure;
+};
+
+const AggregationKb& aggregation_kb(Kb kb) {
+  static AggregationKb kbs[2];
+  static bool built[2] = {false, false};
+  const auto i = static_cast<std::size_t>(kb);
+  AggregationKb& k = kbs[i];
+  if (!built[i]) {
+    if (kb == Kb::kLubm2) {
+      gen::LubmOptions o;
+      o.universities = 2;
+      gen::generate_lubm(o, k.dict, k.store);
+    } else {
+      gen::UobmOptions o;
+      o.base.universities = 1;
+      o.hometowns = 10;
+      gen::generate_uobm(o, k.dict, k.store);
+    }
+    k.closure.insert_all(k.store.triples());
+    reason::materialize(k.closure, k.dict, k.vocab, {});
+    built[i] = true;
+  }
+  return k;
+}
+
+/// The workers parallel_materialize builds for `approach`, added to
+/// `cluster` and loaded, so the test can read their logs.
+void add_workers(Cluster& cluster, const AggregationKb& kb,
+                 const partition::OwnerPolicy& policy, Approach approach,
+                 std::uint32_t k, std::uint32_t rule_parts,
+                 std::vector<std::vector<rdf::Triple>>& bases) {
+  const rules::CompiledRules compiled =
+      reason::compile_ontology(kb.store, kb.vocab, {});
+  WorkerOptions wopts;
+  wopts.dict = &kb.dict;
+  if (approach == Approach::kDataPartition) {
+    partition::DataPartitioning dp =
+        partition::partition_data(kb.store, kb.dict, kb.vocab, policy, k);
+    bases = std::move(dp.parts);
+    const auto router = std::make_shared<OwnerRouter>(std::move(dp.owners));
+    for (std::uint32_t p = 0; p < k; ++p) {
+      cluster.load(cluster.add_worker(compiled.rules, router, wopts),
+                   bases[p]);
+    }
+    return;
+  }
+  const rules::DependencyGraph dep =
+      rules::build_dependency_graph(compiled.rules, &kb.store);
+  if (approach == Approach::kRulePartition) {
+    partition::RulePartitioning rp =
+        partition::partition_rules(compiled.rules, dep, k);
+    bases.assign(1, ontology::split_schema(kb.store, kb.vocab).instance);
+    const auto router = std::make_shared<RuleMatchRouter>(rp.parts);
+    for (std::uint32_t p = 0; p < k; ++p) {
+      cluster.load(cluster.add_worker(rp.parts[p], router, wopts), bases[0]);
+    }
+    return;
+  }
+  partition::DataPartitioning dp =
+      partition::partition_data(kb.store, kb.dict, kb.vocab, policy, k);
+  bases = std::move(dp.parts);
+  const partition::RulePartitioning rp =
+      partition::partition_rules(compiled.rules, dep, rule_parts);
+  const auto router =
+      std::make_shared<HybridRouter>(std::move(dp.owners), rp.parts);
+  for (std::uint32_t d = 0; d < k; ++d) {
+    for (std::uint32_t j = 0; j < rule_parts; ++j) {
+      cluster.load(cluster.add_worker(rp.parts[j], router, wopts), bases[d]);
+    }
+  }
+}
+
+class ClusterAggregationTest
+    : public ::testing::TestWithParam<AggregationCase> {};
+
+TEST_P(ClusterAggregationTest, MergedInferredAndUnionMatchTheOracles) {
+  const auto [which, approach, mode, k] = GetParam();
+  const AggregationKb& kb = aggregation_kb(which);
+  const partition::GraphOwnerPolicy policy;
+  ParallelOptions opts;
+  opts.partitions = k;
+  opts.approach = approach;
+  opts.policy = &policy;
+  opts.mode = mode;
+
+  // The merged store is the serial closure, as a set, and `inferred` is
+  // what it adds to the input.
+  const ParallelResult first =
+      parallel_materialize(kb.store, kb.dict, kb.vocab, opts);
+  ASSERT_TRUE(first.merged.has_value());
+  const rdf::TripleStore& merged = *first.merged;
+  ASSERT_EQ(merged.size(), kb.closure.size());
+  for (const rdf::Triple& t : kb.closure.triples()) {
+    ASSERT_TRUE(merged.contains(t));
+  }
+  EXPECT_EQ(first.inferred, kb.closure.size() - kb.store.size());
+
+  // A second run gives the same merged log, byte for byte.
+  const ParallelResult second =
+      parallel_materialize(kb.store, kb.dict, kb.vocab, opts);
+  ASSERT_TRUE(second.merged.has_value());
+  EXPECT_TRUE(second.merged->triples() == merged.triples());
+  EXPECT_EQ(second.cluster.union_results, first.cluster.union_results);
+
+  // Without the merged store, `inferred` is counted, not built.
+  opts.build_merged = false;
+  const ParallelResult counted =
+      parallel_materialize(kb.store, kb.dict, kb.vocab, opts);
+  EXPECT_FALSE(counted.merged.has_value());
+  EXPECT_EQ(counted.inferred, first.inferred);
+  EXPECT_EQ(counted.cluster.union_results, first.cluster.union_results);
+
+  // union_results against a node-based set over the workers' derived logs,
+  // on a cluster built the way parallel_materialize builds it.
+  MemoryTransport transport(approach == Approach::kHybrid
+                                ? k * opts.rule_partitions
+                                : k);
+  ClusterOptions copts;
+  copts.mode = mode;
+  Cluster cluster(transport, copts);
+  std::vector<std::vector<rdf::Triple>> bases;
+  add_workers(cluster, kb, policy, approach, k, opts.rule_partitions, bases);
+  const ClusterResult direct = cluster.run();
+  std::unordered_set<rdf::Triple, rdf::TripleHash> derived;
+  std::size_t results = 0;
+  for (std::uint32_t w = 0; w < cluster.num_workers(); ++w) {
+    const Worker& worker = cluster.worker(w);
+    const std::vector<rdf::Triple>& log = worker.store().triples();
+    for (std::size_t i = worker.base_size(); i < log.size(); ++i) {
+      derived.insert(log[i]);
+      ++results;
+    }
+  }
+  EXPECT_EQ(direct.union_results, derived.size());
+  EXPECT_EQ(first.cluster.union_results, derived.size());
+  std::size_t summed = 0;
+  for (const std::size_t r : first.cluster.results_per_partition) {
+    summed += r;
+  }
+  EXPECT_EQ(summed, results);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllConfigurations, ClusterAggregationTest,
+    ::testing::ValuesIn(aggregation_cases()),
+    [](const ::testing::TestParamInfo<AggregationCase>& c) {
+      return ::testing::PrintToString(c.param);
+    });
 
 }  // namespace
 }  // namespace parowl::parallel
