@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -12,40 +13,35 @@
 
 namespace parowl::parallel {
 
-/// How worker rounds are executed.
+/// How a cluster run is executed: Algorithm 3's round-synchronous loop or
+/// the asynchronous variant of §VI-B, each with its per-worker steps run
+/// either on the calling thread or with worker m on thread-team member m.
 enum class ExecutionMode {
-  /// Workers run one at a time inside each round; per-worker compute time
-  /// is measured cleanly (single-threaded) and the parallel makespan is
-  /// *simulated* as sum over rounds of the slowest worker plus
-  /// communication.  This is the mode the benchmark harnesses use: on a
-  /// single-core host it is the honest stand-in for the paper's 16-node
-  /// cluster, because the paper's reported quantities (speedup, per-round
-  /// overhead shares) are functions of per-partition work and traffic, not
-  /// of physical concurrency.
+  /// Rounds, with the workers stepped one at a time on the calling thread.
+  /// Per-worker compute time is measured without interference and the
+  /// parallel makespan is *modelled* as the sum over rounds of the slowest
+  /// worker plus communication: the paper's reported quantities (speedup,
+  /// per-round overhead shares) are functions of per-partition work and
+  /// traffic, not of physical concurrency.
   kSequentialSimulated,
 
-  /// One thread (ThreadTeam member) per worker with std::barrier round
-  /// synchronization; real concurrency (used by the correctness tests and
-  /// on multi-core hosts).
+  /// Rounds, with worker m stepped by thread-team member m in every phase
+  /// (real concurrency).  Store logs, firings and round counts are
+  /// bit-identical to kSequentialSimulated.
   kThreaded,
 
-  /// Asynchronous discrete-event simulation (no barriers): the §VI-B
-  /// improvement the paper proposes.  Handled by AsyncSimulator; the
-  /// round-based Cluster rejects this mode.
-  kAsyncSimulated,
-
   /// Asynchronous execution over the real Transport/ack machinery, driven
-  /// deterministically on one thread with per-worker virtual clocks:
-  /// workers drain arrivals as they come, evaluate bounded frontier
+  /// deterministically on the calling thread with per-worker virtual
+  /// clocks: workers drain arrivals as they come, evaluate bounded frontier
   /// chunks, steal frontier shards from the most-backlogged peer when
   /// idle, and terminate via a Dijkstra-style token ring — no round
   /// barrier.  The closure SET is bit-identical to the synchronous modes
   /// (monotone closure: the fixpoint is interleaving-independent).
   kAsync,
 
-  /// Same protocol with one real thread per worker (mutex-guarded worker
-  /// state, lock-free backlog hints) — the mode TSan exercises, since
-  /// stealing introduces genuine cross-worker sharing.
+  /// Same protocol with worker m polled by thread-team member m
+  /// (mutex-guarded worker state, lock-free backlog hints) — the mode TSan
+  /// exercises, since stealing introduces genuine cross-worker sharing.
   kAsyncThreaded,
 };
 
@@ -84,13 +80,14 @@ struct FaultToleranceOptions {
   double backoff_base_seconds = 100e-6;
   double backoff_multiplier = 2.0;
 
-  /// Crash injection for recovery tests (sequential mode only): when
-  /// `crash_at_round` >= 0, worker `crash_worker` dies — throws
-  /// SimulatedCrash — as the round reaches its compute phase.  `run()`
-  /// then restores the whole cluster from the last complete checkpoint set
-  /// (the single-process equivalent of restarting the killed node: at a
-  /// round boundary the survivors' checkpoints equal their live state) and
-  /// resumes.
+  /// Crash injection for recovery tests (kSequentialSimulated and kAsync
+  /// only): when `crash_at_round` >= 0, worker `crash_worker` dies —
+  /// throws SimulatedCrash — as round `crash_at_round` reaches its compute
+  /// phase (kAsync: at its `crash_at_round`-th activation once an epoch
+  /// checkpoint exists).  `run()` then restores the whole cluster from the
+  /// last complete checkpoint set (the single-process equivalent of
+  /// restarting the killed node: at a round boundary the survivors'
+  /// checkpoints equal their live state) and resumes.
   std::int64_t crash_at_round = -1;
   std::uint32_t crash_worker = 0;
 };
@@ -146,7 +143,9 @@ class SimulatedCrash : public std::runtime_error {
 };
 
 /// Thrown when a round cannot be fully delivered within
-/// FaultToleranceOptions::max_retries sub-iterations.
+/// FaultToleranceOptions::max_retries sub-iterations, when a run needs more
+/// than ClusterOptions::max_rounds rounds (or termination-token epochs),
+/// and when an asynchronous run stalls.
 class DeliveryFailure : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -207,8 +206,10 @@ struct ClusterResult {
 };
 
 /// The parallel reasoner of Algorithm 3: a set of workers, a transport, and
-/// the round-synchronous driver with quiescence termination (a round in
-/// which no worker ships any tuple ends the run — nothing is in transit).
+/// two drivers.  The round driver terminates on quiescence (a round in
+/// which no worker ships any tuple ends the run — nothing is in transit);
+/// the async driver (kAsync / kAsyncThreaded) polls workers without a
+/// barrier and detects termination with a token ring.
 ///
 /// Delivery within each round is an ack/retry loop: workers collect and
 /// acknowledge validated envelopes, senders retransmit whatever the shared
@@ -230,7 +231,7 @@ class Cluster {
 
   /// Run to global quiescence; computes stats and the simulated makespan.
   /// Recovers internally from an injected crash when checkpoints allow.
-  /// The threaded executors run worker m as member m of `team`, and the
+  /// The threaded modes step worker m on member m of `team`, and the
   /// post-run union count runs on it too.  `team` must belong to the
   /// calling thread and have one member per worker; when it is null (or
   /// sized otherwise) the run makes such a team itself.
@@ -249,12 +250,20 @@ class Cluster {
   [[nodiscard]] std::size_t num_workers() const { return workers_.size(); }
 
  private:
-  ClusterResult run_sequential();
-  ClusterResult run_threaded(util::ThreadTeam& team);
-  ClusterResult run_async();
-  ClusterResult run_async_threaded(util::ThreadTeam& team);
-  /// Bounded ack/retry delivery of one round, sequential flavour.
-  void deliver_round_sequential(std::uint32_t round);
+  struct AsyncState;
+
+  /// The drivers.  With `team` null every per-worker step runs on the
+  /// calling thread in worker order; otherwise worker m runs on member m.
+  ClusterResult run_rounds(util::ThreadTeam* team);
+  ClusterResult run_async(util::ThreadTeam* team);
+  /// Call `step` on every worker, inline or one worker per team member.
+  void each_worker(util::ThreadTeam* team,
+                   const std::function<void(Worker&)>& step);
+  /// Bounded ack/retry delivery of one round, then aggregation.
+  void deliver_round(std::uint32_t round, util::ThreadTeam* team);
+  /// One asynchronous scheduling step of worker `w`: drain arrivals,
+  /// evaluate a chunk or steal, retransmit when idle, pass the token.
+  void poll(std::uint32_t w, AsyncState& state);
   void checkpoint_worker(Worker& worker, std::uint32_t round);
   [[nodiscard]] bool checkpoint_due(std::uint32_t round) const;
   void finalize(ClusterResult& result);

@@ -2,7 +2,6 @@
 
 #include <optional>
 
-#include "parowl/parallel/async_sim.hpp"
 #include "parowl/parallel/cluster.hpp"
 #include "parowl/partition/data_partition.hpp"
 #include "parowl/partition/metrics.hpp"
@@ -63,10 +62,9 @@ struct ParallelOptions {
   Transport* transport = nullptr;
 
   /// Fault injection: when non-null (must outlive the call), the transport
-  /// is wrapped in a deterministic FaultyTransport driven by this spec —
-  /// or, under kAsyncSimulated, the spec drives the event-queue fault
-  /// hooks.  The closure is provably unaffected; only the overhead
-  /// accounting changes.
+  /// is wrapped in a deterministic FaultyTransport driven by this spec.
+  /// The closure is provably unaffected; only the overhead accounting
+  /// changes.
   const FaultSpec* faults = nullptr;
 
   /// Round-granular checkpointing directory ("" = disabled) and the
@@ -84,13 +82,8 @@ struct ParallelOptions {
 
 /// Outcome of a parallel run.
 struct ParallelResult {
-  /// Round-based executor results.  Under kAsyncSimulated only the shared
-  /// fields (simulated_seconds, results_per_partition, union_results) are
-  /// filled here; the full async stats are in `async`.
+  /// What the cluster run did.
   ClusterResult cluster;
-
-  /// Present iff options.mode == ExecutionMode::kAsyncSimulated.
-  std::optional<AsyncResult> async;
 
   /// Data-partitioning quality metrics (bal, IR); empty for rule runs.
   std::optional<partition::PartitionMetrics> metrics;

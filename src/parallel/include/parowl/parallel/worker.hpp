@@ -59,8 +59,7 @@ struct Outgoing {
 /// triple store and rule subset; each round it (a) closes its store under
 /// its rules, (b) routes and sends fresh derivations, and after the barrier
 /// (c) merges received tuples.  Workers never share mutable state — all
-/// exchange goes through the Transport (round mode) or the caller (the
-/// asynchronous simulator owns delivery itself).
+/// exchange goes through the Transport.
 ///
 /// Delivery is exactly-once *effective*: envelopes carry a checksum and a
 /// unique batch id; `collect` discards corrupt envelopes (forcing a
@@ -70,6 +69,7 @@ struct Outgoing {
 /// to the fault-free run's.
 class Worker {
  public:
+  /// `transport` must be non-null and outlive the worker.
   Worker(std::uint32_t id, rules::RuleSet rule_base,
          std::shared_ptr<const Router> router, Transport* transport,
          WorkerOptions options);
@@ -80,12 +80,11 @@ class Worker {
   /// Close the store under this worker's rules starting from the current
   /// frontier and route the fresh derivations.  Returns the outgoing
   /// batches (sorted by destination); `compute_seconds`, when non-null,
-  /// receives the measured reasoning time.  Transport-independent (used by
-  /// the async simulator).
+  /// receives the measured reasoning time.  Sends nothing itself.
   std::vector<Outgoing> compute_local(double* compute_seconds = nullptr);
 
-  /// Merge a delta of foreign tuples into the store (no transport involved;
-  /// used by the async simulator).  Returns the number of new tuples.
+  /// Merge a delta of foreign tuples into the store (no transport
+  /// involved).  Returns the number of new tuples.
   std::size_t absorb(std::span<const rdf::Triple> tuples);
 
   /// Round phase A: local closure from the current frontier, then route and
@@ -281,7 +280,7 @@ class Worker {
   std::uint32_t id_;
   rules::RuleSet rule_base_;
   std::shared_ptr<const Router> router_;
-  Transport* transport_;  // null when driven by the async simulator
+  Transport* transport_;  // never null
   WorkerOptions options_;
 
   rdf::TripleStore store_;

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
-#include <cassert>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <thread>
@@ -33,14 +32,11 @@ fs::path checkpoint_path(const std::string& dir, std::uint32_t worker,
 /// Mirrors the send-sequence gap the worker applies on checkpoint load.
 constexpr std::uint32_t kRecoveryEpochGap = 1u << 20;
 
-/// Safety valve: consecutive full scheduler cycles in which *nothing*
-/// happened anywhere (no arrival, no evaluation, no steal, no token hop,
-/// no ack released) before the async executor declares a livelock.  The
-/// threaded executor counts a worker's idle polls the same way, but resets
-/// the count whenever any worker progressed or is inside a step, and also
-/// requires kAsyncStallSeconds of that standstill: a stall is the whole
-/// cluster standing still, not one worker waiting on a peer's long
-/// evaluation or absorb.
+/// Safety valve of the async driver: a worker's idle polls while no worker
+/// progressed (no arrival, evaluation, steal or token) and none is inside
+/// a step, before the run is declared stalled.  The standstill must also
+/// last kAsyncStallSeconds: a stall is the whole cluster standing still,
+/// not one worker waiting on a peer's long evaluation or absorb.
 constexpr std::uint32_t kAsyncStallLimit = 10000;
 constexpr double kAsyncStallSeconds = 2.0;
 
@@ -179,34 +175,30 @@ std::int64_t Cluster::restore_from_checkpoints() {
 }
 
 ClusterResult Cluster::run(util::ThreadTeam* team) {
-  assert(options_.mode != ExecutionMode::kAsyncSimulated &&
-         "async mode is handled by AsyncSimulator, not Cluster");
   if (obs::Tracer::global().enabled()) {
     // Per-worker virtual tracks (100 + id, matching worker.cpp) so the
-    // trace has one row per worker even in sequential-simulated mode.
+    // trace has one row per worker even when all run on one thread.
     for (const auto& worker : workers_) {
       obs::Tracer::global().name_track(
           100 + worker->id(), "worker " + std::to_string(worker->id()));
     }
   }
+  const ExecutionMode mode = options_.mode;
   crash_armed_ = options_.fault_tolerance.crash_at_round >= 0 &&
-                 (options_.mode == ExecutionMode::kSequentialSimulated ||
-                  options_.mode == ExecutionMode::kAsync);
+                 (mode == ExecutionMode::kSequentialSimulated ||
+                  mode == ExecutionMode::kAsync);
   std::optional<util::ThreadTeam> own;
   if (team == nullptr || team->size() != workers_.size()) {
     team = &own.emplace(static_cast<unsigned>(workers_.size()));
   }
-  const auto dispatch = [this, team]() {
-    switch (options_.mode) {
-      case ExecutionMode::kAsync:
-        return run_async();
-      case ExecutionMode::kAsyncThreaded:
-        return run_async_threaded(*team);
-      case ExecutionMode::kThreaded:
-        return run_threaded(*team);
-      default:
-        return run_sequential();
-    }
+  util::ThreadTeam* const steps =
+      mode == ExecutionMode::kThreaded || mode == ExecutionMode::kAsyncThreaded
+          ? team
+          : nullptr;
+  const bool async =
+      mode == ExecutionMode::kAsync || mode == ExecutionMode::kAsyncThreaded;
+  const auto dispatch = [&]() {
+    return async ? run_async(steps) : run_rounds(steps);
   };
   ClusterResult result;
   try {
@@ -227,182 +219,105 @@ ClusterResult Cluster::run(util::ThreadTeam* team) {
   return result;
 }
 
-void Cluster::deliver_round_sequential(std::uint32_t round) {
+void Cluster::each_worker(util::ThreadTeam* team,
+                          const std::function<void(Worker&)>& step) {
+  if (team == nullptr) {
+    for (auto& worker : workers_) {
+      step(*worker);
+    }
+    return;
+  }
+  // Worker m on member m in every phase, never on whichever member is
+  // free: a worker whose allocations hop between threads draws fresh
+  // malloc arenas and inflates peak RSS.
+  team->run([&](unsigned m) {
+    if (m < workers_.size()) {
+      step(*workers_[m]);
+    }
+  });
+}
+
+void Cluster::deliver_round(std::uint32_t round, util::ThreadTeam* team) {
   PAROWL_SPAN("parallel.deliver", {{"round", round}});
   const FaultToleranceOptions& ft = options_.fault_tolerance;
+  std::vector<std::size_t> resent(workers_.size());
+  const auto collect = [&](Worker& worker) {
+    worker.collect(round, &ack_board_);
+  };
   ack_board_.clear();
 
-  for (auto& worker : workers_) {
-    worker->collect(round, &ack_board_);
-  }
+  each_worker(team, collect);
   double backoff = ft.backoff_base_seconds;
   for (std::uint32_t retry = 0;; ++retry) {
-    std::size_t resent = 0;
-    for (auto& worker : workers_) {
-      resent += worker->retransmit_unacked(round, ack_board_);
-    }
-    if (resent == 0) {
+    each_worker(team, [&](Worker& worker) {
+      resent[worker.id()] = worker.retransmit_unacked(round, ack_board_);
+    });
+    const std::size_t total =
+        std::accumulate(resent.begin(), resent.end(), std::size_t{0});
+    if (total == 0) {
       break;  // every envelope of the round is acknowledged
     }
     if (retry >= ft.max_retries) {
       std::ostringstream msg;
-      msg << "round " << round << ": " << resent
+      msg << "round " << round << ": " << total
           << " batches undelivered after " << ft.max_retries << " retries";
       throw DeliveryFailure(msg.str());
     }
     backoff_seconds_ += backoff;  // virtual: charged, not slept
     backoff *= ft.backoff_multiplier;
-    for (auto& worker : workers_) {
-      worker->collect(round, &ack_board_);
-    }
+    each_worker(team, collect);
   }
-  for (auto& worker : workers_) {
-    worker->aggregate_round(round);
-  }
-}
-
-ClusterResult Cluster::run_sequential() {
-  util::Stopwatch wall;
-  ClusterResult result;
-  const FaultToleranceOptions& ft = options_.fault_tolerance;
-
-  for (std::uint32_t round = start_round_; round < options_.max_rounds;
-       ++round) {
-    std::size_t total_sent = 0;
-    for (auto& worker : workers_) {
-      if (crash_armed_ &&
-          static_cast<std::int64_t>(round) == ft.crash_at_round &&
-          worker->id() == ft.crash_worker) {
-        crash_armed_ = false;  // the restarted worker does not die again
-        throw SimulatedCrash("worker " + std::to_string(worker->id()) +
-                             " killed at round " + std::to_string(round));
-      }
-      total_sent += worker->compute_and_send(round);
-    }
-    result.rounds = round + 1;
-    if (total_sent == 0) {
-      break;  // quiescent: nothing in transit anywhere
-    }
-    deliver_round_sequential(round);
-    if (checkpoint_due(round)) {
-      for (auto& worker : workers_) {
-        checkpoint_worker(*worker, round);
-        ++checkpoints_written_;
-      }
-    }
-  }
-
-  result.wall_seconds = wall.elapsed_seconds();
-  finalize(result);
-  return result;
-}
-
-ClusterResult Cluster::run_threaded(util::ThreadTeam& team) {
-  util::Stopwatch wall;
-  ClusterResult result;
-  const FaultToleranceOptions& ft = options_.fault_tolerance;
-
-  const auto n = static_cast<std::ptrdiff_t>(workers_.size());
-  std::atomic<std::size_t> round_sent{0};
-  std::atomic<std::size_t> resent_total{0};
-  std::atomic<bool> done{false};
-  std::atomic<bool> delivery_done{false};
-  std::atomic<bool> delivery_failed{false};
-  std::atomic<std::uint32_t> rounds_executed{start_round_};
-  std::atomic<std::uint32_t> delivery_retries{0};
-
-  // Completion step of the post-compute barrier: decide termination for
-  // the round everyone just finished, and reset the delivery loop.
-  auto on_compute_done = [&]() noexcept {
-    rounds_executed.fetch_add(1);
-    if (round_sent.exchange(0) == 0) {
-      done.store(true);
-    }
-    ack_board_.clear();
-    delivery_retries.store(0);
-    delivery_done.store(false);
-  };
-  // Completion step after each retransmission sweep: the round's delivery
-  // is complete when nobody had anything left to resend.
-  auto on_resend_done = [&]() noexcept {
-    if (resent_total.exchange(0) == 0) {
-      delivery_done.store(true);
-      return;
-    }
-    const std::uint32_t retry = delivery_retries.fetch_add(1);
-    if (retry >= ft.max_retries) {
-      delivery_failed.store(true);
-    } else {
-      backoff_seconds_ += ft.backoff_base_seconds *
-                          std::pow(ft.backoff_multiplier, retry);
-    }
-  };
-  std::barrier compute_barrier(n, on_compute_done);
-  std::barrier collect_barrier(n);
-  std::barrier resend_barrier(n, on_resend_done);
-  std::barrier receive_barrier(n);
-  std::atomic<std::uint64_t> ckpts{0};
-
-  // Worker m runs as team member m.
-  team.run([&](unsigned m) noexcept {
-    if (m >= workers_.size()) {
-      return;  // a cluster without workers still gets a team of one
-    }
-    Worker* worker = workers_[m].get();
-    for (std::uint32_t round = start_round_; round < options_.max_rounds;
-         ++round) {
-      const std::size_t sent = worker->compute_and_send(round);
-      round_sent.fetch_add(sent);
-
-      util::Stopwatch sync_watch;
-      compute_barrier.arrive_and_wait();
-      worker->mutable_rounds()[round].sync_seconds +=
-          sync_watch.elapsed_seconds();
-
-      if (done.load()) {
-        return;
-      }
-
-      // Ack/retry delivery loop, in lockstep across threads: collect &
-      // ack, barrier, retransmit what the board is missing, barrier —
-      // until a sweep resends nothing.
-      worker->collect(round, &ack_board_);
-      while (true) {
-        collect_barrier.arrive_and_wait();
-        resent_total.fetch_add(
-            worker->retransmit_unacked(round, ack_board_));
-        resend_barrier.arrive_and_wait();
-        if (delivery_done.load() || delivery_failed.load()) {
-          break;
-        }
-        worker->collect(round, &ack_board_);
-      }
-      if (delivery_failed.load()) {
-        return;
-      }
-      worker->aggregate_round(round);
-      if (checkpoint_due(round)) {
-        checkpoint_worker(*worker, round);
-        ckpts.fetch_add(1);
-      }
-      receive_barrier.arrive_and_wait();
+  const bool checkpoint = checkpoint_due(round);
+  each_worker(team, [&](Worker& worker) {
+    worker.aggregate_round(round);
+    if (checkpoint) {
+      checkpoint_worker(worker, round);
     }
   });
+  if (checkpoint) {
+    checkpoints_written_ += workers_.size();
+  }
+}
 
-  checkpoints_written_ += ckpts.load();
-  if (delivery_failed.load()) {
-    throw DeliveryFailure("round delivery exceeded max_retries");
+ClusterResult Cluster::run_rounds(util::ThreadTeam* team) {
+  util::Stopwatch wall;
+  ClusterResult result;
+  const FaultToleranceOptions& ft = options_.fault_tolerance;
+  std::vector<std::size_t> sent(workers_.size());
+
+  for (std::uint32_t round = start_round_;; ++round) {
+    if (round >= options_.max_rounds) {
+      // Every round so far shipped tuples: stopping here would return an
+      // incomplete closure as if it were the fixpoint.
+      throw DeliveryFailure("round driver exceeded max_rounds (" +
+                            std::to_string(options_.max_rounds) +
+                            ") with tuples still in flight");
+    }
+    each_worker(team, [&](Worker& worker) {
+      if (crash_armed_ &&
+          static_cast<std::int64_t>(round) == ft.crash_at_round &&
+          worker.id() == ft.crash_worker) {
+        crash_armed_ = false;  // the restarted worker does not die again
+        throw SimulatedCrash("worker " + std::to_string(worker.id()) +
+                             " killed at round " + std::to_string(round));
+      }
+      sent[worker.id()] = worker.compute_and_send(round);
+    });
+    result.rounds = round + 1;
+    if (std::accumulate(sent.begin(), sent.end(), std::size_t{0}) == 0) {
+      break;  // quiescent: nothing in transit anywhere
+    }
+    deliver_round(round, team);
   }
 
-  result.rounds = rounds_executed.load();
   result.wall_seconds = wall.elapsed_seconds();
   finalize(result);
   return result;
 }
 
-// -- Asynchronous executors -------------------------------------------
+// -- Asynchronous driver ----------------------------------------------
 //
-// Both async modes drop the round barrier: each worker drains arrivals as
+// The async modes drop the round barrier: each worker drains arrivals as
 // they come (async_collect), evaluates bounded frontier chunks
 // (async_step), and — when idle — steals a frontier shard from the most-
 // backlogged peer, evaluating it against the victim's store and shipping
@@ -422,40 +337,286 @@ ClusterResult Cluster::run_threaded(util::ThreadTeam& team) {
 // schedule, and steal decision — the equivalence sweep asserts exactly
 // this.
 
-ClusterResult Cluster::run_async() {
-  util::Stopwatch wall;
-  ClusterResult result;
-  AsyncStats stats;
+namespace {
+
+/// Per-worker scheduler state.  The mutex guards the Worker (store,
+/// frontier, pending, outbox); `dirty` and `backlog_hint` are written by
+/// thieves too; everything else belongs to the worker's own poll.
+struct AsyncWorker {
+  std::mutex m;
+  /// Activity since the last token forward (worker 0: since the last
+  /// probe launch).
+  std::atomic<bool> dirty{true};
+  std::atomic<std::size_t> backlog_hint{0};
+  bool has_token = false;
+  std::uint32_t token_epoch = 0;
+  bool token_black = false;
+  std::uint32_t idle_polls = 0;
+  double vclock = 0.0;  // busy seconds: compute + modeled/measured comm
+  double idle_seconds = 0.0;  // measured idle polling (team flavour)
+  std::uint64_t activations = 0;
+  // Stall detection: idle polls since the cluster last progressed.
+  std::uint32_t still_polls = 0;
+  std::uint64_t seen_ticks = 0;
+  util::Stopwatch standstill;
+};
+
+}  // namespace
+
+struct Cluster::AsyncState {
+  AsyncState(std::size_t n, bool on_team, std::uint32_t base)
+      : workers(n), threaded(on_team), epoch_base(base), probe_epoch(base) {}
+
+  std::vector<AsyncWorker> workers;
+  bool threaded;  // each worker polled by its own team member
+  /// Probe epochs restart above any pre-crash epoch after a recovery, just
+  /// as worker send sequences do; older tokens are stale.
+  std::uint32_t epoch_base;
+  // Probe state, touched by worker 0's poll only.
+  std::uint32_t probe_epoch;
+  bool probe_outstanding = false;
+
+  std::atomic<bool> terminated{false};
+  // The two failure causes: the cluster stood still (see
+  // kAsyncStallLimit), or termination probes exceeded max_rounds.
+  std::atomic<bool> stalled{false};
+  std::atomic<bool> over_budget{false};
+  // Cluster-wide progress: bumped by every poll that progressed, plus the
+  // number of workers inside an evaluation right now.
+  std::atomic<std::uint64_t> progress_ticks{0};
+  std::atomic<std::uint32_t> in_step{0};
+
+  std::atomic<std::uint64_t> activations{0};
+  std::atomic<std::uint64_t> steals{0};
+  std::atomic<std::uint64_t> stolen_tuples{0};
+  std::atomic<std::uint64_t> steal_derivations{0};
+  std::atomic<std::uint64_t> token_epochs{0};
+  std::atomic<std::uint64_t> token_passes{0};
+  std::atomic<std::uint64_t> retransmit_sweeps{0};
+
+  [[nodiscard]] bool finished() const {
+    return terminated || stalled || over_budget;
+  }
+};
+
+void Cluster::poll(std::uint32_t w, AsyncState& state) {
   const AsyncOptions& ao = options_.async;
   const FaultToleranceOptions& ft = options_.fault_tolerance;
   const NetworkModel& net = options_.network;
+  const auto n = static_cast<std::uint32_t>(workers_.size());
+  Worker& worker = *workers_[w];
+  AsyncWorker& c = state.workers[w];
+  const auto comm_cost = [&net](std::size_t batches, std::size_t tuples) {
+    return net.latency_seconds * static_cast<double>(batches) +
+           net.bytes_per_tuple * static_cast<double>(tuples) /
+               std::max(1.0, net.bandwidth_bytes_per_sec);
+  };
+
+  // Injected crash: the async analogue of crash_at_round is "the Nth
+  // evaluation activation of crash_worker" — deferred until the first
+  // epoch checkpoint exists, so recovery is always possible (the test
+  // knob is for exercising recovery, not unrecoverable loss).
+  if (crash_armed_ && w == ft.crash_worker && checkpoints_written_ > 0 &&
+      static_cast<std::int64_t>(c.activations) >= ft.crash_at_round) {
+    crash_armed_ = false;
+    throw SimulatedCrash("worker " + std::to_string(w) +
+                         " killed at activation " +
+                         std::to_string(c.activations));
+  }
+
+  // Drain arrivals (data + steal results absorbed, tokens handed up), then
+  // evaluate one frontier chunk.
+  bool progress = false;
+  bool active = false;  // evaluated or stole
+  bool stepped = false;
+  std::vector<Batch> tokens;
+  {
+    const std::scoped_lock lock(c.m);
+    auto arrivals = worker.async_collect(&ack_board_);
+    tokens = std::move(arrivals.tokens);
+    if (arrivals.fresh > 0 || arrivals.batches > 0) {
+      c.dirty = true;
+      progress = true;
+    }
+    if (worker.backlog() > 0) {
+      const StepGuard busy(state.in_step);
+      const auto step = worker.async_step(ao.chunk, nullptr);
+      c.vclock += step.compute_seconds +
+                  comm_cost(step.sent_batches, step.sent_tuples);
+      c.activations += 1;
+      state.activations += 1;
+      c.dirty = true;
+      stepped = true;
+      active = step.consumed > 0;
+    }
+    c.backlog_hint = worker.backlog();
+  }
+  for (const Batch& token : tokens) {
+    if (token.token_epoch < state.epoch_base) {
+      continue;  // stale pre-recovery probe
+    }
+    c.has_token = true;
+    c.token_epoch = token.token_epoch;
+    c.token_black = c.token_black || token.token_black;
+    state.token_passes += 1;
+    progress = true;
+  }
+
+  // Nothing of its own: steal from the first peer with the largest
+  // backlog beyond one chunk (the owner is about to evaluate its next
+  // chunk anyway).  Picked by hint, then try-locked — never while holding
+  // our own lock.
+  if (!stepped && ao.steal) {
+    std::uint32_t victim = w;
+    std::size_t best = ao.chunk;
+    for (std::uint32_t v = 0; v < n; ++v) {
+      const std::size_t backlog = state.workers[v].backlog_hint;
+      if (v != w && workers_[v]->can_steal_from() && backlog > best) {
+        best = backlog;
+        victim = v;
+      }
+    }
+    AsyncWorker& vc = state.workers[victim];
+    if (victim != w && vc.m.try_lock()) {
+      Worker::StealShard shard;
+      std::vector<reason::ForwardEngine::Derivation> derivations;
+      util::Stopwatch steal_watch;
+      {
+        const std::lock_guard<std::mutex> vlock(vc.m, std::adopt_lock);
+        Worker& vic = *workers_[victim];
+        if (vic.backlog() > ao.chunk) {
+          const StepGuard busy(state.in_step);
+          shard = vic.grant_steal(ao.steal_batch);
+          derivations = vic.evaluate_shard(shard.lo, shard.hi);
+          vc.dirty = true;  // its frontier advanced
+          vc.backlog_hint = vic.backlog();
+        }
+      }
+      if (shard.hi > shard.lo) {
+        obs::Span steal_span("parallel.steal",
+                             {{"worker", w}, {"victim", victim}}, 100 + w);
+        std::size_t shipped = 0;
+        {
+          const std::scoped_lock lock(c.m);
+          shipped = worker.ship_steal_results(victim, derivations, nullptr);
+        }
+        c.vclock += steal_watch.elapsed_seconds() +
+                    comm_cost(shipped > 0 ? 2 : 0, shipped);
+        c.activations += 1;
+        c.dirty = true;
+        state.activations += 1;
+        state.steals += 1;
+        state.stolen_tuples += shard.hi - shard.lo;
+        state.steal_derivations += shipped;
+        steal_span.arg({"tuples", shard.hi - shard.lo});
+        steal_span.arg({"derived", derivations.size()});
+        active = true;
+      }
+    }
+  }
+
+  if (progress || active) {
+    state.progress_ticks += 1;
+  }
+  if (active) {
+    c.idle_polls = 0;
+  } else {
+    obs::Span idle_span("parallel.idle", {{"worker", w}}, 100 + w);
+    util::Stopwatch idle_watch;
+    c.idle_polls += 1;
+    if (c.idle_polls % std::max<std::uint32_t>(1, ao.retransmit_after) ==
+        0) {
+      const std::scoped_lock lock(c.m);
+      if (worker.release_acked(ack_board_) > 0 &&
+          worker.retransmit_unacked_async(ack_board_) > 0) {
+        state.retransmit_sweeps += 1;
+      }
+    }
+    if (state.threaded) {
+      std::this_thread::yield();
+    }
+    c.idle_seconds += idle_watch.elapsed_seconds();
+    const std::uint64_t ticks = state.progress_ticks;
+    if (ticks != c.seen_ticks || state.in_step > 0) {
+      c.seen_ticks = ticks;
+      c.still_polls = 0;
+      c.standstill.restart();
+    } else if (++c.still_polls > kAsyncStallLimit &&
+               c.standstill.elapsed_seconds() > kAsyncStallSeconds) {
+      state.stalled = true;
+    }
+  }
+
+  bool passive = false;
+  {
+    const std::scoped_lock lock(c.m);
+    passive = worker.backlog() == 0 && worker.release_acked(ack_board_) == 0;
+  }
+
+  // Token ring.  The initiator launches strictly sequential probes;
+  // everyone else forwards when passive, blackening if dirty.
+  if (w == 0) {
+    if (!state.probe_outstanding && passive && n > 1) {
+      state.probe_epoch += 1;
+      state.probe_outstanding = true;
+      c.dirty = false;
+      {
+        const std::scoped_lock lock(c.m);
+        worker.send_token(1, state.probe_epoch, false, nullptr);
+      }
+      if (++state.token_epochs > options_.max_rounds) {
+        state.over_budget = true;
+      }
+    } else if (c.has_token && c.token_epoch == state.probe_epoch) {
+      // The probe came home.
+      const bool white = !c.token_black;
+      c.has_token = false;
+      c.token_black = false;
+      state.probe_outstanding = false;
+      if (!state.threaded && !options_.checkpoint.dir.empty() &&
+          state.probe_epoch %
+                  std::max<std::uint32_t>(1, ao.checkpoint_epochs) ==
+              0) {
+        // Epoch cut: every worker checkpoints with the token epoch as the
+        // round header.  In-flight envelopes are covered by the retained
+        // outbox logs each checkpoint embeds.
+        for (auto& wk : workers_) {
+          wk->release_acked(ack_board_);
+          checkpoint_worker(*wk, state.probe_epoch);
+          wk->prune_outbox();
+          ++checkpoints_written_;
+        }
+      }
+      if (white && !c.dirty && passive) {
+        state.terminated = true;
+      }
+    } else if (n == 1 && passive) {
+      state.terminated = true;
+    }
+  } else if (c.has_token && passive) {
+    const bool dirty = c.dirty.exchange(false);
+    const bool black = c.token_black || dirty;
+    c.has_token = false;
+    c.token_black = false;
+    {
+      const std::scoped_lock lock(c.m);
+      worker.send_token((w + 1) % n, c.token_epoch, black, nullptr);
+    }
+    state.token_passes += 1;
+  }
+}
+
+ClusterResult Cluster::run_async(util::ThreadTeam* team) {
+  util::Stopwatch wall;
+  ClusterResult result;
   const std::size_t n = workers_.size();
   const bool checkpointing = !options_.checkpoint.dir.empty();
+  AsyncState state(n, team != nullptr,
+                   start_round_ > 0 ? start_round_ + kRecoveryEpochGap : 0);
+  state.terminated = n == 0;
 
-  // Per-worker scheduler state (the sequential flavour keeps it all on one
-  // thread; virtual clocks model the parallel makespan on this host).
-  struct Ctl {
-    bool dirty = true;  // activity since the last token forward
-    bool has_token = false;
-    std::uint32_t token_epoch = 0;
-    bool token_black = false;
-    std::uint32_t idle_polls = 0;
-    double vclock = 0.0;  // busy seconds: compute + modeled/measured comm
-    std::uint64_t activations = 0;
-  };
-  std::vector<Ctl> ctl(n);
-
-  // Probe epochs restart above any pre-crash epoch after a recovery, just
-  // as worker send sequences do.
-  std::uint32_t epoch = start_round_ > 0
-                            ? start_round_ + kRecoveryEpochGap
-                            : 0;
-  bool probe_outstanding = false;
-  std::uint32_t probe_launch_epoch = 0;
-  bool initiator_dirty_since_launch = false;
-  bool terminated = n == 0;
-
-  if (checkpointing) {
+  if (checkpointing && team == nullptr) {
+    // Epoch cuts need the outbox; the team flavour takes one final cut.
     for (auto& worker : workers_) {
       worker->enable_outbox();
     }
@@ -470,496 +631,81 @@ ClusterResult Cluster::run_async() {
       worker->resend_outbox(nullptr);
     }
   }
-
-  const double bw = std::max(1.0, net.bandwidth_bytes_per_sec);
-  const auto comm_cost = [&](std::size_t batches, std::size_t tuples) {
-    return net.latency_seconds * static_cast<double>(batches) +
-           net.bytes_per_tuple * static_cast<double>(tuples) / bw;
-  };
-
-  std::uint32_t stalled_cycles = 0;
-  while (!terminated) {
-    bool any_progress = false;
-    for (std::uint32_t w = 0; w < n && !terminated; ++w) {
-      Worker& worker = *workers_[w];
-      Ctl& c = ctl[w];
-
-      // Injected crash: the async analogue of crash_at_round is "the Nth
-      // evaluation activation of crash_worker" — deferred until the first
-      // epoch checkpoint exists, so recovery is always possible (the test
-      // knob is for exercising recovery, not unrecoverable loss).
-      if (crash_armed_ && w == ft.crash_worker &&
-          checkpoints_written_ > 0 &&
-          static_cast<std::int64_t>(c.activations) >= ft.crash_at_round) {
-        crash_armed_ = false;
-        throw SimulatedCrash("worker " + std::to_string(w) +
-                             " killed at activation " +
-                             std::to_string(c.activations));
-      }
-
-      // Drain arrivals (data + steal results absorbed, tokens handed up).
-      const auto arrivals = worker.async_collect(&ack_board_);
-      if (arrivals.fresh > 0 || arrivals.batches > 0) {
-        c.dirty = true;
-        if (w == 0 && probe_outstanding) {
-          initiator_dirty_since_launch = true;
-        }
-        any_progress = true;
-      }
-      for (const Batch& token : arrivals.tokens) {
-        if (token.token_epoch < epoch) {
-          continue;  // stale pre-recovery probe
-        }
-        c.has_token = true;
-        c.token_epoch = token.token_epoch;
-        c.token_black = c.token_black || token.token_black;
-        stats.token_passes += 1;
-        any_progress = true;
-      }
-
-      // Evaluate one frontier chunk, or steal from the most backlogged
-      // peer when this worker has nothing of its own.
-      bool active = false;
-      if (worker.backlog() > 0) {
-        const auto step = worker.async_step(ao.chunk, nullptr);
-        c.vclock += step.compute_seconds +
-                    comm_cost(step.sent_batches, step.sent_tuples);
-        c.activations += 1;
-        stats.activations += 1;
-        c.dirty = true;
-        if (w == 0 && probe_outstanding) {
-          initiator_dirty_since_launch = true;
-        }
-        active = step.consumed > 0;
-      } else if (ao.steal) {
-        std::uint32_t victim = w;
-        std::size_t best = 0;
-        for (std::uint32_t v = 0; v < n; ++v) {
-          if (v != w && workers_[v]->can_steal_from() &&
-              workers_[v]->backlog() > best) {
-            best = workers_[v]->backlog();
-            victim = v;
-          }
-        }
-        // Only steal genuine backlog beyond one chunk: the owner is about
-        // to evaluate its next chunk anyway.
-        if (victim != w && best > ao.chunk) {
-          obs::Span steal_span("parallel.steal",
-                               {{"worker", w}, {"victim", victim}},
-                               100 + w);
-          Worker& vic = *workers_[victim];
-          const auto shard = vic.grant_steal(ao.steal_batch);
-          util::Stopwatch steal_watch;
-          const auto derivations =
-              vic.evaluate_shard(shard.lo, shard.hi);
-          const std::size_t shipped =
-              worker.ship_steal_results(victim, derivations, nullptr);
-          c.vclock += steal_watch.elapsed_seconds() +
-                      comm_cost(shipped > 0 ? 2 : 0, shipped);
-          c.activations += 1;
-          stats.activations += 1;
-          stats.steals += 1;
-          stats.stolen_tuples += shard.hi - shard.lo;
-          stats.steal_derivations += shipped;
-          steal_span.arg({"tuples", shard.hi - shard.lo});
-          steal_span.arg({"derived", derivations.size()});
-          c.dirty = true;
-          ctl[victim].dirty = true;  // its frontier advanced
-          if (probe_outstanding && (w == 0 || victim == 0)) {
-            initiator_dirty_since_launch = true;
-          }
-          active = true;
-        }
-      }
-      if (active) {
-        c.idle_polls = 0;
-        any_progress = true;
-      } else {
-        PAROWL_SPAN("parallel.idle", {{"worker", w}}, 100 + w);
-        c.idle_polls += 1;
-        if (c.idle_polls % std::max<std::uint32_t>(1, ao.retransmit_after) ==
-            0) {
-          const std::size_t unacked = worker.release_acked(ack_board_);
-          if (unacked > 0 &&
-              worker.retransmit_unacked_async(ack_board_) > 0) {
-            backoff_seconds_ += ft.backoff_base_seconds;
-            any_progress = true;
-          }
-        }
-      }
-
-      const std::size_t still_pending = worker.release_acked(ack_board_);
-      const bool passive = worker.backlog() == 0 && still_pending == 0;
-
-      // Token ring.  The initiator launches strictly sequential probes;
-      // everyone else forwards when passive, blackening if dirty.
-      if (w == 0) {
-        if (!probe_outstanding && passive && n > 1) {
-          probe_launch_epoch = ++epoch;
-          probe_outstanding = true;
-          initiator_dirty_since_launch = false;
-          c.dirty = false;
-          worker.send_token(1, probe_launch_epoch, false, nullptr);
-          stats.token_epochs += 1;
-          any_progress = true;
-        } else if (c.has_token && c.token_epoch == probe_launch_epoch) {
-          // The probe came home.
-          const bool white = !c.token_black;
-          c.has_token = false;
-          c.token_black = false;
-          probe_outstanding = false;
-          if (checkpointing &&
-              (ao.checkpoint_epochs == 0 ||
-               probe_launch_epoch %
-                       std::max<std::uint32_t>(1, ao.checkpoint_epochs) ==
-                   0)) {
-            // Epoch cut: every worker checkpoints with the token epoch as
-            // the round header.  In-flight envelopes are covered by the
-            // retained outbox logs each checkpoint embeds.
-            for (auto& wk : workers_) {
-              wk->release_acked(ack_board_);
-              checkpoint_worker(*wk, probe_launch_epoch);
-              wk->prune_outbox();
-              ++checkpoints_written_;
-            }
-          }
-          if (white && !initiator_dirty_since_launch && passive) {
-            terminated = true;
-          }
-          any_progress = true;
-        } else if (n == 1) {
-          terminated = passive;
-        }
-      } else if (c.has_token && passive) {
-        const bool black = c.token_black || c.dirty;
-        c.dirty = false;
-        c.has_token = false;
-        c.token_black = false;
-        worker.send_token((w + 1) % static_cast<std::uint32_t>(n),
-                          c.token_epoch, black, nullptr);
-        stats.token_passes += 1;
-        any_progress = true;
-      }
-    }
-
-    if (stats.token_epochs > options_.max_rounds) {
-      throw DeliveryFailure("async run exceeded max_rounds token epochs");
-    }
-    stalled_cycles = any_progress ? 0 : stalled_cycles + 1;
-    if (stalled_cycles > kAsyncStallLimit) {
-      throw DeliveryFailure(
-          "async executor stalled: no progress over " +
-          std::to_string(kAsyncStallLimit) + " scheduler cycles");
-    }
+  for (std::uint32_t w = 0; w < n; ++w) {
+    state.workers[w].backlog_hint = workers_[w]->backlog();
   }
 
-  // Makespan and idle accounting: on this single-core host the virtual
-  // clocks are the honest stand-in — a worker's idle time is the gap to
-  // the busiest worker, exactly the quantity the round-synchronous mode
-  // reports as sync_seconds.
-  double makespan = 0.0;
-  for (const Ctl& c : ctl) {
-    makespan = std::max(makespan, c.vclock);
-  }
-  stats.idle_seconds_per_worker.reserve(n);
-  for (const Ctl& c : ctl) {
-    const double idle = makespan - c.vclock;
-    stats.idle_seconds_per_worker.push_back(idle);
-    stats.idle_seconds += idle;
-  }
-  result.simulated_seconds = makespan + backoff_seconds_;
-  result.rounds = stats.token_epochs;
-  result.wall_seconds = wall.elapsed_seconds();
-  finalize_async(result, stats);
-  return result;
-}
-
-ClusterResult Cluster::run_async_threaded(util::ThreadTeam& team) {
-  util::Stopwatch wall;
-  ClusterResult result;
-  AsyncStats stats;
-  const AsyncOptions& ao = options_.async;
-  const FaultToleranceOptions& ft = options_.fault_tolerance;
-  const std::size_t n = workers_.size();
-
-  // Per-worker control: the worker's own mutex guards all Worker state
-  // (store, frontier, pending, outbox); the atomics are cheap cross-thread
-  // hints and the termination protocol state.
-  struct Ctl {
-    std::mutex m;
-    std::atomic<bool> dirty{true};
-    std::atomic<std::size_t> backlog_hint{0};
-    // Token state, only touched by the owner's thread.
-    bool has_token = false;
-    std::uint32_t token_epoch = 0;
-    bool token_black = false;
-    std::uint32_t idle_polls = 0;
-    double idle_seconds = 0.0;
-    std::uint64_t activations = 0;
-  };
-  std::vector<std::unique_ptr<Ctl>> ctl;
-  ctl.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ctl.push_back(std::make_unique<Ctl>());
-  }
-
-  std::uint32_t epoch_base =
-      start_round_ > 0 ? start_round_ + kRecoveryEpochGap : 0;
-  std::atomic<bool> terminated{n == 0};
-  // The two failure causes: the cluster stood still (see
-  // kAsyncStallLimit), or termination probes exceeded max_rounds.
-  std::atomic<bool> stalled{false};
-  std::atomic<bool> over_budget{false};
-  // Cluster-wide progress: bumped by every worker cycle that progressed,
-  // plus the number of workers inside an evaluation right now.
-  std::atomic<std::uint64_t> progress_ticks{0};
-  std::atomic<std::uint32_t> in_step{0};
-  std::atomic<std::uint64_t> steals{0};
-  std::atomic<std::uint64_t> stolen_tuples{0};
-  std::atomic<std::uint64_t> steal_derivations{0};
-  std::atomic<std::uint64_t> activations{0};
-  std::atomic<std::uint64_t> token_epochs{0};
-  std::atomic<std::uint64_t> token_passes{0};
-
-  if (start_round_ > 0) {
-    ack_board_.clear();
-    for (auto& worker : workers_) {
-      worker->resend_outbox(nullptr);
-    }
-  }
-
-  // Worker w runs as team member w.
-  team.run([&](unsigned w) noexcept {
-    if (w >= n) {
-      return;  // a cluster without workers still gets a team of one
-    }
-    Worker& worker = *workers_[w];
-    Ctl& c = *ctl[w];
-    bool probe_outstanding = false;
-    std::uint32_t probe_launch_epoch = epoch_base;
-    bool initiator_dirty_since_launch = false;
-    std::uint32_t my_stall = 0;
-    std::uint64_t seen_ticks = 0;
-    util::Stopwatch standstill;  // since the cluster last progressed
-
-    while (!terminated.load(std::memory_order_acquire) &&
-           !stalled.load(std::memory_order_acquire) &&
-           !over_budget.load(std::memory_order_acquire)) {
-      bool progress = false;
-      bool passive = false;
-      std::vector<Batch> tokens;
-
-      {
-        const std::scoped_lock lock(c.m);
-        auto arrivals = worker.async_collect(&ack_board_);
-        tokens = std::move(arrivals.tokens);
-        if (arrivals.fresh > 0 || arrivals.batches > 0) {
-          c.dirty.store(true, std::memory_order_release);
-          if (w == 0) {
-            initiator_dirty_since_launch = true;
-          }
-          progress = true;
-        }
-        if (worker.backlog() > 0) {
-          const StepGuard busy(in_step);
-          const auto step = worker.async_step(ao.chunk, nullptr);
-          c.activations += 1;
-          activations.fetch_add(1);
-          c.dirty.store(true, std::memory_order_release);
-          if (w == 0) {
-            initiator_dirty_since_launch = true;
-          }
-          progress = progress || step.consumed > 0;
-        }
-        c.backlog_hint.store(worker.backlog(),
-                             std::memory_order_release);
-      }
-
-      for (const Batch& token : tokens) {
-        if (token.token_epoch < epoch_base) {
-          continue;
-        }
-        c.has_token = true;
-        c.token_epoch = token.token_epoch;
-        c.token_black = c.token_black || token.token_black;
-        token_passes.fetch_add(1);
-        progress = true;
-      }
-
-      if (!progress && ao.steal) {
-        // Pick the most backlogged peer by hint, then try its lock —
-        // never while holding our own (no nested worker locks).
-        std::uint32_t victim = w;
-        std::size_t best = ao.chunk;  // only steal real backlog
-        for (std::uint32_t v = 0; v < n; ++v) {
-          const std::size_t b =
-              v == w ? 0
-                     : ctl[v]->backlog_hint.load(
-                           std::memory_order_acquire);
-          if (v != w && workers_[v]->can_steal_from() && b > best) {
-            best = b;
-            victim = v;
-          }
-        }
-        if (victim != w && ctl[victim]->m.try_lock()) {
-          Worker::StealShard shard;
-          std::vector<reason::ForwardEngine::Derivation> derivations;
-          {
-            const std::lock_guard<std::mutex> vlock(
-                ctl[victim]->m, std::adopt_lock);
-            Worker& vic = *workers_[victim];
-            if (vic.backlog() > ao.chunk) {
-              const StepGuard busy(in_step);
-              shard = vic.grant_steal(ao.steal_batch);
-              derivations = vic.evaluate_shard(shard.lo, shard.hi);
-              ctl[victim]->dirty.store(true,
-                                       std::memory_order_release);
-              ctl[victim]->backlog_hint.store(
-                  vic.backlog(), std::memory_order_release);
-            }
-          }
-          if (shard.hi > shard.lo) {
-            obs::Span steal_span("parallel.steal",
-                                 {{"worker", w}, {"victim", victim}},
-                                 100 + w);
-            std::size_t shipped = 0;
-            {
-              const std::scoped_lock lock(c.m);
-              shipped = worker.ship_steal_results(victim, derivations,
-                                                  nullptr);
-              c.dirty.store(true, std::memory_order_release);
-            }
-            if (w == 0) {
-              initiator_dirty_since_launch = true;
-            }
-            c.activations += 1;
-            activations.fetch_add(1);
-            steals.fetch_add(1);
-            stolen_tuples.fetch_add(shard.hi - shard.lo);
-            steal_derivations.fetch_add(shipped);
-            steal_span.arg({"tuples", shard.hi - shard.lo});
-            progress = true;
-          }
-        }
-      }
-
-      if (progress) {
-        c.idle_polls = 0;
-        my_stall = 0;
-        progress_ticks.fetch_add(1, std::memory_order_acq_rel);
-      } else {
-        obs::Span idle_span("parallel.idle", {{"worker", w}}, 100 + w);
-        util::Stopwatch idle_watch;
-        c.idle_polls += 1;
-        if (c.idle_polls %
-                std::max<std::uint32_t>(1, ao.retransmit_after) ==
-            0) {
-          const std::scoped_lock lock(c.m);
-          if (worker.release_acked(ack_board_) > 0) {
-            worker.retransmit_unacked_async(ack_board_);
-          }
-        }
-        std::this_thread::yield();
-        c.idle_seconds += idle_watch.elapsed_seconds();
-        const std::uint64_t ticks =
-            progress_ticks.load(std::memory_order_acquire);
-        if (ticks != seen_ticks ||
-            in_step.load(std::memory_order_acquire) > 0) {
-          seen_ticks = ticks;
-          my_stall = 0;
-          standstill.restart();
-        } else if (++my_stall > kAsyncStallLimit &&
-                   standstill.elapsed_seconds() > kAsyncStallSeconds) {
-          stalled.store(true, std::memory_order_release);
-        }
-      }
-
-      {
-        const std::scoped_lock lock(c.m);
-        passive = worker.backlog() == 0 &&
-                  worker.release_acked(ack_board_) == 0;
-      }
-
-      if (w == 0) {
-        if (!probe_outstanding && passive && n > 1) {
-          probe_launch_epoch += 1;
-          probe_outstanding = true;
-          initiator_dirty_since_launch = false;
-          c.dirty.store(false, std::memory_order_release);
-          {
-            const std::scoped_lock lock(c.m);
-            worker.send_token(1, probe_launch_epoch, false, nullptr);
-          }
-          token_epochs.fetch_add(1);
-          if (token_epochs.load() > options_.max_rounds) {
-            over_budget.store(true, std::memory_order_release);
-          }
-        } else if (c.has_token &&
-                   c.token_epoch == probe_launch_epoch) {
-          const bool white = !c.token_black;
-          c.has_token = false;
-          c.token_black = false;
-          probe_outstanding = false;
-          if (white && !initiator_dirty_since_launch && passive) {
-            terminated.store(true, std::memory_order_release);
-          }
-        } else if (n == 1 && passive) {
-          terminated.store(true, std::memory_order_release);
-        }
-      } else if (c.has_token && passive) {
-        const bool black =
-            c.token_black || c.dirty.load(std::memory_order_acquire);
-        c.dirty.store(false, std::memory_order_release);
-        c.has_token = false;
-        c.token_black = false;
-        {
-          const std::scoped_lock lock(c.m);
-          worker.send_token((w + 1) % static_cast<std::uint32_t>(n),
-                            c.token_epoch, black, nullptr);
-        }
-        token_passes.fetch_add(1);
+  if (team == nullptr) {
+    // Round-robin on this thread; virtual clocks model the parallel
+    // makespan.
+    while (!state.finished()) {
+      for (std::uint32_t w = 0; w < n && !state.finished(); ++w) {
+        poll(w, state);
       }
     }
-  });
+  } else {
+    team->run([&](unsigned w) {
+      if (w >= n) {
+        return;  // a cluster without workers still gets a team of one
+      }
+      try {
+        while (!state.finished()) {
+          poll(w, state);
+        }
+      } catch (...) {
+        state.terminated = true;  // release the other members
+        throw;
+      }
+    });
+  }
 
-  if (stalled.load()) {
+  if (state.stalled) {
     throw DeliveryFailure(
-        "async threaded run stalled: no worker progressed over " +
+        "async run stalled: no worker progressed over " +
         std::to_string(kAsyncStallLimit) + " idle polls and " +
         std::to_string(static_cast<int>(kAsyncStallSeconds)) + " s");
   }
-  if (over_budget.load()) {
-    throw DeliveryFailure(
-        "async threaded run exceeded max_rounds (" +
-        std::to_string(options_.max_rounds) + ") token epochs");
+  if (state.over_budget) {
+    throw DeliveryFailure("async run exceeded max_rounds (" +
+                          std::to_string(options_.max_rounds) +
+                          ") token epochs");
   }
-
-  // One consistent final cut: after termination nothing is in flight, so
-  // checkpointing here matches the synchronous mode's end-of-round cut.
-  if (!options_.checkpoint.dir.empty()) {
+  // The team flavour's one consistent cut: after termination nothing is in
+  // flight, so checkpointing here matches the round driver's cut.
+  if (checkpointing && team != nullptr) {
     const auto final_epoch = static_cast<std::uint32_t>(
-        epoch_base + token_epochs.load() + 1);
+        state.epoch_base + state.token_epochs + 1);
     for (auto& worker : workers_) {
       checkpoint_worker(*worker, final_epoch);
       ++checkpoints_written_;
     }
   }
+  backoff_seconds_ += options_.fault_tolerance.backoff_base_seconds *
+                      static_cast<double>(state.retransmit_sweeps);
 
-  stats.activations = activations.load();
-  stats.steals = steals.load();
-  stats.stolen_tuples = stolen_tuples.load();
-  stats.steal_derivations = steal_derivations.load();
-  stats.token_epochs = token_epochs.load();
-  stats.token_passes = token_passes.load();
-  stats.idle_seconds_per_worker.reserve(n);
-  for (const auto& c : ctl) {
-    stats.idle_seconds_per_worker.push_back(c->idle_seconds);
-    stats.idle_seconds += c->idle_seconds;
+  AsyncStats stats;
+  stats.activations = state.activations;
+  stats.steals = state.steals;
+  stats.stolen_tuples = state.stolen_tuples;
+  stats.steal_derivations = state.steal_derivations;
+  stats.token_epochs = state.token_epochs;
+  stats.token_passes = state.token_passes;
+  // Idle time: measured on the team; inline, a worker's idle time is the
+  // gap to the busiest virtual clock — the round modes' sync_seconds.
+  double makespan = 0.0;
+  for (const AsyncWorker& c : state.workers) {
+    makespan = std::max(makespan, c.vclock);
   }
-  (void)ft;
+  for (const AsyncWorker& c : state.workers) {
+    const double idle = team != nullptr ? c.idle_seconds : makespan - c.vclock;
+    stats.idle_seconds_per_worker.push_back(idle);
+    stats.idle_seconds += idle;
+  }
   result.rounds = stats.token_epochs;
   result.wall_seconds = wall.elapsed_seconds();
-  result.simulated_seconds = result.wall_seconds;
+  result.simulated_seconds = team != nullptr
+                                 ? result.wall_seconds
+                                 : makespan + backoff_seconds_;
   finalize_async(result, stats);
   return result;
 }
@@ -1028,24 +774,17 @@ void Cluster::finalize(ClusterResult& result) {
       compute_max = std::max(
           compute_max, rs.reason_seconds + rs.aggregate_seconds + comm);
     }
-    // In the simulated mode, a worker's synchronization wait is the gap to
-    // the slowest worker of the round.
-    if (options_.mode == ExecutionMode::kSequentialSimulated) {
-      for (const auto& worker : workers_) {
-        if (worker->rounds().size() <= round) {
-          continue;
-        }
-        RoundStats& rs = worker->mutable_rounds()[round];
-        const double own =
-            rs.reason_seconds + rs.aggregate_seconds + comm_of(rs);
-        rs.sync_seconds = std::max(0.0, compute_max - own);
-      }
-    }
+    // A worker's synchronization wait is the gap to the slowest worker of
+    // the round.
     for (const auto& worker : workers_) {
-      if (worker->rounds().size() > round) {
-        rb.sync_max = std::max(rb.sync_max,
-                               worker->rounds()[round].sync_seconds);
+      if (worker->rounds().size() <= round) {
+        continue;
       }
+      RoundStats& rs = worker->mutable_rounds()[round];
+      const double own =
+          rs.reason_seconds + rs.aggregate_seconds + comm_of(rs);
+      rs.sync_seconds = std::max(0.0, compute_max - own);
+      rb.sync_max = std::max(rb.sync_max, rs.sync_seconds);
     }
 
     result.reason_seconds += rb.reason_max;

@@ -46,12 +46,6 @@ void validate(const ParallelOptions& options) {
     throw std::invalid_argument(
         "hybrid partitioning requires rule_partitions >= 1");
   }
-  if (options.mode == ExecutionMode::kAsyncSimulated &&
-      options.transport != nullptr) {
-    throw std::invalid_argument(
-        "the async executor owns delivery; an external transport cannot "
-        "be combined with kAsyncSimulated");
-  }
 }
 
 Plan make_plan(const rdf::TripleStore& store, const rdf::Dictionary& dict,
@@ -148,64 +142,44 @@ ParallelResult parallel_materialize(const rdf::TripleStore& store,
   wopts.strategy = options.local_strategy;
   wopts.dict = &dict;
 
-  // Run under the chosen executor.  One team, a member per worker, loads
-  // the workers and aggregates their results once they have stopped.
+  // Run the cluster.  One team, a member per worker, loads the workers,
+  // steps them in the threaded modes and aggregates their results once
+  // they have stopped.
   const auto num_workers = static_cast<std::uint32_t>(plan.workers.size());
   util::ThreadTeam team(num_workers);
-  std::vector<const Worker*> workers;
-
-  // Add the planned workers to `executor` and load them on the team; each
-  // load writes only its own worker.
-  const auto start = [&](auto& executor) {
-    for (WorkerPlan& wp : plan.workers) {
-      const std::uint32_t id =
-          executor.add_worker(std::move(wp.rule_base), wp.router, wopts);
-      workers.push_back(&executor.worker(id));
-    }
-    PAROWL_SPAN("parallel.load", {{"workers", num_workers}});
-    team.for_each(num_workers, [&](std::size_t w) {
-      executor.load(static_cast<std::uint32_t>(w), *plan.workers[w].base);
-    });
-  };
 
   std::unique_ptr<Transport> owned_transport;
+  Transport* transport = options.transport;
+  if (transport == nullptr) {
+    owned_transport = std::make_unique<MemoryTransport>(num_workers);
+    transport = owned_transport.get();
+  }
   std::unique_ptr<FaultyTransport> faulty;
-  std::optional<Cluster> cluster;
-  std::optional<AsyncSimulator> async;
-
-  if (options.mode == ExecutionMode::kAsyncSimulated) {
-    async.emplace(num_workers, options.network, options.faults);
-    start(*async);
-    {
-      PAROWL_SPAN("parallel.execute", {{"workers", num_workers}});
-      result.async = async->run();
-    }
-    result.cluster.simulated_seconds = result.async->simulated_seconds;
-    result.cluster.sync_seconds = result.async->wait_seconds;
-    result.cluster.results_per_partition =
-        result.async->results_per_partition;
-    result.cluster.union_results = result.async->union_results;
-  } else {
-    Transport* transport = options.transport;
-    if (transport == nullptr) {
-      owned_transport = std::make_unique<MemoryTransport>(num_workers);
-      transport = owned_transport.get();
-    }
-    if (options.faults != nullptr) {
-      faulty = std::make_unique<FaultyTransport>(*transport, *options.faults);
-      transport = faulty.get();
-    }
-    ClusterOptions copts;
-    copts.mode = options.mode;
-    copts.network = options.network;
-    copts.checkpoint = options.checkpoint;
-    copts.fault_tolerance = options.fault_tolerance;
-    copts.async = options.async_exec;
-    copts.obs = options.obs;
-    cluster.emplace(*transport, copts);
-    start(*cluster);
+  if (options.faults != nullptr) {
+    faulty = std::make_unique<FaultyTransport>(*transport, *options.faults);
+    transport = faulty.get();
+  }
+  ClusterOptions copts;
+  copts.mode = options.mode;
+  copts.network = options.network;
+  copts.checkpoint = options.checkpoint;
+  copts.fault_tolerance = options.fault_tolerance;
+  copts.async = options.async_exec;
+  copts.obs = options.obs;
+  Cluster cluster(*transport, copts);
+  for (WorkerPlan& wp : plan.workers) {
+    cluster.add_worker(std::move(wp.rule_base), wp.router, wopts);
+  }
+  {
+    // Each load writes only its own worker.
+    PAROWL_SPAN("parallel.load", {{"workers", num_workers}});
+    team.for_each(num_workers, [&](std::size_t w) {
+      cluster.load(static_cast<std::uint32_t>(w), *plan.workers[w].base);
+    });
+  }
+  {
     PAROWL_SPAN("parallel.execute", {{"workers", num_workers}});
-    result.cluster = cluster->run(&team);
+    result.cluster = cluster.run(&team);
   }
 
   result.output_replication = partition::output_replication(
@@ -222,8 +196,8 @@ ParallelResult parallel_materialize(const rdf::TripleStore& store,
       rdf::TripleStore merged;
       merged.insert_all(store.triples(), team);
       merged.insert_all(compiled.ground_facts, team);
-      for (const Worker* worker : workers) {
-        merged.insert_all(worker->store().triples(), team);
+      for (std::uint32_t w = 0; w < num_workers; ++w) {
+        merged.insert_all(cluster.worker(w).store().triples(), team);
       }
       // Every worker's base is part of the (duplicate-free) input, so the
       // merge added exactly the distinct derivations.
@@ -231,8 +205,8 @@ ParallelResult parallel_materialize(const rdf::TripleStore& store,
       result.merged.emplace(std::move(merged));
     } else {
       std::vector<std::span<const rdf::Triple>> logs{compiled.ground_facts};
-      for (const Worker* worker : workers) {
-        logs.push_back(worker->derived());
+      for (std::uint32_t w = 0; w < num_workers; ++w) {
+        logs.push_back(cluster.worker(w).derived());
       }
       result.inferred = count_distinct(logs, team, &store);
     }

@@ -5,6 +5,7 @@
 #include "parowl/gen/lubm.hpp"
 #include "parowl/gen/uobm.hpp"
 #include "parowl/parallel/pipeline.hpp"
+#include "parowl/parallel/router.hpp"
 #include "parowl/reason/materialize.hpp"
 
 namespace parowl::parallel {
@@ -39,6 +40,22 @@ class AsyncTest : public ::testing::Test {
       ASSERT_TRUE(serial.contains(t));
     }
   }
+
+  /// The async executor's accounting: work happened, one idle entry per
+  /// worker, and the modeled makespan covers every worker's reasoning.
+  static void expect_async_accounting(const ClusterResult& result,
+                                      std::size_t workers) {
+    const AsyncStats& st = result.async_stats;
+    EXPECT_GT(st.activations, 0u);
+    ASSERT_EQ(st.idle_seconds_per_worker.size(), workers);
+    for (const double idle : st.idle_seconds_per_worker) {
+      EXPECT_GE(idle, 0.0);
+    }
+    ASSERT_EQ(result.reason_seconds_per_worker.size(), workers);
+    EXPECT_GE(result.simulated_seconds,
+              *std::max_element(result.reason_seconds_per_worker.begin(),
+                                result.reason_seconds_per_worker.end()));
+  }
 };
 
 TEST_F(AsyncTest, DataPartitionAsyncMatchesSerial) {
@@ -46,25 +63,23 @@ TEST_F(AsyncTest, DataPartitionAsyncMatchesSerial) {
   ParallelOptions opts;
   opts.partitions = 4;
   opts.policy = &policy;
-  opts.mode = ExecutionMode::kAsyncSimulated;
+  opts.mode = ExecutionMode::kAsync;
   const ParallelResult result =
       parallel_materialize(store, dict, vocab, opts);
   expect_equivalent(result);
-  ASSERT_TRUE(result.async.has_value());
-  EXPECT_GT(result.async->simulated_seconds, 0.0);
-  EXPECT_EQ(result.async->workers.size(), 4u);
-  // Every worker activated at least once (the initial closure).
-  for (const auto& w : result.async->workers) {
-    EXPECT_GE(w.activations, 1u);
-  }
+  expect_async_accounting(result.cluster, 4);
+  EXPECT_GT(result.cluster.simulated_seconds, 0.0);
 }
 
 TEST_F(AsyncTest, RulePartitionAsyncMatchesSerial) {
   ParallelOptions opts;
   opts.approach = Approach::kRulePartition;
   opts.partitions = 3;
-  opts.mode = ExecutionMode::kAsyncSimulated;
-  expect_equivalent(parallel_materialize(store, dict, vocab, opts));
+  opts.mode = ExecutionMode::kAsync;
+  const ParallelResult result =
+      parallel_materialize(store, dict, vocab, opts);
+  expect_equivalent(result);
+  expect_async_accounting(result.cluster, 3);
 }
 
 TEST_F(AsyncTest, AsyncQueryDrivenMatchesSerial) {
@@ -73,8 +88,11 @@ TEST_F(AsyncTest, AsyncQueryDrivenMatchesSerial) {
   opts.partitions = 2;
   opts.policy = &policy;
   opts.local_strategy = reason::Strategy::kQueryDriven;
-  opts.mode = ExecutionMode::kAsyncSimulated;
-  expect_equivalent(parallel_materialize(store, dict, vocab, opts));
+  opts.mode = ExecutionMode::kAsync;
+  const ParallelResult result =
+      parallel_materialize(store, dict, vocab, opts);
+  expect_equivalent(result);
+  expect_async_accounting(result.cluster, 2);
 }
 
 TEST_F(AsyncTest, AsyncDeliversTuplesWhenPartitionsInteract) {
@@ -82,16 +100,14 @@ TEST_F(AsyncTest, AsyncDeliversTuplesWhenPartitionsInteract) {
   ParallelOptions opts;
   opts.partitions = 4;
   opts.policy = &policy;
-  opts.mode = ExecutionMode::kAsyncSimulated;
+  opts.mode = ExecutionMode::kAsync;
   const ParallelResult result =
       parallel_materialize(store, dict, vocab, opts);
   expect_equivalent(result);
-  EXPECT_GT(result.async->deliveries, 0u);
-  std::size_t received = 0;
-  for (const auto& w : result.async->workers) {
-    received += w.received_tuples;
-  }
-  EXPECT_GT(received, 0u);
+  expect_async_accounting(result.cluster, 4);
+  EXPECT_GT(result.cluster.report.batches_sent, 0u);
+  EXPECT_GT(result.cluster.async_stats.token_epochs, 0u);
+  EXPECT_GT(result.cluster.async_stats.token_passes, 0u);
 }
 
 TEST_F(AsyncTest, SinglePartitionNeverWaits) {
@@ -99,60 +115,50 @@ TEST_F(AsyncTest, SinglePartitionNeverWaits) {
   ParallelOptions opts;
   opts.partitions = 1;
   opts.policy = &policy;
-  opts.mode = ExecutionMode::kAsyncSimulated;
-  const ParallelResult result =
-      parallel_materialize(store, dict, vocab, opts);
-  expect_equivalent(result);
-  EXPECT_DOUBLE_EQ(result.async->wait_seconds, 0.0);
-  EXPECT_EQ(result.async->deliveries, 0u);
-}
-
-TEST_F(AsyncTest, VirtualTimeInvariantsHold) {
-  const partition::HashOwnerPolicy policy;
-  ParallelOptions opts;
-  opts.partitions = 4;
-  opts.policy = &policy;
-  opts.mode = ExecutionMode::kAsyncSimulated;
-  opts.build_merged = false;
-  const ParallelResult result =
-      parallel_materialize(store, dict, vocab, opts);
-  ASSERT_TRUE(result.async.has_value());
-
-  double max_finish = 0.0;
-  for (const AsyncWorkerStats& w : result.async->workers) {
-    // A worker's clock cannot finish before its own busy time.
-    EXPECT_GE(w.finish_time, w.busy_seconds - 1e-12);
-    max_finish = std::max(max_finish, w.finish_time);
-  }
-  EXPECT_DOUBLE_EQ(result.async->simulated_seconds, max_finish);
-  EXPECT_GE(result.async->wait_seconds, 0.0);
-
-  // Conservation: everything sent is eventually received.
-  std::size_t sent = 0, received = 0;
-  for (const AsyncWorkerStats& w : result.async->workers) {
-    sent += w.sent_tuples;
-    received += w.received_tuples;
-  }
-  EXPECT_EQ(sent, received);
-}
-
-// -- kAsync / kAsyncThreaded: the transport-backed asynchronous executor --
-
-TEST_F(AsyncTest, AsyncClusterMatchesSerial) {
-  const partition::HashOwnerPolicy policy;
-  ParallelOptions opts;
-  opts.partitions = 4;
-  opts.policy = &policy;
   opts.mode = ExecutionMode::kAsync;
   const ParallelResult result =
       parallel_materialize(store, dict, vocab, opts);
   expect_equivalent(result);
-  const AsyncStats& st = result.cluster.async_stats;
-  EXPECT_GT(st.activations, 0u);
-  EXPECT_GT(st.token_epochs, 0u);
-  EXPECT_GT(st.token_passes, 0u);
-  EXPECT_EQ(st.idle_seconds_per_worker.size(), 4u);
+  expect_async_accounting(result.cluster, 1);
+  EXPECT_DOUBLE_EQ(result.cluster.async_stats.idle_seconds, 0.0);
+  EXPECT_EQ(result.cluster.report.batches_sent, 0u);
+  EXPECT_EQ(result.cluster.async_stats.steals, 0u);
 }
+
+TEST_F(AsyncTest, VirtualTimeInvariantsHold) {
+  const partition::HashOwnerPolicy policy;
+  partition::DataPartitioning dp =
+      partition::partition_data(store, dict, vocab, policy, 4);
+  const auto router = std::make_shared<OwnerRouter>(std::move(dp.owners));
+  const rules::CompiledRules compiled =
+      reason::compile_ontology(store, vocab, {});
+  MemoryTransport transport(4);
+  ClusterOptions copts;
+  copts.mode = ExecutionMode::kAsync;
+  Cluster cluster(transport, copts);
+  WorkerOptions wopts;
+  wopts.dict = &dict;
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    cluster.add_worker(compiled.rules, router, wopts);
+    cluster.load(p, dp.parts[p]);
+  }
+  const ClusterResult result = cluster.run();
+  expect_async_accounting(result, 4);
+
+  // Conservation: everything sent is eventually received.
+  std::size_t sent = 0;
+  std::size_t received = 0;
+  for (std::uint32_t p = 0; p < 4; ++p) {
+    for (const RoundStats& rs : cluster.worker(p).rounds()) {
+      sent += rs.sent_tuples;
+      received += rs.received_tuples;
+    }
+  }
+  EXPECT_GT(sent, 0u);
+  EXPECT_EQ(sent, received);
+}
+
+// -- Steal and threading knobs of the asynchronous executor --
 
 TEST_F(AsyncTest, AsyncClusterStealDisabledMatchesSerial) {
   const partition::HashOwnerPolicy policy;
@@ -183,28 +189,6 @@ TEST_F(AsyncTest, AsyncClusterSmallChunksSteal) {
   const AsyncStats& st = result.cluster.async_stats;
   EXPECT_GT(st.steals, 0u);
   EXPECT_GT(st.stolen_tuples, 0u);
-}
-
-TEST_F(AsyncTest, AsyncClusterSinglePartitionTerminates) {
-  const partition::GraphOwnerPolicy policy;
-  ParallelOptions opts;
-  opts.partitions = 1;
-  opts.policy = &policy;
-  opts.mode = ExecutionMode::kAsync;
-  const ParallelResult result =
-      parallel_materialize(store, dict, vocab, opts);
-  expect_equivalent(result);
-  EXPECT_EQ(result.cluster.async_stats.steals, 0u);
-}
-
-TEST_F(AsyncTest, AsyncClusterQueryDrivenMatchesSerial) {
-  const partition::DomainOwnerPolicy policy(&partition::lubm_university_key);
-  ParallelOptions opts;
-  opts.partitions = 2;
-  opts.policy = &policy;
-  opts.local_strategy = reason::Strategy::kQueryDriven;
-  opts.mode = ExecutionMode::kAsync;
-  expect_equivalent(parallel_materialize(store, dict, vocab, opts));
 }
 
 TEST_F(AsyncTest, AsyncThreadedClusterMatchesSerial) {
@@ -239,7 +223,7 @@ TEST_F(AsyncTest, AsyncUobmMatchesSerial) {
   ParallelOptions popts;
   popts.partitions = 3;
   popts.policy = &policy;
-  popts.mode = ExecutionMode::kAsyncSimulated;
+  popts.mode = ExecutionMode::kAsync;
   const ParallelResult result = parallel_materialize(uobm, d2, v2, popts);
   ASSERT_TRUE(result.merged.has_value());
   EXPECT_EQ(result.merged->size(), uobm_serial.size());

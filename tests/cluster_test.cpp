@@ -338,7 +338,7 @@ TEST_F(ClusterTest, AsyncFaultHooksPreserveFixpoint) {
   ParallelOptions opts;
   opts.partitions = 4;
   opts.policy = &policy;
-  opts.mode = ExecutionMode::kAsyncSimulated;
+  opts.mode = ExecutionMode::kAsync;
   const ParallelResult clean =
       parallel_materialize(store, dict, vocab, opts);
 
@@ -356,12 +356,9 @@ TEST_F(ClusterTest, AsyncFaultHooksPreserveFixpoint) {
   // the merged closures must be identical (and equal to serial).
   expect_equivalent(clean);
   expect_equivalent(faulty);
-  ASSERT_TRUE(faulty.async.has_value());
-  EXPECT_GT(faulty.async->injected.total(), 0u);
-  EXPECT_GT(faulty.async->retries, 0u);
-  EXPECT_GT(faulty.async->retry_seconds, 0.0);
-  ASSERT_TRUE(clean.async.has_value());
-  EXPECT_EQ(clean.async->injected.total(), 0u);
+  EXPECT_GT(faulty.cluster.report.injected.total(), 0u);
+  EXPECT_GT(faulty.cluster.report.retransmissions, 0u);
+  EXPECT_EQ(clean.cluster.report.injected.total(), 0u);
 }
 
 TEST_F(ClusterTest, MdcParallelMatchesSerial) {

@@ -140,9 +140,22 @@ FaultSpec make_spec(const Mix& mix, std::uint64_t seed) {
   return spec;
 }
 
+/// The round driver's two flavours: workers stepped inline, or worker m on
+/// thread-team member m.  Both must reproduce the inline golden run byte
+/// for byte.
+class RoundFlavourTest : public FaultInjectionTest,
+                         public ::testing::WithParamInterface<ExecutionMode> {
+ protected:
+  static ClusterOptions flavour_options() {
+    ClusterOptions copts;
+    copts.mode = GetParam();
+    return copts;
+  }
+};
+
 // 3 partition counts x 5 mixes x 3 seeds = 45 schedules over the memory
 // transport, every one byte-compared against its fault-free golden run.
-TEST_F(FaultInjectionTest, MemoryTransportScheduleSweepIsBitIdentical) {
+TEST_P(RoundFlavourTest, MemoryTransportScheduleSweepIsBitIdentical) {
   const std::uint32_t partition_counts[] = {2, 4, 8};
   const std::uint64_t seeds[] = {11, 23, 47};
   std::size_t schedules = 0;
@@ -158,7 +171,8 @@ TEST_F(FaultInjectionTest, MemoryTransportScheduleSweepIsBitIdentical) {
         const FaultSpec spec = make_spec(mix, seed);
         FaultyTransport faulty(inner, spec);
         ClusterResult result;
-        const Fingerprint fp = run(parts, faulty, {}, &result);
+        const Fingerprint fp =
+            run(parts, faulty, flavour_options(), &result);
 
         const std::string label = std::string(mix.name) + "/seed" +
                                   std::to_string(seed) + "/p" +
@@ -173,6 +187,30 @@ TEST_F(FaultInjectionTest, MemoryTransportScheduleSweepIsBitIdentical) {
   // The sweep must have actually perturbed the runs, massively.
   EXPECT_GT(injected_total, 200u);
 }
+
+// A run that needs more rounds than max_rounds fails instead of returning
+// an incomplete closure as if it had reached quiescence.
+TEST_P(RoundFlavourTest, ExceedingMaxRoundsThrows) {
+  const std::uint32_t parts = 4;
+  MemoryTransport golden_transport(parts);
+  ClusterResult golden_result;
+  run(parts, golden_transport, {}, &golden_result);
+  ASSERT_GE(golden_result.rounds, 2u) << "fixture closes in one round";
+
+  MemoryTransport transport(parts);
+  ClusterOptions copts = flavour_options();
+  copts.max_rounds = 1;
+  EXPECT_THROW(run(parts, transport, copts), DeliveryFailure);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Flavours, RoundFlavourTest,
+    ::testing::Values(ExecutionMode::kSequentialSimulated,
+                      ExecutionMode::kThreaded),
+    [](const auto& param_info) {
+      return param_info.param == ExecutionMode::kThreaded ? "threaded"
+                                                          : "sequential";
+    });
 
 // The same invariant over the file transport (atomic-rename spool files):
 // 2 partition counts x 2 mixes x 2 seeds = 8 schedules.
@@ -341,6 +379,39 @@ TEST_F(FaultInjectionTest, DamagedCheckpointRoundFallsBackToOlderOne) {
   EXPECT_GE(restored, 0);
 
   std::filesystem::remove_all(ckpt);
+}
+
+// The inline async flavour is deterministic: two runs under one fault
+// schedule give byte-identical per-worker logs and the same AsyncStats
+// counts.
+TEST_F(FaultInjectionTest, AsyncRerunUnderOneScheduleIsBitIdentical) {
+  const std::uint32_t parts = 4;
+  const FaultSpec spec = make_spec(kMixes[4], 31);  // mixed
+  ClusterOptions copts;
+  copts.mode = ExecutionMode::kAsync;
+  copts.async.chunk = 16;  // many interleaved activations and steals
+  copts.async.steal_batch = 16;
+
+  std::vector<Fingerprint> fps;
+  std::vector<ClusterResult> results(2);
+  for (ClusterResult& result : results) {
+    MemoryTransport inner(parts);
+    FaultyTransport faulty(inner, spec);
+    fps.push_back(run(parts, faulty, copts, &result));
+  }
+  expect_identical(fps[1], fps[0], "async rerun");
+  const AsyncStats& a = results[0].async_stats;
+  const AsyncStats& b = results[1].async_stats;
+  EXPECT_EQ(b.activations, a.activations);
+  EXPECT_EQ(b.steals, a.steals);
+  EXPECT_EQ(b.stolen_tuples, a.stolen_tuples);
+  EXPECT_EQ(b.steal_derivations, a.steal_derivations);
+  EXPECT_EQ(b.token_epochs, a.token_epochs);
+  EXPECT_EQ(b.token_passes, a.token_passes);
+  EXPECT_EQ(results[1].report.retransmissions,
+            results[0].report.retransmissions);
+  EXPECT_GT(results[0].report.injected.total(), 0u);
+  EXPECT_GT(a.steals, 0u);
 }
 
 }  // namespace

@@ -90,7 +90,7 @@ TEST_F(HybridTest, HybridAsyncMatchesSerial) {
   opts.partitions = 2;
   opts.rule_partitions = 2;
   opts.policy = &policy;
-  opts.mode = ExecutionMode::kAsyncSimulated;
+  opts.mode = ExecutionMode::kAsync;
   expect_equivalent(parallel_materialize(store, dict, vocab, opts));
 }
 

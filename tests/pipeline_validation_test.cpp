@@ -61,16 +61,5 @@ TEST_F(PipelineValidationTest, HybridZeroRulePartsThrows) {
                std::invalid_argument);
 }
 
-TEST_F(PipelineValidationTest, AsyncWithExternalTransportThrows) {
-  MemoryTransport transport(2);
-  ParallelOptions opts;
-  opts.partitions = 2;
-  opts.policy = &policy;
-  opts.mode = ExecutionMode::kAsyncSimulated;
-  opts.transport = &transport;
-  EXPECT_THROW(parallel_materialize(store, dict, vocab, opts),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace parowl::parallel

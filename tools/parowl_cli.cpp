@@ -5,7 +5,7 @@
 //   parowl materialize data.nt -o full.snap     compute the OWL-Horst closure
 //   parowl query full.snap 'SELECT ...'         run a SPARQL-subset query
 //   parowl partition data.nt -k 8 --policy graph   partition + metrics
-//   parowl cluster data.nt -k 8 [--approach data|rule|hybrid] [--mode sync|async]
+//   parowl cluster data.nt -k 8 [--approach data|rule|hybrid] [--exec-mode async]
 //   parowl serve-bench full.snap --threads 4       drive the serving layer
 //   parowl serve-dist full.snap --partitions 4 --replicas 2   distributed tier
 //
@@ -16,6 +16,7 @@
 #include <cstring>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -79,7 +80,7 @@ commands:
   cluster <kb> -k N [--policy ...] [--approach data|rule|hybrid]
           [partitioner options]
           [--rule-parts M] [--strategy ...]
-          [--exec-mode sync|threaded|async|async-threaded|async-sim]
+          [--exec-mode sync|threaded|async|async-threaded]
           [--no-steal] [--steal-batch N] [--chunk N]   (async modes)
           [--faults seed=S,drop=P,dup=P,corrupt=P,delay=P,reorder=P]
           [--checkpoint-dir <dir>]
@@ -319,6 +320,33 @@ partition::PartitionerOptions partitioner_options_from(const Args& args) {
   popts.split_merge_factor = static_cast<unsigned>(
       std::stoul(args.option("--split-merge-factor", "1")));
   return popts;
+}
+
+/// The cluster executor named by `--exec-mode` (default sync).  An unknown
+/// value, or the removed `--mode` selector, is an error rather than a
+/// silent fallback to sync.
+parallel::ExecutionMode exec_mode_of(const Args& args) {
+  const char* const valid = "sync|threaded|async|async-threaded";
+  if (!args.option("--mode").empty()) {
+    throw std::invalid_argument(std::string("cluster/run select the executor "
+                                            "with --exec-mode ") +
+                                valid + ", not --mode");
+  }
+  const std::string mode = args.option("--exec-mode", "sync");
+  if (mode == "sync") {
+    return parallel::ExecutionMode::kSequentialSimulated;
+  }
+  if (mode == "threaded") {
+    return parallel::ExecutionMode::kThreaded;
+  }
+  if (mode == "async") {
+    return parallel::ExecutionMode::kAsync;
+  }
+  if (mode == "async-threaded") {
+    return parallel::ExecutionMode::kAsyncThreaded;
+  }
+  throw std::invalid_argument(std::string("--exec-mode: expected ") + valid +
+                              ", got '" + mode + "'");
 }
 
 std::unique_ptr<partition::OwnerPolicy> make_policy(const Args& args,
@@ -1181,17 +1209,7 @@ int cmd_cluster(const Args& args) {
   opts.approach = approach == "rule"     ? parallel::Approach::kRulePartition
                   : approach == "hybrid" ? parallel::Approach::kHybrid
                                          : parallel::Approach::kDataPartition;
-  // --exec-mode is the full selector; legacy --mode sync|async|threaded
-  // keeps meaning what it always did (async = the event simulator).
-  const std::string legacy = args.option("--mode", "sync");
-  const std::string mode = args.option(
-      "--exec-mode", legacy == "async" ? "async-sim" : legacy);
-  opts.mode = mode == "async"            ? parallel::ExecutionMode::kAsync
-              : mode == "async-threaded" ? parallel::ExecutionMode::kAsyncThreaded
-              : mode == "async-sim"  ? parallel::ExecutionMode::kAsyncSimulated
-              : mode == "threaded"
-                  ? parallel::ExecutionMode::kThreaded
-                  : parallel::ExecutionMode::kSequentialSimulated;
+  opts.mode = exec_mode_of(args);
   opts.async_exec.steal = !args.flag("--no-steal");
   opts.async_exec.steal_batch =
       std::stoul(args.option("--steal-batch", "256"));
@@ -1230,58 +1248,42 @@ int cmd_cluster(const Args& args) {
             << r.cluster.results_per_partition.size() << " workers\n"
             << "simulated parallel time: "
             << util::format_seconds(r.cluster.simulated_seconds) << "\n";
-  if (r.async) {
-    std::cout << "async: " << r.async->deliveries << " deliveries, wait "
-              << util::format_seconds(r.async->wait_seconds) << "\n";
-  } else {
-    std::cout << "rounds: " << r.cluster.rounds
-              << "  (reason " << util::format_seconds(r.cluster.reason_seconds)
-              << ", io " << util::format_seconds(r.cluster.io_seconds)
-              << ", sync " << util::format_seconds(r.cluster.sync_seconds)
-              << ")\n";
-    if (opts.mode == parallel::ExecutionMode::kAsync ||
-        opts.mode == parallel::ExecutionMode::kAsyncThreaded) {
-      const parallel::AsyncStats& st = r.cluster.async_stats;
-      std::cout << "async: " << st.activations << " activations, "
-                << st.steals << " steals (" << st.stolen_tuples
-                << " tuples, " << st.steal_derivations << " derived), "
-                << st.token_epochs << " token epochs, "
-                << st.token_passes << " passes, idle "
-                << util::format_seconds(st.idle_seconds) << "\n";
-    }
+  std::cout << "rounds: " << r.cluster.rounds
+            << "  (reason " << util::format_seconds(r.cluster.reason_seconds)
+            << ", io " << util::format_seconds(r.cluster.io_seconds)
+            << ", sync " << util::format_seconds(r.cluster.sync_seconds)
+            << ")\n";
+  if (opts.mode == parallel::ExecutionMode::kAsync ||
+      opts.mode == parallel::ExecutionMode::kAsyncThreaded) {
+    const parallel::AsyncStats& st = r.cluster.async_stats;
+    std::cout << "async: " << st.activations << " activations, "
+              << st.steals << " steals (" << st.stolen_tuples
+              << " tuples, " << st.steal_derivations << " derived), "
+              << st.token_epochs << " token epochs, "
+              << st.token_passes << " passes, idle "
+              << util::format_seconds(st.idle_seconds) << "\n";
   }
   if (r.metrics) {
     std::cout << "IR=" << util::fmt_double(r.metrics->input_replication, 3)
               << " OR=" << util::fmt_double(r.output_replication, 3) << "\n";
   }
   if (!faults_arg.empty() || !opts.checkpoint.dir.empty()) {
-    if (r.async) {
-      std::cout << "faults: injected " << r.async->injected.total()
-                << " (drop " << r.async->injected.drops << ", dup "
-                << r.async->injected.duplicates << ", corrupt "
-                << r.async->injected.corruptions << ", delay "
-                << r.async->injected.delays << ", reorder "
-                << r.async->injected.reorders << "), retries "
-                << r.async->retries << ", retry time "
-                << util::format_seconds(r.async->retry_seconds) << "\n";
-    } else {
-      const parallel::RunReport& rep = r.cluster.report;
-      std::cout << "faults: injected " << rep.injected.total() << " (drop "
-                << rep.injected.drops << ", dup " << rep.injected.duplicates
-                << ", corrupt " << rep.injected.corruptions << ", delay "
-                << rep.injected.delays << ", reorder "
-                << rep.injected.reorders << ")\n"
-                << "delivery: " << rep.batches_sent << " batches, "
-                << rep.retransmissions << " retransmissions, "
-                << rep.redeliveries << " redeliveries, "
-                << rep.checksum_failures << " checksum failures, backoff "
-                << util::format_seconds(rep.backoff_seconds) << "\n"
-                << "checkpoints: " << rep.checkpoints_written << " written";
-      if (rep.recovered) {
-        std::cout << ", recovered from round " << rep.recovered_from_round;
-      }
-      std::cout << "\n";
+    const parallel::RunReport& rep = r.cluster.report;
+    std::cout << "faults: injected " << rep.injected.total() << " (drop "
+              << rep.injected.drops << ", dup " << rep.injected.duplicates
+              << ", corrupt " << rep.injected.corruptions << ", delay "
+              << rep.injected.delays << ", reorder "
+              << rep.injected.reorders << ")\n"
+              << "delivery: " << rep.batches_sent << " batches, "
+              << rep.retransmissions << " retransmissions, "
+              << rep.redeliveries << " redeliveries, "
+              << rep.checksum_failures << " checksum failures, backoff "
+              << util::format_seconds(rep.backoff_seconds) << "\n"
+              << "checkpoints: " << rep.checkpoints_written << " written";
+    if (rep.recovered) {
+      std::cout << ", recovered from round " << rep.recovered_from_round;
     }
+    std::cout << "\n";
   }
   return 0;
 }
