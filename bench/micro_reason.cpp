@@ -1,6 +1,6 @@
 // Micro-benchmarks for the reasoning engines: forward closure throughput,
-// the dispatch-index / devirtualization / thread-count ablation sweep,
-// rule compilation cost, and backward query latency.
+// the matching-thread sweep, rule compilation cost, and backward query
+// latency.
 //
 // `tools/record_bench.sh` regenerates bench/BENCH_reason.json (the checked-
 // in google-benchmark baseline) from the BM_Closure* sweep.
@@ -44,16 +44,13 @@ struct ClosureFixture {
   }
 };
 
-/// The tentpole ablation: forward closure with the dispatch index and
-/// devirtualized joins toggled independently, and the matching pass
-/// sharded over 1/2/4/8 threads.  The closure is bit-identical across the
-/// whole grid (tests/engine_equivalence_test.cpp); only time may differ.
+/// Forward closure with the matching pass sharded over 1/2/4/8 threads.
+/// The closure is bit-identical for every thread count
+/// (tests/engine_equivalence_test.cpp); only time may differ.
 void closure_sweep(benchmark::State& state, const ClosureFixture& f) {
   reason::ForwardOptions fopts;
   fopts.dict = &f.dict;
-  fopts.dispatch_index = state.range(0) != 0;
-  fopts.devirtualize = state.range(1) != 0;
-  fopts.threads = static_cast<unsigned>(state.range(2));
+  fopts.threads = static_cast<unsigned>(state.range(0));
 
   std::size_t derived = 0;
   for (auto _ : state) {
@@ -62,7 +59,7 @@ void closure_sweep(benchmark::State& state, const ClosureFixture& f) {
     // Manual timing (UseManualTime) excludes the store rebuild without the
     // ~0.2 ms/iteration PauseTiming/ResumeTiming overhead that would
     // otherwise swamp the sweep ratios.  Engine construction is timed: the
-    // dispatch index is part of the optimized path's cost.
+    // dispatch index is part of the closure's cost.
     const auto t0 = std::chrono::steady_clock::now();
     const auto stats = reason::ForwardEngine(store, f.rules, fopts).run(0);
     const auto t1 = std::chrono::steady_clock::now();
@@ -84,18 +81,16 @@ void BM_ClosureMdc(benchmark::State& state) {
   closure_sweep(state, f);
 }
 
-void closure_sweep_args(benchmark::internal::Benchmark* b) {
-  b->ArgNames({"dispatch", "devirt", "threads"});
-  b->Args({0, 0, 1});  // the pre-optimization engine
-  b->Args({1, 0, 1});  // dispatch index only
-  b->Args({0, 1, 1});  // devirtualized joins only
-  for (const long threads : {1, 2, 4, 8}) {
-    b->Args({1, 1, threads});  // optimized single-thread, then the scaling
-  }
-}
-
-BENCHMARK(BM_ClosureLubm)->Apply(closure_sweep_args)->UseManualTime();
-BENCHMARK(BM_ClosureMdc)->Apply(closure_sweep_args)->UseManualTime();
+BENCHMARK(BM_ClosureLubm)
+    ->ArgName("threads")
+    ->RangeMultiplier(2)
+    ->Range(1, 8)
+    ->UseManualTime();
+BENCHMARK(BM_ClosureMdc)
+    ->ArgName("threads")
+    ->RangeMultiplier(2)
+    ->Range(1, 8)
+    ->UseManualTime();
 
 void BM_CompileOntology(benchmark::State& state) {
   rdf::Dictionary dict;

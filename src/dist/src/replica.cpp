@@ -76,8 +76,8 @@ std::size_t ShardReplica::serve(parallel::Transport& transport,
     std::vector<rdf::Triple> matches;
     if (snap) {
       for (const rdf::Triple& pattern : req.tuples) {
-        snap->match_each(rdf::TriplePattern{pattern.s, pattern.p, pattern.o},
-                         [&](const rdf::Triple& t) { matches.push_back(t); });
+        snap->match(rdf::TriplePattern{pattern.s, pattern.p, pattern.o},
+                    [&](const rdf::Triple& t) { matches.push_back(t); });
       }
     }
     // Canonical response payload: sorted and deduplicated, so the same

@@ -9,11 +9,6 @@
 namespace parowl::query {
 namespace {
 
-int bound_count(const rdf::TriplePattern& p) {
-  return (p.s != rdf::kAnyTerm) + (p.p != rdf::kAnyTerm) +
-         (p.o != rdf::kAnyTerm);
-}
-
 struct Enumerator {
   const rdf::TripleStore& store;
   std::span<const rules::Atom> bgp;
@@ -26,19 +21,7 @@ struct Enumerator {
       fn(binding);
       return;
     }
-    // Most-bound-first join order.
-    std::size_t best = bgp.size();
-    int best_bound = -1;
-    for (std::size_t i = 0; i < bgp.size(); ++i) {
-      if (done_mask & (1u << i)) {
-        continue;
-      }
-      const int b = bound_count(rules::to_pattern(bgp[i], binding));
-      if (b > best_bound) {
-        best_bound = b;
-        best = i;
-      }
-    }
+    const std::size_t best = rules::most_bound_atom(bgp, done_mask, binding);
     const auto pattern = rules::to_pattern(bgp[best], binding);
     store.match(pattern, [&](const rdf::Triple& t) {
       rules::Binding saved = binding;

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <span>
 #include <utility>
@@ -146,41 +145,30 @@ class TripleStore {
     return predicates_;
   }
 
-  /// Invoke `fn` for every triple with subject `s` (any predicate).
-  void for_subject(TermId s, const std::function<void(const Triple&)>& fn) const;
-
-  /// Invoke `fn` for every triple with object `o` (any predicate).
-  void for_object(TermId o, const std::function<void(const Triple&)>& fn) const;
-
-  /// Invoke `fn(triple)` for every stored triple matching `pattern`,
-  /// choosing the cheapest available index.
-  void match(const TriplePattern& pattern,
-             const std::function<void(const Triple&)>& fn) const;
-
-  /// Devirtualized equivalents of for_subject / for_object / match: the
-  /// callback is a template parameter, so the per-triple call is inlined
-  /// with no std::function allocation or indirect branch.  These are the
-  /// hot-path entry points for the forward engine's joins; the
-  /// std::function overloads above are thin wrappers kept for callers that
-  /// need type erasure (query layer, tools).
+  /// Invoke `fn(triple)` for every triple with subject `s` (any
+  /// predicate).  Like for_object and match, the callback is a template
+  /// parameter, so the per-triple call inlines with no type erasure.
   template <typename Fn>
-  void for_subject_each(TermId s, Fn&& fn) const {
+  void for_subject(TermId s, Fn&& fn) const {
     ensure_endpoint_index();
     for (std::uint32_t i : subject_index_.view(s)) {
       fn(log_[i]);
     }
   }
 
+  /// Invoke `fn(triple)` for every triple with object `o` (any predicate).
   template <typename Fn>
-  void for_object_each(TermId o, Fn&& fn) const {
+  void for_object(TermId o, Fn&& fn) const {
     ensure_endpoint_index();
     for (std::uint32_t i : object_index_.view(o)) {
       fn(log_[i]);
     }
   }
 
+  /// Invoke `fn(triple)` for every stored triple matching `pattern`,
+  /// choosing the cheapest available index.
   template <typename Fn>
-  void match_each(const TriplePattern& pattern, Fn&& fn) const {
+  void match(const TriplePattern& pattern, Fn&& fn) const {
     const bool sb = pattern.s != kAnyTerm;
     const bool pb = pattern.p != kAnyTerm;
     const bool ob = pattern.o != kAnyTerm;
@@ -212,7 +200,7 @@ class TripleStore {
     }
     // Predicate unbound: use the subject/object log indexes when possible.
     if (sb) {
-      for_subject_each(pattern.s, [&](const Triple& t) {
+      for_subject(pattern.s, [&](const Triple& t) {
         if (!ob || t.o == pattern.o) {
           fn(t);
         }
@@ -220,7 +208,7 @@ class TripleStore {
       return;
     }
     if (ob) {
-      for_object_each(pattern.o, std::forward<Fn>(fn));
+      for_object(pattern.o, std::forward<Fn>(fn));
       return;
     }
     // Fully unbound: scan the log.

@@ -75,16 +75,6 @@ void TripleStore::build_endpoint_tail() const {
   endpoint_built_.store(i, std::memory_order_release);
 }
 
-void TripleStore::for_subject(
-    TermId s, const std::function<void(const Triple&)>& fn) const {
-  for_subject_each(s, [&fn](const Triple& t) { fn(t); });
-}
-
-void TripleStore::for_object(
-    TermId o, const std::function<void(const Triple&)>& fn) const {
-  for_object_each(o, [&fn](const Triple& t) { fn(t); });
-}
-
 std::size_t TripleStore::insert_all(std::span<const Triple> ts,
                                    unsigned threads) {
   if (threads <= 1 || ts.size() <= 1) {
@@ -323,14 +313,9 @@ std::size_t TripleStore::erase_all(std::span<const Triple> ts) {
   return doomed.size();
 }
 
-void TripleStore::match(const TriplePattern& pattern,
-                        const std::function<void(const Triple&)>& fn) const {
-  match_each(pattern, [&fn](const Triple& t) { fn(t); });
-}
-
 std::size_t TripleStore::count(const TriplePattern& pattern) const {
   std::size_t n = 0;
-  match_each(pattern, [&n](const Triple&) { ++n; });
+  match(pattern, [&n](const Triple&) { ++n; });
   return n;
 }
 

@@ -46,15 +46,6 @@ struct ForwardOptions {
   /// Safety valve for tests; the engine normally runs to fixpoint.
   std::size_t max_iterations = static_cast<std::size_t>(-1);
 
-  /// Route each frontier triple only to the (rule, pivot) pairs whose pivot
-  /// pattern can bind it, via the predicate-keyed dispatch index built at
-  /// engine construction.  Off = try every pair (ablation baseline).
-  bool dispatch_index = true;
-
-  /// Use the store's templated match_each joins (fully inlined callbacks).
-  /// Off = the std::function match path (ablation baseline).
-  bool devirtualize = true;
-
   /// Worker threads for each iteration's matching pass and round-barrier
   /// insert.  The frontier is sharded into contiguous blocks; derivations
   /// accumulate in per-shard buffers, and at the round barrier the buffers,
@@ -195,8 +186,8 @@ class ForwardEngine {
   /// `generic` holds the pivots with a variable object (merged with the
   /// wildcard-predicate pivots); `by_object` holds the constant-object
   /// pivots keyed by that constant.  Both are in (rule, pivot) order, so
-  /// an ordered merge visits surviving pairs exactly as a full scan would
-  /// — dispatch on/off stays bit-identical.
+  /// an ordered merge visits surviving pairs in the order a scan of every
+  /// pair would.
   struct Bucket {
     std::vector<PivotRef> generic;
     rdf::IdMap<std::uint32_t> object_slot;  // object const -> index + 1
@@ -204,22 +195,18 @@ class ForwardEngine {
   };
 
   /// Route one frontier triple to its candidate (rule, pivot) pairs.
-  template <bool Devirt>
   void dispatch_triple(const rdf::Triple& t, Shard& shard);
 
   /// Match frontier triples [lo, hi) against their candidate pivots,
-  /// accumulating into `shard`.  Devirt selects the store matching path.
-  template <bool Devirt>
+  /// accumulating into `shard`.
   void process_range(std::size_t lo, std::size_t hi, Shard& shard);
 
   /// Match one frontier triple against body atom `pivot` of `rule`; on
   /// success join the remaining atoms against the store.
-  template <bool Devirt>
   void fire_rule(std::size_t rule_index, std::size_t pivot,
                  const rdf::Triple& delta_triple, Shard& shard);
 
   /// Recursive join over unprocessed body atoms.
-  template <bool Devirt>
   void join(std::size_t rule_index, unsigned done_mask,
             rules::Binding& binding, Shard& shard);
 
@@ -245,11 +232,10 @@ class ForwardEngine {
 
   // Dispatch index: predicate -> Bucket, stored as a flat IdMap of bucket
   // indexes + 1 (0 = absent); wildcard_pivots_ alone serves predicates
-  // unseen at construction; all_pivots_ is the dispatch-off fallback.
+  // unseen at construction.
   rdf::IdMap<std::uint32_t> pivot_bucket_slot_;
   std::vector<Bucket> pivot_buckets_;
   std::vector<PivotRef> wildcard_pivots_;
-  std::vector<PivotRef> all_pivots_;
 
   /// Symmetric-transitive predicates and each rule's role for them.
   CliqueAnalysis cliques_;

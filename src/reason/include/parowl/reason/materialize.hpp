@@ -32,12 +32,9 @@ struct MaterializeOptions {
   /// Forward engine evaluation mode (ablation: naive vs semi-naive).
   bool semi_naive = true;
 
-  /// Forward engine hot-path toggles (see ForwardOptions): predicate
-  /// dispatch index, devirtualized joins, and the matching-pass thread
-  /// count (0 = hardware concurrency).  The closure is identical for every
-  /// combination; only speed changes.
-  bool dispatch_index = true;
-  bool devirtualize = true;
+  /// Forward engine matching-pass thread count (see ForwardOptions;
+  /// 0 = hardware concurrency).  The closure is identical for every count;
+  /// only speed changes.
   unsigned threads = 1;
 
   /// One backward-engine table per query (mimics independent queries, the

@@ -1,17 +1,13 @@
 #include "parowl/reason/explain.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 
 #include "parowl/rules/rule.hpp"
 
 namespace parowl::reason {
 namespace {
-
-int bound_count(const rdf::TriplePattern& p) {
-  return (p.s != rdf::kAnyTerm) + (p.p != rdf::kAnyTerm) +
-         (p.o != rdf::kAnyTerm);
-}
 
 /// Enumerate instantiations of `body` against `store` under `binding`,
 /// invoking `emit` with the premise triples of each complete match.
@@ -24,18 +20,7 @@ bool enumerate_premises(const rdf::TripleStore& store,
   if (done_mask == (1u << body.size()) - 1) {
     return emit();
   }
-  std::size_t best = body.size();
-  int best_bound = -1;
-  for (std::size_t i = 0; i < body.size(); ++i) {
-    if (done_mask & (1u << i)) {
-      continue;
-    }
-    const int b = bound_count(rules::to_pattern(body[i], binding));
-    if (b > best_bound) {
-      best_bound = b;
-      best = i;
-    }
-  }
+  const std::size_t best = rules::most_bound_atom(body, done_mask, binding);
   bool stopped = false;
   store.match(rules::to_pattern(body[best], binding),
               [&](const rdf::Triple& t) {

@@ -3,7 +3,6 @@
 #include "parowl/obs/obs.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <optional>
 #include <span>
@@ -18,12 +17,6 @@ namespace {
 
 using rules::bind_atom;
 using rules::to_pattern;
-
-/// Number of bound positions in the pattern — the join-order heuristic.
-int bound_count(const rdf::TriplePattern& p) {
-  return (p.s != rdf::kAnyTerm) + (p.p != rdf::kAnyTerm) +
-         (p.o != rdf::kAnyTerm);
-}
 
 }  // namespace
 
@@ -42,14 +35,13 @@ ForwardEngine::ForwardEngine(rdf::TripleStore& store,
   // with a constant object are discriminated a second time on that
   // constant.  Every list is built in (rule, pivot) order and
   // dispatch_triple merges them in that order, so dispatching a triple
-  // visits candidates in exactly the order a full scan would visit its
-  // surviving pairs — dispatch on/off yields bit-identical closures.
+  // visits candidates in exactly the order a scan of every pair would
+  // visit its surviving ones.
   for (std::size_t r = 0; r < rules_.size(); ++r) {
     const rules::Rule& rule = rules_[r];
     for (std::size_t b = 0; b < rule.body.size(); ++b) {
       const PivotRef pr{static_cast<std::uint32_t>(r),
                         static_cast<std::uint32_t>(b)};
-      all_pivots_.push_back(pr);
       const rules::Atom& atom = rule.body[b];
       if (atom.p.is_var()) {
         wildcard_pivots_.push_back(pr);
@@ -196,19 +188,12 @@ std::size_t ForwardEngine::rewrite_store(std::size_t keep_end,
   return frontier;
 }
 
-template <bool Devirt>
 void ForwardEngine::dispatch_triple(const rdf::Triple& t, Shard& shard) {
-  if (!options_.dispatch_index) {
-    for (const PivotRef pr : all_pivots_) {
-      fire_rule<Devirt>(pr.rule, pr.pivot, t, shard);
-    }
-    return;
-  }
   const std::uint32_t* slot = pivot_bucket_slot_.find(t.p);
   if (slot == nullptr) {
     // Predicate unseen at construction: only wildcard pivots can bind.
     for (const PivotRef pr : wildcard_pivots_) {
-      fire_rule<Devirt>(pr.rule, pr.pivot, t, shard);
+      fire_rule(pr.rule, pr.pivot, t, shard);
     }
     return;
   }
@@ -216,7 +201,7 @@ void ForwardEngine::dispatch_triple(const rdf::Triple& t, Shard& shard) {
   const std::uint32_t* oslot = bucket.object_slot.find(t.o);
   if (oslot == nullptr) {
     for (const PivotRef pr : bucket.generic) {
-      fire_rule<Devirt>(pr.rule, pr.pivot, t, shard);
+      fire_rule(pr.rule, pr.pivot, t, shard);
     }
     return;
   }
@@ -233,11 +218,10 @@ void ForwardEngine::dispatch_triple(const rdf::Triple& t, Shard& shard) {
               ? bucket.generic[i].rule < exact[j].rule
               : bucket.generic[i].pivot < exact[j].pivot));
     const PivotRef pr = take_generic ? bucket.generic[i++] : exact[j++];
-    fire_rule<Devirt>(pr.rule, pr.pivot, t, shard);
+    fire_rule(pr.rule, pr.pivot, t, shard);
   }
 }
 
-template <bool Devirt>
 void ForwardEngine::join(std::size_t rule_index, unsigned done_mask,
                          rules::Binding& binding, Shard& shard) {
   const rules::Rule& rule = rules_[rule_index];
@@ -261,45 +245,21 @@ void ForwardEngine::join(std::size_t rule_index, unsigned done_mask,
     return;
   }
 
-  // Pick the unprocessed atom with the most bound positions.  With exactly
-  // one atom left (every two-atom rule lands here after its pivot bound)
-  // the choice is forced — skip the selection scan.
-  const unsigned remaining_mask = ((1u << body_size) - 1) & ~done_mask;
-  std::size_t best;
-  if ((remaining_mask & (remaining_mask - 1)) == 0) {
-    best = static_cast<std::size_t>(std::countr_zero(remaining_mask));
-  } else {
-    best = body_size;
-    int best_bound = -1;
-    for (std::size_t j = 0; j < body_size; ++j) {
-      if (done_mask & (1u << j)) {
-        continue;
-      }
-      const int b = bound_count(to_pattern(rule.body[j], binding));
-      if (b > best_bound) {
-        best_bound = b;
-        best = j;
-      }
-    }
-  }
+  const std::size_t best =
+      rules::most_bound_atom(rule.body, done_mask, binding);
   assert(best < body_size);
 
   const auto pattern = to_pattern(rule.body[best], binding);
   const auto on_match = [&](const rdf::Triple& t) {
     rules::Binding saved = binding;
     if (bind_atom(rule.body[best], t, binding)) {
-      join<Devirt>(rule_index, done_mask | (1u << best), binding, shard);
+      join(rule_index, done_mask | (1u << best), binding, shard);
     }
     binding = saved;
   };
-  if constexpr (Devirt) {
-    store_.match_each(pattern, on_match);
-  } else {
-    store_.match(pattern, on_match);  // type-erased path, ablation only
-  }
+  store_.match(pattern, on_match);
 }
 
-template <bool Devirt>
 void ForwardEngine::fire_rule(std::size_t rule_index, std::size_t pivot,
                               const rdf::Triple& delta_triple, Shard& shard) {
   const rules::Rule& rule = rules_[rule_index];
@@ -321,10 +281,9 @@ void ForwardEngine::fire_rule(std::size_t rule_index, std::size_t pivot,
       return;
     }
   }
-  join<Devirt>(rule_index, 1u << pivot, binding, shard);
+  join(rule_index, 1u << pivot, binding, shard);
 }
 
-template <bool Devirt>
 void ForwardEngine::process_range(std::size_t lo, std::size_t hi,
                                   Shard& shard) {
   // The store log only grows during a run and is never resized during the
@@ -333,7 +292,7 @@ void ForwardEngine::process_range(std::size_t lo, std::size_t hi,
   // threads.
   const std::vector<rdf::Triple>& log = store_.triples();
   for (std::size_t i = lo; i < hi; ++i) {
-    dispatch_triple<Devirt>(log[i], shard);
+    dispatch_triple(log[i], shard);
   }
 }
 
@@ -345,11 +304,7 @@ std::vector<ForwardEngine::Derivation> ForwardEngine::match_delta(
   // store (contains + match), so the victim's log stays untouched.
   Shard shard;
   shard.reset(rules_.size());
-  if (options_.devirtualize) {
-    process_range<true>(lo, hi, shard);
-  } else {
-    process_range<false>(lo, hi, shard);
-  }
+  process_range(lo, hi, shard);
   std::vector<Derivation> out;
   out.reserve(shard.pending.size());
   for (std::size_t i = 0; i < shard.pending.size(); ++i) {
@@ -449,11 +404,7 @@ ForwardStats ForwardEngine::run(std::size_t delta_begin) {
   };
   const auto run_shard = [&](unsigned shard_index) {
     const auto [lo, hi] = shard_bounds(shard_index);
-    if (options_.devirtualize) {
-      process_range<true>(lo, hi, shards[shard_index]);
-    } else {
-      process_range<false>(lo, hi, shards[shard_index]);
-    }
+    process_range(lo, hi, shards[shard_index]);
   };
 
   while (stats.iterations < options_.max_iterations) {

@@ -69,27 +69,12 @@ bool join_rest(const rdf::TripleStore& store, const rules::Rule& rule,
   if (done_mask == (1u << body_size) - 1) {
     return fn();
   }
-  // Pick the unprocessed atom with the most bound positions (same heuristic
-  // as the forward engine's join).
-  unsigned best = body_size;
-  int best_bound = -1;
-  for (unsigned i = 0; i < body_size; ++i) {
-    if (done_mask & (1u << i)) {
-      continue;
-    }
-    const auto pattern = rules::to_pattern(rule.body[i], binding);
-    const int bound = (pattern.s != rdf::kAnyTerm) +
-                      (pattern.p != rdf::kAnyTerm) +
-                      (pattern.o != rdf::kAnyTerm);
-    if (bound > best_bound) {
-      best_bound = bound;
-      best = i;
-    }
-  }
+  const std::size_t best =
+      rules::most_bound_atom(rule.body, done_mask, binding);
   assert(best < body_size);
   const auto pattern = rules::to_pattern(rule.body[best], binding);
   bool keep_going = true;
-  store.match_each(pattern, [&](const rdf::Triple& t) {
+  store.match(pattern, [&](const rdf::Triple& t) {
     if (!keep_going) {
       return;
     }

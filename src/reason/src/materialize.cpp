@@ -199,8 +199,6 @@ MaterializeResult materialize(rdf::TripleStore& store,
     ForwardOptions fopts;
     fopts.semi_naive = options.semi_naive;
     fopts.dict = &dict;
-    fopts.dispatch_index = options.dispatch_index;
-    fopts.devirtualize = options.devirtualize;
     fopts.threads = options.threads;
     fopts.obs = options.obs;
     if (rewrite) {

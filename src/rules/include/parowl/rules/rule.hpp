@@ -1,7 +1,10 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -124,5 +127,33 @@ bool bind_atom(const Atom& atom, const rdf::Triple& t, Binding& binding);
 /// bound variables become concrete ids, unbound variables become wildcards.
 [[nodiscard]] rdf::TriplePattern to_pattern(const Atom& atom,
                                             const Binding& binding);
+
+/// The most-bound-first join order every body and BGP enumerator uses:
+/// among the atoms not in `done_mask` (at least one), the one with the most
+/// positions bound under `binding`, the first on ties.  With one atom left
+/// (every two-atom rule once its pivot is bound) the scan is skipped.
+[[nodiscard]] inline std::size_t most_bound_atom(std::span<const Atom> atoms,
+                                                 unsigned done_mask,
+                                                 const Binding& binding) {
+  const unsigned remaining = ((1u << atoms.size()) - 1) & ~done_mask;
+  if ((remaining & (remaining - 1)) == 0) {
+    return static_cast<std::size_t>(std::countr_zero(remaining));
+  }
+  std::size_t best = atoms.size();
+  int best_bound = -1;
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
+    if ((done_mask & (1u << i)) != 0) {
+      continue;
+    }
+    const rdf::TriplePattern p = to_pattern(atoms[i], binding);
+    const int bound = (p.s != rdf::kAnyTerm) + (p.p != rdf::kAnyTerm) +
+                      (p.o != rdf::kAnyTerm);
+    if (bound > best_bound) {
+      best_bound = bound;
+      best = i;
+    }
+  }
+  return best;
+}
 
 }  // namespace parowl::rules

@@ -102,10 +102,9 @@ Closure close(const RandomKb& kb, MaterializeOptions opts) {
   return c;
 }
 
-MaterializeOptions semi(unsigned threads, bool dispatch = true) {
+MaterializeOptions semi(unsigned threads) {
   MaterializeOptions o;
   o.threads = threads;
-  o.dispatch_index = dispatch;
   return o;
 }
 
@@ -191,13 +190,11 @@ TEST(CliqueClosureTest, RandomGraphsMatchNaiveAndAreBitIdentical) {
     ASSERT_EQ(sorted(ref.log), sorted(close(kb, naive()).log))
         << "seed " << seed;
     for (const unsigned threads : {2u, 4u}) {
-      EXPECT_EQ(ref.log, close(kb, semi(threads)).log)
+      const Closure c = close(kb, semi(threads));
+      EXPECT_EQ(ref.log, c.log) << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(ref.result.iterations, c.result.iterations)
           << "seed " << seed << " threads " << threads;
     }
-    EXPECT_EQ(ref.log, close(kb, semi(1, /*dispatch=*/false)).log)
-        << "seed " << seed << " dispatch off";
-    EXPECT_EQ(ref.result.iterations,
-              close(kb, semi(4, /*dispatch=*/false)).result.iterations);
   }
 }
 

@@ -1,9 +1,9 @@
-// Equivalence of every forward-engine mode: naive vs semi-naive, dispatch
-// index on/off, devirtualized joins on/off, and 1/2/4/8 matching threads
-// must all compute the same closure — and everything except the naive
-// ablation must be *bit-identical*: same insertion-log order and the same
-// ForwardStats, which is what lets parowl::parallel workers and the
-// serving-layer updater switch thread counts without changing any result.
+// Equivalence of every forward-engine mode: naive vs semi-naive and
+// 1/2/4/8 matching threads must all compute the same closure — and every
+// semi-naive thread count must be *bit-identical*: same insertion-log order
+// and the same ForwardStats, which is what lets parowl::parallel workers and
+// the serving-layer updater switch thread counts without changing any
+// result.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <utility>
 
 #include "parowl/gen/lubm.hpp"
@@ -98,47 +97,33 @@ void expect_firings_sum_to_derived(const RunResult& r, const char* label) {
   EXPECT_EQ(sum, r.stats.derived) << label;
 }
 
-ForwardOptions with(bool dispatch, bool devirt, unsigned threads,
-                    const rdf::Dictionary* dict = nullptr) {
+ForwardOptions with(unsigned threads, const rdf::Dictionary* dict = nullptr) {
   ForwardOptions o;
-  o.dispatch_index = dispatch;
-  o.devirtualize = devirt;
   o.threads = threads;
   o.dict = dict;
   return o;
 }
 
 void check_all_modes(const Fixture& f, const rdf::Dictionary* dict) {
-  // Reference: the fully optimized single-threaded engine.
-  const RunResult ref = run_engine(f, with(true, true, 1, dict));
+  // Reference: the single-threaded semi-naive engine.
+  const RunResult ref = run_engine(f, with(1, dict));
   ASSERT_GT(ref.stats.derived, 0u);
   expect_firings_sum_to_derived(ref, "reference");
-
-  // Ablation toggles must be bit-identical, not just set-equal: the
-  // dispatch index only skips pivots that could never bind, and
-  // devirtualization only changes how the match callback is invoked.
-  for (const auto& [dispatch, devirt, label] :
-       {std::tuple{false, false, "dispatch off, devirt off"},
-        std::tuple{true, false, "devirt off"},
-        std::tuple{false, true, "dispatch off"}}) {
-    const RunResult r = run_engine(f, with(dispatch, devirt, 1, dict));
-    expect_bit_identical(ref, r, label);
-  }
 
   // Thread counts: contiguous frontier shards merged at the round barrier
   // in shard order replay the single-threaded emission sequence exactly.
   for (const unsigned threads : {2u, 4u, 8u}) {
-    const RunResult r = run_engine(f, with(true, true, threads, dict));
+    const RunResult r = run_engine(f, with(threads, dict));
     expect_bit_identical(ref, r, "threaded");
     expect_firings_sum_to_derived(r, "threaded");
   }
 
   // Naive evaluation visits derivations in a different order, so only the
   // closure (set and count) is comparable.
-  ForwardOptions naive = with(true, true, 1, dict);
+  ForwardOptions naive = with(1, dict);
   naive.semi_naive = false;
   expect_same_closure(ref, run_engine(f, naive), "naive");
-  ForwardOptions naive_threaded = with(true, true, 4, dict);
+  ForwardOptions naive_threaded = with(4, dict);
   naive_threaded.semi_naive = false;
   expect_same_closure(ref, run_engine(f, naive_threaded), "naive threaded");
 }
@@ -160,12 +145,12 @@ TEST(EngineEquivalenceTest, LubmClosureIdenticalWithLiteralGuard) {
 // per-predicate index tasks all split real work across the threads.
 TEST(EngineEquivalenceTest, Lubm20ClosureBitIdenticalAcrossThreads) {
   const Fixture f("lubm", 20);
-  const RunResult ref = run_engine(f, with(true, true, 1, &f.dict));
+  const RunResult ref = run_engine(f, with(1, &f.dict));
   ASSERT_GT(ref.stats.derived, 10000u);
   expect_firings_sum_to_derived(ref, "lubm20 reference");
   for (const unsigned threads : {2u, 3u, 4u, 8u}) {
     const std::string label = "lubm20 threads=" + std::to_string(threads);
-    const RunResult r = run_engine(f, with(true, true, threads, &f.dict));
+    const RunResult r = run_engine(f, with(threads, &f.dict));
     expect_bit_identical(ref, r, label.c_str());
   }
 }
@@ -187,7 +172,7 @@ TEST(EngineEquivalenceTest, MdcClosureIdenticalWithLiteralGuard) {
 TEST(EngineEquivalenceTest, UobmClosureIdenticalAcrossAllModes) {
   const Fixture f("uobm", 3);
   check_all_modes(f, &f.dict);
-  const RunResult r = run_engine(f, with(true, true, 1, &f.dict));
+  const RunResult r = run_engine(f, with(1, &f.dict));
   EXPECT_GT(r.stats.clique_emitted, r.stats.derived / 2);
   EXPECT_LE(r.stats.attempts, 2 * r.stats.derived);
   std::size_t attempts = 0;
@@ -208,7 +193,7 @@ TEST(EngineEquivalenceTest, DeltaRunsAgreeAcrossThreadCounts) {
     const auto& all = f.base.triples();
     const std::size_t half = all.size() / 2;
     store.insert_all(std::span(all.data(), half));
-    ForwardEngine engine(store, f.rules, with(true, true, threads, &f.dict));
+    ForwardEngine engine(store, f.rules, with(threads, &f.dict));
     engine.run(0);
     const std::size_t mark = store.size();
     store.insert_all(std::span(all.data() + half, all.size() - half));
@@ -228,10 +213,10 @@ TEST(EngineEquivalenceTest, DeltaRunsAgreeAcrossThreadCounts) {
 }
 
 TEST(EngineEquivalenceTest, EqualityRewriteIdenticalAcrossModesAndThreads) {
-  // The equality-mode axis of the sweep: under sameAs rewriting the engine
-  // ablations (dispatch index, devirtualized joins, thread count) must stay
-  // bit-identical — same rewritten insertion log AND the same class map —
-  // and the naive-evaluation ablation must still expand to the same set.
+  // The equality-mode axis of the sweep: under sameAs rewriting every
+  // thread count must stay bit-identical — same rewritten insertion log AND
+  // the same class map — and naive evaluation must still expand to the
+  // same set.
   rdf::Dictionary dict;
   const ontology::Vocabulary vocab(dict);
   rdf::TripleStore base;
@@ -244,14 +229,11 @@ TEST(EngineEquivalenceTest, EqualityRewriteIdenticalAcrossModesAndThreads) {
     rdf::EqualityClassMap map;
     std::size_t merges = 0;
   };
-  auto run = [&](bool dispatch, bool devirt, unsigned threads,
-                 bool semi_naive) {
+  auto run = [&](unsigned threads, bool semi_naive) {
     rdf::TripleStore store;
     store.insert_all(base.triples());
     EqualityManager eq;
     MaterializeOptions opts;
-    opts.dispatch_index = dispatch;
-    opts.devirtualize = devirt;
     opts.threads = threads;
     opts.semi_naive = semi_naive;
     opts.equality_mode = EqualityMode::kRewrite;
@@ -260,16 +242,12 @@ TEST(EngineEquivalenceTest, EqualityRewriteIdenticalAcrossModesAndThreads) {
     return RewriteRun{store.triples(), eq.export_map(), r.eq_merges};
   };
 
-  const RewriteRun ref = run(true, true, 1, true);
+  const RewriteRun ref = run(1, true);
   ASSERT_GT(ref.merges, 0u);
-  for (const auto& [dispatch, devirt, threads] :
-       {std::tuple{false, false, 1u}, std::tuple{true, false, 1u},
-        std::tuple{false, true, 1u}, std::tuple{true, true, 2u},
-        std::tuple{true, true, 4u}, std::tuple{true, true, 8u}}) {
-    const RewriteRun r = run(dispatch, devirt, threads, true);
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    const RewriteRun r = run(threads, true);
     EXPECT_EQ(ref.log, r.log)
-        << "dispatch=" << dispatch << " devirt=" << devirt
-        << " threads=" << threads << " (insertion-log order)";
+        << "threads=" << threads << " (insertion-log order)";
     EXPECT_EQ(ref.map.members, r.map.members);
     EXPECT_EQ(ref.map.literals, r.map.literals);
     EXPECT_EQ(ref.map.self_terms, r.map.self_terms);
@@ -278,7 +256,7 @@ TEST(EngineEquivalenceTest, EqualityRewriteIdenticalAcrossModesAndThreads) {
   }
 
   // Naive evaluation reorders derivations, so compare the expanded sets.
-  const RewriteRun naive = run(true, true, 1, false);
+  const RewriteRun naive = run(1, false);
   rdf::TripleStore ref_store;
   ref_store.insert_all(ref.log);
   rdf::TripleStore naive_store;

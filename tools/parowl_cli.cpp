@@ -12,14 +12,21 @@
 // Input format is chosen by extension: .nt (N-Triples), .ttl (Turtle),
 // .snap (binary snapshot); output likewise (.snap or .nt).
 
+#include <algorithm>
 #include <atomic>
-#include <cstring>
+#include <charconv>
+#include <cmath>
+#include <concepts>
+#include <fstream>
+#include <functional>
+#include <iostream>
+#include <limits>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <fstream>
-#include <iostream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -64,8 +71,7 @@ commands:
   info <kb>
   load-bench <kb.nt|kb.ttl> [--max-threads N]   (parallel-ingest sweep)
   materialize <kb> [-o <file>] [--strategy forward|query] [--no-compile]
-              [--rules <file>] [--threads N] [--no-dispatch] [--no-devirt]
-              [--equality-mode naive|rewrite]
+              [--rules <file>] [--threads N] [--equality-mode naive|rewrite]
               (rewrite: intercept owl:sameAs into a class map and keep the
                closure in representative space; a -o .snap then carries the
                map — v3 — and query/serve expand answers through it)
@@ -79,7 +85,7 @@ commands:
   partition <kb> -k N [--policy graph|hash|lubm|mdc] [partitioner options]
   cluster <kb> -k N [--policy ...] [--approach data|rule|hybrid]
           [partitioner options]
-          [--rule-parts M] [--strategy ...]
+          [--rule-parts M] [--strategy forward|query]
           [--exec-mode sync|threaded|async|async-threaded]
           [--no-steal] [--steal-batch N] [--chunk N]   (async modes)
           [--faults seed=S,drop=P,dup=P,corrupt=P,delay=P,reorder=P]
@@ -110,6 +116,7 @@ partitioner options (partition / cluster / run / serve-dist):
           merge back to k maximizing co-replication (default 1 = off)
 
 kb files: .nt (N-Triples), .ttl (Turtle), .snap (binary snapshot)
+an unknown flag, or a flag value outside the listed choices, is an error
 every command that loads a .nt/.ttl KB accepts --load-threads N
 (parallel ingest; the loaded KB is bit-identical for any N)
 
@@ -121,11 +128,6 @@ observability (every command):
   return 2;
 }
 
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
 /// `equality` non-null makes v3 snapshots (representative-space closure +
 /// class map) loadable; commands that cannot expand answers leave it null
 /// and get a clear rejection from the v2-only loader instead of silently
@@ -135,7 +137,7 @@ bool load_kb(const std::string& path, rdf::Dictionary& dict,
              rdf::EqualityClassMap* equality = nullptr,
              std::function<void(std::span<const rdf::Triple>)> chunk_sink =
                  {}) {
-  if (ends_with(path, ".snap")) {
+  if (path.ends_with(".snap")) {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
       std::cerr << "cannot open " << path << "\n";
@@ -181,7 +183,7 @@ bool save_kb(const std::string& path, const rdf::Dictionary& dict,
     std::cerr << "cannot write " << path << "\n";
     return false;
   }
-  if (ends_with(path, ".snap")) {
+  if (path.ends_with(".snap")) {
     rdf::save_snapshot(out, dict, store, equality);
   } else {
     if (equality != nullptr && !equality->empty()) {
@@ -207,90 +209,156 @@ bool load_triples(const std::string& path, rdf::Dictionary& dict,
   return true;
 }
 
-/// Minimal flag scanner: --name value / --flag / -k value.
+/// Every flag a command reads, marked by whether it takes a value.  Args
+/// rejects a flag missing from this table, and skips a listed flag's value
+/// when it looks for positionals.
+struct FlagSpec {
+  std::string_view name;
+  bool takes_value;
+};
+constexpr FlagSpec kFlags[] = {
+    {"-o", true}, {"-k", true}, {"--adds-file", true}, {"--approach", true},
+    {"--balance-slack", true}, {"--checkpoint-dir", true}, {"--chunk", true},
+    {"--clients", true}, {"--deadline", true}, {"--delete-ratio", true},
+    {"--deletes-file", true}, {"--equality-mode", true}, {"--exec-mode", true},
+    {"--faults", true}, {"--load-threads", true}, {"--max-clique", true},
+    {"--max-threads", true}, {"--metrics-out", true}, {"--mode", true},
+    {"--no-cache", false}, {"--no-compile", false}, {"--no-steal", false},
+    {"--partitioner", true}, {"--partitions", true}, {"--policy", true},
+    {"--queries-file", true}, {"--queue", true}, {"--rate", true},
+    {"--reason", false}, {"--replicas", true}, {"--requests", true},
+    {"--rule-parts", true}, {"--rules", true}, {"--sample-every", true},
+    {"--scale", true}, {"--seed", true}, {"--split-merge-factor", true},
+    {"--steal-batch", true}, {"--strategy", true}, {"--think", true},
+    {"--threads", true}, {"--trace-out", true}, {"--update-batches", true},
+    {"--update-size", true}};
+
+/// `text` as a T in [lo, hi], or an error naming `what`.  For an unsigned
+/// T std::from_chars takes digits only, so a sign is an error and so is
+/// overflow; trailing characters and a non-finite real are errors too.
+template <typename T>
+T parse_number(const std::string& what, const std::string& text, T lo = 0,
+               T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end || !(value >= lo) ||
+      !(value <= hi) || !std::isfinite(static_cast<double>(value))) {
+    std::ostringstream msg;
+    msg << what << ": expected "
+        << (std::is_integral_v<T> ? "an unsigned integer" : "a finite number")
+        << " in [" << lo << ", " << hi << "], got '" << text << "'";
+    throw std::invalid_argument(msg.str());
+  }
+  return value;
+}
+
+/// The checked flag reader: `--name value`, `--switch` and positionals.
+/// Construction rejects a flag kFlags does not list and a value flag with
+/// no value; the typed accessors reject a malformed value.  Every error is
+/// a std::invalid_argument naming the flag.  A repeated flag keeps its
+/// first value.
 class Args {
  public:
   Args(int argc, char** argv, int start) {
     for (int i = start; i < argc; ++i) {
-      args_.emplace_back(argv[i]);
-    }
-  }
-
-  /// Positional argument at `index` (flags excluded).
-  [[nodiscard]] std::string positional(std::size_t index) const {
-    std::size_t seen = 0;
-    for (std::size_t i = 0; i < args_.size(); ++i) {
-      if (args_[i].starts_with("-")) {
-        if (has_value(args_[i])) {
-          ++i;
-        }
+      const std::string arg = argv[i];
+      if (!arg.starts_with("-")) {
+        positionals_.push_back(arg);
         continue;
       }
-      if (seen++ == index) {
-        return args_[i];
+      const auto* spec =
+          std::find_if(std::begin(kFlags), std::end(kFlags),
+                       [&arg](const FlagSpec& f) { return f.name == arg; });
+      if (spec == std::end(kFlags)) {
+        throw std::invalid_argument("unknown flag '" + arg +
+                                    "' (run parowl alone for usage)");
       }
+      if (spec->takes_value && ++i == argc) {
+        throw std::invalid_argument(arg + ": missing value");
+      }
+      flags_.emplace(arg, spec->takes_value ? argv[i] : "");
     }
-    return {};
   }
 
-  [[nodiscard]] std::string option(const std::string& name,
+  /// Positional argument at `index` (flags and their values excluded).
+  [[nodiscard]] std::string positional(std::size_t index) const {
+    return index < positionals_.size() ? positionals_[index] : std::string();
+  }
+
+  [[nodiscard]] std::string option(std::string_view name,
                                    const std::string& fallback = {}) const {
-    for (std::size_t i = 0; i + 1 < args_.size(); ++i) {
-      if (args_[i] == name) {
-        return args_[i + 1];
-      }
-    }
-    return fallback;
+    const auto it = flags_.find(name);
+    return it != flags_.end() ? it->second : fallback;
   }
 
-  [[nodiscard]] bool flag(const std::string& name) const {
-    for (const std::string& a : args_) {
-      if (a == name) {
-        return true;
-      }
+  [[nodiscard]] bool flag(std::string_view name) const {
+    return flags_.find(name) != flags_.end();
+  }
+
+  /// An unsigned integer of type T, at least `min`.
+  template <std::unsigned_integral T>
+  [[nodiscard]] T count(std::string_view name, T fallback, T min = 0) const {
+    return flag(name) ? parse_number<T>(std::string(name), option(name), min)
+                      : fallback;
+  }
+
+  /// A finite number >= 0.
+  [[nodiscard]] double real(std::string_view name, double fallback) const {
+    return flag(name) ? parse_number(std::string(name), option(name), 0.0,
+                                     std::numeric_limits<double>::infinity())
+                      : fallback;
+  }
+
+  /// One of `values`; anything else is an error listing them.
+  [[nodiscard]] std::string choice(
+      std::string_view name, std::initializer_list<std::string_view> values,
+      std::string_view fallback) const {
+    const std::string value = option(name, std::string(fallback));
+    if (std::find(values.begin(), values.end(), value) != values.end()) {
+      return value;
     }
-    return false;
+    std::string valid;
+    for (const std::string_view v : values) {
+      valid += valid.empty() ? "" : "|";
+      valid += v;
+    }
+    throw std::invalid_argument(std::string(name) + ": expected " + valid +
+                                ", got '" + value + "'");
   }
 
  private:
-  static bool has_value(const std::string& flag_name) {
-    // Flags that consume a value.
-    for (const char* f : {"-o", "-k", "--scale", "--seed", "--policy",
-                          "--approach", "--mode", "--exec-mode",
-                          "--steal-batch", "--chunk", "--strategy",
-                          "--rule-parts", "--rules", "--queries-file",
-                          "--threads", "--queue", "--requests", "--rate",
-                          "--clients", "--think", "--deadline",
-                          "--update-batches", "--update-size",
-                          "--delete-ratio", "--adds-file", "--deletes-file",
-                          "--faults", "--checkpoint-dir", "--load-threads",
-                          "--max-threads", "--partitions", "--replicas",
-                          "--trace-out", "--metrics-out",
-                          "--sample-every", "--equality-mode",
-                          "--max-clique", "--partitioner",
-                          "--balance-slack", "--split-merge-factor"}) {
-      if (flag_name == f) {
-        return true;
-      }
-    }
-    return false;
-  }
-  std::vector<std::string> args_;
+  std::vector<std::string> positionals_;
+  std::map<std::string, std::string, std::less<>> flags_;
 };
 
 unsigned load_threads_of(const Args& args) {
-  return static_cast<unsigned>(
-      std::stoul(args.option("--load-threads", "1")));
+  return args.count<unsigned>("--load-threads", 1);
 }
 
-bool rewrite_mode_of(const Args& args) {
-  const std::string mode = args.option("--equality-mode", "naive");
-  if (mode != "naive" && mode != "rewrite") {
-    std::cerr << "--equality-mode: expected naive|rewrite, got '" << mode
-              << "' (using naive)\n";
+/// `--equality-mode rewrite` points `opts` at `eq`, which then receives the
+/// class map; returns whether it did.
+bool equality_mode_from(const Args& args, reason::MaterializeOptions& opts,
+                        reason::EqualityManager& eq) {
+  if (args.choice("--equality-mode", {"naive", "rewrite"}, "naive") ==
+      "naive") {
     return false;
   }
-  return mode == "rewrite";
+  opts.equality_mode = reason::EqualityMode::kRewrite;
+  opts.equality = &eq;
+  return true;
+}
+
+reason::MaintainStrategy maintain_strategy_of(const Args& args) {
+  return args.choice("--strategy", {"dred", "fbf"}, "dred") == "fbf"
+             ? reason::MaintainStrategy::kFbf
+             : reason::MaintainStrategy::kDRed;
+}
+
+reason::Strategy local_strategy_of(const Args& args) {
+  return args.choice("--strategy", {"forward", "query"}, "forward") == "query"
+             ? reason::Strategy::kQueryDriven
+             : reason::Strategy::kForward;
 }
 
 /// The one place CLI observability flags are parsed; every command embeds
@@ -299,8 +367,7 @@ obs::ObsOptions obs_options_from(const Args& args) {
   obs::ObsOptions o;
   o.trace_out = args.option("--trace-out");
   o.metrics_out = args.option("--metrics-out");
-  o.sample_every = static_cast<std::uint32_t>(
-      std::stoul(args.option("--sample-every", "1")));
+  o.sample_every = args.count<std::uint32_t>("--sample-every", 1);
   return o;
 }
 
@@ -309,54 +376,37 @@ obs::ObsOptions obs_options_from(const Args& args) {
 /// serve-dist and the partition benches.
 partition::PartitionerOptions partitioner_options_from(const Args& args) {
   partition::PartitionerOptions popts;
-  const std::string name = args.option("--partitioner", "multilevel");
-  if (const auto kind = partition::partitioner_kind_from(name)) {
-    popts.kind = *kind;
-  } else {
-    std::cerr << "--partitioner: expected multilevel|hdrf|fennel|ne, got '"
-              << name << "' (using multilevel)\n";
-  }
-  popts.balance_slack = std::stod(args.option("--balance-slack", "0.05"));
-  popts.split_merge_factor = static_cast<unsigned>(
-      std::stoul(args.option("--split-merge-factor", "1")));
+  popts.kind = *partition::partitioner_kind_from(args.choice(
+      "--partitioner", {"multilevel", "hdrf", "fennel", "ne"}, "multilevel"));
+  popts.balance_slack = args.real("--balance-slack", 0.05);
+  popts.split_merge_factor = args.count<unsigned>("--split-merge-factor", 1);
   return popts;
 }
 
-/// The cluster executor named by `--exec-mode` (default sync).  An unknown
-/// value, or the removed `--mode` selector, is an error rather than a
-/// silent fallback to sync.
+/// The cluster executor named by `--exec-mode` (default sync).  The
+/// removed `--mode` selector is an error rather than a silent sync run.
 parallel::ExecutionMode exec_mode_of(const Args& args) {
-  const char* const valid = "sync|threaded|async|async-threaded";
   if (!args.option("--mode").empty()) {
-    throw std::invalid_argument(std::string("cluster/run select the executor "
-                                            "with --exec-mode ") +
-                                valid + ", not --mode");
+    throw std::invalid_argument(
+        "cluster/run select the executor with --exec-mode "
+        "sync|threaded|async|async-threaded, not --mode");
   }
-  const std::string mode = args.option("--exec-mode", "sync");
-  if (mode == "sync") {
-    return parallel::ExecutionMode::kSequentialSimulated;
-  }
-  if (mode == "threaded") {
-    return parallel::ExecutionMode::kThreaded;
-  }
-  if (mode == "async") {
-    return parallel::ExecutionMode::kAsync;
-  }
-  if (mode == "async-threaded") {
-    return parallel::ExecutionMode::kAsyncThreaded;
-  }
-  throw std::invalid_argument(std::string("--exec-mode: expected ") + valid +
-                              ", got '" + mode + "'");
+  const std::string mode = args.choice(
+      "--exec-mode", {"sync", "threaded", "async", "async-threaded"}, "sync");
+  return mode == "threaded" ? parallel::ExecutionMode::kThreaded
+         : mode == "async"  ? parallel::ExecutionMode::kAsync
+         : mode == "async-threaded"
+             ? parallel::ExecutionMode::kAsyncThreaded
+             : parallel::ExecutionMode::kSequentialSimulated;
 }
 
 std::unique_ptr<partition::OwnerPolicy> make_policy(const Args& args,
                                                     const char* fallback) {
   // --partitioner selects the algorithm behind the graph policy; an
   // explicit --policy hash|lubm|mdc still picks those owner functions.
-  std::string name = args.option("--policy");
-  if (name.empty()) {
-    name = args.option("--partitioner").empty() ? fallback : "graph";
-  }
+  const std::string name =
+      args.choice("--policy", {"graph", "hash", "lubm", "mdc"},
+                  args.option("--partitioner").empty() ? fallback : "graph");
   if (name == "hash") {
     return std::make_unique<partition::HashOwnerPolicy>();
   }
@@ -381,10 +431,8 @@ int cmd_gen(const Args& args) {
   if (kind.empty() || out.empty()) {
     return usage();
   }
-  const auto scale =
-      static_cast<unsigned>(std::stoul(args.option("--scale", "1")));
-  const auto seed =
-      static_cast<std::uint64_t>(std::stoull(args.option("--seed", "42")));
+  const auto scale = args.count<unsigned>("--scale", 1);
+  const auto seed = args.count<std::uint64_t>("--seed", 42);
 
   rdf::Dictionary dict;
   rdf::TripleStore store;
@@ -408,8 +456,7 @@ int cmd_gen(const Args& args) {
   } else if (kind == "sameas") {
     gen::SameAsOptions o;
     o.individuals = 200 * scale;
-    o.max_clique_size = static_cast<std::uint32_t>(
-        std::stoul(args.option("--max-clique", "6")));
+    o.max_clique_size = args.count<std::uint32_t>("--max-clique", 6);
     o.seed = seed;
     stats = gen::generate_sameas(o, dict, store);
   } else {
@@ -451,11 +498,10 @@ int cmd_info(const Args& args) {
 /// and compare the codec footprint with the source text.
 int cmd_load_bench(const Args& args) {
   const std::string path = args.positional(0);
-  if (path.empty() || ends_with(path, ".snap")) {
+  if (path.empty() || path.ends_with(".snap")) {
     return usage();
   }
-  const auto max_threads = static_cast<unsigned>(
-      std::stoul(args.option("--max-threads", "8")));
+  const auto max_threads = args.count<unsigned>("--max-threads", 8);
 
   util::Table table({"threads", "read(s)", "scan(s)", "parse(s)", "merge(s)",
                      "total(s)", "MB/s", "speedup", "identical"});
@@ -526,20 +572,12 @@ int cmd_materialize(const Args& args) {
   ontology::Vocabulary vocab(dict);
 
   reason::MaterializeOptions opts;
-  if (args.option("--strategy") == "query") {
-    opts.strategy = reason::Strategy::kQueryDriven;
-  }
+  opts.strategy = local_strategy_of(args);
   opts.compile = !args.flag("--no-compile");
-  opts.threads = static_cast<unsigned>(std::stoul(args.option("--threads", "1")));
-  opts.dispatch_index = !args.flag("--no-dispatch");
-  opts.devirtualize = !args.flag("--no-devirt");
+  opts.threads = args.count<unsigned>("--threads", 1);
   opts.obs = obs_options_from(args);
   reason::EqualityManager eq;
-  const bool rewrite = rewrite_mode_of(args);
-  if (rewrite) {
-    opts.equality_mode = reason::EqualityMode::kRewrite;
-    opts.equality = &eq;
-  }
+  const bool rewrite = equality_mode_from(args, opts, eq);
 
   const reason::MaterializeResult r =
       reason::materialize(store, dict, vocab, opts);
@@ -574,8 +612,6 @@ int cmd_materialize(const Args& args) {
     reason::ForwardOptions fopts;
     fopts.dict = &dict;
     fopts.threads = opts.threads;
-    fopts.dispatch_index = opts.dispatch_index;
-    fopts.devirtualize = opts.devirtualize;
     const reason::ForwardStats stats =
         reason::forward_closure(store, *user_rules, fopts);
     std::cout << "user rules (" << user_rules->size() << ") derived "
@@ -613,13 +649,15 @@ int cmd_update(const Args& args) {
     return usage();
   }
   ontology::Vocabulary vocab(dict);
-  const auto threads =
-      static_cast<unsigned>(std::stoul(args.option("--threads", "1")));
+  reason::MaintainOptions opts;
+  opts.strategy = maintain_strategy_of(args);
+  opts.threads = args.count<unsigned>("--threads", 1);
+  opts.obs = obs_options_from(args);
 
   // The loaded KB is the asserted base; compute the closure it maintains.
   rdf::TripleSet base(store.triples());
   reason::MaterializeOptions mo;
-  mo.threads = threads;
+  mo.threads = opts.threads;
   const reason::MaterializeResult mr =
       reason::materialize(store, dict, vocab, mo);
   std::cout << "closure: " << mr.base_triples << " base -> +" << mr.inferred
@@ -634,12 +672,6 @@ int cmd_update(const Args& args) {
     return 1;
   }
 
-  reason::MaintainOptions opts;
-  opts.strategy = args.option("--strategy", "dred") == "fbf"
-                      ? reason::MaintainStrategy::kFbf
-                      : reason::MaintainStrategy::kDRed;
-  opts.threads = threads;
-  opts.obs = obs_options_from(args);
   const reason::Maintainer maintainer(dict, vocab, opts);
   const reason::MaintainResult r = maintainer.apply(store, base, adds, dels);
   if (r.schema_changed) {
@@ -669,6 +701,34 @@ int cmd_update(const Args& args) {
   return 0;
 }
 
+/// Shared by query, serve-bench and serve-dist: under --reason, materialize
+/// the KB first.  Returns the frozen class map of a rewrite closure — from
+/// materializing under --equality-mode rewrite, or else from a v3 snapshot
+/// — as the shared_ptr the serving layers hold, or null.
+std::shared_ptr<const reason::EqualityManager> equality_of(
+    const Args& args, rdf::Dictionary& dict,
+    const ontology::Vocabulary& vocab, rdf::TripleStore& store,
+    const rdf::EqualityClassMap& loaded_map) {
+  if (args.flag("--reason")) {
+    reason::MaterializeOptions mopts;
+    auto em = std::make_shared<reason::EqualityManager>();
+    const bool rewrite = equality_mode_from(args, mopts, *em);
+    const reason::MaterializeResult r =
+        reason::materialize(store, dict, vocab, mopts);
+    std::cout << "materialized: +" << r.inferred << " triples";
+    if (rewrite) {
+      std::cout << " (rewrite: " << r.eq_merges << " merges)\n";
+      return em;
+    }
+    std::cout << "\n";
+  }
+  if (!loaded_map.empty()) {
+    return std::make_shared<reason::EqualityManager>(
+        reason::EqualityManager::import_map(loaded_map));
+  }
+  return nullptr;
+}
+
 int cmd_query(const Args& args) {
   const std::string path = args.positional(0);
   const std::string queries_file = args.option("--queries-file");
@@ -682,22 +742,8 @@ int cmd_query(const Args& args) {
                                                                   : 1;
   }
   ontology::Vocabulary vocab(dict);
-  if (args.flag("--reason")) {
-    reason::MaterializeOptions mopts;
-    reason::EqualityManager em;
-    if (rewrite_mode_of(args)) {
-      mopts.equality_mode = reason::EqualityMode::kRewrite;
-      mopts.equality = &em;
-    }
-    reason::materialize(store, dict, vocab, mopts);
-    if (mopts.equality != nullptr) {
-      eqmap = em.export_map();
-    }
-  }
-  std::optional<reason::EqualityManager> eq;
-  if (!eqmap.empty()) {
-    eq = reason::EqualityManager::import_map(eqmap);
-  }
+  const std::shared_ptr<const reason::EqualityManager> eq =
+      equality_of(args, dict, vocab, store, eqmap);
   // Answers from a representative-space closure are expanded through the
   // class map; unsupported shapes are reported, never silently wrong.
   const auto run_query =
@@ -778,35 +824,53 @@ int cmd_query(const Args& args) {
   return 0;
 }
 
-/// Shared by serve-bench and serve-dist: the frozen class map of a rewrite
-/// run — from a v3 snapshot, or from materializing under --equality-mode
-/// rewrite — as the shared_ptr the serving layers hold.
-std::shared_ptr<const reason::EqualityManager> serve_equality(
-    const Args& args, rdf::Dictionary& dict,
-    const ontology::Vocabulary& vocab, rdf::TripleStore& store,
-    const rdf::EqualityClassMap& loaded_map) {
-  if (args.flag("--reason")) {
-    reason::MaterializeOptions mopts;
-    auto em = std::make_shared<reason::EqualityManager>();
-    const bool rewrite = rewrite_mode_of(args);
-    if (rewrite) {
-      mopts.equality_mode = reason::EqualityMode::kRewrite;
-      mopts.equality = em.get();
+/// The query mix of serve-bench and serve-dist: a file of one-per-line
+/// queries (--queries-file), or the LUBM-14 mix.
+std::vector<std::string> query_mix_of(const Args& args) {
+  const std::string path = args.option("--queries-file");
+  std::vector<std::string> queries;
+  if (path.empty()) {
+    for (const gen::LubmQuery& q : gen::lubm_queries()) {
+      queries.push_back(q.sparql);
     }
-    const reason::MaterializeResult r =
-        reason::materialize(store, dict, vocab, mopts);
-    std::cout << "materialized: +" << r.inferred << " triples";
-    if (rewrite) {
-      std::cout << " (rewrite: " << r.eq_merges << " merges)";
+  } else {
+    std::ifstream in(path);
+    if (!in) {
+      throw std::runtime_error("cannot open " + path);
     }
-    std::cout << "\n";
-    return rewrite ? em : nullptr;
+    queries = serve::load_query_lines(in);
   }
-  if (!loaded_map.empty()) {
-    return std::make_shared<reason::EqualityManager>(
-        reason::EqualityManager::import_map(loaded_map));
+  if (queries.empty()) {
+    throw std::runtime_error("no queries to serve");
   }
-  return nullptr;
+  return queries;
+}
+
+/// The client workload of serve-bench and serve-dist.
+serve::WorkloadOptions workload_options_from(const Args& args) {
+  serve::WorkloadOptions w;
+  w.mode = args.choice("--mode", {"open", "closed"}, "closed") == "open"
+               ? serve::WorkloadMode::kOpenLoop
+               : serve::WorkloadMode::kClosedLoop;
+  w.total_requests = args.count<std::size_t>("--requests", 1000);
+  w.seed = args.count<std::uint64_t>("--seed", 42);
+  w.arrival_rate_qps = args.real("--rate", 1000);
+  w.clients = args.count<std::size_t>("--clients", 4);
+  w.think_seconds = args.real("--think", 0);
+  return w;
+}
+
+/// The knobs serve::ServiceOptions and dist::DistOptions share.
+template <typename Options>
+void read_service_options(const Args& args, Options& o) {
+  o.threads = args.count<std::size_t>("--threads", 2);
+  o.queue_capacity = args.count<std::size_t>("--queue", 64);
+  o.cache_enabled = !args.flag("--no-cache");
+  o.default_deadline_seconds = args.real("--deadline", 0);
+  o.prefixes = {{"ub", std::string(gen::kUnivBenchNs)},
+                {"mdc", std::string(gen::kMdcNs)},
+                {"id", std::string(gen::kSameAsNs)}};
+  o.obs = obs_options_from(args);
 }
 
 int cmd_serve_bench(const Args& args) {
@@ -820,56 +884,21 @@ int cmd_serve_bench(const Args& args) {
   }
   ontology::Vocabulary vocab(dict);
   const std::shared_ptr<const reason::EqualityManager> equality =
-      serve_equality(args, dict, vocab, store, eqmap);
+      equality_of(args, dict, vocab, store, eqmap);
 
-  // The query mix: a file of one-per-line queries, or the LUBM-14 mix.
-  std::vector<std::string> queries;
-  const std::string queries_file = args.option("--queries-file");
-  if (!queries_file.empty()) {
-    std::ifstream in(queries_file);
-    if (!in) {
-      std::cerr << "cannot open " << queries_file << "\n";
-      return 1;
-    }
-    queries = serve::load_query_lines(in);
-  } else {
-    for (const gen::LubmQuery& q : gen::lubm_queries()) {
-      queries.push_back(q.sparql);
-    }
-  }
-  if (queries.empty()) {
-    std::cerr << "no queries to serve\n";
-    return 1;
-  }
+  const std::vector<std::string> queries = query_mix_of(args);
 
   serve::ServiceOptions sopts;
-  sopts.threads = std::stoul(args.option("--threads", "2"));
-  sopts.queue_capacity = std::stoul(args.option("--queue", "64"));
-  sopts.cache_enabled = !args.flag("--no-cache");
-  sopts.default_deadline_seconds = std::stod(args.option("--deadline", "0"));
-  sopts.prefixes = {{"ub", std::string(gen::kUnivBenchNs)},
-                    {"mdc", std::string(gen::kMdcNs)},
-                    {"id", std::string(gen::kSameAsNs)}};
-  sopts.maintain_strategy = args.option("--strategy", "dred") == "fbf"
-                                ? reason::MaintainStrategy::kFbf
-                                : reason::MaintainStrategy::kDRed;
-  sopts.obs = obs_options_from(args);
+  read_service_options(args, sopts);
+  sopts.maintain_strategy = maintain_strategy_of(args);
   serve::QueryService service(dict, vocab, std::move(store), sopts, {},
                               equality);
 
-  serve::WorkloadOptions wopts;
-  wopts.mode = args.option("--mode", "closed") == "open"
-                   ? serve::WorkloadMode::kOpenLoop
-                   : serve::WorkloadMode::kClosedLoop;
-  wopts.total_requests = std::stoul(args.option("--requests", "1000"));
-  wopts.seed = std::stoull(args.option("--seed", "42"));
-  wopts.arrival_rate_qps = std::stod(args.option("--rate", "1000"));
-  wopts.clients = std::stoul(args.option("--clients", "4"));
-  wopts.think_seconds = std::stod(args.option("--think", "0"));
+  const serve::WorkloadOptions wopts = workload_options_from(args);
 
-  const auto update_batches = std::stoul(args.option("--update-batches", "0"));
-  const auto update_size = std::stoul(args.option("--update-size", "10"));
-  const double delete_ratio = std::stod(args.option("--delete-ratio", "0"));
+  const auto update_batches = args.count<std::size_t>("--update-batches", 0);
+  const auto update_size = args.count<std::size_t>("--update-size", 10);
+  const double delete_ratio = args.real("--delete-ratio", 0);
 
   // Optional concurrent writer: periodic instance batches (new students
   // joining Department0), exercising invalidation under live traffic.
@@ -987,7 +1016,7 @@ int cmd_partition(const Args& args) {
   if (path.empty() || !load_kb(path, dict, store, load_threads_of(args))) {
     return 1;
   }
-  const auto k = static_cast<std::uint32_t>(std::stoul(args.option("-k", "4")));
+  const auto k = args.count<std::uint32_t>("-k", 4, 1);
   const auto policy = make_policy(args, "graph");
 
   ontology::Vocabulary vocab(dict);
@@ -1013,8 +1042,8 @@ int cmd_partition(const Args& args) {
 }
 
 /// Parse "--faults seed=7,drop=0.05,dup=0.02,corrupt=0.01,delay=0.02,
-/// reorder=0.1" into a FaultSpec.  Unknown or malformed entries are
-/// reported and skipped rather than crashing the run.
+/// reorder=0.1" into a FaultSpec.  A malformed entry, an unknown key, an
+/// unparsable value or a probability outside [0, 1] is an error.
 parallel::FaultSpec parse_fault_spec(const std::string& text) {
   parallel::FaultSpec spec;
   std::istringstream in(text);
@@ -1022,36 +1051,36 @@ parallel::FaultSpec parse_fault_spec(const std::string& text) {
   while (std::getline(in, item, ',')) {
     const auto eq = item.find('=');
     if (eq == std::string::npos) {
-      std::cerr << "--faults: ignoring malformed entry '" << item << "'\n";
-      continue;
+      throw std::invalid_argument("--faults: expected key=value, got '" +
+                                  item + "'");
     }
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
-    try {
-      if (key == "seed") {
-        spec.seed = std::stoull(value);
-      } else if (key == "drop") {
-        spec.drop = std::stod(value);
-      } else if (key == "dup" || key == "duplicate") {
-        spec.duplicate = std::stod(value);
-      } else if (key == "corrupt") {
-        spec.corrupt = std::stod(value);
-      } else if (key == "delay") {
-        spec.delay = std::stod(value);
-      } else if (key == "reorder") {
-        spec.reorder = std::stod(value);
-      } else if (key == "max-delay-rounds") {
-        spec.max_delay_rounds =
-            static_cast<std::uint32_t>(std::stoul(value));
-      } else if (key == "max-faulty-attempts") {
-        spec.max_faulty_attempts =
-            static_cast<std::uint32_t>(std::stoul(value));
-      } else {
-        std::cerr << "--faults: unknown key '" << key << "'\n";
-      }
-    } catch (const std::exception&) {
-      std::cerr << "--faults: bad value for '" << key << "': " << value
-                << "\n";
+    const std::string what = "--faults " + key;
+    const auto probability = [&] {
+      return parse_number(what, value, 0.0, 1.0);
+    };
+    if (key == "seed") {
+      spec.seed = parse_number<std::uint64_t>(what, value);
+    } else if (key == "drop") {
+      spec.drop = probability();
+    } else if (key == "dup" || key == "duplicate") {
+      spec.duplicate = probability();
+    } else if (key == "corrupt") {
+      spec.corrupt = probability();
+    } else if (key == "delay") {
+      spec.delay = probability();
+    } else if (key == "reorder") {
+      spec.reorder = probability();
+    } else if (key == "max-delay-rounds") {
+      spec.max_delay_rounds = parse_number<std::uint32_t>(what, value);
+    } else if (key == "max-faulty-attempts") {
+      spec.max_faulty_attempts = parse_number<std::uint32_t>(what, value);
+    } else {
+      throw std::invalid_argument(
+          "--faults: unknown key '" + key +
+          "' (expected seed|drop|dup|duplicate|corrupt|delay|reorder|"
+          "max-delay-rounds|max-faulty-attempts)");
     }
   }
   return spec;
@@ -1074,31 +1103,13 @@ int cmd_serve_dist(const Args& args) {
   }
   ontology::Vocabulary vocab(dict);
   const std::shared_ptr<const reason::EqualityManager> equality =
-      serve_equality(args, dict, vocab, store, eqmap);
+      equality_of(args, dict, vocab, store, eqmap);
 
-  std::vector<std::string> queries;
-  const std::string queries_file = args.option("--queries-file");
-  if (!queries_file.empty()) {
-    std::ifstream in(queries_file);
-    if (!in) {
-      std::cerr << "cannot open " << queries_file << "\n";
-      return 1;
-    }
-    queries = serve::load_query_lines(in);
-  } else {
-    for (const gen::LubmQuery& q : gen::lubm_queries()) {
-      queries.push_back(q.sparql);
-    }
-  }
-  if (queries.empty()) {
-    std::cerr << "no queries to serve\n";
-    return 1;
-  }
+  const std::vector<std::string> queries = query_mix_of(args);
 
-  const auto k = static_cast<std::uint32_t>(
-      std::stoul(args.option("--partitions", args.option("-k", "4"))));
-  const auto replicas = static_cast<std::uint32_t>(
-      std::stoul(args.option("--replicas", "1")));
+  const auto k = args.count<std::uint32_t>(
+      "--partitions", args.count<std::uint32_t>("-k", 4, 1), 1);
+  const auto replicas = args.count<std::uint32_t>("--replicas", 1, 1);
   const auto policy = make_policy(args, "hash");
   partition::OwnerTable owners =
       partition::partition_data(store, dict, vocab, *policy, k).owners;
@@ -1115,29 +1126,14 @@ int cmd_serve_dist(const Args& args) {
       faulty ? static_cast<parallel::Transport&>(*faulty) : inner;
 
   dist::DistOptions dopts;
-  dopts.threads = std::stoul(args.option("--threads", "2"));
-  dopts.queue_capacity = std::stoul(args.option("--queue", "64"));
-  dopts.cache_enabled = !args.flag("--no-cache");
-  dopts.default_deadline_seconds = std::stod(args.option("--deadline", "0"));
-  dopts.prefixes = {{"ub", std::string(gen::kUnivBenchNs)},
-                    {"mdc", std::string(gen::kMdcNs)},
-                    {"id", std::string(gen::kSameAsNs)}};
+  read_service_options(args, dopts);
   dopts.replicas = replicas;
   dopts.equality = equality;
   dopts.same_as = vocab.owl_same_as;
-  dopts.obs = obs_options_from(args);
   dist::DistService service(dict, store, std::move(owners), k, transport,
                             dopts);
 
-  serve::WorkloadOptions wopts;
-  wopts.mode = args.option("--mode", "closed") == "open"
-                   ? serve::WorkloadMode::kOpenLoop
-                   : serve::WorkloadMode::kClosedLoop;
-  wopts.total_requests = std::stoul(args.option("--requests", "1000"));
-  wopts.seed = std::stoull(args.option("--seed", "42"));
-  wopts.arrival_rate_qps = std::stod(args.option("--rate", "1000"));
-  wopts.clients = std::stoul(args.option("--clients", "4"));
-  wopts.think_seconds = std::stod(args.option("--think", "0"));
+  const serve::WorkloadOptions wopts = workload_options_from(args);
 
   const serve::WorkloadReport report =
       dist::run_workload(service, queries, wopts);
@@ -1170,8 +1166,8 @@ int cmd_cluster(const Args& args) {
   }
   rdf::Dictionary dict;
   rdf::TripleStore store;
-  const auto partitions = static_cast<std::uint32_t>(
-      std::stoul(args.option("-k", args.option("--partitions", "4"))));
+  const auto partitions = args.count<std::uint32_t>(
+      "-k", args.count<std::uint32_t>("--partitions", 4, 1), 1);
 
   // Streaming bootstrap: with a streaming --partitioner the owner table is
   // built *during* load — the reader's chunk_sink feeds each merged chunk
@@ -1203,20 +1199,17 @@ int cmd_cluster(const Args& args) {
   parallel::ParallelOptions opts;
   opts.partitions = partitions;
   opts.obs = obs_options_from(args);
-  opts.rule_partitions = static_cast<std::uint32_t>(
-      std::stoul(args.option("--rule-parts", "2")));
-  const std::string approach = args.option("--approach", "data");
+  opts.rule_partitions = args.count<std::uint32_t>("--rule-parts", 2);
+  const std::string approach =
+      args.choice("--approach", {"data", "rule", "hybrid"}, "data");
   opts.approach = approach == "rule"     ? parallel::Approach::kRulePartition
                   : approach == "hybrid" ? parallel::Approach::kHybrid
                                          : parallel::Approach::kDataPartition;
   opts.mode = exec_mode_of(args);
   opts.async_exec.steal = !args.flag("--no-steal");
-  opts.async_exec.steal_batch =
-      std::stoul(args.option("--steal-batch", "256"));
-  opts.async_exec.chunk = std::stoul(args.option("--chunk", "256"));
-  if (args.option("--strategy") == "query") {
-    opts.local_strategy = reason::Strategy::kQueryDriven;
-  }
+  opts.async_exec.steal_batch = args.count<std::size_t>("--steal-batch", 256);
+  opts.async_exec.chunk = args.count<std::size_t>("--chunk", 256, 1);
+  opts.local_strategy = local_strategy_of(args);
   std::unique_ptr<partition::OwnerPolicy> policy;
   if (bootstrap) {
     partition::PartitionPlan plan = bootstrap->finalize();

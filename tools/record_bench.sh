@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Regenerate the checked-in google-benchmark baselines:
-#   bench/BENCH_reason.json — forward-engine ablation sweep (dispatch index
-#     on/off × devirtualized joins on/off × 1/2/4/8 matching threads,
-#     LUBM-1 and MDC-2).
+#   bench/BENCH_reason.json — forward-engine closure over 1/2/4/8 matching
+#     threads, LUBM-1 and MDC-2.
 #   bench/BENCH_ingest.json — parallel-ingest thread sweep (N-Triples and
 #     Turtle), serial-parse baseline, codec encode/decode throughput and
 #     bytes-per-triple, snapshot save/load.
