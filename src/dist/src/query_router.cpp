@@ -156,8 +156,7 @@ QueryRouter::Outcome QueryRouter::run(const query::SelectQuery& query,
       if (resp.round != request) {
         continue;  // another request's delayed envelope, released late
       }
-      if (!resp.intact ||
-          parallel::batch_checksum(resp.tuples) != resp.checksum) {
+      if (!resp.valid()) {
         transport_.note_checksum_failure(NodeLayout::kRouterNode);
         stats->checksum_failures += 1;
         continue;

@@ -48,8 +48,7 @@ std::size_t ShardReplica::serve(parallel::Transport& transport,
       // into this poll; that request's router is gone — drop it.
       continue;
     }
-    if (!req.intact ||
-        parallel::batch_checksum(req.tuples) != req.checksum) {
+    if (!req.valid()) {
       transport.note_checksum_failure(node_);
       continue;  // the router retransmits
     }

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -97,10 +98,9 @@ struct Batch {
   std::uint32_t attempt = 0;  // 0 = first transmission
   std::uint64_t checksum = 0; // batch_checksum(tuples) at send time
   BatchKind kind = BatchKind::kData;
-  /// Termination-token payload (kToken only): the probe epoch, the
-  /// Dijkstra color, and a spare counter field for protocol extensions.
+  /// Termination-token payload (kToken only): the probe epoch and the
+  /// Dijkstra color.
   std::uint32_t token_epoch = 0;
-  std::int64_t token_count = 0;
   bool token_black = false;
   /// False when the transport could not even reconstruct the envelope
   /// (torn file, unparsable payload); treated as a checksum failure.
@@ -109,6 +109,13 @@ struct Batch {
 
   [[nodiscard]] std::uint64_t id() const {
     return make_batch_id(from, to, round, seq);
+  }
+
+  /// The integrity rule every receiver applies: the envelope was
+  /// reconstructed and its payload still matches the sender's checksum.
+  /// An invalid envelope is never acknowledged, so the sender retransmits.
+  [[nodiscard]] bool valid() const {
+    return intact && batch_checksum(tuples) == checksum;
   }
 };
 
@@ -167,9 +174,9 @@ class Transport {
   /// accounting but must deliver retransmissions like first transmissions.
   virtual void send_batch(Batch batch) = 0;
 
-  /// Drain every envelope currently available for (`to`, `round`).  Unlike
-  /// the tuple-level receive, this may be called repeatedly per round; each
-  /// envelope is returned exactly once.
+  /// Drain every envelope currently available for (`to`, `round`).  This
+  /// may be called repeatedly per round; each envelope is returned exactly
+  /// once.
   virtual std::vector<Batch> receive_batches(std::uint32_t to,
                                              std::uint32_t round) = 0;
 
@@ -182,13 +189,6 @@ class Transport {
     (void)to;
     throw std::logic_error(name() + " transport does not support receive_all");
   }
-
-  /// Tuple-level convenience wrappers (sequence numbers assigned
-  /// internally; payload integrity still checked on receive, corrupt
-  /// batches dropped with a warning rather than returned).
-  void send(std::uint32_t from, std::uint32_t to, std::uint32_t round,
-            std::span<const rdf::Triple> tuples);
-  std::vector<rdf::Triple> receive(std::uint32_t to, std::uint32_t round);
 
   /// Communication counters for one partition (accumulated over rounds).
   [[nodiscard]] virtual CommStats stats(std::uint32_t partition) const;
@@ -215,10 +215,6 @@ class Transport {
 
  private:
   std::vector<CommStats> stats_;
-  // Sequence counters for the tuple-level send wrapper.
-  std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>,
-           std::uint32_t>
-      wrapper_seq_;
 };
 
 /// Shared-memory transport: per-destination mailboxes under a mutex.  This
@@ -235,11 +231,13 @@ class MemoryTransport final : public Transport {
   std::vector<Batch> receive_all(std::uint32_t to) override;
   [[nodiscard]] std::string name() const override { return "memory"; }
 
-  /// Envelopes still sitting in mailboxes (test introspection).
-  [[nodiscard]] std::size_t pending_batches() const;
-
  private:
-  mutable std::mutex mutex_;
+  /// Drain `to`'s mailboxes for rounds [lo, hi], in round order, and
+  /// charge the receive to `to`'s counters.
+  std::vector<Batch> drain(std::uint32_t to, std::uint32_t lo,
+                           std::uint32_t hi);
+
+  std::mutex mutex_;
   // (to, round) -> envelopes awaiting receive.
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<Batch>>
       mailboxes_;
@@ -247,9 +245,10 @@ class MemoryTransport final : public Transport {
 
 /// Shared-filesystem transport, as in the paper's implementation (§V): each
 /// envelope becomes a file "r<round>_to<t>_from<f>_s<seq>_a<attempt>.batch"
-/// in a spool directory; receive scans its round's files.  Tuples are
-/// serialized with the compact binary codec (rdf/codec.hpp — varint header
-/// plus a delta-encoded checksummed triple block), the same format
+/// in a spool directory; receive scans the destination's files (one
+/// round's in `receive_batches`, every round's in `receive_all`).  Tuples
+/// are serialized with the compact binary codec (rdf/codec.hpp — varint
+/// header plus a delta-encoded checksummed triple block), the same format
 /// snapshots and checkpoints use, so the measured IO cost includes real
 /// serialization, disk writes, reads, and decoding — the quantities behind
 /// Fig. 2's IO component — and `CommStats` bytes are true bytes-on-wire.
@@ -277,6 +276,11 @@ class FileTransport final : public Transport {
   }
 
  private:
+  /// Consume and decode every spool file addressed to `to` (only those of
+  /// `round` when given), in file-name order.
+  std::vector<Batch> scan(std::uint32_t to,
+                          std::optional<std::uint32_t> round);
+
   std::filesystem::path dir_;
 };
 
@@ -330,6 +334,11 @@ class FaultyTransport final : public Transport {
     std::uint32_t holds = 0;
     Batch batch;
   };
+
+  /// Append the inner transport's drain to `out` and, with probability
+  /// `reorder`, shuffle the delivery order under a hash of (to, key).
+  void deliver(std::vector<Batch>& out, std::vector<Batch> inner,
+               std::uint32_t to, std::uint64_t key);
 
   Transport& inner_;
   FaultSpec spec_;

@@ -62,7 +62,7 @@ struct Outgoing {
 /// exchange goes through the Transport.
 ///
 /// Delivery is exactly-once *effective*: envelopes carry a checksum and a
-/// unique batch id; `collect` discards corrupt envelopes (forcing a
+/// unique batch id; `collect` discards invalid envelopes (forcing a
 /// retransmission) and deduplicates redeliveries, and `aggregate_round`
 /// merges the surviving payloads in a canonical order — so any fault
 /// schedule the retry machinery survives yields a store log bit-identical
@@ -94,30 +94,23 @@ class Worker {
   std::size_t compute_and_send(std::uint32_t round);
 
   /// Delivery loop step 1 (repeatable): drain the transport inbox for
-  /// `round`, discard corrupt envelopes (counting a checksum failure),
+  /// `round`, discard invalid envelopes (counting a checksum failure),
   /// deduplicate redeliveries by batch id, acknowledge and stage the rest.
-  /// Returns the number of envelopes newly staged.
+  /// Returns the number of envelopes newly staged.  A null `board` stages
+  /// without acknowledging.
   std::size_t collect(std::uint32_t round, AckBoard* board);
 
   /// Delivery loop step 2: resend every pending envelope the board has not
   /// acknowledged, with a bumped attempt counter; acknowledged envelopes
-  /// are released.  Returns the number of retransmissions issued.
+  /// are released.  Returns the number of retransmissions issued.  Async
+  /// callers pass round 0, the slot their counters accumulate on.
   std::size_t retransmit_unacked(std::uint32_t round, const AckBoard& board);
 
-  /// Delivery loop finale: merge the staged payloads into the store in a
-  /// canonical order — batches by (sender, seq), tuples sorted within each
-  /// batch — so the store log is independent of arrival order.  Returns
-  /// the number of genuinely new tuples.
+  /// Delivery loop finale: merge the staged payloads into the store in the
+  /// canonical order — batches by (sender, round, seq), tuples sorted
+  /// within each batch — so the store log is independent of arrival order.
+  /// Returns the number of genuinely new tuples.
   std::size_t aggregate_round(std::uint32_t round);
-
-  /// Single-shot receive for callers outside the retry loop: collect
-  /// (without acking) and aggregate.  Returns the number of new tuples.
-  std::size_t receive_and_aggregate(std::uint32_t round);
-
-  /// Envelopes sent this round and not yet acknowledged.
-  [[nodiscard]] std::size_t pending_batches() const {
-    return pending_.size();
-  }
 
   // -- Asynchronous execution ------------------------------------------
   //
@@ -126,27 +119,24 @@ class Worker {
   // bounded frontier chunks with `async_step`, steal frontier shards from
   // backlogged peers (`grant_steal` on the victim, `evaluate_shard` +
   // `ship_steal_results` on the thief), and detect global quiescence with
-  // a Dijkstra-style token ring (`send_token`).  All exchange still flows
-  // through the ack'd Transport envelopes, so the fault model and retry
-  // machinery of the synchronous mode apply unchanged.
-
-  /// One envelope this worker has shipped and not yet seen acknowledged.
-  struct SentRecord {
-    std::uint64_t id = 0;
-    std::size_t tuples = 0;
-  };
+  // a Dijkstra-style token ring (`send_token`).  Both drivers share one
+  // envelope path: the same routing, the same stamping and pending copy
+  // (an async envelope carries the sender's monotonic sequence in its id's
+  // round field), the same validate/ack/dedup staging, the same canonical
+  // absorb and the same retransmission — so the fault model and retry
+  // machinery of the synchronous mode apply unchanged.  Async counters
+  // accumulate on RoundStats slot 0.
 
   /// What one `async_collect` poll produced.
   struct AsyncArrivals {
-    std::size_t batches = 0;       // data/steal envelopes newly staged
-    std::size_t fresh = 0;         // genuinely new tuples absorbed
-    std::size_t steal_tuples = 0;  // tuples arriving via kStealResult
-    std::vector<Batch> tokens;     // termination probes (handled by caller)
+    std::size_t batches = 0;    // data/steal envelopes newly staged
+    std::size_t fresh = 0;      // genuinely new tuples absorbed
+    std::vector<Batch> tokens;  // termination probes (handled by caller)
   };
 
-  /// Drain the transport inbox (any round), validate/dedup/ack exactly as
-  /// `collect` does, absorb data and steal-result payloads in canonical
-  /// order, and hand termination tokens back to the executor.
+  /// Drain the transport inbox (any round), stage it exactly as `collect`
+  /// does, hand termination tokens back to the executor and absorb the
+  /// data and steal-result payloads in canonical order.
   AsyncArrivals async_collect(AckBoard* board);
 
   /// What one `async_step` call did.
@@ -160,10 +150,8 @@ class Worker {
 
   /// Evaluate up to `max_delta` frontier tuples (one bounded matching
   /// pass — not a fixpoint), insert the new derivations, and ship the
-  /// routed ones.  Appends a SentRecord per envelope when `sent` is
-  /// non-null.  Query-driven workers ignore `max_delta` and close fully.
-  AsyncStepStats async_step(std::size_t max_delta,
-                            std::vector<SentRecord>* sent);
+  /// routed ones.  Query-driven workers ignore `max_delta` and close fully.
+  AsyncStepStats async_step(std::size_t max_delta);
 
   /// Frontier tuples not yet evaluated — the steal-target metric.
   [[nodiscard]] std::size_t backlog() const {
@@ -194,17 +182,10 @@ class Worker {
   /// router names for the *victim's* partition.  Returns tuples shipped.
   std::size_t ship_steal_results(
       std::uint32_t victim_id,
-      std::span<const reason::ForwardEngine::Derivation> derivations,
-      std::vector<SentRecord>* sent);
+      std::span<const reason::ForwardEngine::Derivation> derivations);
 
   /// Ship a termination probe to worker `to`.
-  void send_token(std::uint32_t to, std::uint32_t epoch, bool black,
-                  std::vector<SentRecord>* sent);
-
-  /// Async retransmission: resend every pending envelope the board has not
-  /// acknowledged (no round argument — ids are monotonic).  Returns the
-  /// number of retransmissions issued.
-  std::size_t retransmit_unacked_async(const AckBoard& board);
+  void send_token(std::uint32_t to, std::uint32_t epoch, bool black);
 
   /// Release acknowledged envelopes from the pending set and mark their
   /// outbox entries with the current checkpoint count (for pruning).
@@ -217,15 +198,13 @@ class Worker {
 
   /// Resend every envelope still in the outbox log (crash recovery:
   /// receivers deduplicate by batch id, so over-sending is harmless).
-  std::size_t resend_outbox(std::vector<SentRecord>* sent);
+  /// Returns the number of envelopes resent.
+  std::size_t resend_outbox();
 
   /// Drop outbox entries acknowledged before the *previous* checkpoint —
   /// any receiver cut that old has already durably absorbed them.
   void prune_outbox();
 
-  [[nodiscard]] reason::Strategy strategy() const {
-    return options_.strategy;
-  }
   /// Only forward-strategy workers can serve as steal victims: the stolen
   /// shard is evaluated by ForwardEngine::match_delta against their store.
   [[nodiscard]] bool can_steal_from() const {
@@ -243,7 +222,8 @@ class Worker {
   /// Restore state from a checkpoint, replacing everything.  On success
   /// sets `*round` to the round the checkpoint was taken at and returns
   /// true; on failure returns false with `*error` describing why (the
-  /// worker is left cleared).
+  /// worker is left cleared, sender state included).  Never throws on a
+  /// damaged stream: counts read from the file size nothing up front.
   bool load_checkpoint(std::istream& in, std::uint32_t* round,
                        std::string* error = nullptr);
 
@@ -277,6 +257,31 @@ class Worker {
  private:
   [[nodiscard]] RoundStats& round_stats(std::uint32_t round);
 
+  // -- The envelope path both drivers share ---------------------------
+
+  /// Group `tuples` by the destinations the router names for partition
+  /// `owner`; batches come back sorted by destination, tuples in input
+  /// order.
+  [[nodiscard]] std::vector<Outgoing> route(
+      std::span<const rdf::Triple> tuples, std::uint32_t owner) const;
+
+  /// Route the log past `route_mark_` as this worker's own derivations.
+  [[nodiscard]] std::vector<Outgoing> route_fresh();
+
+  /// Stamp sender, `round` (the id's round field), seq, attempt and
+  /// checksum on `batch`, keep the pending copy (plus the outbox copy when
+  /// logging), ship it and count it on `rs`.  Returns the tuples shipped.
+  std::size_t ship(Batch batch, std::uint32_t round, RoundStats& rs);
+
+  /// Validate, acknowledge and deduplicate `arrivals` into `stash_`,
+  /// counting on `rs`.  Returns the number of envelopes staged.
+  std::size_t stage(std::vector<Batch> arrivals, AckBoard* board,
+                    RoundStats& rs);
+
+  /// Absorb `stash_` in the canonical order and empty it.  Returns the
+  /// number of genuinely new tuples.
+  std::size_t absorb_stash(RoundStats& rs);
+
   std::uint32_t id_;
   rules::RuleSet rule_base_;
   std::shared_ptr<const Router> router_;
@@ -290,8 +295,8 @@ class Worker {
   std::vector<RoundStats> rounds_;
   std::vector<std::size_t> rule_firings_;
 
-  std::vector<Batch> pending_;  // sent this round, awaiting acknowledgement
-  std::vector<Batch> stash_;    // validated arrivals awaiting aggregation
+  std::vector<Batch> pending_;  // shipped, awaiting acknowledgement
+  std::vector<Batch> stash_;    // validated arrivals awaiting absorption
   std::unordered_set<std::uint64_t> seen_batches_;  // redelivery dedup
 
   // -- Async state ----------------------------------------------------
@@ -310,10 +315,6 @@ class Worker {
   std::vector<OutboxEntry> outbox_;
   std::int64_t ckpt_count_ = 0;  // checkpoints taken this run
   bool log_outbox_ = false;
-
-  /// Stamp identity/sequence/checksum on an async envelope, record it in
-  /// pending_ (+ outbox when logging), ship it.
-  void ship_async(Batch batch, std::vector<SentRecord>* sent);
 };
 
 /// Number of distinct triples across `logs` that `exclude` (when non-null)

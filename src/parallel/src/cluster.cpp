@@ -440,7 +440,7 @@ void Cluster::poll(std::uint32_t w, AsyncState& state) {
     }
     if (worker.backlog() > 0) {
       const StepGuard busy(state.in_step);
-      const auto step = worker.async_step(ao.chunk, nullptr);
+      const auto step = worker.async_step(ao.chunk);
       c.vclock += step.compute_seconds +
                   comm_cost(step.sent_batches, step.sent_tuples);
       c.activations += 1;
@@ -498,7 +498,7 @@ void Cluster::poll(std::uint32_t w, AsyncState& state) {
         std::size_t shipped = 0;
         {
           const std::scoped_lock lock(c.m);
-          shipped = worker.ship_steal_results(victim, derivations, nullptr);
+          shipped = worker.ship_steal_results(victim, derivations);
         }
         c.vclock += steal_watch.elapsed_seconds() +
                     comm_cost(shipped > 0 ? 2 : 0, shipped);
@@ -527,8 +527,9 @@ void Cluster::poll(std::uint32_t w, AsyncState& state) {
     if (c.idle_polls % std::max<std::uint32_t>(1, ao.retransmit_after) ==
         0) {
       const std::scoped_lock lock(c.m);
+      // Round 0: the slot every async counter accumulates on.
       if (worker.release_acked(ack_board_) > 0 &&
-          worker.retransmit_unacked_async(ack_board_) > 0) {
+          worker.retransmit_unacked(0, ack_board_) > 0) {
         state.retransmit_sweeps += 1;
       }
     }
@@ -562,7 +563,7 @@ void Cluster::poll(std::uint32_t w, AsyncState& state) {
       c.dirty = false;
       {
         const std::scoped_lock lock(c.m);
-        worker.send_token(1, state.probe_epoch, false, nullptr);
+        worker.send_token(1, state.probe_epoch, false);
       }
       if (++state.token_epochs > options_.max_rounds) {
         state.over_budget = true;
@@ -600,7 +601,7 @@ void Cluster::poll(std::uint32_t w, AsyncState& state) {
     c.token_black = false;
     {
       const std::scoped_lock lock(c.m);
-      worker.send_token((w + 1) % n, c.token_epoch, black, nullptr);
+      worker.send_token((w + 1) % n, c.token_epoch, black);
     }
     state.token_passes += 1;
   }
@@ -628,7 +629,7 @@ ClusterResult Cluster::run_async(util::ThreadTeam* team) {
     // receivers deduplicate what they already absorbed.
     ack_board_.clear();
     for (auto& worker : workers_) {
-      worker->resend_outbox(nullptr);
+      worker->resend_outbox();
     }
   }
   for (std::uint32_t w = 0; w < n; ++w) {

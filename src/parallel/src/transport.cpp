@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "parowl/rdf/codec.hpp"
@@ -35,7 +36,7 @@ std::uint64_t batch_checksum(std::span<const rdf::Triple> tuples) {
 }
 
 // ---------------------------------------------------------------------------
-// Transport base: shared stats and the tuple-level wrappers.
+// Transport base: shared stats and the receiver-side protocol verdicts.
 
 Transport::Transport(std::uint32_t num_partitions) : stats_(num_partitions) {}
 
@@ -52,36 +53,6 @@ void Transport::note_redelivery(std::uint32_t to) {
 void Transport::note_checksum_failure(std::uint32_t to) {
   const std::scoped_lock lock(stats_mutex_);
   stats_[to].checksum_failures += 1;
-}
-
-void Transport::send(std::uint32_t from, std::uint32_t to, std::uint32_t round,
-                     std::span<const rdf::Triple> tuples) {
-  Batch batch;
-  batch.from = from;
-  batch.to = to;
-  batch.round = round;
-  {
-    const std::scoped_lock lock(stats_mutex_);
-    batch.seq = wrapper_seq_[{from, to, round}]++;
-  }
-  batch.checksum = batch_checksum(tuples);
-  batch.tuples.assign(tuples.begin(), tuples.end());
-  send_batch(std::move(batch));
-}
-
-std::vector<rdf::Triple> Transport::receive(std::uint32_t to,
-                                            std::uint32_t round) {
-  std::vector<rdf::Triple> out;
-  for (Batch& batch : receive_batches(to, round)) {
-    if (!batch.intact || batch_checksum(batch.tuples) != batch.checksum) {
-      note_checksum_failure(to);
-      util::log_warn("transport: dropped corrupt batch from ", batch.from,
-                     " to ", batch.to, " round ", batch.round);
-      continue;
-    }
-    out.insert(out.end(), batch.tuples.begin(), batch.tuples.end());
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -109,35 +80,23 @@ void MemoryTransport::send_batch(Batch batch) {
 
 std::vector<Batch> MemoryTransport::receive_batches(std::uint32_t to,
                                                     std::uint32_t round) {
-  util::Stopwatch watch;
-  std::vector<Batch> out;
-  {
-    const std::scoped_lock lock(mutex_);
-    const auto it = mailboxes_.find({to, round});
-    if (it != mailboxes_.end()) {
-      out = std::move(it->second);
-      mailboxes_.erase(it);
-    }
-  }
-  std::uint64_t bytes = 0;
-  for (const Batch& b : out) {
-    bytes += b.tuples.size() * sizeof(rdf::Triple);
-  }
-  const std::scoped_lock lock(stats_mutex_);
-  CommStats& s = stats_for(to);
-  s.recv_seconds += watch.elapsed_seconds();
-  s.bytes_received += bytes;
-  return out;
+  return drain(to, round, round);
 }
 
 std::vector<Batch> MemoryTransport::receive_all(std::uint32_t to) {
+  return drain(to, 0, std::numeric_limits<std::uint32_t>::max());
+}
+
+std::vector<Batch> MemoryTransport::drain(std::uint32_t to, std::uint32_t lo,
+                                          std::uint32_t hi) {
   util::Stopwatch watch;
   std::vector<Batch> out;
   {
     const std::scoped_lock lock(mutex_);
-    // Mailboxes are keyed (to, round); drain every round for `to`.
-    for (auto it = mailboxes_.lower_bound({to, 0});
-         it != mailboxes_.end() && it->first.first == to;) {
+    // Mailboxes are keyed (to, round): the wanted rounds are contiguous.
+    for (auto it = mailboxes_.lower_bound({to, lo});
+         it != mailboxes_.end() && it->first.first == to &&
+         it->first.second <= hi;) {
       out.insert(out.end(), std::make_move_iterator(it->second.begin()),
                  std::make_move_iterator(it->second.end()));
       it = mailboxes_.erase(it);
@@ -154,26 +113,34 @@ std::vector<Batch> MemoryTransport::receive_all(std::uint32_t to) {
   return out;
 }
 
-std::size_t MemoryTransport::pending_batches() const {
-  const std::scoped_lock lock(mutex_);
-  std::size_t n = 0;
-  for (const auto& [key, box] : mailboxes_) {
-    n += box.size();
-  }
-  return n;
-}
-
 // ---------------------------------------------------------------------------
 // FileTransport
 
 namespace {
 
-// Binary batch envelope: magic, varint identity fields, the sender's
-// order-insensitive checksum, the envelope kind (plus the token payload
-// for termination probes), then one codec triple block (which carries its
-// own count and order-sensitive checksum).  PWB3 extends PWB2 with the
-// kind byte the asynchronous executor needs.
-constexpr char kBatchMagic[4] = {'P', 'W', 'B', '3'};
+// Binary batch envelope: magic, varint identity fields, the sealed
+// checksum, the envelope kind (plus the token payload for termination
+// probes), then one codec triple block (which carries its own count and
+// order-sensitive checksum).  PWB4 drops PWB3's unused token counter and
+// seals the header: the stored checksum is the payload checksum XOR a
+// digest of every header field, so a damaged header fails Batch::valid()
+// exactly as a damaged payload does.
+constexpr char kBatchMagic[4] = {'P', 'W', 'B', '4'};
+
+/// Chained digest of the envelope header fields the checksum seals.
+std::uint64_t header_digest(const Batch& batch) {
+  const bool token = batch.kind == BatchKind::kToken;
+  std::uint64_t h = 0x6a09e667f3bcc908ULL;
+  for (const std::uint64_t field :
+       {std::uint64_t{batch.from}, std::uint64_t{batch.to},
+        std::uint64_t{batch.round}, std::uint64_t{batch.seq},
+        std::uint64_t{batch.attempt}, static_cast<std::uint64_t>(batch.kind),
+        std::uint64_t{token ? batch.token_epoch : 0},
+        std::uint64_t{token && batch.token_black}}) {
+    h = mix64(h ^ field);
+  }
+  return h;
+}
 
 std::string encode_envelope(const Batch& batch) {
   std::string out;
@@ -183,11 +150,10 @@ std::string encode_envelope(const Batch& batch) {
   rdf::codec::put_varint(out, batch.round);
   rdf::codec::put_varint(out, batch.seq);
   rdf::codec::put_varint(out, batch.attempt);
-  rdf::codec::put_u64le(out, batch.checksum);
+  rdf::codec::put_u64le(out, batch.checksum ^ header_digest(batch));
   rdf::codec::put_varint(out, static_cast<std::uint64_t>(batch.kind));
   if (batch.kind == BatchKind::kToken) {
     rdf::codec::put_varint(out, batch.token_epoch);
-    rdf::codec::put_varint(out, rdf::codec::zigzag_encode(batch.token_count));
     rdf::codec::put_varint(out, batch.token_black ? 1 : 0);
   }
   rdf::codec::encode_block(batch.tuples, out);
@@ -195,8 +161,9 @@ std::string encode_envelope(const Batch& batch) {
 }
 
 /// Decode a spool file into `batch` (to/round pre-set by the caller from
-/// the scan context).  Any mismatch or damage clears `intact` — the
-/// ack/retry layer then treats the envelope as a checksum failure.
+/// the file name).  Any mismatch or damage clears `intact`; a damaged
+/// header that still parses unseals to a wrong checksum.  Either way the
+/// ack/retry layer sees an invalid envelope.
 void decode_envelope(std::string_view in, Batch& batch) {
   if (in.size() < sizeof(kBatchMagic) ||
       in.compare(0, sizeof(kBatchMagic),
@@ -206,11 +173,12 @@ void decode_envelope(std::string_view in, Batch& batch) {
   }
   in.remove_prefix(sizeof(kBatchMagic));
   std::uint64_t from = 0, to = 0, round = 0, seq = 0, attempt = 0, kind = 0;
+  std::uint64_t sealed = 0;
   if (!rdf::codec::get_varint(in, from) || !rdf::codec::get_varint(in, to) ||
       !rdf::codec::get_varint(in, round) ||
       !rdf::codec::get_varint(in, seq) ||
       !rdf::codec::get_varint(in, attempt) ||
-      !rdf::codec::get_u64le(in, batch.checksum) ||
+      !rdf::codec::get_u64le(in, sealed) ||
       !rdf::codec::get_varint(in, kind) ||
       kind > static_cast<std::uint64_t>(BatchKind::kStealResult)) {
     batch.intact = false;
@@ -220,25 +188,46 @@ void decode_envelope(std::string_view in, Batch& batch) {
     batch.intact = false;  // header disagrees with the spool file name
     return;
   }
+  if (std::max({from, seq, attempt}) >
+      std::numeric_limits<std::uint32_t>::max()) {
+    batch.intact = false;  // bits the 32-bit fields (and the seal) drop
+    return;
+  }
   batch.from = static_cast<std::uint32_t>(from);
   batch.seq = static_cast<std::uint32_t>(seq);
   batch.attempt = static_cast<std::uint32_t>(attempt);
   batch.kind = static_cast<BatchKind>(kind);
   if (batch.kind == BatchKind::kToken) {
-    std::uint64_t epoch = 0, count = 0, black = 0;
+    std::uint64_t epoch = 0, black = 0;
     if (!rdf::codec::get_varint(in, epoch) ||
-        !rdf::codec::get_varint(in, count) ||
-        !rdf::codec::get_varint(in, black) || black > 1) {
+        !rdf::codec::get_varint(in, black) || black > 1 ||
+        epoch > std::numeric_limits<std::uint32_t>::max()) {
       batch.intact = false;
       return;
     }
     batch.token_epoch = static_cast<std::uint32_t>(epoch);
-    batch.token_count = rdf::codec::zigzag_decode(count);
     batch.token_black = black != 0;
   }
+  batch.checksum = sealed ^ header_digest(batch);
   if (!rdf::codec::decode_block(in, batch.tuples) || !in.empty()) {
     batch.intact = false;
   }
+}
+
+/// The round of a spool file name "r<round>_to<t>_...", if well formed.
+std::optional<std::uint32_t> spool_round(const std::string& name) {
+  std::uint64_t round = 0;
+  std::size_t i = 1;
+  for (; i < name.size() && name[i] >= '0' && name[i] <= '9' &&
+         round <= std::numeric_limits<std::uint32_t>::max();
+       ++i) {
+    round = round * 10 + static_cast<std::uint64_t>(name[i] - '0');
+  }
+  if (!name.starts_with('r') || i == 1 || i == name.size() ||
+      name[i] != '_' || round > std::numeric_limits<std::uint32_t>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint32_t>(round);
 }
 
 }  // namespace
@@ -291,91 +280,43 @@ void FileTransport::send_batch(Batch batch) {
 
 std::vector<Batch> FileTransport::receive_batches(std::uint32_t to,
                                                   std::uint32_t round) {
-  util::Stopwatch watch;
-  std::vector<Batch> out;
-  std::uint64_t bytes = 0;
-
-  const std::string prefix =
-      "r" + std::to_string(round) + "_to" + std::to_string(to) + "_";
-  std::vector<std::filesystem::path> paths;
-  std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.starts_with(prefix) && name.ends_with(".batch")) {
-      paths.push_back(entry.path());
-    }
-  }
-  std::sort(paths.begin(), paths.end());  // scan order is fs-dependent
-
-  for (const auto& path : paths) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      continue;
-    }
-    Batch batch;
-    batch.to = to;
-    batch.round = round;
-
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string encoded = buffer.str();
-    bytes += encoded.size();
-    decode_envelope(encoded, batch);
-    in.close();
-    std::filesystem::remove(path, ec);  // consumed
-    out.push_back(std::move(batch));
-  }
-
-  const std::scoped_lock lock(stats_mutex_);
-  CommStats& s = stats_for(to);
-  s.recv_seconds += watch.elapsed_seconds();
-  s.bytes_received += bytes;
-  return out;
+  return scan(to, round);
 }
 
 std::vector<Batch> FileTransport::receive_all(std::uint32_t to) {
+  return scan(to, std::nullopt);
+}
+
+std::vector<Batch> FileTransport::scan(std::uint32_t to,
+                                       std::optional<std::uint32_t> round) {
   util::Stopwatch watch;
   std::vector<Batch> out;
   std::uint64_t bytes = 0;
 
-  // Async spool scan: match any round for this destination.  The round is
-  // recovered from the "r<digits>_" filename prefix so decode_envelope can
-  // validate the header against it exactly as the per-round scan does.
+  // The round comes from the "r<digits>_" file-name prefix, so
+  // decode_envelope can check the header against it.
   const std::string to_marker = "_to" + std::to_string(to) + "_from";
-  std::vector<std::filesystem::path> paths;
+  std::vector<std::pair<std::filesystem::path, std::uint32_t>> files;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
-    if (name.starts_with("r") && name.ends_with(".batch") &&
-        name.find(to_marker) != std::string::npos) {
-      paths.push_back(entry.path());
+    const std::optional<std::uint32_t> file_round = spool_round(name);
+    if (file_round && (!round || *file_round == *round) &&
+        name.ends_with(".batch") &&
+        name.compare(name.find('_'), to_marker.size(), to_marker) == 0) {
+      files.emplace_back(entry.path(), *file_round);
     }
   }
-  std::sort(paths.begin(), paths.end());  // scan order is fs-dependent
+  std::sort(files.begin(), files.end());  // scan order is fs-dependent
 
-  for (const auto& path : paths) {
-    const std::string name = path.filename().string();
-    std::uint32_t round = 0;
-    bool round_ok = false;
-    for (std::size_t i = 1; i < name.size() && name[i] != '_'; ++i) {
-      if (name[i] < '0' || name[i] > '9') {
-        round_ok = false;
-        break;
-      }
-      round = round * 10 + static_cast<std::uint32_t>(name[i] - '0');
-      round_ok = true;
-    }
-    if (!round_ok) {
-      continue;
-    }
+  for (const auto& [path, file_round] : files) {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
       continue;
     }
     Batch batch;
     batch.to = to;
-    batch.round = round;
+    batch.round = file_round;
 
     std::ostringstream buffer;
     buffer << in.rdbuf();
@@ -397,6 +338,20 @@ std::vector<Batch> FileTransport::receive_all(std::uint32_t to) {
 // ---------------------------------------------------------------------------
 // FaultyTransport
 
+namespace {
+
+/// Deterministic Fisher-Yates shuffle driven by a SplitMix64 chain from
+/// `state`: the same state always yields the same permutation.
+template <typename T>
+void shuffle(std::vector<T>& items, std::uint64_t state) {
+  for (std::size_t i = items.size() - 1; i > 0; --i) {
+    state = mix64(state);
+    std::swap(items[i], items[state % (i + 1)]);
+  }
+}
+
+}  // namespace
+
 FaultyTransport::FaultyTransport(Transport& inner, FaultSpec spec)
     : Transport(inner.num_partitions()), inner_(inner), spec_(spec) {}
 
@@ -416,13 +371,9 @@ void FaultyTransport::send_batch(Batch batch) {
 
   if (may_fault && hash_unit(mix64(h ^ 0x5bd1e995)) < spec_.reorder &&
       batch.tuples.size() > 1) {
-    // Deterministic Fisher-Yates over the payload; harmless under set
-    // semantics, and the order-insensitive checksum stays valid.
-    std::uint64_t state = mix64(h ^ 0xda3e39cb94b95bdbULL);
-    for (std::size_t i = batch.tuples.size() - 1; i > 0; --i) {
-      state = mix64(state);
-      std::swap(batch.tuples[i], batch.tuples[state % (i + 1)]);
-    }
+    // Shuffle the payload: harmless under set semantics, and the
+    // order-insensitive checksum stays valid.
+    shuffle(batch.tuples, mix64(h ^ 0xda3e39cb94b95bdbULL));
     const std::scoped_lock lock(mutex_);
     log_.reorders += 1;
   }
@@ -485,25 +436,7 @@ std::vector<Batch> FaultyTransport::receive_batches(std::uint32_t to,
       }
     }
   }
-  std::vector<Batch> inner = inner_.receive_batches(to, round);
-  out.insert(out.end(), std::make_move_iterator(inner.begin()),
-             std::make_move_iterator(inner.end()));
-
-  if (out.size() > 1) {
-    const std::uint64_t h = mix64(spec_.seed ^
-                                  mix64((static_cast<std::uint64_t>(to) << 32) ^
-                                        round) ^
-                                  out.size());
-    if (hash_unit(h) < spec_.reorder) {
-      std::uint64_t state = mix64(h ^ 0x2545f4914f6cdd1dULL);
-      for (std::size_t i = out.size() - 1; i > 0; --i) {
-        state = mix64(state);
-        std::swap(out[i], out[state % (i + 1)]);
-      }
-      const std::scoped_lock lock(mutex_);
-      log_.reorders += 1;
-    }
-  }
+  deliver(out, inner_.receive_batches(to, round), to, round);
   return out;
 }
 
@@ -528,28 +461,27 @@ std::vector<Batch> FaultyTransport::receive_all(std::uint32_t to) {
       }
     }
   }
-  std::vector<Batch> inner = inner_.receive_all(to);
+  // The destination's poll count stands in for the round.
+  deliver(out, inner_.receive_all(to), to, poll);
+  return out;
+}
+
+void FaultyTransport::deliver(std::vector<Batch>& out,
+                              std::vector<Batch> inner, std::uint32_t to,
+                              std::uint64_t key) {
   out.insert(out.end(), std::make_move_iterator(inner.begin()),
              std::make_move_iterator(inner.end()));
-
-  if (out.size() > 1) {
-    // Deterministic delivery shuffle keyed on the destination's poll count
-    // (the async analogue of the per-round shuffle above).
-    const std::uint64_t h =
-        mix64(spec_.seed ^
-              mix64((static_cast<std::uint64_t>(to) << 32) ^ poll) ^
-              out.size());
-    if (hash_unit(h) < spec_.reorder) {
-      std::uint64_t state = mix64(h ^ 0x2545f4914f6cdd1dULL);
-      for (std::size_t i = out.size() - 1; i > 0; --i) {
-        state = mix64(state);
-        std::swap(out[i], out[state % (i + 1)]);
-      }
-      const std::scoped_lock lock(mutex_);
-      log_.reorders += 1;
-    }
+  if (out.size() < 2) {
+    return;
   }
-  return out;
+  const std::uint64_t h =
+      mix64(spec_.seed ^ mix64((static_cast<std::uint64_t>(to) << 32) ^ key) ^
+            out.size());
+  if (hash_unit(h) < spec_.reorder) {
+    shuffle(out, mix64(h ^ 0x2545f4914f6cdd1dULL));
+    const std::scoped_lock lock(mutex_);
+    log_.reorders += 1;
+  }
 }
 
 CommStats FaultyTransport::stats(std::uint32_t partition) const {

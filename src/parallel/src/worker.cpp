@@ -5,7 +5,7 @@
 #include <istream>
 #include <numeric>
 #include <ostream>
-#include <unordered_map>
+#include <tuple>
 
 #include "parowl/obs/obs.hpp"
 #include "parowl/rdf/codec.hpp"
@@ -74,27 +74,7 @@ std::vector<Outgoing> Worker::compute_local(double* compute_seconds) {
   frontier_ = store_.size();
 
   // (b) Route fresh derivations.
-  std::unordered_map<std::uint32_t, std::vector<rdf::Triple>> outgoing;
-  std::vector<std::uint32_t> destinations;
-  for (std::size_t i = route_mark_; i < store_.size(); ++i) {
-    const rdf::Triple& t = store_.triples()[i];
-    destinations.clear();
-    router_->route(t, id_, destinations);
-    for (const std::uint32_t dest : destinations) {
-      outgoing[dest].push_back(t);
-    }
-  }
-  route_mark_ = store_.size();
-
-  std::vector<Outgoing> batches;
-  batches.reserve(outgoing.size());
-  for (auto& [dest, tuples] : outgoing) {
-    batches.push_back(Outgoing{dest, std::move(tuples)});
-  }
-  // Deterministic ship order regardless of hash-map iteration.
-  std::sort(batches.begin(), batches.end(),
-            [](const Outgoing& a, const Outgoing& b) { return a.dest < b.dest; });
-  return batches;
+  return route_fresh();
 }
 
 std::size_t Worker::absorb(std::span<const rdf::Triple> tuples) {
@@ -109,6 +89,146 @@ std::size_t Worker::absorb(std::span<const rdf::Triple> tuples) {
   route_mark_ = store_.size();
   return fresh;
 }
+
+// -- The envelope path ------------------------------------------------
+//
+// Both drivers exchange tuples through the same five steps: route fresh
+// tuples to their owners, ship each destination's batch as a stamped
+// envelope (kept pending until acknowledged), stage arrivals (validate,
+// acknowledge, deduplicate), absorb the stash in canonical order, and
+// retransmit whatever the board has not acknowledged.  The round driver
+// stamps envelopes with its round; the async driver, which has no shared
+// round, with the sender's monotonic sequence.
+
+namespace {
+
+/// An unstamped envelope carrying `out`'s tuples to its destination.
+Batch envelope(Outgoing out, BatchKind kind = BatchKind::kData) {
+  Batch batch;
+  batch.to = out.dest;
+  batch.kind = kind;
+  batch.tuples = std::move(out.tuples);
+  return batch;
+}
+
+}  // namespace
+
+std::vector<Outgoing> Worker::route(std::span<const rdf::Triple> tuples,
+                                    std::uint32_t owner) const {
+  // Indexed by destination, so the batches come out in ship order.
+  std::vector<std::vector<rdf::Triple>> by_dest;
+  std::vector<std::uint32_t> destinations;
+  for (const rdf::Triple& t : tuples) {
+    destinations.clear();
+    router_->route(t, owner, destinations);
+    for (const std::uint32_t dest : destinations) {
+      if (by_dest.size() <= dest) {
+        by_dest.resize(dest + 1);
+      }
+      by_dest[dest].push_back(t);
+    }
+  }
+  std::vector<Outgoing> batches;
+  for (std::uint32_t dest = 0; dest < by_dest.size(); ++dest) {
+    if (!by_dest[dest].empty()) {
+      batches.push_back(Outgoing{dest, std::move(by_dest[dest])});
+    }
+  }
+  return batches;
+}
+
+std::vector<Outgoing> Worker::route_fresh() {
+  const auto fresh =
+      std::span<const rdf::Triple>(store_.triples()).subspan(route_mark_);
+  route_mark_ = store_.size();
+  return route(fresh, id_);
+}
+
+std::size_t Worker::ship(Batch batch, std::uint32_t round, RoundStats& rs) {
+  util::Stopwatch io_watch;
+  batch.from = id_;
+  batch.round = round;
+  batch.seq = 0;  // one envelope per destination per round field
+  batch.attempt = 0;
+  batch.checksum = batch_checksum(batch.tuples);
+  const std::size_t tuples = batch.tuples.size();
+  pending_.push_back(batch);  // kept for retransmission until acked
+  if (log_outbox_ && batch.kind != BatchKind::kToken) {
+    outbox_.push_back(OutboxEntry{batch, -1});
+  }
+  transport_->send_batch(std::move(batch));
+  rs.sent_messages += 1;
+  rs.sent_tuples += tuples;
+  rs.io_seconds += io_watch.elapsed_seconds();
+  return tuples;
+}
+
+std::size_t Worker::stage(std::vector<Batch> arrivals, AckBoard* board,
+                          RoundStats& rs) {
+  std::size_t staged = 0;
+  for (Batch& batch : arrivals) {
+    rs.received_tuples += batch.tuples.size();
+    if (!batch.valid()) {
+      rs.corrupt_batches += 1;
+      transport_->note_checksum_failure(id_);
+      continue;  // no ack: the sender will retransmit
+    }
+    const std::uint64_t id = batch.id();
+    if (board != nullptr) {
+      board->ack(id);  // ack even redeliveries: the sender may have missed it
+    }
+    if (!seen_batches_.insert(id).second) {
+      rs.redelivered += 1;
+      transport_->note_redelivery(id_);
+      continue;
+    }
+    stash_.push_back(std::move(batch));
+    staged += 1;
+  }
+  return staged;
+}
+
+std::size_t Worker::absorb_stash(RoundStats& rs) {
+  util::Stopwatch agg_watch;
+  // Canonical merge order: the store log (and hence the next closure's
+  // frontier order and per-rule firing credit) must not depend on arrival
+  // order, which faults and thread interleavings perturb.
+  std::sort(stash_.begin(), stash_.end(), [](const Batch& a, const Batch& b) {
+    return std::tie(a.from, a.round, a.seq) < std::tie(b.from, b.round, b.seq);
+  });
+  std::size_t fresh = 0;
+  for (Batch& batch : stash_) {
+    std::sort(batch.tuples.begin(), batch.tuples.end());
+    fresh += absorb(batch.tuples);
+  }
+  stash_.clear();
+  rs.aggregate_seconds += agg_watch.elapsed_seconds();
+  rs.received_new += fresh;
+  return fresh;
+}
+
+std::size_t Worker::retransmit_unacked(std::uint32_t round,
+                                       const AckBoard& board) {
+  obs::Span span("parallel.retransmit", {{"round", round}, {"worker", id_}},
+                 worker_track(id_));
+  RoundStats& rs = round_stats(round);
+  std::erase_if(pending_,
+                [&](const Batch& b) { return board.acked(b.id()); });
+
+  util::Stopwatch io_watch;
+  for (Batch& batch : pending_) {
+    batch.attempt += 1;
+    transport_->send_batch(batch);
+  }
+  const std::size_t resent = pending_.size();
+  rs.retransmitted += resent;
+  rs.io_seconds += io_watch.elapsed_seconds();
+  span.arg({"resent", resent});
+  PAROWL_COUNT("parallel.retransmissions", resent);
+  return resent;
+}
+
+// -- Round-synchronous execution --------------------------------------
 
 std::size_t Worker::compute_and_send(std::uint32_t round) {
   obs::Span round_span("parallel.round", {{"round", round}, {"worker", id_}},
@@ -133,23 +253,9 @@ std::size_t Worker::compute_and_send(std::uint32_t round) {
   std::size_t sent = 0;
   obs::Span send_span("parallel.send", {{"round", round}, {"worker", id_}},
                       worker_track(id_));
-  util::Stopwatch io_watch;
   for (Outgoing& out : batches) {
-    Batch batch;
-    batch.from = id_;
-    batch.to = out.dest;
-    batch.round = round;
-    batch.seq = 0;  // one envelope per destination per round
-    batch.attempt = 0;
-    batch.tuples = std::move(out.tuples);
-    batch.checksum = batch_checksum(batch.tuples);
-    sent += batch.tuples.size();
-    pending_.push_back(batch);  // kept for retransmission until acked
-    transport_->send_batch(std::move(batch));
-    rs.sent_messages += 1;
+    sent += ship(envelope(std::move(out)), round, rs);
   }
-  rs.io_seconds += io_watch.elapsed_seconds();
-  rs.sent_tuples += sent;
   send_span.arg({"tuples", sent});
   PAROWL_COUNT("parallel.tuples_sent", sent);
   return sent;
@@ -159,105 +265,23 @@ std::size_t Worker::collect(std::uint32_t round, AckBoard* board) {
   obs::Span span("parallel.recv", {{"round", round}, {"worker", id_}},
                  worker_track(id_));
   RoundStats& rs = round_stats(round);
-
   util::Stopwatch io_watch;
   std::vector<Batch> arrived = transport_->receive_batches(id_, round);
   rs.io_seconds += io_watch.elapsed_seconds();
-
-  std::size_t staged = 0;
-  for (Batch& batch : arrived) {
-    rs.received_tuples += batch.tuples.size();
-    if (!batch.intact || batch_checksum(batch.tuples) != batch.checksum) {
-      rs.corrupt_batches += 1;
-      transport_->note_checksum_failure(id_);
-      continue;  // no ack: the sender will retransmit
-    }
-    const std::uint64_t id = batch.id();
-    if (board != nullptr) {
-      board->ack(id);  // ack even redeliveries: the sender may have missed it
-    }
-    if (!seen_batches_.insert(id).second) {
-      rs.redelivered += 1;
-      transport_->note_redelivery(id_);
-      continue;
-    }
-    stash_.push_back(std::move(batch));
-    staged += 1;
-  }
+  const std::size_t staged = stage(std::move(arrived), board, rs);
   span.arg({"batches", staged});
   return staged;
-}
-
-std::size_t Worker::retransmit_unacked(std::uint32_t round,
-                                       const AckBoard& board) {
-  obs::Span span("parallel.retransmit", {{"round", round}, {"worker", id_}},
-                 worker_track(id_));
-  RoundStats& rs = round_stats(round);
-  std::erase_if(pending_,
-                [&](const Batch& b) { return board.acked(b.id()); });
-
-  std::size_t resent = 0;
-  util::Stopwatch io_watch;
-  for (Batch& batch : pending_) {
-    batch.attempt += 1;
-    transport_->send_batch(batch);
-    rs.retransmitted += 1;
-    resent += 1;
-  }
-  rs.io_seconds += io_watch.elapsed_seconds();
-  span.arg({"resent", resent});
-  PAROWL_COUNT("parallel.retransmissions", resent);
-  return resent;
 }
 
 std::size_t Worker::aggregate_round(std::uint32_t round) {
   obs::Span span("parallel.aggregate", {{"round", round}, {"worker", id_}},
                  worker_track(id_));
-  RoundStats& rs = round_stats(round);
-
-  util::Stopwatch agg_watch;
-  // Canonical merge order: the store log (and hence the next closure's
-  // frontier order and per-rule firing credit) must not depend on arrival
-  // order, which faults perturb.
-  std::sort(stash_.begin(), stash_.end(), [](const Batch& a, const Batch& b) {
-    return std::tie(a.from, a.seq) < std::tie(b.from, b.seq);
-  });
-  std::size_t fresh = 0;
-  for (Batch& batch : stash_) {
-    std::sort(batch.tuples.begin(), batch.tuples.end());
-    fresh += absorb(batch.tuples);
-  }
-  stash_.clear();
-  rs.aggregate_seconds += agg_watch.elapsed_seconds();
-  rs.received_new += fresh;
+  const std::size_t fresh = absorb_stash(round_stats(round));
   span.arg({"fresh", fresh});
   return fresh;
 }
 
-std::size_t Worker::receive_and_aggregate(std::uint32_t round) {
-  collect(round, nullptr);
-  return aggregate_round(round);
-}
-
 // -- Asynchronous execution -------------------------------------------
-
-void Worker::ship_async(Batch batch, std::vector<SentRecord>* sent) {
-  batch.from = id_;
-  // Monotonic per-sender sequence in the id's round field: with no shared
-  // round, uniqueness comes from (from, to, send_seq).
-  batch.round = send_seq_++;
-  batch.seq = 0;
-  batch.attempt = 0;
-  batch.checksum = batch_checksum(batch.tuples);
-  if (sent != nullptr) {
-    sent->push_back(SentRecord{batch.id(), batch.tuples.size()});
-  }
-  pending_.push_back(batch);
-  if (log_outbox_ && batch.kind != BatchKind::kToken) {
-    outbox_.push_back(OutboxEntry{batch, -1});
-  }
-  transport_->send_batch(std::move(batch));
-}
 
 Worker::AsyncArrivals Worker::async_collect(AckBoard* board) {
   obs::Span span("parallel.drain", {{"worker", id_}}, worker_track(id_));
@@ -268,55 +292,23 @@ Worker::AsyncArrivals Worker::async_collect(AckBoard* board) {
   rs.io_seconds += io_watch.elapsed_seconds();
 
   AsyncArrivals result;
-  std::vector<Batch> staged;
-  for (Batch& batch : arrived) {
-    rs.received_tuples += batch.tuples.size();
-    if (!batch.intact || batch_checksum(batch.tuples) != batch.checksum) {
-      rs.corrupt_batches += 1;
-      transport_->note_checksum_failure(id_);
-      continue;  // no ack: the sender will retransmit
-    }
-    const std::uint64_t id = batch.id();
-    if (board != nullptr) {
-      board->ack(id);  // ack even redeliveries: the sender may have missed it
-    }
-    if (!seen_batches_.insert(id).second) {
-      rs.redelivered += 1;
-      transport_->note_redelivery(id_);
-      continue;
-    }
-    if (batch.kind == BatchKind::kToken) {
-      result.tokens.push_back(std::move(batch));
-      continue;
-    }
-    if (batch.kind == BatchKind::kStealResult) {
-      result.steal_tuples += batch.tuples.size();
-    }
-    staged.push_back(std::move(batch));
-    result.batches += 1;
-  }
-
-  // Canonical absorb order within the poll: batches by (from, round-field
-  // a.k.a. sender sequence), tuples sorted within each batch.  The final
-  // store SET is interleaving-independent anyway (monotone closure); this
-  // just keeps each poll deterministic for a fixed arrival set.
-  util::Stopwatch agg_watch;
-  std::sort(staged.begin(), staged.end(), [](const Batch& a, const Batch& b) {
-    return std::tie(a.from, a.round) < std::tie(b.from, b.round);
-  });
-  for (Batch& batch : staged) {
-    std::sort(batch.tuples.begin(), batch.tuples.end());
-    result.fresh += absorb(batch.tuples);
-  }
-  rs.aggregate_seconds += agg_watch.elapsed_seconds();
-  rs.received_new += result.fresh;
+  stage(std::move(arrived), board, rs);
+  // Termination probes steer the executor; they carry no tuples.
+  const auto tokens =
+      std::stable_partition(stash_.begin(), stash_.end(), [](const Batch& b) {
+        return b.kind != BatchKind::kToken;
+      });
+  result.tokens.assign(std::make_move_iterator(tokens),
+                       std::make_move_iterator(stash_.end()));
+  stash_.erase(tokens, stash_.end());
+  result.batches = stash_.size();
+  result.fresh = absorb_stash(rs);
   span.arg({"batches", result.batches});
   span.arg({"fresh", result.fresh});
   return result;
 }
 
-Worker::AsyncStepStats Worker::async_step(std::size_t max_delta,
-                                          std::vector<SentRecord>* sent) {
+Worker::AsyncStepStats Worker::async_step(std::size_t max_delta) {
   AsyncStepStats st;
   RoundStats& rs = round_stats(0);
   const std::size_t before = store_.size();
@@ -363,44 +355,10 @@ Worker::AsyncStepStats Worker::async_step(std::size_t max_delta,
   rs.reason_seconds += st.compute_seconds;
   rs.derived += store_.size() - before;
 
-  // Route and ship the fresh derivations (insertions happened above, so
-  // route exactly [before, size) minus anything absorb already marked).
-  std::unordered_map<std::uint32_t, std::vector<rdf::Triple>> outgoing;
-  std::vector<std::uint32_t> destinations;
-  for (std::size_t i = std::max(route_mark_, before); i < store_.size();
-       ++i) {
-    const rdf::Triple& t = store_.triples()[i];
-    destinations.clear();
-    router_->route(t, id_, destinations);
-    for (const std::uint32_t dest : destinations) {
-      outgoing[dest].push_back(t);
-    }
-  }
-  route_mark_ = store_.size();
-
-  std::vector<Outgoing> batches;
-  batches.reserve(outgoing.size());
-  for (auto& [dest, tuples] : outgoing) {
-    batches.push_back(Outgoing{dest, std::move(tuples)});
-  }
-  std::sort(batches.begin(), batches.end(),
-            [](const Outgoing& a, const Outgoing& b) {
-              return a.dest < b.dest;
-            });
-
-  util::Stopwatch io_watch;
-  for (Outgoing& out : batches) {
-    Batch batch;
-    batch.to = out.dest;
-    batch.kind = BatchKind::kData;
-    batch.tuples = std::move(out.tuples);
-    st.sent_tuples += batch.tuples.size();
+  for (Outgoing& out : route_fresh()) {
+    st.sent_tuples += ship(envelope(std::move(out)), send_seq_++, rs);
     st.sent_batches += 1;
-    ship_async(std::move(batch), sent);
   }
-  rs.io_seconds += io_watch.elapsed_seconds();
-  rs.sent_tuples += st.sent_tuples;
-  rs.sent_messages += st.sent_batches;
   PAROWL_COUNT("parallel.tuples_sent", st.sent_tuples);
   return st;
 }
@@ -427,93 +385,41 @@ std::vector<reason::ForwardEngine::Derivation> Worker::evaluate_shard(
 
 std::size_t Worker::ship_steal_results(
     std::uint32_t victim_id,
-    std::span<const reason::ForwardEngine::Derivation> derivations,
-    std::vector<SentRecord>* sent) {
+    std::span<const reason::ForwardEngine::Derivation> derivations) {
   RoundStats& rs = round_stats(0);
-  util::Stopwatch io_watch;
-  std::size_t shipped = 0;
-
   // Everything returns to the victim: the derivations are *its* closure
   // work, it must re-evaluate them against its rules (they are new
   // frontier there) and own the per-rule firing credit.
-  Batch back;
-  back.to = victim_id;
-  back.kind = BatchKind::kStealResult;
-  back.tuples.reserve(derivations.size());
+  std::vector<rdf::Triple> tuples;
+  tuples.reserve(derivations.size());
   for (const auto& d : derivations) {
-    back.tuples.push_back(d.triple);
+    tuples.push_back(d.triple);
   }
-
   // Plus the ordinary routed copies, computed with the VICTIM's partition
   // id — the placement rule is per-owner, and these tuples belong to the
-  // victim's partition.
-  std::unordered_map<std::uint32_t, std::vector<rdf::Triple>> outgoing;
-  std::vector<std::uint32_t> destinations;
-  for (const auto& d : derivations) {
-    destinations.clear();
-    router_->route(d.triple, victim_id, destinations);
-    for (const std::uint32_t dest : destinations) {
-      if (dest != victim_id) {  // the kStealResult envelope covers the victim
-        outgoing[dest].push_back(d.triple);
-      }
-    }
-  }
+  // victim's partition.  The router never names the owner itself, so the
+  // kStealResult envelope alone covers the victim.
+  std::vector<Outgoing> batches = route(tuples, victim_id);
 
-  if (!back.tuples.empty()) {
-    shipped += back.tuples.size();
-    ship_async(std::move(back), sent);
-    rs.sent_messages += 1;
+  std::size_t shipped = 0;
+  if (!tuples.empty()) {
+    shipped += ship(envelope(Outgoing{victim_id, std::move(tuples)},
+                             BatchKind::kStealResult),
+                    send_seq_++, rs);
   }
-  std::vector<Outgoing> batches;
-  batches.reserve(outgoing.size());
-  for (auto& [dest, tuples] : outgoing) {
-    batches.push_back(Outgoing{dest, std::move(tuples)});
-  }
-  std::sort(batches.begin(), batches.end(),
-            [](const Outgoing& a, const Outgoing& b) {
-              return a.dest < b.dest;
-            });
   for (Outgoing& out : batches) {
-    Batch batch;
-    batch.to = out.dest;
-    batch.kind = BatchKind::kData;
-    batch.tuples = std::move(out.tuples);
-    shipped += batch.tuples.size();
-    ship_async(std::move(batch), sent);
-    rs.sent_messages += 1;
+    shipped += ship(envelope(std::move(out)), send_seq_++, rs);
   }
-  rs.io_seconds += io_watch.elapsed_seconds();
-  rs.sent_tuples += shipped;
   return shipped;
 }
 
-void Worker::send_token(std::uint32_t to, std::uint32_t epoch, bool black,
-                        std::vector<SentRecord>* sent) {
+void Worker::send_token(std::uint32_t to, std::uint32_t epoch, bool black) {
   Batch token;
   token.to = to;
   token.kind = BatchKind::kToken;
   token.token_epoch = epoch;
   token.token_black = black;
-  ship_async(std::move(token), sent);
-  RoundStats& rs = round_stats(0);
-  rs.sent_messages += 1;
-}
-
-std::size_t Worker::retransmit_unacked_async(const AckBoard& board) {
-  RoundStats& rs = round_stats(0);
-  std::erase_if(pending_,
-                [&](const Batch& b) { return board.acked(b.id()); });
-  std::size_t resent = 0;
-  util::Stopwatch io_watch;
-  for (Batch& batch : pending_) {
-    batch.attempt += 1;
-    transport_->send_batch(batch);
-    rs.retransmitted += 1;
-    resent += 1;
-  }
-  rs.io_seconds += io_watch.elapsed_seconds();
-  PAROWL_COUNT("parallel.retransmissions", resent);
-  return resent;
+  ship(std::move(token), send_seq_++, round_stats(0));
 }
 
 std::size_t Worker::release_acked(const AckBoard& board) {
@@ -529,21 +435,15 @@ std::size_t Worker::release_acked(const AckBoard& board) {
   return pending_.size();
 }
 
-std::size_t Worker::resend_outbox(std::vector<SentRecord>* sent) {
-  // Crash recovery: re-ship every retained envelope.  Receivers that
-  // already absorbed one deduplicate by batch id; receivers restored from
-  // an older cut genuinely need it.
-  std::size_t resent = 0;
+std::size_t Worker::resend_outbox() {
+  // Crash recovery: re-ship every retained envelope under its original id.
+  // Receivers that already absorbed one deduplicate; receivers restored
+  // from an older cut genuinely need it.
   for (const OutboxEntry& e : outbox_) {
-    Batch copy = e.batch;
-    if (sent != nullptr) {
-      sent->push_back(SentRecord{copy.id(), copy.tuples.size()});
-    }
-    pending_.push_back(copy);
-    transport_->send_batch(std::move(copy));
-    resent += 1;
+    pending_.push_back(e.batch);
+    transport_->send_batch(e.batch);
   }
-  return resent;
+  return outbox_.size();
 }
 
 void Worker::prune_outbox() {
@@ -574,6 +474,10 @@ void Worker::prune_outbox() {
 // sender state: the monotonic send sequence and the outbox log (each
 // entry: u32 to | u32 kind | u32 round=sender-seq | u64 ntuples | codec
 // triple blocks), so a recovered worker can resend in-flight envelopes.
+// Version 4 digests every bit of an outbox entry's destination (version
+// 3 packed it into one word that dropped its top byte).  Counts read from
+// the file size nothing up front: vectors grow as records decode, so a
+// damaged count fails as a truncated stream instead of a huge allocation.
 // In async runs the `round` header field holds the termination-token
 // epoch of the cut.  The digest is computed over *decoded* values, so it
 // survives format changes unchanged: a torn or bit-flipped file fails the
@@ -582,7 +486,7 @@ void Worker::prune_outbox() {
 namespace {
 
 constexpr std::uint32_t kCkptMagic = 0x43574F50;  // "POWC"
-constexpr std::uint32_t kCkptVersion = 3;
+constexpr std::uint32_t kCkptVersion = 4;
 /// Gap added to send_seq_ (and by the executor to the probe-epoch base)
 /// on checkpoint load, so post-recovery batch ids and token epochs can
 /// never collide with in-flight pre-crash ones.
@@ -697,8 +601,8 @@ std::uint64_t state_digest(std::uint32_t id, std::uint32_t round,
   acc.add(static_cast<std::uint64_t>(send_seq));
   acc.add(static_cast<std::uint64_t>(outbox.size()));
   for (const OutboxWire& e : outbox) {
-    acc.add((static_cast<std::uint64_t>(e.to) << 40) |
-            (static_cast<std::uint64_t>(e.kind) << 36) | e.round);
+    acc.add((static_cast<std::uint64_t>(e.to) << 32) | e.round);
+    acc.add(static_cast<std::uint64_t>(e.kind));
     acc.add(static_cast<std::uint64_t>(e.tuples.size()));
     for (const rdf::Triple& t : e.tuples) {
       acc.add(triple_digest(t));
@@ -772,6 +676,11 @@ bool Worker::load_checkpoint(std::istream& in, std::uint32_t* round,
     rounds_.clear();
     rule_firings_.clear();
     seen_batches_.clear();
+    pending_.clear();
+    stash_.clear();
+    outbox_.clear();
+    send_seq_ = 0;
+    ckpt_count_ = 0;
     return false;
   };
 
@@ -804,7 +713,6 @@ bool Worker::load_checkpoint(std::istream& in, std::uint32_t* round,
     return fail("truncated checkpoint (triple count)");
   }
   std::vector<rdf::Triple> log;
-  log.reserve(static_cast<std::size_t>(ntriples));
   if (!rdf::codec::read_blocks(
           in, ntriples, [&log](const rdf::Triple& t) { log.push_back(t); })) {
     return fail("truncated checkpoint (triples)");
@@ -815,7 +723,6 @@ bool Worker::load_checkpoint(std::istream& in, std::uint32_t* round,
     return fail("truncated checkpoint (seen count)");
   }
   std::vector<std::uint64_t> seen;
-  seen.reserve(static_cast<std::size_t>(nseen));
   for (std::uint64_t i = 0; i < nseen; ++i) {
     std::uint64_t b = 0;
     if (!get(in, b)) {
@@ -828,9 +735,9 @@ bool Worker::load_checkpoint(std::istream& in, std::uint32_t* round,
   if (!get(in, nrounds)) {
     return fail("truncated checkpoint (round count)");
   }
-  std::vector<RoundStats> stats(static_cast<std::size_t>(nrounds));
-  for (RoundStats& rs : stats) {
-    if (!get_stats(in, rs)) {
+  std::vector<RoundStats> stats;
+  for (std::uint64_t i = 0; i < nrounds; ++i) {
+    if (!get_stats(in, stats.emplace_back())) {
       return fail("truncated checkpoint (round stats)");
     }
   }
@@ -839,13 +746,13 @@ bool Worker::load_checkpoint(std::istream& in, std::uint32_t* round,
   if (!get(in, nrules)) {
     return fail("truncated checkpoint (rule count)");
   }
-  std::vector<std::size_t> firings(static_cast<std::size_t>(nrules));
-  for (std::size_t& f : firings) {
+  std::vector<std::size_t> firings;
+  for (std::uint64_t i = 0; i < nrules; ++i) {
     std::uint64_t u = 0;
     if (!get(in, u)) {
       return fail("truncated checkpoint (rule firings)");
     }
-    f = static_cast<std::size_t>(u);
+    firings.push_back(static_cast<std::size_t>(u));
   }
 
   std::uint32_t send_seq = 0;
@@ -857,7 +764,6 @@ bool Worker::load_checkpoint(std::istream& in, std::uint32_t* round,
     return fail("truncated checkpoint (outbox count)");
   }
   std::vector<OutboxWire> outbox;
-  outbox.reserve(static_cast<std::size_t>(noutbox));
   for (std::uint64_t i = 0; i < noutbox; ++i) {
     OutboxWire e;
     std::uint64_t ntuples = 0;
@@ -866,7 +772,6 @@ bool Worker::load_checkpoint(std::istream& in, std::uint32_t* round,
         e.kind > static_cast<std::uint32_t>(BatchKind::kStealResult)) {
       return fail("truncated checkpoint (outbox entry)");
     }
-    e.tuples.reserve(static_cast<std::size_t>(ntuples));
     if (!rdf::codec::read_blocks(in, ntuples, [&e](const rdf::Triple& t) {
           e.tuples.push_back(t);
         })) {

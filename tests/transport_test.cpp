@@ -16,28 +16,52 @@
 namespace parowl::parallel {
 namespace {
 
+/// One checksummed envelope carrying `tuples` from `from` to `to`.
+Batch make_batch(std::uint32_t from, std::uint32_t to, std::uint32_t round,
+                 std::vector<rdf::Triple> tuples, std::uint32_t seq = 0) {
+  Batch b;
+  b.from = from;
+  b.to = to;
+  b.round = round;
+  b.seq = seq;
+  b.checksum = batch_checksum(tuples);
+  b.tuples = std::move(tuples);
+  return b;
+}
+
+/// The payloads of `to`'s round-`round` inbox, each envelope checked valid.
+std::vector<rdf::Triple> receive_tuples(Transport& t, std::uint32_t to,
+                                        std::uint32_t round) {
+  std::vector<rdf::Triple> out;
+  for (const Batch& b : t.receive_batches(to, round)) {
+    EXPECT_TRUE(b.valid());
+    out.insert(out.end(), b.tuples.begin(), b.tuples.end());
+  }
+  return out;
+}
+
 TEST(MemoryTransport, DeliversBatchesByRoundAndDestination) {
   MemoryTransport t(3);
   const std::vector<rdf::Triple> batch1{{1, 2, 3}};
   const std::vector<rdf::Triple> batch2{{4, 5, 6}, {7, 8, 9}};
-  t.send(0, 1, 0, batch1);
-  t.send(2, 1, 0, batch2);
-  t.send(0, 1, 1, batch1);  // later round: separate box
+  t.send_batch(make_batch(0, 1, 0, batch1));
+  t.send_batch(make_batch(2, 1, 0, batch2));
+  t.send_batch(make_batch(0, 1, 1, batch1));  // later round: separate box
 
-  const auto round0 = t.receive(1, 0);
+  const auto round0 = receive_tuples(t, 1, 0);
   EXPECT_EQ(round0.size(), 3u);
-  const auto round1 = t.receive(1, 1);
+  const auto round1 = receive_tuples(t, 1, 1);
   EXPECT_EQ(round1.size(), 1u);
   // Inbox drained.
-  EXPECT_TRUE(t.receive(1, 0).empty());
-  EXPECT_TRUE(t.receive(0, 0).empty());
+  EXPECT_TRUE(receive_tuples(t, 1, 0).empty());
+  EXPECT_TRUE(receive_tuples(t, 0, 0).empty());
 }
 
 TEST(MemoryTransport, StatsTrackTraffic) {
   MemoryTransport t(2);
   const std::vector<rdf::Triple> batch{{1, 2, 3}, {4, 5, 6}};
-  t.send(0, 1, 0, batch);
-  t.receive(1, 0);
+  t.send_batch(make_batch(0, 1, 0, batch));
+  receive_tuples(t, 1, 0);
   const CommStats s0 = t.stats(0);
   const CommStats s1 = t.stats(1);
   EXPECT_EQ(s0.messages_sent, 1u);
@@ -51,15 +75,14 @@ TEST(MemoryTransport, ConcurrentSendsAreSafe) {
   for (std::uint32_t w = 0; w < 4; ++w) {
     threads.emplace_back([&t, w] {
       for (std::uint32_t i = 0; i < 500; ++i) {
-        const std::vector<rdf::Triple> batch{{w + 1, i + 1, 1}};
-        t.send(w, (w + 1) % 4, 0, batch);
+        t.send_batch(make_batch(w, (w + 1) % 4, 0, {{w + 1, i + 1, 1}}, i));
       }
     });
   }
   threads.clear();  // join
   std::size_t total = 0;
   for (std::uint32_t p = 0; p < 4; ++p) {
-    total += t.receive(p, 0).size();
+    total += receive_tuples(t, p, 0).size();
   }
   EXPECT_EQ(total, 2000u);
 }
@@ -84,13 +107,13 @@ TEST_F(FileTransportTest, RoundTripsTriples) {
                        dict.intern_literal("\"lit value\"")};
   {
     FileTransport ft(dir, 2);
-    ft.send(0, 1, 0, std::vector<rdf::Triple>{t1, t2});
-    const auto got = ft.receive(1, 0);
+    ft.send_batch(make_batch(0, 1, 0, {t1, t2}));
+    const auto got = receive_tuples(ft, 1, 0);
     ASSERT_EQ(got.size(), 2u);
     EXPECT_EQ(got[0], t1);
     EXPECT_EQ(got[1], t2);
     // Batch file consumed after receive.
-    EXPECT_TRUE(ft.receive(1, 0).empty());
+    EXPECT_TRUE(receive_tuples(ft, 1, 0).empty());
   }
   // Spool directory removed on destruction.
   EXPECT_FALSE(std::filesystem::exists(dir));
@@ -100,25 +123,24 @@ TEST_F(FileTransportTest, BlankNodesRoundTrip) {
   FileTransport ft(dir, 2);
   const rdf::Triple t{dict.intern_blank("b0"), dict.intern_iri("http://p"),
                       dict.intern_blank("b1")};
-  ft.send(1, 0, 3, std::vector<rdf::Triple>{t});
-  const auto got = ft.receive(0, 3);
+  ft.send_batch(make_batch(1, 0, 3, {t}));
+  const auto got = receive_tuples(ft, 0, 3);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], t);
 }
 
 TEST_F(FileTransportTest, MultipleSendersAccumulate) {
   FileTransport ft(dir, 3);
-  ft.send(0, 2, 0, std::vector<rdf::Triple>{triple("a", "p", "b")});
-  ft.send(1, 2, 0, std::vector<rdf::Triple>{triple("c", "p", "d")});
-  EXPECT_EQ(ft.receive(2, 0).size(), 2u);
+  ft.send_batch(make_batch(0, 2, 0, {triple("a", "p", "b")}));
+  ft.send_batch(make_batch(1, 2, 0, {triple("c", "p", "d")}));
+  EXPECT_EQ(receive_tuples(ft, 2, 0).size(), 2u);
 }
 
 TEST_F(FileTransportTest, StatsMeasureBytes) {
   FileTransport ft(dir, 2);
-  ft.send(0, 1, 0, std::vector<rdf::Triple>{triple("http://ex/aaa",
-                                                   "http://ex/ppp",
-                                                   "http://ex/ooo")});
-  ft.receive(1, 0);
+  ft.send_batch(make_batch(
+      0, 1, 0, {triple("http://ex/aaa", "http://ex/ppp", "http://ex/ooo")}));
+  receive_tuples(ft, 1, 0);
   const std::uint64_t sent = ft.stats(0).bytes_sent;
   EXPECT_GT(sent, 0u);
   // Compact binary envelope: far below the ~45-byte N-Triples line the
@@ -130,7 +152,7 @@ TEST_F(FileTransportTest, StatsMeasureBytes) {
 
 TEST_F(FileTransportTest, EmptyRoundYieldsNothing) {
   FileTransport ft(dir, 2);
-  EXPECT_TRUE(ft.receive(0, 7).empty());
+  EXPECT_TRUE(receive_tuples(ft, 0, 7).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -148,22 +170,21 @@ std::filesystem::path sole_batch_file(const std::filesystem::path& spool) {
   return found;
 }
 
-Batch make_file_batch(std::vector<rdf::Triple> tuples) {
-  Batch b;
-  b.from = 0;
-  b.to = 1;
-  b.round = 0;
-  b.seq = 0;
-  b.attempt = 0;
-  b.tuples = std::move(tuples);
-  b.checksum = batch_checksum(b.tuples);
-  return b;
+std::string read_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::filesystem::path& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
+  out << bytes;
 }
 
 TEST_F(FileTransportTest, SendLeavesNoTempFiles) {
   FileTransport ft(dir, 2);
-  ft.send_batch(make_file_batch({triple("http://ex/a", "http://ex/p",
-                                        "http://ex/b")}));
+  ft.send_batch(make_batch(
+      0, 1, 0, {triple("http://ex/a", "http://ex/p", "http://ex/b")}));
   // The batch is staged as <name>.tmp and atomically renamed: a reader
   // scanning the spool can never observe a half-written .batch file.
   std::size_t batches = 0;
@@ -176,7 +197,7 @@ TEST_F(FileTransportTest, SendLeavesNoTempFiles) {
 
 TEST_F(FileTransportTest, TruncatedBatchFileIsDetectedNotSilentlyWrong) {
   FileTransport ft(dir, 2);
-  ft.send_batch(make_file_batch({
+  ft.send_batch(make_batch(0, 1, 0, {
       triple("http://ex/a", "http://ex/p", "http://ex/b"),
       triple("http://ex/c", "http://ex/p", "http://ex/d"),
       triple("http://ex/e", "http://ex/p", "http://ex/f"),
@@ -193,36 +214,88 @@ TEST_F(FileTransportTest, TruncatedBatchFileIsDetectedNotSilentlyWrong) {
   ASSERT_EQ(got.size(), 1u);
   // The tear must surface as a failed integrity check — never as a
   // silently smaller batch that passes validation.
-  EXPECT_TRUE(!got[0].intact ||
-              batch_checksum(got[0].tuples) != got[0].checksum);
+  EXPECT_FALSE(got[0].valid());
 }
 
 TEST_F(FileTransportTest, TamperedChecksumHeaderIsDetected) {
   FileTransport ft(dir, 2);
-  ft.send_batch(make_file_batch({triple("http://ex/a", "http://ex/p",
-                                        "http://ex/b")}));
+  ft.send_batch(make_batch(
+      0, 1, 0, {triple("http://ex/a", "http://ex/p", "http://ex/b")}));
 
   const std::filesystem::path path = sole_batch_file(ft.spool_dir());
   ASSERT_FALSE(path.empty());
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
+  std::string bytes = read_bytes(path);
   // The envelope checksum is the u64 right after the 4-byte magic and the
   // five identity varints (one byte each for this tiny batch).
   ASSERT_GT(bytes.size(), 17u);
   bytes[9] = static_cast<char>(bytes[9] ^ 0x01);
-  {
-    std::ofstream out(path, std::ios::trunc | std::ios::binary);
-    out << bytes;
-  }
+  write_bytes(path, bytes);
 
   const std::vector<Batch> got = ft.receive_batches(1, 0);
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_TRUE(!got[0].intact ||
-              batch_checksum(got[0].tuples) != got[0].checksum);
+  EXPECT_FALSE(got[0].valid());
+}
+
+/// Ship `sent` through `ft`, then replay every single-bit flip and every
+/// proper prefix of its spool file: each must come back as exactly one
+/// invalid envelope — damage to the header (sender, seq, attempt, kind,
+/// token epoch or colour) included, not just damage to the payload.
+/// Returns the number of mutations replayed.
+std::size_t replay_every_mutation(FileTransport& ft, const Batch& sent) {
+  ft.send_batch(sent);
+  const std::filesystem::path path = sole_batch_file(ft.spool_dir());
+  EXPECT_FALSE(path.empty());
+  const std::string bytes = read_bytes(path);
+
+  // The pristine file decodes to the envelope that was sent.
+  const std::vector<Batch> clean = ft.receive_batches(sent.to, sent.round);
+  EXPECT_EQ(clean.size(), 1u);
+  if (clean.size() == 1) {
+    EXPECT_TRUE(clean[0].valid());
+    EXPECT_EQ(clean[0].id(), sent.id());
+    EXPECT_EQ(clean[0].kind, sent.kind);
+    EXPECT_EQ(clean[0].token_epoch, sent.token_epoch);
+    EXPECT_EQ(clean[0].token_black, sent.token_black);
+  }
+
+  std::size_t mutations = 0;
+  const auto expect_invalid = [&](const std::string& damaged,
+                                  const std::string& what) {
+    write_bytes(path, damaged);
+    const std::vector<Batch> got = ft.receive_batches(sent.to, sent.round);
+    ASSERT_EQ(got.size(), 1u) << what;
+    EXPECT_FALSE(got[0].valid()) << what << " passed validation";
+    ++mutations;
+  };
+  for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    std::string damaged = bytes;
+    damaged[bit / 8] = static_cast<char>(damaged[bit / 8] ^ (1 << (bit % 8)));
+    expect_invalid(damaged, "flip of bit " + std::to_string(bit));
+  }
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    expect_invalid(bytes.substr(0, len),
+                   "prefix of " + std::to_string(len) + " bytes");
+  }
+  return mutations;
+}
+
+TEST_F(FileTransportTest, EveryDataEnvelopeMutationIsInvalid) {
+  FileTransport ft(dir, 4);
+  Batch b = make_batch(2, 1, 5,
+                       {triple("http://ex/a", "http://ex/p", "http://ex/b"),
+                        triple("http://ex/c", "http://ex/p", "http://ex/d")},
+                       3);
+  b.attempt = 1;
+  EXPECT_GT(replay_every_mutation(ft, b), 200u);
+}
+
+TEST_F(FileTransportTest, EveryTokenEnvelopeMutationIsInvalid) {
+  FileTransport ft(dir, 4);
+  Batch token = make_batch(3, 0, 9, {});
+  token.kind = BatchKind::kToken;
+  token.token_epoch = 6;
+  token.token_black = true;
+  EXPECT_GT(replay_every_mutation(ft, token), 100u);
 }
 
 // ---------------------------------------------------------------------------
@@ -246,7 +319,7 @@ ProtocolResult run_ack_retry(FaultyTransport& ft, std::vector<Batch> pending,
   const auto collect = [&] {
     for (std::uint32_t p = 0; p < partitions; ++p) {
       for (Batch& b : ft.receive_batches(p, round)) {
-        if (!b.intact || batch_checksum(b.tuples) != b.checksum) {
+        if (!b.valid()) {
           ft.note_checksum_failure(p);
           continue;  // no ack: the sender will retransmit
         }

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "parowl/parallel/worker.hpp"
+#include "parowl/rdf/codec.hpp"
 #include "parowl/rules/rule_parser.hpp"
 
 namespace parowl::parallel {
@@ -42,6 +44,38 @@ class WorkerTest : public ::testing::Test {
     WorkerOptions o;
     o.dict = &dict;
     return o;
+  }
+
+  /// A worker that has shipped one async envelope into its outbox.
+  std::unique_ptr<Worker> shipped_worker() {
+    auto w = std::make_unique<Worker>(
+        0, trans_rules(), std::make_shared<EverythingToRouter>(1), &transport,
+        options());
+    w->load(std::vector<rdf::Triple>{{iri("a"), iri("p"), iri("b")},
+                                     {iri("b"), iri("p"), iri("c")}});
+    w->enable_outbox();
+    EXPECT_EQ(w->async_step(256).sent_batches, 1u);
+    return w;
+  }
+
+  /// Its checkpoint, which carries that outbox entry.
+  std::string outbox_checkpoint() {
+    std::stringstream buf;
+    shipped_worker()->save_checkpoint(buf, 0);
+    return buf.str();
+  }
+
+  /// Load `bytes` into a fresh worker: false, with a reason, never a throw.
+  void expect_rejected(const std::string& bytes, const std::string& what) {
+    Worker fresh(0, trans_rules(), std::make_shared<EverythingToRouter>(1),
+                 &transport, options());
+    std::stringstream in(bytes);
+    std::string error;
+    bool loaded = true;
+    EXPECT_NO_THROW(loaded = fresh.load_checkpoint(in, nullptr, &error))
+        << what;
+    EXPECT_FALSE(loaded) << what << " accepted";
+    EXPECT_FALSE(error.empty()) << what;
   }
 };
 
@@ -122,7 +156,8 @@ TEST_F(WorkerTest, RoundStatsAccumulate) {
   const std::size_t sent0 = w0.compute_and_send(0);
   EXPECT_EQ(sent0, 1u);
   EXPECT_EQ(w1.compute_and_send(0), 0u);
-  EXPECT_EQ(w1.receive_and_aggregate(0), 1u);
+  EXPECT_EQ(w1.collect(0, nullptr), 1u);
+  EXPECT_EQ(w1.aggregate_round(0), 1u);
 
   const RoundStats& rs0 = w0.rounds()[0];
   EXPECT_EQ(rs0.sent_tuples, 1u);
@@ -204,6 +239,68 @@ TEST_F(WorkerTest, CheckpointDetectsTamperedBytes) {
   std::string error;
   EXPECT_FALSE(fresh.load_checkpoint(damaged, &round, &error));
   EXPECT_FALSE(error.empty());
+
+  // Every single-bit flip of a checkpoint that carries sender state too.
+  const std::string outbox = outbox_checkpoint();
+  for (std::size_t bit = 0; bit < outbox.size() * 8; ++bit) {
+    std::string flipped = outbox;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    expect_rejected(flipped, "flip of bit " + std::to_string(bit));
+  }
+}
+
+/// Byte offsets of every count a checkpoint stores: the triple, seen-id,
+/// round, rule and outbox counts, then each outbox entry's tuple count.
+std::vector<std::size_t> checkpoint_count_offsets(const std::string& bytes) {
+  std::vector<std::size_t> offsets;
+  std::size_t pos = 40;  // magic, version, id, round and the three marks
+  const auto count = [&] {
+    offsets.push_back(pos);
+    std::uint64_t n = 0;
+    std::memcpy(&n, bytes.data() + pos, sizeof(n));
+    pos += sizeof(n);
+    return static_cast<std::size_t>(n);
+  };
+  const auto skip_blocks = [&](std::size_t n) {
+    std::istringstream in(bytes.substr(pos));
+    EXPECT_TRUE(rdf::codec::read_blocks(in, n, [](const rdf::Triple&) {}));
+    pos += static_cast<std::size_t>(in.tellg());
+  };
+  skip_blocks(count());  // store log
+  pos += 8 * count();    // seen batch ids
+  pos += 96 * count();   // round stats: 4 x f64 + 8 x u64 each
+  pos += 8 * count();    // rule firings
+  pos += 4;              // send sequence
+  const std::size_t outbox = count();
+  for (std::size_t i = 0; i < outbox; ++i) {
+    pos += 12;  // destination, kind, sender sequence
+    skip_blocks(count());
+  }
+  return offsets;
+}
+
+TEST_F(WorkerTest, CheckpointRejectsInflatedCounts) {
+  const std::string bytes = outbox_checkpoint();
+  const std::vector<std::size_t> offsets = checkpoint_count_offsets(bytes);
+  ASSERT_EQ(offsets.size(), 6u);  // five counts plus one outbox entry's
+  EXPECT_EQ(offsets[0] + 7, 47u);  // top byte of the triple count
+  for (const std::size_t offset : offsets) {
+    std::string damaged = bytes;
+    damaged[offset + 7] = static_cast<char>(damaged[offset + 7] ^ 0xff);
+    expect_rejected(damaged,
+                    "count at byte " + std::to_string(offset) + " inflated");
+  }
+}
+
+TEST_F(WorkerTest, FailedCheckpointLoadClearsSenderState) {
+  std::string damaged = outbox_checkpoint();
+  damaged[damaged.size() / 2] ^= 0x40;
+
+  const std::unique_ptr<Worker> w = shipped_worker();
+  std::stringstream in(damaged);
+  EXPECT_FALSE(w->load_checkpoint(in, nullptr, nullptr));
+  // The stale pre-load outbox must not be resent.
+  EXPECT_EQ(w->resend_outbox(), 0u);
 }
 
 TEST_F(WorkerTest, CheckpointDetectsTruncation) {

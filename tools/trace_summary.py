@@ -127,6 +127,10 @@ def comm_breakdown(spans, names, markdown):
     for e in spans:
         if e["name"] in stages:
             per_worker[e["tid"]][e["name"]] += e["dur"]
+    # Round-driver tracks only: async workers also retransmit, but they
+    # compute in drain/steal spans (see async_breakdown).
+    per_worker = {t: d for t, d in per_worker.items()
+                  if "parallel.compute" in d}
     if not per_worker:
         return
     table = Table(["worker"] + [s.split(".", 1)[1] for s in stages]
