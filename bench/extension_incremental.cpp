@@ -90,15 +90,22 @@ void run_maintain(benchmark::State& state, reason::MaintainStrategy strategy) {
   const std::vector<rdf::Triple> adds = fx.additions(n);
   const std::vector<rdf::Triple> dels = fx.deletions(n);
 
+  // The rule base is compiled once, outside the timed loop, as
+  // serve::Updater does: a batch pays for its delta, not a schema scan.
   reason::MaintainOptions opts;
   opts.strategy = strategy;
+  const rules::CompiledRules compiled =
+      reason::Maintainer(fx.u.dict, *fx.u.vocab, opts).compile(fx.closure);
+  opts.compiled = &compiled;
   const reason::Maintainer maintainer(fx.u.dict, *fx.u.vocab, opts);
 
   const rdf::TripleSet asserted(fx.base);
   reason::MaintainResult last;
   for (auto _ : state) {
     state.PauseTiming();
-    rdf::TripleStore store = fx.closure;  // maintain mutates: fresh copy
+    // maintain mutates a copy; the copy shares the closure's segments,
+    // so apply pays for cloning the ones the batch writes.
+    rdf::TripleStore store = fx.closure;
     rdf::TripleSet base = asserted;
     state.ResumeTiming();
     last = maintainer.apply(store, base, adds, dels);

@@ -1,6 +1,7 @@
 #include "parowl/query/sparql_parser.hpp"
 
 #include <cctype>
+#include <string>
 
 #include "parowl/ontology/vocabulary.hpp"
 #include "parowl/util/strings.hpp"
@@ -230,6 +231,10 @@ std::optional<SelectQuery> SparqlParser::parse(std::string_view text,
     atom.s = *s;
     atom.p = *p;
     atom.o = *o;
+    if (query.where.size() == rules::kMaxBodyAtoms) {
+      return fail("graph pattern has more than " +
+                  std::to_string(rules::kMaxBodyAtoms) + " triple patterns");
+    }
     query.where.push_back(atom);
     if (peek() == ".") {
       take();

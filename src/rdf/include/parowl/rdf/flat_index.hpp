@@ -272,6 +272,8 @@ class TripleSet {
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
+  /// Slots allocated (a power of two, or 0).
+  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
 
   /// Drop all entries but keep the slot array — an O(capacity) memset,
   /// which is what the forward engine's per-iteration seen-sets want.

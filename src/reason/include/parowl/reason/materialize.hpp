@@ -171,4 +171,15 @@ IncrementalResult materialize_incremental(
     EqualityMode equality_mode = EqualityMode::kNaive,
     EqualityManager* equality = nullptr);
 
+/// materialize_incremental over an already-compiled rule base — the
+/// compile_ontology output for the store's schema, with the sameAs
+/// propagation rules dropped under kRewrite.  A long-lived writer
+/// (serve::Updater) compiles once and skips the per-batch schema scan.
+IncrementalResult materialize_incremental(
+    rdf::TripleStore& store, const rdf::Dictionary& dict,
+    const ontology::Vocabulary& vocab, const rules::RuleSet& rules,
+    std::span<const rdf::Triple> additions, unsigned threads = 1,
+    EqualityMode equality_mode = EqualityMode::kNaive,
+    EqualityManager* equality = nullptr);
+
 }  // namespace parowl::reason

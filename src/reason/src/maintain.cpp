@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <utility>
 
 #include "parowl/obs/obs.hpp"
@@ -214,6 +215,16 @@ Maintainer::Maintainer(const rdf::Dictionary& dict,
                        MaintainOptions options)
     : dict_(dict), vocab_(vocab), options_(std::move(options)) {}
 
+rules::CompiledRules Maintainer::compile(const rdf::TripleStore& store) const {
+  PAROWL_SPAN("maintain.compile", {{"triples", store.size()}});
+  rules::HorstOptions hopts = options_.horst;
+  if (options_.equality_mode == EqualityMode::kRewrite &&
+      options_.equality != nullptr) {
+    hopts.include_same_as_propagation = false;
+  }
+  return compile_ontology(store, vocab_, hopts);
+}
+
 MaintainResult Maintainer::apply(rdf::TripleStore& store, rdf::TripleSet& base,
                                  std::span<const rdf::Triple> additions,
                                  std::span<const rdf::Triple> deletions) const {
@@ -290,6 +301,12 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store, rdf::TripleSet& base,
     }
   };
 
+  // The compiled rule-base depends only on the schema, which is unchanged.
+  std::optional<rules::CompiledRules> own_compiled;
+  const rules::CompiledRules& compiled =
+      options_.compiled != nullptr ? *options_.compiled
+                                   : own_compiled.emplace(compile(store));
+
   if (effective.empty()) {
     // Pure-addition batch: the existing semi-naive delta path.  The base
     // still records every addition (dedup against the base, not the
@@ -297,7 +314,7 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store, rdf::TripleSet& base,
     // and must survive a later deletion of its support).
     const std::size_t before = store.size();
     const IncrementalResult inc = materialize_incremental(
-        store, dict_, vocab_, additions, options_.horst, options_.threads,
+        store, dict_, vocab_, compiled.rules, additions, options_.threads,
         options_.equality_mode, options_.equality);
     assert(!inc.schema_changed);
     update_base();
@@ -313,12 +330,6 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store, rdf::TripleSet& base,
     return result;
   }
 
-  // The compiled rule-base depends only on the schema, which is unchanged.
-  rules::HorstOptions hopts = options_.horst;
-  if (rewrite) {
-    hopts.include_same_as_propagation = false;
-  }
-  const rules::CompiledRules compiled = compile_ontology(store, vocab_, hopts);
   const DispatchIndex dispatch(compiled.rules);
 
   // Facts that can never leave the closure: the updated base plus the
@@ -434,7 +445,8 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store, rdf::TripleSet& base,
   {
     PAROWL_SPAN("maintain.rederive", {{"condemned", result.overdeleted}});
     {
-      PAROWL_SPAN("maintain.erase", {{"condemned", result.overdeleted}});
+      obs::Span span("maintain.erase", {{"condemned", result.overdeleted}});
+      const std::size_t cloned_before = store.cow_clone_bytes();
       std::vector<rdf::Triple> doomed;
       doomed.reserve(result.overdeleted);
       for (const rdf::Triple& t : cone) {
@@ -443,6 +455,7 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store, rdf::TripleSet& base,
         }
       }
       store.erase_all(doomed);
+      span.arg({"cloned_bytes", store.cow_clone_bytes() - cloned_before});
     }
     result.first_new_index = store.size();
 

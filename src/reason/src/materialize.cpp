@@ -233,6 +233,21 @@ IncrementalResult materialize_incremental(
     std::span<const rdf::Triple> additions,
     const rules::HorstOptions& horst, unsigned threads,
     EqualityMode equality_mode, EqualityManager* equality) {
+  rules::HorstOptions hopts = horst;
+  if (equality_mode == EqualityMode::kRewrite && equality != nullptr) {
+    hopts.include_same_as_propagation = false;
+  }
+  // The compiled rule-base depends only on the schema, which is unchanged.
+  const rules::CompiledRules compiled = compile_ontology(store, vocab, hopts);
+  return materialize_incremental(store, dict, vocab, compiled.rules,
+                                 additions, threads, equality_mode, equality);
+}
+
+IncrementalResult materialize_incremental(
+    rdf::TripleStore& store, const rdf::Dictionary& dict,
+    const ontology::Vocabulary& vocab, const rules::RuleSet& rules,
+    std::span<const rdf::Triple> additions, unsigned threads,
+    EqualityMode equality_mode, EqualityManager* equality) {
   IncrementalResult result;
   for (const rdf::Triple& t : additions) {
     if (vocab.is_schema_triple(t)) {
@@ -240,16 +255,6 @@ IncrementalResult materialize_incremental(
       return result;  // caller must re-materialize from scratch
     }
   }
-
-  const bool rewrite =
-      equality_mode == EqualityMode::kRewrite && equality != nullptr;
-  rules::HorstOptions hopts = horst;
-  if (rewrite) {
-    hopts.include_same_as_propagation = false;
-  }
-
-  // The compiled rule-base depends only on the schema, which is unchanged.
-  const rules::CompiledRules compiled = compile_ontology(store, vocab, hopts);
 
   const std::size_t delta_begin = store.size();
   result.added = store.insert_all(additions);
@@ -261,13 +266,13 @@ IncrementalResult materialize_incremental(
   ForwardOptions fopts;
   fopts.dict = &dict;
   fopts.threads = threads;
-  if (rewrite) {
+  if (equality_mode == EqualityMode::kRewrite && equality != nullptr) {
     fopts.equality_mode = EqualityMode::kRewrite;
     fopts.equality = equality;
     fopts.same_as = vocab.owl_same_as;
   }
   const ForwardStats stats =
-      ForwardEngine(store, compiled.rules, fopts).run(delta_begin);
+      ForwardEngine(store, rules, fopts).run(delta_begin);
   result.iterations = stats.iterations;
   result.eq_merges = stats.eq_merges;
   result.eq_rebuilds = stats.eq_rebuilds;

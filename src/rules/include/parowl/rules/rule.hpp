@@ -64,6 +64,12 @@ struct Atom {
 /// SPARQL-subset query engine (which reuses Atom/Binding) has headroom.
 inline constexpr int kMaxRuleVars = 16;
 
+/// Maximum number of atoms in a rule body or a query's basic graph
+/// pattern.  The join enumerators track the atoms already matched in an
+/// `unsigned` mask and test it against (1u << n) - 1, which is undefined
+/// from n = 32 on, so both parsers reject longer bodies.
+inline constexpr std::size_t kMaxBodyAtoms = 31;
+
 /// A partial assignment of rule variables to term ids (0 = unbound).
 using Binding = std::array<rdf::TermId, kMaxRuleVars>;
 

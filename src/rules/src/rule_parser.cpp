@@ -1,6 +1,7 @@
 #include "parowl/rules/rule_parser.hpp"
 
 #include <istream>
+#include <string>
 
 #include "parowl/util/strings.hpp"
 
@@ -182,6 +183,10 @@ std::optional<Rule> RuleParser::parse_rule(std::string_view line,
     Atom atom;
     if (!parse_atom(cur, atom, err)) {
       return fail(err);
+    }
+    if (rule.body.size() == kMaxBodyAtoms) {
+      return fail("rule body has more than " + std::to_string(kMaxBodyAtoms) +
+                  " atoms");
     }
     rule.body.push_back(atom);
   }

@@ -214,12 +214,14 @@ Response QueryService::execute_locked(const std::string& query_text) {
 UpdateOutcome QueryService::apply_update(
     std::span<const rdf::Triple> additions,
     std::span<const rdf::Triple> deletions) {
-  PAROWL_SPAN("serve.update", {{"additions", additions.size()},
-                               {"deletions", deletions.size()}});
+  obs::Span span("serve.update", {{"additions", additions.size()},
+                                  {"deletions", deletions.size()}});
   // Shared lock: maintenance reads term kinds (literal guard) concurrently
   // with result rendering, but must exclude parser interning.
   const std::shared_lock lock(dict_mutex_);
-  return updater_.apply(additions, deletions);
+  UpdateOutcome outcome = updater_.apply(additions, deletions);
+  span.arg({"cloned_bytes", outcome.cloned_bytes});
+  return outcome;
 }
 
 std::string QueryService::render(const query::ResultSet& results) const {

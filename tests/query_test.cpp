@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "parowl/gen/lubm.hpp"
 #include "parowl/query/bgp.hpp"
@@ -174,6 +175,30 @@ TEST_F(QueryTest, QueriesOverMaterializedLubm) {
       "SELECT ?g WHERE { ?g a ub:ResearchGroup . "
       "?g ub:subOrganizationOf <http://www.Univ0.edu> }");
   EXPECT_GT(groups.size(), 0u);
+}
+
+// A basic graph pattern is joined with an `unsigned` mask of matched
+// atoms, so 32 atoms would overflow it: with 31 `?x a ub:Course` atoms
+// plus one unmatched atom the solver used to return one row with ?x
+// unbound.  The parser now refuses more than 31 atoms; 31 still answer.
+TEST_F(QueryTest, ParserRejectsMoreThanThirtyOneAtoms) {
+  gen::LubmOptions opts;
+  opts.universities = 1;
+  gen::generate_lubm(opts, dict, store);
+  reason::materialize(store, dict, vocab, {});
+  parser.add_prefix("ub", gen::kUnivBenchNs);
+
+  const auto query = [](std::size_t courses) {
+    std::string text = "SELECT ?x WHERE { ";
+    for (std::size_t i = 0; i < courses; ++i) {
+      text += "?x a ub:Course . ";
+    }
+    return text + "?x <http://ex/none> ?x }";
+  };
+  std::string error;
+  EXPECT_FALSE(parser.parse(query(31), &error).has_value());
+  EXPECT_NE(error.find("more than 31"), std::string::npos) << error;
+  EXPECT_EQ(run(query(30)).size(), 0u);
 }
 
 }  // namespace

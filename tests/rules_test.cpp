@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "parowl/reason/forward.hpp"
 #include "parowl/rules/compiler.hpp"
@@ -150,6 +151,20 @@ TEST_F(ParserTest, RejectsMalformedRules) {
                    .parse_rule("(?a unknownprefix:p ?b) -> (?a <x> ?b)", &err)
                    .has_value());
   EXPECT_NE(err.find("unknown prefix"), std::string::npos);
+}
+
+TEST_F(ParserTest, RejectsBodiesOverThirtyOneAtoms) {
+  const auto rule = [](std::size_t atoms) {
+    std::string text;
+    for (std::size_t i = 0; i < atoms; ++i) {
+      text += "(?x rdf:type <http://ex/C" + std::to_string(i) + ">) ";
+    }
+    return text + "-> (?x rdf:type <http://ex/D>)";
+  };
+  std::string err;
+  EXPECT_TRUE(parser.parse_rule(rule(31), &err).has_value()) << err;
+  EXPECT_FALSE(parser.parse_rule(rule(32), &err).has_value());
+  EXPECT_NE(err.find("more than 31"), std::string::npos) << err;
 }
 
 TEST_F(ParserTest, RejectsUnsafeRule) {

@@ -16,11 +16,16 @@
 
 namespace parowl::rdf {
 
+/// A fresh store holding `log`, inserted in order.
+inline TripleStore rebuilt_from_log(std::span<const Triple> log) {
+  TripleStore fresh;
+  fresh.insert_all(log);
+  return fresh;
+}
+
 /// A fresh store holding `store`'s log, inserted in order.
 inline TripleStore rebuilt_from_log(const TripleStore& store) {
-  TripleStore fresh;
-  fresh.insert_all(store.triples());
-  return fresh;
+  return rebuilt_from_log(store.triples());
 }
 
 /// Every observable index of `got` equals that of `want`: the log, the

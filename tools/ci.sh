@@ -43,14 +43,14 @@ cmake --build --preset asan -j "$jobs" \
   sameas_equivalence_test sameas_serve_test graph_partition_test clique_test
 ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|Dist|Incremental|SameAs|Partition|Streaming|SplitMerge|Clique'
 
-echo "=== tsan subset (obs, dist executor + replica RCU, async steal/token, incremental serve loop + serve oracles, equality rewrite, reader->partitioner chunk sink, parallel ingest merge + bulk insert, engine round barrier, clique operator, async-threaded executor on UOBM, cluster load + end-of-run aggregation team, threaded round driver under the fault sweep, transports + the worker's shared envelope path) ==="
+echo "=== tsan subset (obs, dist executor + replica RCU, async steal/token, incremental serve loop + serve oracles, QueryService readers vs the copy-on-write updater, equality rewrite, reader->partitioner chunk sink, parallel ingest merge + bulk insert, engine round barrier, clique operator, async-threaded executor on UOBM, cluster load + end-of-run aggregation team, threaded round driver under the fault sweep, transports + the worker's shared envelope path) ==="
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" --target obs_test dist_test async_test \
   incremental_test incremental_equivalence_test sameas_equivalence_test \
-  sameas_serve_test \
+  sameas_serve_test serve_test \
   graph_partition_test ingest_equivalence_test engine_equivalence_test \
   rdf_test util_test clique_test async_equivalence_test cluster_test \
   fault_injection_test transport_test worker_test
-ctest --preset tsan -j "$jobs" -R 'Obs|Dist|Async|IncrementalServe|IncrementalEquivalence|SameAs|StreamingPartitioner|Ingest|EngineEquivalence|TripleStore|Dictionary|ThreadTeam|Clique|Cluster|Fault|Transport|Worker'
+ctest --preset tsan -j "$jobs" -R 'Obs|Dist|Async|IncrementalServe|IncrementalEquivalence|SameAs|QueryService|StreamingPartitioner|Ingest|EngineEquivalence|TripleStore|Dictionary|ThreadTeam|Clique|Cluster|Fault|Transport|Worker'
 
 echo "=== ci green ==="
