@@ -3,14 +3,15 @@
 // queries".  Between full materializations, updates should be absorbed
 // incrementally.  Arms, swept over batch size (number of affected
 // students; adds are 3 triples each):
-//   BM_MaintainMixed/dred|fbf — mixed add+delete batches through
-//     reason::Maintainer (overdelete + rederive);
+//   BM_MaintainMixed_dred — mixed add+delete batches through
+//     reason::Maintainer (DRed: overdelete + rederive);
 //   BM_IncrementalAdditions — additions-only semi-naive closure
 //     (materialize_incremental), the pre-deletion fast path;
 //   BM_FullRematerialize — from-scratch closure of the equivalent final
 //     base, the cost incremental maintenance avoids.
 // Counters report the overdeletion cone (overdeleted/rederived/removed) so
-// the DRed-vs-FBF trade-off is visible, not just total time.
+// the cost of overdeleting what is then rederived is visible, not just
+// total time.
 
 #include <benchmark/benchmark.h>
 
@@ -84,7 +85,7 @@ IncUniverse& universe() {
   return u;
 }
 
-void run_maintain(benchmark::State& state, reason::MaintainStrategy strategy) {
+void BM_MaintainMixed_dred(benchmark::State& state) {
   IncUniverse& fx = universe();
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::vector<rdf::Triple> adds = fx.additions(n);
@@ -93,7 +94,6 @@ void run_maintain(benchmark::State& state, reason::MaintainStrategy strategy) {
   // The rule base is compiled once, outside the timed loop, as
   // serve::Updater does: a batch pays for its delta, not a schema scan.
   reason::MaintainOptions opts;
-  opts.strategy = strategy;
   const rules::CompiledRules compiled =
       reason::Maintainer(fx.u.dict, *fx.u.vocab, opts).compile(fx.closure);
   opts.compiled = &compiled;
@@ -112,21 +112,11 @@ void run_maintain(benchmark::State& state, reason::MaintainStrategy strategy) {
     benchmark::DoNotOptimize(store.size());
   }
   state.counters["overdeleted"] = static_cast<double>(last.overdeleted);
-  state.counters["kept_alive"] = static_cast<double>(last.kept_alive);
   state.counters["rederived"] = static_cast<double>(last.rederived);
   state.counters["removed"] = static_cast<double>(last.removed);
 }
 
-void BM_MaintainMixed_dred(benchmark::State& state) {
-  run_maintain(state, reason::MaintainStrategy::kDRed);
-}
 BENCHMARK(BM_MaintainMixed_dred)->Arg(1)->Arg(10)->Arg(100)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_MaintainMixed_fbf(benchmark::State& state) {
-  run_maintain(state, reason::MaintainStrategy::kFbf);
-}
-BENCHMARK(BM_MaintainMixed_fbf)->Arg(1)->Arg(10)->Arg(100)
     ->Unit(benchmark::kMillisecond);
 
 void BM_IncrementalAdditions(benchmark::State& state) {

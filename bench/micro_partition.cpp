@@ -49,7 +49,6 @@ void BM_StreamingPartition(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamingPartition)
     ->Args({50000, static_cast<int>(partition::PartitionerKind::kHdrf)})
-    ->Args({50000, static_cast<int>(partition::PartitionerKind::kFennel)})
     ->Args({50000, static_cast<int>(partition::PartitionerKind::kNe)});
 
 void BM_DataPartitionPolicies(benchmark::State& state) {

@@ -25,19 +25,13 @@ int main() {
   const partition::DomainOwnerPolicy domain_policy(
       &partition::lubm_university_key);
   const partition::HashOwnerPolicy hash_policy;
-  partition::PartitionerOptions hdrf_opts, fennel_opts, ne_opts, sm_opts;
+  partition::PartitionerOptions hdrf_opts, ne_opts;
   hdrf_opts.kind = partition::PartitionerKind::kHdrf;
-  fennel_opts.kind = partition::PartitionerKind::kFennel;
   ne_opts.kind = partition::PartitionerKind::kNe;
-  sm_opts.kind = partition::PartitionerKind::kHdrf;
-  sm_opts.split_merge_factor = 4;
   const partition::StreamingOwnerPolicy hdrf_policy(hdrf_opts);
-  const partition::StreamingOwnerPolicy fennel_policy(fennel_opts);
   const partition::StreamingOwnerPolicy ne_policy(ne_opts);
-  const partition::StreamingOwnerPolicy sm_policy(sm_opts);
   const partition::OwnerPolicy* policies[] = {
-      &graph_policy, &domain_policy, &hash_policy,
-      &hdrf_policy,  &fennel_policy, &ne_policy,   &sm_policy};
+      &graph_policy, &domain_policy, &hash_policy, &hdrf_policy, &ne_policy};
 
   util::Table table({"partitions", "policy", "algorithm", "bal", "OR", "IR",
                      "RF", "part. time(s)"});

@@ -40,8 +40,7 @@ class MultilevelPartitioner final : public Partitioner {
 };
 
 /// CSR entry point for the multilevel kind (partition_csr_graph dispatches
-/// here): recursive bisection at k * split_merge_factor, then the shared
-/// split-merge post-pass when configured.
+/// here): recursive bisection into k parts.
 [[nodiscard]] PartitionPlan multilevel_csr_plan(
     const Graph& graph, int k, const PartitionerOptions& options = {});
 

@@ -23,7 +23,7 @@ namespace parowl::partition {
 ///  * GraphOwnerPolicy     — multilevel partitioning of the resource graph
 ///  * HashOwnerPolicy      — streaming hash of the node's lexical form
 ///  * DomainOwnerPolicy    — locality key extracted from the IRI
-///  * StreamingOwnerPolicy — HDRF / Fennel / NE (+ split-merge)
+///  * StreamingOwnerPolicy — HDRF / NE
 ///  * FixedOwnerPolicy     — replay of a precomputed owner table
 class OwnerPolicy {
  public:
@@ -113,8 +113,7 @@ class GraphOwnerPolicy final : public OwnerPolicy {
   PartitionerOptions options_;
 };
 
-/// Streaming policy: HDRF / Fennel / NE with the optional split-merge
-/// post-pass, per the options' kind.  The partitioners it creates hold
+/// Streaming policy: HDRF or NE, per the options' kind.  The partitioners it creates hold
 /// O(|V| + k) state and never materialize the resource graph.
 class StreamingOwnerPolicy final : public OwnerPolicy {
  public:

@@ -27,20 +27,17 @@ using OwnerTable = std::unordered_map<rdf::TermId, std::uint32_t>;
 ///  * kHdrf — HDRF (highest-degree replicated first) streaming heuristic:
 ///    vertices are placed at first sight, scored by degree-weighted replica
 ///    affinity, so high-degree hubs absorb the replication.
-///  * kFennel — Fennel streaming heuristic: a vertex joins the partition
-///    holding most of its recently-seen neighbors minus a load penalty.
 ///  * kNe — neighbor expansion: BFS regions grown inside each streaming
 ///    window are placed as a unit on the least-loaded affine partition.
 enum class PartitionerKind : std::uint8_t {
   kMultilevel,
   kHdrf,
-  kFennel,
   kNe,
 };
 
-/// One options struct for every partitioner — the CLI's `--partitioner`,
-/// `--balance-slack`, and `--split-merge-factor` flags map here, shared by
-/// `run`, `serve-dist`, and the partition benches.
+/// One options struct for every partitioner — the CLI's `--partitioner`
+/// and `--balance-slack` flags map here, shared by `run`, `serve-dist`, and
+/// the partition benches.
 struct PartitionerOptions {
   PartitionerKind kind = PartitionerKind::kMultilevel;
 
@@ -48,46 +45,18 @@ struct PartitionerOptions {
   std::uint64_t seed = 0x5eed;
 
   /// Allowed imbalance: a partition may carry up to (1 + slack) x its
-  /// proportional share of vertex weight.  All partitioners honor it; the
-  /// split-merge post-pass enforces it on the merged parts.
+  /// proportional share of vertex weight.  All partitioners honor it.
   double balance_slack = 0.05;
 
-  /// Split-merge factor m: when > 1, partition into k*m fine parts first,
-  /// then greedily merge pairs down to k, maximizing the replication saved
-  /// per merge (the FSM two-phase post-pass).  1 disables the pass.
-  /// Streaming partitioners clamp k*m to 64 (replica sets are bitmasks).
-  unsigned split_merge_factor = 1;
-
-  // --- streaming knobs (HDRF / Fennel / NE) ---
-
-  /// Internal re-windowing size, in edges.  Incoming chunks of any shape
-  /// are re-cut into fixed windows so the assignment is independent of
-  /// ingest chunking (and hence of `--load-threads`).
-  std::size_t window = 4096;
-
-  /// HDRF balance weight λ: 0 = pure replication greed, larger values push
-  /// toward equal loads.
-  double hdrf_lambda = 1.0;
-
-  /// Fennel load-penalty weight γ.
-  double fennel_gamma = 1.5;
-
-  /// When set, triples with this predicate contribute only their subject as
-  /// a vertex (the object is a class IRI — a giant hub if kept).  Used by
-  /// the streaming bootstrap, where no schema exclusion set exists yet.
+  /// Streaming kinds (HDRF / NE): when set, triples with this predicate
+  /// contribute only their subject as a vertex (the object is a class
+  /// IRI — a giant hub if kept).  Used by the streaming bootstrap, where no
+  /// schema exclusion set exists yet.
   rdf::TermId type_predicate = rdf::kAnyTerm;
 
-  // --- multilevel knobs ---
-
-  /// Run Fiduccia–Mattheyses boundary refinement after each uncoarsening
-  /// step.  Disabling it is the "no refinement" ablation.
+  /// Multilevel: run Fiduccia–Mattheyses boundary refinement after each
+  /// uncoarsening step.  Disabling it is the "no refinement" ablation.
   bool refine = true;
-
-  /// Stop coarsening once the graph has at most this many vertices.
-  std::size_t coarsen_to = 96;
-
-  /// FM passes per level.
-  int refine_passes = 6;
 };
 
 /// The outcome of a partitioning run: the assignment itself plus the
@@ -105,8 +74,7 @@ struct PartitionPlan {
 
   // --- provenance ---
 
-  /// Algorithm that produced the plan, e.g. "hdrf", "fennel+sm4",
-  /// "multilevel".
+  /// Algorithm that produced the plan: "hdrf", "ne" or "multilevel".
   std::string algorithm;
 
   std::uint32_t partitions = 0;
@@ -139,11 +107,10 @@ class Partitioner {
   /// Consume the next chunk of instance triples (in stream order).
   virtual void ingest(std::span<const rdf::Triple> chunk) = 0;
 
-  /// Finish: assign any pending vertices, run the split-merge post-pass if
-  /// configured, and return the plan.
+  /// Finish: assign any pending vertices and return the plan.
   [[nodiscard]] virtual PartitionPlan finalize() = 0;
 
-  /// Short name used in benchmark tables ("HDRF", "Fennel", "Multilevel").
+  /// Short name used in benchmark tables ("HDRF", "NE", "Multilevel").
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
@@ -163,7 +130,7 @@ class Partitioner {
 [[nodiscard]] PartitionPlan partition_csr_graph(
     const Graph& graph, int k, const PartitionerOptions& options = {});
 
-/// CLI/bench helpers: parse "multilevel" / "hdrf" / "fennel" / "ne" (and
+/// CLI/bench helpers: parse "multilevel" / "hdrf" / "ne" (and
 /// the legacy alias "graph" for multilevel); format the kind back.
 [[nodiscard]] std::optional<PartitionerKind> partitioner_kind_from(
     std::string_view name);

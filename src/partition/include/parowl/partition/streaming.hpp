@@ -1,20 +1,18 @@
 #pragma once
 
 #include <memory>
-#include <span>
-#include <vector>
 
 #include "parowl/partition/partitioner.hpp"
 
 namespace parowl::partition {
 
-/// Construct a streaming partitioner (kHdrf / kFennel / kNe — kMultilevel
-/// is rejected; use make_partitioner for the dispatching factory).  The
+/// Construct a streaming partitioner (kHdrf / kNe — kMultilevel is
+/// rejected; use make_partitioner for the dispatching factory).  The
 /// streaming implementations keep O(|V| + k + window) state: a dense node
 /// table (owner, partial degree, replica bitmask), per-partition load
 /// counters, a k x k inter-partition edge matrix, and one re-windowing
-/// buffer — never the edge set.  Replica sets are 64-bit masks, so
-/// k * split_merge_factor is clamped to 64.
+/// buffer — never the edge set.  Replica sets are 64-bit masks, so k is at
+/// most 64.
 [[nodiscard]] std::unique_ptr<Partitioner> make_streaming_partitioner(
     const PartitionerOptions& options, const rdf::Dictionary& dict,
     std::uint32_t num_partitions, const ExcludedTerms* exclude = nullptr);
@@ -24,15 +22,5 @@ namespace parowl::partition {
 /// order).  Metrics are recomputed exactly against the graph.
 [[nodiscard]] PartitionPlan streaming_csr_plan(
     const Graph& graph, int k, const PartitionerOptions& options);
-
-/// The FSM-style split-merge post-pass, shared by every partitioner: given
-/// a fine partitioning into |part_weights| parts (vertex replica bitmasks
-/// over the fine parts plus per-part vertex weights), greedily merge pairs
-/// down to `coarse_k` parts, each step picking the pair that saves the
-/// most replicas while keeping merged weights under (1 + slack) x the
-/// proportional share.  Returns the fine-part -> coarse-part remap.
-[[nodiscard]] std::vector<std::uint32_t> split_merge_remap(
-    std::span<const std::uint64_t> masks,
-    std::span<const std::uint64_t> part_weights, int coarse_k, double slack);
 
 }  // namespace parowl::partition

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <queue>
 
-#include "parowl/partition/streaming.hpp"
 #include "parowl/util/rng.hpp"
 #include "parowl/util/timer.hpp"
 
@@ -13,6 +12,12 @@ namespace parowl::partition {
 namespace {
 
 using util::Rng;
+
+/// Stop coarsening once the graph has at most this many vertices.
+constexpr std::size_t kCoarsenTo = 96;
+
+/// FM passes per level.
+constexpr int kRefinePasses = 6;
 
 /// Heavy-edge matching: visit vertices in random order; match each
 /// unmatched vertex with its unmatched neighbor of heaviest edge weight.
@@ -284,8 +289,7 @@ std::vector<std::uint8_t> initial_bisection(const Graph& g,
       }
     }
 
-    fm_refine(g, side, target0, options.balance_slack,
-              options.refine_passes);
+    fm_refine(g, side, target0, options.balance_slack, kRefinePasses);
     const std::uint64_t cut = bisection_cut(g, side);
     if (cut < best_cut) {
       best_cut = cut;
@@ -298,7 +302,7 @@ std::vector<std::uint8_t> initial_bisection(const Graph& g,
 /// Multilevel bisection of `g` with side-0 weight target `target0`.
 std::vector<std::uint8_t> bisect(const Graph& g, std::uint64_t target0,
                                  const PartitionerOptions& options, Rng& rng) {
-  if (g.num_vertices() <= options.coarsen_to) {
+  if (g.num_vertices() <= kCoarsenTo) {
     return initial_bisection(g, target0, options, rng);
   }
 
@@ -320,8 +324,7 @@ std::vector<std::uint8_t> bisect(const Graph& g, std::uint64_t target0,
     side[v] = coarse_side[coarse_of[v]];
   }
   if (options.refine) {
-    fm_refine(g, side, target0, options.balance_slack,
-              options.refine_passes);
+    fm_refine(g, side, target0, options.balance_slack, kRefinePasses);
   }
   return side;
 }
@@ -404,55 +407,17 @@ std::vector<std::uint32_t> multilevel_assign(const Graph& graph, int k,
   return assignment;
 }
 
-/// Placement replica masks for the split-merge pass: a vertex appears on
-/// its own partition plus each neighbor's partition.  Requires k <= 64.
-std::vector<std::uint64_t> placement_masks(
-    const Graph& graph, const std::vector<std::uint32_t>& assignment) {
-  std::vector<std::uint64_t> masks(graph.num_vertices(), 0);
-  for (std::uint32_t v = 0; v < graph.num_vertices(); ++v) {
-    std::uint64_t mask = std::uint64_t{1} << assignment[v];
-    for (const std::uint32_t u : graph.neighbors(v)) {
-      mask |= std::uint64_t{1} << assignment[u];
-    }
-    masks[v] = mask;
-  }
-  return masks;
-}
-
 }  // namespace
 
 PartitionPlan multilevel_csr_plan(const Graph& graph, int k,
                                   const PartitionerOptions& options) {
   util::Stopwatch watch;
-  // Replica masks are 64-bit, so the over-partitioned k * m is clamped.
-  unsigned m = std::max(1u, options.split_merge_factor);
-  while (m > 1 && static_cast<std::uint64_t>(k) * m > 64) {
-    --m;
-  }
-  const int k_fine = k * static_cast<int>(m);
-  std::vector<std::uint32_t> assignment =
-      multilevel_assign(graph, k_fine, options);
-  if (k_fine > k) {
-    const std::vector<std::uint64_t> masks =
-        placement_masks(graph, assignment);
-    std::vector<std::uint64_t> weights(static_cast<std::size_t>(k_fine), 0);
-    for (std::uint32_t v = 0; v < graph.num_vertices(); ++v) {
-      weights[assignment[v]] += graph.vwgt[v];
-    }
-    const std::vector<std::uint32_t> remap =
-        split_merge_remap(masks, weights, k, options.balance_slack);
-    for (std::uint32_t& a : assignment) {
-      a = remap[a];
-    }
-  }
-
   PartitionPlan plan;
-  plan.assignment = std::move(assignment);
+  plan.assignment = multilevel_assign(graph, k, options);
   plan.metrics = compute_graph_metrics(graph, plan.assignment, k);
   plan.partitions = static_cast<std::uint32_t>(k);
   plan.seed = options.seed;
-  plan.algorithm =
-      m > 1 ? "multilevel+sm" + std::to_string(m) : "multilevel";
+  plan.algorithm = "multilevel";
   plan.triples_ingested = graph.num_edges();
   plan.peak_state_entries = graph.num_vertices() + 2 * graph.num_edges();
   plan.partition_seconds = watch.elapsed_seconds();

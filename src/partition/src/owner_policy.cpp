@@ -123,18 +123,12 @@ StreamingOwnerPolicy::StreamingOwnerPolicy(PartitionerOptions options,
       case PartitionerKind::kHdrf:
         label_ = "HDRF";
         break;
-      case PartitionerKind::kFennel:
-        label_ = "Fennel";
-        break;
       case PartitionerKind::kNe:
         label_ = "NE";
         break;
       case PartitionerKind::kMultilevel:
         label_ = "Multilevel";
         break;
-    }
-    if (options_.split_merge_factor > 1) {
-      label_ += "+SM";
     }
   }
 }

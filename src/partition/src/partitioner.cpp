@@ -30,9 +30,6 @@ std::optional<PartitionerKind> partitioner_kind_from(std::string_view name) {
   if (name == "hdrf") {
     return PartitionerKind::kHdrf;
   }
-  if (name == "fennel") {
-    return PartitionerKind::kFennel;
-  }
   if (name == "ne") {
     return PartitionerKind::kNe;
   }
@@ -45,8 +42,6 @@ std::string_view to_string(PartitionerKind kind) {
       return "multilevel";
     case PartitionerKind::kHdrf:
       return "hdrf";
-    case PartitionerKind::kFennel:
-      return "fennel";
     case PartitionerKind::kNe:
       return "ne";
   }

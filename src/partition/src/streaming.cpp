@@ -1,8 +1,6 @@
 #include "parowl/partition/streaming.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <unordered_map>
@@ -14,26 +12,17 @@ namespace {
 
 constexpr std::uint32_t kUnassigned = 0xffffffffu;
 
-/// Clamp the split-merge factor so k * m fits the 64-bit replica masks.
-unsigned effective_split_merge(const PartitionerOptions& options,
-                               std::uint32_t k) {
-  unsigned m = std::max(1u, options.split_merge_factor);
-  while (m > 1 && static_cast<std::uint64_t>(k) * m > 64) {
-    --m;
-  }
-  return m;
-}
+/// Internal re-windowing size, in edges.  Incoming chunks of any shape are
+/// re-cut into fixed windows so the assignment is independent of ingest
+/// chunking (and hence of `--load-threads`).
+constexpr std::size_t kWindow = 4096;
 
-std::string kind_label(const PartitionerOptions& options, unsigned m) {
-  std::string label{to_string(options.kind)};
-  if (m > 1) {
-    label += "+sm" + std::to_string(m);
-  }
-  return label;
-}
+/// HDRF balance weight λ: 0 = pure replication greed, larger values push
+/// toward equal loads.
+constexpr double kHdrfLambda = 1.0;
 
-/// One engine for all three streaming heuristics; they differ only in how
-/// a window's unassigned vertices pick partitions.  All iteration is over
+/// One engine for both streaming heuristics; they differ only in how a
+/// window's unassigned vertices pick partitions.  All iteration is over
 /// first-seen dense ids or partition indices, never hash-map order, so the
 /// result is a pure function of the triple sequence and the options.
 class StreamingImpl final : public Partitioner {
@@ -43,7 +32,7 @@ class StreamingImpl final : public Partitioner {
       : options_(options),
         dict_(dict),
         exclude_(exclude),
-        k_final_(num_partitions) {
+        k_(num_partitions) {
     if (num_partitions == 0) {
       throw std::invalid_argument("streaming partitioner: k must be >= 1");
     }
@@ -52,12 +41,9 @@ class StreamingImpl final : public Partitioner {
           "streaming partitioners support at most 64 partitions "
           "(replica sets are 64-bit masks)");
     }
-    merge_factor_ = effective_split_merge(options, num_partitions);
-    k_fine_ = num_partitions * merge_factor_;
-    loads_.assign(k_fine_, 0);
-    cut_matrix_.assign(static_cast<std::size_t>(k_fine_) * k_fine_, 0);
-    window_cap_ = std::max<std::size_t>(64, options.window);
-    window_.reserve(window_cap_);
+    loads_.assign(k_, 0);
+    cut_matrix_.assign(static_cast<std::size_t>(k_) * k_, 0);
+    window_.reserve(kWindow);
   }
 
   void ingest(std::span<const rdf::Triple> chunk) override {
@@ -83,17 +69,13 @@ class StreamingImpl final : public Partitioner {
   PartitionPlan finalize() override {
     process_window();
     util::Stopwatch watch;
-    if (k_fine_ > k_final_) {
-      merge_to_final();
-    }
     PartitionPlan plan;
-    plan.partitions = k_final_;
+    plan.partitions = k_;
     plan.seed = options_.seed;
-    plan.algorithm = kind_label(options_, merge_factor_);
+    plan.algorithm = to_string(options_.kind);
     plan.triples_ingested = triples_ingested_;
-    plan.peak_state_entries = peak_state_ +
-                              static_cast<std::size_t>(k_fine_) * k_fine_ +
-                              2 * k_fine_;
+    plan.peak_state_entries =
+        peak_state_ + static_cast<std::size_t>(k_) * k_ + 2 * k_;
     if (csr_vertices_ > 0) {
       plan.assignment.assign(csr_vertices_, 0);
       for (std::size_t v = 0; v < csr_vertices_; ++v) {
@@ -113,25 +95,7 @@ class StreamingImpl final : public Partitioner {
   }
 
   [[nodiscard]] std::string name() const override {
-    std::string label;
-    switch (options_.kind) {
-      case PartitionerKind::kHdrf:
-        label = "HDRF";
-        break;
-      case PartitionerKind::kFennel:
-        label = "Fennel";
-        break;
-      case PartitionerKind::kNe:
-        label = "NE";
-        break;
-      case PartitionerKind::kMultilevel:
-        label = "Multilevel";
-        break;
-    }
-    if (merge_factor_ > 1) {
-      label += "+SM";
-    }
-    return label;
+    return options_.kind == PartitionerKind::kHdrf ? "HDRF" : "NE";
   }
 
   /// CSR replay: vertex ids are the stream keys; each merged undirected
@@ -181,7 +145,7 @@ class StreamingImpl final : public Partitioner {
     const std::uint32_t b = key_b == key_a ? a : intern(key_b);
     window_.push_back({a, b});
     peak_state_ = std::max(peak_state_, keys_.size() + window_.size());
-    if (window_.size() >= window_cap_) {
+    if (window_.size() >= kWindow) {
       process_window();
     }
   }
@@ -192,13 +156,13 @@ class StreamingImpl final : public Partitioner {
   // loads obey max_load <= (1 + slack) * total / k + max_vertex_weight.
   bool eligible(std::uint32_t p, std::uint64_t w) const {
     const double cap = (1.0 + options_.balance_slack) *
-                       (static_cast<double>(assigned_weight_ + w) / k_fine_);
+                       (static_cast<double>(assigned_weight_ + w) / k_);
     return static_cast<double>(loads_[p] + w) <= cap;
   }
 
   std::uint32_t least_loaded(std::uint64_t /*w*/) const {
     std::uint32_t best = 0;
-    for (std::uint32_t p = 1; p < k_fine_; ++p) {
+    for (std::uint32_t p = 1; p < k_; ++p) {
       if (loads_[p] < loads_[best]) {
         best = p;
       }
@@ -221,7 +185,7 @@ class StreamingImpl final : public Partitioner {
     if (pa != pb) {
       const auto lo = std::min(pa, pb);
       const auto hi = std::max(pa, pb);
-      ++cut_matrix_[static_cast<std::size_t>(lo) * k_fine_ + hi];
+      ++cut_matrix_[static_cast<std::size_t>(lo) * k_ + hi];
     }
   }
 
@@ -240,9 +204,6 @@ class StreamingImpl final : public Partitioner {
     switch (options_.kind) {
       case PartitionerKind::kHdrf:
         process_hdrf();
-        break;
-      case PartitionerKind::kFennel:
-        process_fennel();
         break;
       case PartitionerKind::kNe:
         process_ne();
@@ -291,7 +252,7 @@ class StreamingImpl final : public Partitioner {
         (ua ? weights_[a] : 0) + (ub ? weights_[b] : 0);
     std::uint64_t max_load = 0;
     std::uint64_t min_load = std::numeric_limits<std::uint64_t>::max();
-    for (std::uint32_t p = 0; p < k_fine_; ++p) {
+    for (std::uint32_t p = 0; p < k_; ++p) {
       max_load = std::max(max_load, loads_[p]);
       min_load = std::min(min_load, loads_[p]);
     }
@@ -300,7 +261,7 @@ class StreamingImpl final : public Partitioner {
     std::uint32_t best = kUnassigned;
     std::uint32_t fallback = 0;
     double best_score = 0.0;
-    for (std::uint32_t p = 0; p < k_fine_; ++p) {
+    for (std::uint32_t p = 0; p < k_; ++p) {
       double score = 0.0;
       if ((masks_[a] >> p) & 1u) {
         score += 1.0 + (1.0 - theta_a);
@@ -308,7 +269,7 @@ class StreamingImpl final : public Partitioner {
       if ((masks_[b] >> p) & 1u) {
         score += 1.0 + theta_a;
       }
-      score += options_.hdrf_lambda *
+      score += kHdrfLambda *
                (static_cast<double>(max_load) -
                 static_cast<double>(loads_[p])) /
                spread;
@@ -327,7 +288,7 @@ class StreamingImpl final : public Partitioner {
   std::uint32_t pick_balanced(std::uint64_t w) const {
     std::uint32_t best = kUnassigned;
     std::uint32_t fallback = 0;
-    for (std::uint32_t p = 0; p < k_fine_; ++p) {
+    for (std::uint32_t p = 0; p < k_; ++p) {
       if (loads_[p] < loads_[fallback]) {
         fallback = p;
       }
@@ -340,8 +301,8 @@ class StreamingImpl final : public Partitioner {
   }
 
   /// Window-local adjacency (first-appearance node order + per-node
-  /// neighbor lists), shared by Fennel and NE.  State is proportional to
-  /// the window, not the stream.
+  /// neighbor lists) for NE.  State is proportional to the window, not the
+  /// stream.
   struct WindowView {
     std::vector<std::uint32_t> nodes;                 // first-appearance order
     std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> adj;
@@ -371,55 +332,12 @@ class StreamingImpl final : public Partitioner {
     return view;
   }
 
-  void process_fennel() {
-    const WindowView view = build_window_view();
-    const double gamma = options_.fennel_gamma;
-    std::vector<double> affinity(k_fine_, 0.0);
-    for (const std::uint32_t v : view.nodes) {
-      if (owners_[v] != kUnassigned) {
-        continue;
-      }
-      std::fill(affinity.begin(), affinity.end(), 0.0);
-      if (const auto it = view.adj.find(v); it != view.adj.end()) {
-        for (const std::uint32_t u : it->second) {
-          if (owners_[u] != kUnassigned) {
-            affinity[owners_[u]] += 1.0;
-          }
-        }
-      }
-      const double norm =
-          static_cast<double>(k_fine_) /
-          (static_cast<double>(assigned_weight_) + 1.0);
-      std::uint32_t best = kUnassigned;
-      std::uint32_t fallback = 0;
-      double best_score = 0.0;
-      for (std::uint32_t p = 0; p < k_fine_; ++p) {
-        const double score =
-            affinity[p] - gamma * static_cast<double>(loads_[p]) * norm;
-        if (loads_[p] < loads_[fallback]) {
-          fallback = p;
-        }
-        if (eligible(p, weights_[v]) &&
-            (best == kUnassigned || score > best_score)) {
-          best = p;
-          best_score = score;
-        }
-      }
-      assign_node(v, best != kUnassigned ? best : fallback);
-    }
-    for (const Entry& e : window_) {
-      if (e.a != e.b) {
-        account_edge(e.a, e.b);
-      }
-    }
-  }
-
   void process_ne() {
     const WindowView view = build_window_view();
     const std::size_t region_cap =
-        std::max<std::size_t>(2, view.nodes.size() / k_fine_);
+        std::max<std::size_t>(2, view.nodes.size() / k_);
     std::vector<std::uint32_t> region;
-    std::vector<double> affinity(k_fine_, 0.0);
+    std::vector<double> affinity(k_, 0.0);
     ++region_epoch_;
     if (region_epoch_of_.size() < keys_.size()) {
       region_epoch_of_.resize(keys_.size(), 0);
@@ -466,9 +384,9 @@ class StreamingImpl final : public Partitioner {
       std::uint32_t best = kUnassigned;
       std::uint32_t fallback = 0;
       double best_score = 0.0;
-      for (std::uint32_t p = 0; p < k_fine_; ++p) {
+      for (std::uint32_t p = 0; p < k_; ++p) {
         // Affinity first, least-loaded among equals.
-        const double score = affinity[p] * static_cast<double>(k_fine_) -
+        const double score = affinity[p] * static_cast<double>(k_) -
                              1e-6 * static_cast<double>(loads_[p]);
         if (loads_[p] < loads_[fallback]) {
           fallback = p;
@@ -491,46 +409,7 @@ class StreamingImpl final : public Partitioner {
     }
   }
 
-  // --- split-merge + plan assembly ---
-
-  void merge_to_final() {
-    const std::vector<std::uint32_t> remap = split_merge_remap(
-        masks_, loads_, static_cast<int>(k_final_), options_.balance_slack);
-    std::vector<std::uint64_t> folded_loads(k_final_, 0);
-    for (std::uint32_t p = 0; p < k_fine_; ++p) {
-      folded_loads[remap[p]] += loads_[p];
-    }
-    std::vector<std::uint64_t> folded_cut(
-        static_cast<std::size_t>(k_final_) * k_final_, 0);
-    for (std::uint32_t p = 0; p < k_fine_; ++p) {
-      for (std::uint32_t q = p + 1; q < k_fine_; ++q) {
-        const std::uint64_t c =
-            cut_matrix_[static_cast<std::size_t>(p) * k_fine_ + q];
-        if (c == 0 || remap[p] == remap[q]) {
-          continue;
-        }
-        const auto lo = std::min(remap[p], remap[q]);
-        const auto hi = std::max(remap[p], remap[q]);
-        folded_cut[static_cast<std::size_t>(lo) * k_final_ + hi] += c;
-      }
-    }
-    for (std::size_t i = 0; i < owners_.size(); ++i) {
-      if (owners_[i] != kUnassigned) {
-        owners_[i] = remap[owners_[i]];
-      }
-      std::uint64_t folded = 0;
-      std::uint64_t mask = masks_[i];
-      while (mask != 0) {
-        const int bit = std::countr_zero(mask);
-        mask &= mask - 1;
-        folded |= std::uint64_t{1} << remap[static_cast<std::uint32_t>(bit)];
-      }
-      masks_[i] = folded;
-    }
-    loads_ = std::move(folded_loads);
-    cut_matrix_ = std::move(folded_cut);
-    k_fine_ = k_final_;
-  }
+  // --- plan assembly ---
 
   PartitionMetrics metrics_from_state() const {
     std::uint64_t cut = 0;
@@ -543,9 +422,7 @@ class StreamingImpl final : public Partitioner {
   PartitionerOptions options_;
   const rdf::Dictionary* dict_;
   const ExcludedTerms* exclude_;
-  std::uint32_t k_final_;
-  std::uint32_t k_fine_ = 0;
-  unsigned merge_factor_ = 1;
+  std::uint32_t k_;
 
   // Dense per-node state, parallel arrays indexed by first-seen id.
   std::unordered_map<std::uint32_t, std::uint32_t> index_;  // key -> id
@@ -560,7 +437,6 @@ class StreamingImpl final : public Partitioner {
   std::uint64_t assigned_weight_ = 0;
 
   std::vector<Entry> window_;
-  std::size_t window_cap_ = 0;
   std::vector<std::uint32_t> window_epoch_of_;
   std::uint32_t window_epoch_ = 0;
   std::vector<std::uint32_t> region_epoch_of_;
@@ -598,132 +474,6 @@ PartitionPlan streaming_csr_plan(const Graph& graph, int k,
   plan.metrics = compute_graph_metrics(graph, plan.assignment, k);
   plan.partition_seconds = watch.elapsed_seconds();
   return plan;
-}
-
-std::vector<std::uint32_t> split_merge_remap(
-    std::span<const std::uint64_t> masks,
-    std::span<const std::uint64_t> part_weights, int coarse_k, double slack) {
-  const std::uint32_t k_fine = static_cast<std::uint32_t>(part_weights.size());
-  std::vector<std::uint32_t> group_of(k_fine);
-  for (std::uint32_t p = 0; p < k_fine; ++p) {
-    group_of[p] = p;
-  }
-  if (k_fine <= static_cast<std::uint32_t>(coarse_k)) {
-    return group_of;
-  }
-
-  std::vector<std::uint64_t> weight(part_weights.begin(), part_weights.end());
-  std::vector<std::uint8_t> active(k_fine, 1);
-  std::uint64_t total = 0;
-  for (const std::uint64_t w : weight) {
-    total += w;
-  }
-  const double cap = (1.0 + slack) * static_cast<double>(total) /
-                     static_cast<double>(coarse_k);
-
-  std::vector<std::uint64_t> gain(static_cast<std::size_t>(k_fine) * k_fine);
-  std::uint32_t remaining = k_fine;
-  std::vector<std::uint32_t> bits;
-  bits.reserve(64);
-  while (remaining > static_cast<std::uint32_t>(coarse_k)) {
-    // Replication saved by merging groups (a, b): the number of vertices
-    // replicated on both.  Recomputed from the folded masks each round —
-    // at most k_fine - coarse_k <= 63 rounds.
-    std::fill(gain.begin(), gain.end(), 0);
-    for (const std::uint64_t mask : masks) {
-      bits.clear();
-      std::uint64_t folded_seen = 0;
-      std::uint64_t rest = mask;
-      while (rest != 0) {
-        const int bit = std::countr_zero(rest);
-        rest &= rest - 1;
-        const std::uint32_t g = group_of[static_cast<std::uint32_t>(bit)];
-        if (((folded_seen >> g) & 1u) == 0) {
-          folded_seen |= std::uint64_t{1} << g;
-          bits.push_back(g);
-        }
-      }
-      for (std::size_t i = 0; i < bits.size(); ++i) {
-        for (std::size_t j = i + 1; j < bits.size(); ++j) {
-          const auto lo = std::min(bits[i], bits[j]);
-          const auto hi = std::max(bits[i], bits[j]);
-          ++gain[static_cast<std::size_t>(lo) * k_fine + hi];
-        }
-      }
-    }
-
-    // Pick the best mergeable pair: max gain, then min combined weight,
-    // then lowest ids.  If no pair respects the cap, force-merge the two
-    // lightest groups.
-    std::uint32_t best_a = kUnassigned;
-    std::uint32_t best_b = kUnassigned;
-    std::uint64_t best_gain = 0;
-    std::uint64_t best_weight = 0;
-    bool found = false;
-    for (std::uint32_t a = 0; a < k_fine; ++a) {
-      if (!active[a]) {
-        continue;
-      }
-      for (std::uint32_t b = a + 1; b < k_fine; ++b) {
-        if (!active[b]) {
-          continue;
-        }
-        const std::uint64_t w = weight[a] + weight[b];
-        if (static_cast<double>(w) > cap) {
-          continue;
-        }
-        const std::uint64_t g =
-            gain[static_cast<std::size_t>(a) * k_fine + b];
-        if (!found || g > best_gain ||
-            (g == best_gain && w < best_weight)) {
-          found = true;
-          best_a = a;
-          best_b = b;
-          best_gain = g;
-          best_weight = w;
-        }
-      }
-    }
-    if (!found) {
-      // Cap unsatisfiable: merge the two lightest active groups.
-      for (std::uint32_t p = 0; p < k_fine; ++p) {
-        if (!active[p]) {
-          continue;
-        }
-        if (best_a == kUnassigned || weight[p] < weight[best_a]) {
-          best_b = best_a;
-          best_a = p;
-        } else if (best_b == kUnassigned || weight[p] < weight[best_b]) {
-          best_b = p;
-        }
-      }
-      if (best_a > best_b) {
-        std::swap(best_a, best_b);
-      }
-    }
-
-    weight[best_a] += weight[best_b];
-    active[best_b] = 0;
-    for (std::uint32_t p = 0; p < k_fine; ++p) {
-      if (group_of[p] == best_b) {
-        group_of[p] = best_a;
-      }
-    }
-    --remaining;
-  }
-
-  // Compact surviving groups to [0, coarse_k) in ascending id order.
-  std::vector<std::uint32_t> compact(k_fine, 0);
-  std::uint32_t next = 0;
-  for (std::uint32_t p = 0; p < k_fine; ++p) {
-    if (active[p]) {
-      compact[p] = next++;
-    }
-  }
-  for (std::uint32_t p = 0; p < k_fine; ++p) {
-    group_of[p] = compact[group_of[p]];
-  }
-  return group_of;
 }
 
 }  // namespace parowl::partition

@@ -15,24 +15,10 @@
 
 namespace parowl::reason {
 
-/// How deletions are propagated through the materialized closure.
-enum class MaintainStrategy {
-  /// Delete-and-rederive: overdelete everything transitively derivable from
-  /// the deleted facts, then re-prove survivors (one-step rederivation seeds
-  /// + semi-naive closure).  Always correct; pays for the full overdeletion
-  /// cone even when most of it survives.
-  kDRed,
-  /// Backward/forward: walk the same cone, but before condemning a fact run
-  /// a backward proof search for an alternate well-founded derivation from
-  /// the surviving base.  Facts with an independent support never propagate,
-  /// so shallow (non-recursive) deletions touch far fewer facts; deeply
-  /// recursive proof spaces can make the backward search the bottleneck.
-  kFbf,
-};
+/// Unread; kept so callers setting ServiceOptions::maintain_strategy build.
+enum class MaintainStrategy { kDRed };
 
 struct MaintainOptions {
-  MaintainStrategy strategy = MaintainStrategy::kDRed;
-
   rules::HorstOptions horst;
 
   /// Matching-pass thread count for the rederivation closure (0 = hardware
@@ -79,14 +65,10 @@ struct MaintainResult {
   std::size_t base_deleted = 0;  // asserted triples actually retracted
   std::size_t base_added = 0;    // asserted triples actually added
 
-  /// DRed: facts condemned by the overdelete cone (including the deletions
-  /// themselves).  FBF: facts in the cone that failed the backward check.
+  /// Facts condemned by the overdelete cone (including the deletions
+  /// themselves).
   std::size_t overdeleted = 0;
-  /// Facts the overdelete pass visited but kept (FBF alternate-support hits;
-  /// always 0 under pure DRed, which condemns first and re-proves later).
-  std::size_t kept_alive = 0;
-  /// Overdeleted facts reinstated by the rederivation pass (one-step seeds;
-  /// DRed only — FBF never removes a derivable fact in the first place).
+  /// Overdeleted facts reinstated by the rederivation pass (one-step seeds).
   std::size_t rederived = 0;
   /// Net facts that left the closure (overdeleted and not rederived).
   std::size_t removed = 0;
@@ -121,7 +103,10 @@ struct MaintainResult {
 
 /// Incremental maintenance of a materialized OWL-Horst closure under mixed
 /// add/delete batches (ROADMAP item 2; Ajileye/Motik/Horrocks give the
-/// distributed recipe this is the single-store core of).
+/// distributed recipe this is the single-store core of).  Deletions run
+/// delete-and-rederive (DRed): overdelete everything transitively derivable
+/// from the deleted facts, then re-prove survivors (one-step rederivation
+/// seeds + semi-naive closure).
 ///
 /// The maintainer owns no data: `apply` edits the store and the asserted
 /// base handed to it in place, so a batch costs its overdeletion cone and

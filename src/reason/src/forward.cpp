@@ -356,7 +356,7 @@ ForwardStats ForwardEngine::run(std::size_t delta_begin) {
   // the whole store; a component the first frontier does not touch is
   // already a clique, because every rule instance over the prefix has its
   // head in the prefix or in the frontier (true of run(0), of worker
-  // rounds, and of DRed/FBF rederivation).
+  // rounds, and of DRed rederivation).
   const bool clique = options_.semi_naive && !cliques_.predicates.empty();
   std::optional<CliqueClosure> closure;
   if (clique) {

@@ -1,6 +1,5 @@
 #include "parowl/reason/maintain.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <optional>
 #include <utility>
@@ -130,82 +129,6 @@ struct ProtectedFacts {
     return (base.contains(t) && !deleted.contains(t)) || added.contains(t) ||
            ground.contains(t);
   }
-};
-
-/// Backward well-founded proof search for the FBF strategy: `t` is alive iff
-/// it is protected (asserted / compile-time ground fact) or some rule
-/// instantiation derives it from facts that are themselves alive, where the
-/// proof may not use condemned facts or facts on the current proof stack
-/// (a fact supported only by a cycle through itself has no well-founded
-/// derivation and must die).
-class AliveChecker {
- public:
-  AliveChecker(const rdf::TripleStore& store, const rules::RuleSet& rules,
-               const ProtectedFacts& protected_facts,
-               const rdf::TripleSet& dead)
-      : store_(store),
-        rules_(rules),
-        protected_(protected_facts),
-        dead_(dead) {}
-
-  /// Fresh per-root memo: `true` verdicts cached within one root check are
-  /// safe (the dead set is fixed for its duration) but must not leak across
-  /// roots — the dead set grows between checks, so an old `true` may rest
-  /// on a fact that has since died.
-  bool alive(const rdf::Triple& t) {
-    proven_.reset();
-    stack_.clear();
-    return alive_rec(t);
-  }
-
- private:
-  bool alive_rec(const rdf::Triple& t) {
-    if (protected_.contains(t) || proven_.contains(t)) {
-      return true;
-    }
-    if (dead_.contains(t)) {
-      return false;
-    }
-    if (std::find(stack_.begin(), stack_.end(), t) != stack_.end()) {
-      // In-progress: blocks cyclic self-support for this branch only.  A
-      // `false` here is not cached — the same fact may still be proven
-      // alive through a path that does not pass through the stack.
-      return false;
-    }
-    stack_.push_back(t);
-    bool result = false;
-    for (const rules::Rule& rule : rules_.rules()) {
-      rules::Binding binding{};
-      if (!rules::bind_atom(rule.head, t, binding)) {
-        continue;
-      }
-      const bool exhausted = join_rest(store_, rule, 0, binding, [&] {
-        for (const rules::Atom& atom : rule.body) {
-          const rdf::Triple b = ground_head(atom, binding);
-          if (dead_.contains(b) || !alive_rec(b)) {
-            return true;  // this instantiation fails; try the next
-          }
-        }
-        return false;  // well-founded support found: stop enumerating
-      });
-      if (!exhausted) {
-        result = true;
-        break;
-      }
-    }
-    stack_.pop_back();
-    if (result) {
-      proven_.insert(t);
-    }
-    return result;
-  }
-
-  const rdf::TripleStore& store_;
-  const rules::RuleSet& rules_;
-  const ProtectedFacts& protected_;
-  const rdf::TripleSet& dead_;
-  rdf::TripleSet proven_;
-  std::vector<rdf::Triple> stack_;
 };
 
 }  // namespace
@@ -343,21 +266,16 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store, rdf::TripleSet& base,
   // BFS over the derivation graph: condemned facts route through the
   // dispatch index to the (rule, pivot) pairs they can feed, the remaining
   // body atoms join against the *old* closure, and every head found in the
-  // closure joins the cone.  DRed condemns unconditionally (and re-proves
-  // later); FBF first runs the backward check and propagates only genuine
-  // deaths.
+  // closure joins the cone.  Condemnation is unconditional; the rederive
+  // pass re-proves what still has support.
   util::Stopwatch overdelete_watch;
-  rdf::TripleSet condemned;   // DRed: overdeleted; FBF: dead
+  rdf::TripleSet condemned;
   std::vector<rdf::Triple> cone;  // BFS queue, deterministic order
-  const bool fbf = options_.strategy == MaintainStrategy::kFbf;
   bool equality_undermined = false;
-  AliveChecker checker(store, compiled.rules, protected_facts, condemned);
   {
     PAROWL_SPAN("maintain.overdelete", {{"deletions", effective.size()}});
     for (const rdf::Triple& t : effective) {
-      if (!fbf) {
-        condemned.insert(t);  // DRed condemns by fiat; rederive re-proves
-      }
+      condemned.insert(t);
       cone.push_back(t);
     }
     std::size_t frontier_end = cone.size();
@@ -368,20 +286,6 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store, rdf::TripleSet& base,
         frontier_end = cone.size();
       }
       const rdf::Triple t = cone[processed++];
-      if (fbf) {
-        if (condemned.contains(t)) {
-          continue;  // already dead; its dependents are already enqueued
-        }
-        // Backward step: an alternate well-founded support keeps `t` (and
-        // everything downstream of it) out of the cone.  This applies to
-        // the deleted base facts themselves — a retracted assertion with an
-        // independent derivation stays in the closure as a derived fact.
-        if (checker.alive(t)) {
-          ++result.kept_alive;
-          continue;
-        }
-        condemned.insert(t);
-      }
       dispatch.dispatch(t, [&](const PivotRef& ref) {
         const rules::Rule& rule = compiled.rules[ref.rule];
         rules::Binding binding{};
@@ -401,21 +305,8 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store, rdf::TripleSet& base,
           // The closure is a fixpoint, so a head joined from closure facts
           // is already present — unless the literal guard dropped it.
           if (store.contains(head) && !protected_facts.contains(head) &&
-              !condemned.contains(head)) {
-            if (fbf) {
-              // Enqueue for its own backward check; re-enqueueing on every
-              // dying supporter keeps verdicts current as the dead set
-              // grows (an early "alive" may rest on a fact that dies
-              // later).
-              if (std::find(cone.begin() + static_cast<std::ptrdiff_t>(
-                                               processed),
-                            cone.end(), head) == cone.end()) {
-                cone.push_back(head);
-              }
-            } else {
-              condemned.insert(head);
-              cone.push_back(head);
-            }
+              condemned.insert(head)) {
+            cone.push_back(head);
           }
           return true;  // keep enumerating: all heads of this pivot
         });
@@ -434,7 +325,6 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store, rdf::TripleSet& base,
   result.overdeleted = condemned.size();
   result.overdelete_seconds = overdelete_watch.elapsed_seconds();
   PAROWL_COUNT("maintain.overdeleted", result.overdeleted);
-  PAROWL_COUNT("maintain.kept_alive", result.kept_alive);
   update_base();
 
   // --- Erase + rederive pass -----------------------------------------------
@@ -447,14 +337,7 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store, rdf::TripleSet& base,
     {
       obs::Span span("maintain.erase", {{"condemned", result.overdeleted}});
       const std::size_t cloned_before = store.cow_clone_bytes();
-      std::vector<rdf::Triple> doomed;
-      doomed.reserve(result.overdeleted);
-      for (const rdf::Triple& t : cone) {
-        if (condemned.contains(t)) {
-          doomed.push_back(t);
-        }
-      }
-      store.erase_all(doomed);
+      store.erase_all(cone);  // the cone holds each condemned fact once
       span.arg({"cloned_bytes", store.cow_clone_bytes() - cloned_before});
     }
     result.first_new_index = store.size();
@@ -462,17 +345,14 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store, rdf::TripleSet& base,
     {
       PAROWL_SPAN("maintain.seed", {{"cone", cone.size()}});
       store.insert_all(additions);
-      if (!fbf) {
-        // DRed rederivation seeds: a condemned fact with a one-step
-        // derivation from the surviving closure re-enters; the semi-naive
-        // run below completes the transitive rederivations.  (FBF never
-        // condemns a fact with surviving support, so it skips this.)
-        for (const rdf::Triple& t : cone) {
-          if (!store.contains(t) &&
-              one_step_derivable(store, compiled.rules, t)) {
-            store.insert(t);
-            ++result.rederived;
-          }
+      // Rederivation seeds: a condemned fact with a one-step derivation
+      // from the surviving closure re-enters; the semi-naive run below
+      // completes the transitive rederivations.
+      for (const rdf::Triple& t : cone) {
+        if (!store.contains(t) &&
+            one_step_derivable(store, compiled.rules, t)) {
+          store.insert(t);
+          ++result.rederived;
         }
       }
     }
@@ -503,7 +383,7 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store, rdf::TripleSet& base,
 
     // Net removals: condemned facts that did not make it back.
     for (const rdf::Triple& t : cone) {
-      if (condemned.contains(t) && !store.contains(t)) {
+      if (!store.contains(t)) {
         result.removed_triples.push_back(t);
       }
     }
@@ -525,7 +405,6 @@ obs::FieldList fields(const MaintainResult& r) {
       {"base_deleted", r.base_deleted},
       {"base_added", r.base_added},
       {"overdeleted", r.overdeleted},
-      {"kept_alive", r.kept_alive},
       {"rederived", r.rederived},
       {"removed", r.removed},
       {"inferred", r.inferred},

@@ -43,8 +43,7 @@ struct ServiceOptions {
   /// still queued when it expires are answered kDeadlineExceeded.
   double default_deadline_seconds = 0.0;
 
-  /// Deletion-propagation algorithm for mixed add/delete batches (see
-  /// reason::Maintainer; both strategies maintain the identical closure).
+  /// Unread (deletions always run DRed); kept for callers that set it.
   reason::MaintainStrategy maintain_strategy =
       reason::MaintainStrategy::kDRed;
 
@@ -105,7 +104,7 @@ class QueryService {
 
   /// Apply one batch (see Updater): retract `deletions` from the asserted
   /// base, add `additions`, and maintain the closure incrementally
-  /// (DRed/FBF for deletions, the semi-naive delta for pure additions).
+  /// (DRed for deletions, the semi-naive delta for pure additions).
   /// Batch-atomic; readers never observe a half-maintained snapshot.  The
   /// triples' terms must already be interned — use with_dict_exclusive to
   /// intern them.

@@ -60,7 +60,7 @@ struct UpdateOutcome {
 /// Copy-on-update RCU: the updater copies the current store — sharing its
 /// segments, so the batch clones only the predicate segments and pages it
 /// writes — and the asserted base, runs `reason::Maintainer` on the copies
-/// (the semi-naive delta for pure additions, DRed or FBF for deletions)
+/// (the semi-naive delta for pure additions, DRed for deletions)
 /// with the rule base it compiled on its first batch (and again after a
 /// delta that changed the closure's schema triples), invalidates
 /// overlapping cache entries, and atomically swaps the new snapshot in.
@@ -79,12 +79,10 @@ class Updater {
   /// closure itself interns nothing.  `cache` may be null (no caching).
   /// `reason_threads` fans out the incremental closure's matching pass
   /// (0 = hardware concurrency); the published snapshot is bit-identical
-  /// for every value.  `strategy` picks the deletion-propagation algorithm
-  /// (DRed vs FBF; both maintain the identical closure).
+  /// for every value.
   Updater(SnapshotRegistry& registry, ResultCache* cache,
           const rdf::Dictionary& dict, const ontology::Vocabulary& vocab,
-          unsigned reason_threads = 1,
-          reason::MaintainStrategy strategy = reason::MaintainStrategy::kDRed);
+          unsigned reason_threads = 1);
 
   /// Apply one batch of *instance* triples: retract `deletions` from the
   /// asserted base and add `additions`, maintaining the closure
@@ -107,7 +105,6 @@ class Updater {
   const rdf::Dictionary& dict_;
   const ontology::Vocabulary& vocab_;
   unsigned reason_threads_;
-  reason::MaintainStrategy strategy_;
   mutable std::mutex write_mutex_;
   std::uint64_t batches_ = 0;
   // Compiled on the first batch; reset when a closure delta changes the

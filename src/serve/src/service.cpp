@@ -45,8 +45,7 @@ QueryService::QueryService(
       cache_(options_.cache_shards,
              options_.cache_enabled ? options_.cache_capacity_per_shard : 0),
       parser_(dict),
-      updater_(registry_, &cache_, dict, vocab, /*reason_threads=*/1,
-               options_.maintain_strategy),
+      updater_(registry_, &cache_, dict, vocab, /*reason_threads=*/1),
       executor_(std::make_unique<Executor>(options_.threads,
                                            options_.queue_capacity)) {
   obs::configure(options_.obs);

@@ -18,14 +18,12 @@ void sort_unique(std::vector<rdf::TermId>& ids) {
 
 Updater::Updater(SnapshotRegistry& registry, ResultCache* cache,
                  const rdf::Dictionary& dict,
-                 const ontology::Vocabulary& vocab, unsigned reason_threads,
-                 reason::MaintainStrategy strategy)
+                 const ontology::Vocabulary& vocab, unsigned reason_threads)
     : registry_(registry),
       cache_(cache),
       dict_(dict),
       vocab_(vocab),
-      reason_threads_(reason_threads),
-      strategy_(strategy) {}
+      reason_threads_(reason_threads) {}
 
 UpdateOutcome Updater::apply(std::span<const rdf::Triple> additions,
                              std::span<const rdf::Triple> deletions) {
@@ -69,7 +67,6 @@ UpdateOutcome Updater::apply(std::span<const rdf::Triple> additions,
   next->version = old_snap->version + 1;
 
   reason::MaintainOptions mopts;
-  mopts.strategy = strategy_;
   mopts.threads = reason_threads_;
   // Rewrite mode: hand the maintainer a private clone of the class map
   // (RCU) so readers expanding through the old snapshot never race.  It

@@ -205,14 +205,10 @@ TEST(DistService, BitIdenticalWithStreamingPartitioners) {
   const auto expected = reference_answers(fx);
   constexpr std::uint32_t k = 4;
 
-  for (const auto kind : {partition::PartitionerKind::kHdrf,
-                          partition::PartitionerKind::kFennel,
-                          partition::PartitionerKind::kNe}) {
+  for (const auto kind :
+       {partition::PartitionerKind::kHdrf, partition::PartitionerKind::kNe}) {
     partition::PartitionerOptions popts;
     popts.kind = kind;
-    popts.split_merge_factor = kind == partition::PartitionerKind::kHdrf
-                                   ? 4u
-                                   : 1u;
     const partition::StreamingOwnerPolicy policy(popts);
     partition::OwnerTable owners =
         partition::partition_data(fx.store, fx.dict, *fx.vocab, policy, k)

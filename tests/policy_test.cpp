@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "parowl/gen/lubm.hpp"
 #include "parowl/gen/mdc.hpp"
+#include "parowl/gen/uobm.hpp"
 #include "parowl/ontology/ontology.hpp"
 #include "parowl/partition/data_partition.hpp"
 #include "parowl/partition/metrics.hpp"
 #include "parowl/partition/owner_policy.hpp"
+#include "parowl/util/strings.hpp"
 
 namespace parowl::partition {
 namespace {
@@ -143,10 +146,9 @@ TEST_F(PolicyTest, JoinableTuplesAreColocated) {
   PartitionerOptions hdrf;
   hdrf.kind = PartitionerKind::kHdrf;
   policies.push_back(std::make_unique<StreamingOwnerPolicy>(hdrf));
-  PartitionerOptions fennel_sm;
-  fennel_sm.kind = PartitionerKind::kFennel;
-  fennel_sm.split_merge_factor = 4;
-  policies.push_back(std::make_unique<StreamingOwnerPolicy>(fennel_sm));
+  PartitionerOptions ne;
+  ne.kind = PartitionerKind::kNe;
+  policies.push_back(std::make_unique<StreamingOwnerPolicy>(ne));
   for (const auto& policy : policies) {
     const DataPartitioning dp =
         partition_data(store, dict, vocab, *policy, 3);
@@ -185,25 +187,6 @@ TEST_F(PolicyTest, MetricsBalAndIr) {
   EXPECT_GT(m_domain.total_nodes, 0u);
 }
 
-TEST_F(PolicyTest, SplitMergeImprovesOrMatchesHdrfOnLubm) {
-  // The FSM acceptance property at equal balance tolerance: over-partition
-  // to k*m then merge must never replicate more than plain HDRF at k.
-  lubm(2);
-  PartitionerOptions plain;
-  plain.kind = PartitionerKind::kHdrf;
-  PartitionerOptions merged = plain;
-  merged.split_merge_factor = 4;
-
-  const StreamingOwnerPolicy plain_policy(plain);
-  const StreamingOwnerPolicy merged_policy(merged);
-  const auto dp_plain = partition_data(store, dict, vocab, plain_policy, 4);
-  const auto dp_merged = partition_data(store, dict, vocab, merged_policy, 4);
-  EXPECT_EQ(dp_plain.algorithm, "hdrf");
-  EXPECT_EQ(dp_merged.algorithm, "hdrf+sm4");
-  EXPECT_LE(dp_merged.plan_metrics.replication_factor,
-            dp_plain.plan_metrics.replication_factor + 1e-9);
-}
-
 TEST_F(PolicyTest, MetricsOnSinglePartitionAreZero) {
   lubm(1);
   const HashOwnerPolicy policy;
@@ -229,6 +212,86 @@ TEST_F(PolicyTest, MdcDomainPolicyKeepsFieldsTogether) {
   const PartitionMetrics m = compute_partition_metrics(dp, dict);
   EXPECT_LT(m.input_replication, 0.2);
   EXPECT_EQ(policy.name(), "MDC dom");
+}
+
+/// FNV-1a of the owner table as sorted "lexical\towner\n" lines: a plan
+/// digest independent of term ids and hash-map order.
+std::uint64_t owner_digest(const OwnerTable& owners,
+                           const rdf::Dictionary& dict) {
+  std::vector<std::pair<std::string, std::uint32_t>> rows;
+  rows.reserve(owners.size());
+  for (const auto& [term, part] : owners) {
+    rows.emplace_back(std::string(dict.lexical(term)), part);
+  }
+  std::sort(rows.begin(), rows.end());
+  std::string text;
+  for (const auto& [lexical, part] : rows) {
+    text += lexical + "\t" + std::to_string(part) + "\n";
+  }
+  return util::fnv1a64(text);
+}
+
+TEST(PlanDigest, OwnerTablesArePinned) {
+  // The owner tables the kept partitioners build at k=4, through both entry
+  // points: partition_data (schema excluded, the serving tier's path) and
+  // the streaming bootstrap over the raw load stream with rdf:type routed
+  // subject-only (the cluster's path).  Any change to a plan shows here.
+  // The digests were recorded before the streaming engine was cut down to
+  // HDRF and NE working directly at k parts, so equality shows that the
+  // cut changed no plan.
+  struct Case {
+    const char* kb;
+    const char* path;
+    PartitionerKind kind;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"lubm2", "policy", PartitionerKind::kHdrf, 11639806350025716115u},
+      {"lubm2", "policy", PartitionerKind::kNe, 8607543806894108159u},
+      {"lubm2", "policy", PartitionerKind::kMultilevel, 2050703891697981207u},
+      {"lubm2", "stream", PartitionerKind::kHdrf, 7705117883287996469u},
+      {"lubm2", "stream", PartitionerKind::kNe, 15752070358801610253u},
+      {"uobm1", "policy", PartitionerKind::kHdrf, 1874465847753255415u},
+      {"uobm1", "policy", PartitionerKind::kNe, 9578268605444833816u},
+      {"uobm1", "policy", PartitionerKind::kMultilevel, 17167947559183550737u},
+      {"uobm1", "stream", PartitionerKind::kHdrf, 3865642335095242033u},
+      {"uobm1", "stream", PartitionerKind::kNe, 6730074673222904014u},
+  };
+  for (const Case& c : cases) {
+    rdf::Dictionary dict;
+    rdf::TripleStore store;
+    if (std::string_view(c.kb) == "lubm2") {
+      gen::LubmOptions opts;
+      opts.universities = 2;
+      gen::generate_lubm(opts, dict, store);
+    } else {
+      gen::UobmOptions opts;
+      opts.base.universities = 1;
+      opts.hometowns = 10;
+      gen::generate_uobm(opts, dict, store);
+    }
+    const ontology::Vocabulary vocab(dict);
+    PartitionerOptions popts;
+    popts.kind = c.kind;
+    OwnerTable owners;
+    if (std::string_view(c.path) == "policy") {
+      std::unique_ptr<OwnerPolicy> policy;
+      if (c.kind == PartitionerKind::kMultilevel) {
+        policy = std::make_unique<GraphOwnerPolicy>(popts);
+      } else {
+        policy = std::make_unique<StreamingOwnerPolicy>(popts);
+      }
+      owners = partition_data(store, dict, vocab, *policy, 4).owners;
+    } else {
+      popts.type_predicate = vocab.rdf_type;
+      const auto partitioner = make_partitioner(popts, dict, 4);
+      partitioner->ingest(store.triples());
+      owners = partitioner->finalize().owners;
+    }
+    EXPECT_EQ(owner_digest(owners, dict), c.digest)
+        << c.kb << " " << c.path << " " << to_string(c.kind) << " ("
+        << owners.size() << " owners)";
+  }
 }
 
 }  // namespace

@@ -9,9 +9,9 @@
 # tier1 is every fast deterministic suite, tier2 the slower sweeps.  The
 # ASan subset covers the transport/worker/cluster/fault layers plus the
 # ingest pipeline, triple codec, partitioner suite (streaming state
-# machines + split-merge), incremental maintenance (DRed/FBF in-place
-# erasure), and the forward engine's clique operator — the places where
-# serialization and concurrency bugs would live.
+# machines), incremental maintenance (in-place erasure), and the forward
+# engine's clique operator — the places where serialization and
+# concurrency bugs would live.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -41,7 +41,7 @@ cmake --build --preset asan -j "$jobs" \
   async_test async_equivalence_test codec_test ingest_equivalence_test \
   dist_test incremental_test incremental_equivalence_test \
   sameas_equivalence_test sameas_serve_test graph_partition_test clique_test
-ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|Dist|Incremental|SameAs|Partition|Streaming|SplitMerge|Clique'
+ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|Dist|Incremental|SameAs|Partition|Streaming|Clique'
 
 echo "=== tsan subset (obs, dist executor + replica RCU, async steal/token, incremental serve loop + serve oracles, QueryService readers vs the copy-on-write updater, equality rewrite, reader->partitioner chunk sink, parallel ingest merge + bulk insert, engine round barrier, clique operator, async-threaded executor on UOBM, cluster load + end-of-run aggregation team, threaded round driver under the fault sweep, transports + the worker's shared envelope path) ==="
 cmake --preset tsan

@@ -76,7 +76,7 @@ commands:
                closure in representative space; a -o .snap then carries the
                map — v3 — and query/serve expand answers through it)
   update <kb> [--adds-file <nt>] [--deletes-file <nt>] [-o <file>]
-          [--strategy dred|fbf] [--threads N]
+          [--threads N]
           (incremental maintenance: retract/add against the asserted base,
            delete-and-rederive the closure; kb is the *base*, not a closure)
   query <kb> <sparql> [--reason] [--equality-mode naive|rewrite]
@@ -96,29 +96,26 @@ commands:
           [--mode open|closed] [--rate QPS] [--clients N] [--think S]
           [--deadline S] [--no-cache] [--seed S] [--queries-file <file>]
           [--update-batches N] [--update-size M] [--delete-ratio R]
-          [--strategy dred|fbf]
           (R>0 turns the writer into a mixed stream: each batch deletes
            R*M previously added triples and adds M new ones)
   serve-dist <kb> [--reason] [--equality-mode naive|rewrite]
           --partitions N [--replicas R] [--policy ...]
           [partitioner options]
-          [--faults seed=S,drop=P,...] [serve-bench workload options]
+          [--faults seed=S,drop=P,...] [serve-bench query/workload options]
           (sharded serving tier: scatter/gather over partition replicas)
 
 partitioner options (partition / cluster / run / serve-dist):
-  --partitioner multilevel|hdrf|fennel|ne   algorithm behind the graph
-          policy; the streaming kinds (hdrf/fennel/ne) assign owners in one
-          pass over the ingest stream with O(vertices) state — `run` feeds
-          them straight from the parallel reader, never building the full
-          resource graph
+  --partitioner multilevel|hdrf|ne   algorithm behind the graph policy;
+          the streaming kinds (hdrf/ne) assign owners in one pass over the
+          ingest stream with O(vertices) state — `run` feeds them straight
+          from the parallel reader, never building the full resource graph
   --balance-slack S          allowed load imbalance (default 0.05)
-  --split-merge-factor M     over-partition to k*M fine parts, then greedily
-          merge back to k maximizing co-replication (default 1 = off)
 
 kb files: .nt (N-Triples), .ttl (Turtle), .snap (binary snapshot)
-an unknown flag, or a flag value outside the listed choices, is an error
-every command that loads a .nt/.ttl KB accepts --load-threads N
-(parallel ingest; the loaded KB is bit-identical for any N)
+a flag the command does not list above, or a flag value outside the listed
+choices, is an error
+every command that loads a KB (all but gen and load-bench) accepts
+--load-threads N (parallel ingest; the loaded KB is bit-identical for any N)
 
 observability (every command):
   --trace-out FILE     write a Chrome/Perfetto trace of the run
@@ -209,29 +206,77 @@ bool load_triples(const std::string& path, rdf::Dictionary& dict,
   return true;
 }
 
-/// Every flag a command reads, marked by whether it takes a value.  Args
-/// rejects a flag missing from this table, and skips a listed flag's value
-/// when it looks for positionals.
+/// The commands, as bits: a flag lists the commands that read it.
+enum Command : unsigned {
+  kGen = 1u << 0,
+  kInfo = 1u << 1,
+  kLoadBench = 1u << 2,
+  kMaterialize = 1u << 3,
+  kUpdate = 1u << 4,
+  kQuery = 1u << 5,
+  kExplain = 1u << 6,
+  kPartition = 1u << 7,
+  kCluster = 1u << 8,  // also `run`
+  kServeBench = 1u << 9,
+  kServeDist = 1u << 10,
+  kAllCommands = (1u << 11) - 1,
+  kLoadsKb = kAllCommands & ~(kGen | kLoadBench),
+  kServing = kServeBench | kServeDist,
+  kPartitioning = kPartition | kCluster | kServeDist,
+};
+
+/// Every flag, whether it takes a value, and which commands read it.  Args
+/// rejects a flag missing from this table or not read by the command, and
+/// skips a listed flag's value when it looks for positionals.
 struct FlagSpec {
   std::string_view name;
   bool takes_value;
+  unsigned commands;
 };
 constexpr FlagSpec kFlags[] = {
-    {"-o", true}, {"-k", true}, {"--adds-file", true}, {"--approach", true},
-    {"--balance-slack", true}, {"--checkpoint-dir", true}, {"--chunk", true},
-    {"--clients", true}, {"--deadline", true}, {"--delete-ratio", true},
-    {"--deletes-file", true}, {"--equality-mode", true}, {"--exec-mode", true},
-    {"--faults", true}, {"--load-threads", true}, {"--max-clique", true},
-    {"--max-threads", true}, {"--metrics-out", true}, {"--mode", true},
-    {"--no-cache", false}, {"--no-compile", false}, {"--no-steal", false},
-    {"--partitioner", true}, {"--partitions", true}, {"--policy", true},
-    {"--queries-file", true}, {"--queue", true}, {"--rate", true},
-    {"--reason", false}, {"--replicas", true}, {"--requests", true},
-    {"--rule-parts", true}, {"--rules", true}, {"--sample-every", true},
-    {"--scale", true}, {"--seed", true}, {"--split-merge-factor", true},
-    {"--steal-batch", true}, {"--strategy", true}, {"--think", true},
-    {"--threads", true}, {"--trace-out", true}, {"--update-batches", true},
-    {"--update-size", true}};
+    {"-o", true, kGen | kMaterialize | kUpdate},
+    {"-k", true, kPartitioning},
+    {"--adds-file", true, kUpdate},
+    {"--approach", true, kCluster},
+    {"--balance-slack", true, kPartitioning},
+    {"--checkpoint-dir", true, kCluster},
+    {"--chunk", true, kCluster},
+    {"--clients", true, kServing},
+    {"--deadline", true, kServing},
+    {"--delete-ratio", true, kServeBench},
+    {"--deletes-file", true, kUpdate},
+    {"--equality-mode", true, kMaterialize | kQuery | kServing},
+    {"--exec-mode", true, kCluster},
+    {"--faults", true, kCluster | kServeDist},
+    {"--load-threads", true, kLoadsKb},
+    {"--max-clique", true, kGen},
+    {"--max-threads", true, kLoadBench},
+    {"--metrics-out", true, kAllCommands},
+    {"--mode", true, kServing},
+    {"--no-cache", false, kServing},
+    {"--no-compile", false, kMaterialize},
+    {"--no-steal", false, kCluster},
+    {"--partitioner", true, kPartitioning},
+    {"--partitions", true, kCluster | kServeDist},
+    {"--policy", true, kPartitioning},
+    {"--queries-file", true, kQuery | kServing},
+    {"--queue", true, kServing},
+    {"--rate", true, kServing},
+    {"--reason", false, kQuery | kServing},
+    {"--replicas", true, kServeDist},
+    {"--requests", true, kServing},
+    {"--rule-parts", true, kCluster},
+    {"--rules", true, kMaterialize},
+    {"--sample-every", true, kAllCommands},
+    {"--scale", true, kGen},
+    {"--seed", true, kGen | kServing},
+    {"--steal-batch", true, kCluster},
+    {"--strategy", true, kMaterialize | kCluster},
+    {"--think", true, kServing},
+    {"--threads", true, kMaterialize | kUpdate | kServing},
+    {"--trace-out", true, kAllCommands},
+    {"--update-batches", true, kServeBench},
+    {"--update-size", true, kServeBench}};
 
 /// `text` as a T in [lo, hi], or an error naming `what`.  For an unsigned
 /// T std::from_chars takes digits only, so a sign is an error and so is
@@ -254,13 +299,14 @@ T parse_number(const std::string& what, const std::string& text, T lo = 0,
 }
 
 /// The checked flag reader: `--name value`, `--switch` and positionals.
-/// Construction rejects a flag kFlags does not list and a value flag with
-/// no value; the typed accessors reject a malformed value.  Every error is
-/// a std::invalid_argument naming the flag.  A repeated flag keeps its
-/// first value.
+/// Construction rejects a flag that `command` (a Command bit named `name`)
+/// does not read and a value flag with no value; the typed accessors reject
+/// a malformed value.  Every error is a std::invalid_argument naming the
+/// flag.  A repeated flag keeps its first value.
 class Args {
  public:
-  Args(int argc, char** argv, int start) {
+  Args(int argc, char** argv, int start, std::string_view name,
+       unsigned command) {
     for (int i = start; i < argc; ++i) {
       const std::string arg = argv[i];
       if (!arg.starts_with("-")) {
@@ -270,9 +316,10 @@ class Args {
       const auto* spec =
           std::find_if(std::begin(kFlags), std::end(kFlags),
                        [&arg](const FlagSpec& f) { return f.name == arg; });
-      if (spec == std::end(kFlags)) {
-        throw std::invalid_argument("unknown flag '" + arg +
-                                    "' (run parowl alone for usage)");
+      if (spec == std::end(kFlags) || (spec->commands & command) == 0) {
+        throw std::invalid_argument("unknown flag '" + arg + "' for " +
+                                    std::string(name) +
+                                    " (run parowl alone for usage)");
       }
       if (spec->takes_value && ++i == argc) {
         throw std::invalid_argument(arg + ": missing value");
@@ -349,12 +396,6 @@ bool equality_mode_from(const Args& args, reason::MaterializeOptions& opts,
   return true;
 }
 
-reason::MaintainStrategy maintain_strategy_of(const Args& args) {
-  return args.choice("--strategy", {"dred", "fbf"}, "dred") == "fbf"
-             ? reason::MaintainStrategy::kFbf
-             : reason::MaintainStrategy::kDRed;
-}
-
 reason::Strategy local_strategy_of(const Args& args) {
   return args.choice("--strategy", {"forward", "query"}, "forward") == "query"
              ? reason::Strategy::kQueryDriven
@@ -371,26 +412,18 @@ obs::ObsOptions obs_options_from(const Args& args) {
   return o;
 }
 
-/// The shared partitioner knobs (`--partitioner`, `--balance-slack`,
-/// `--split-merge-factor`), identical across partition / cluster / run /
-/// serve-dist and the partition benches.
+/// The shared partitioner knobs (`--partitioner`, `--balance-slack`),
+/// identical across partition / cluster / run / serve-dist.
 partition::PartitionerOptions partitioner_options_from(const Args& args) {
   partition::PartitionerOptions popts;
   popts.kind = *partition::partitioner_kind_from(args.choice(
-      "--partitioner", {"multilevel", "hdrf", "fennel", "ne"}, "multilevel"));
+      "--partitioner", {"multilevel", "hdrf", "ne"}, "multilevel"));
   popts.balance_slack = args.real("--balance-slack", 0.05);
-  popts.split_merge_factor = args.count<unsigned>("--split-merge-factor", 1);
   return popts;
 }
 
-/// The cluster executor named by `--exec-mode` (default sync).  The
-/// removed `--mode` selector is an error rather than a silent sync run.
+/// The cluster executor named by `--exec-mode` (default sync).
 parallel::ExecutionMode exec_mode_of(const Args& args) {
-  if (!args.option("--mode").empty()) {
-    throw std::invalid_argument(
-        "cluster/run select the executor with --exec-mode "
-        "sync|threaded|async|async-threaded, not --mode");
-  }
   const std::string mode = args.choice(
       "--exec-mode", {"sync", "threaded", "async", "async-threaded"}, "sync");
   return mode == "threaded" ? parallel::ExecutionMode::kThreaded
@@ -403,10 +436,17 @@ parallel::ExecutionMode exec_mode_of(const Args& args) {
 std::unique_ptr<partition::OwnerPolicy> make_policy(const Args& args,
                                                     const char* fallback) {
   // --partitioner selects the algorithm behind the graph policy; an
-  // explicit --policy hash|lubm|mdc still picks those owner functions.
+  // explicit --policy hash|lubm|mdc still picks those owner functions,
+  // which read neither partitioner option.
   const std::string name =
       args.choice("--policy", {"graph", "hash", "lubm", "mdc"},
                   args.option("--partitioner").empty() ? fallback : "graph");
+  if (name != "graph" &&
+      (args.flag("--partitioner") || args.flag("--balance-slack"))) {
+    throw std::invalid_argument(
+        "--partitioner and --balance-slack need --policy graph, not --policy " +
+        name);
+  }
   if (name == "hash") {
     return std::make_unique<partition::HashOwnerPolicy>();
   }
@@ -633,7 +673,7 @@ int cmd_materialize(const Args& args) {
 
 /// Incremental maintenance from the command line: the KB file is the
 /// asserted base; the closure is materialized in memory, then one mixed
-/// add/delete batch is maintained through reason::Maintainer (DRed or FBF)
+/// add/delete batch is maintained through reason::Maintainer (DRed)
 /// instead of re-materializing from scratch.
 int cmd_update(const Args& args) {
   const std::string path = args.positional(0);
@@ -650,7 +690,6 @@ int cmd_update(const Args& args) {
   }
   ontology::Vocabulary vocab(dict);
   reason::MaintainOptions opts;
-  opts.strategy = maintain_strategy_of(args);
   opts.threads = args.count<unsigned>("--threads", 1);
   opts.obs = obs_options_from(args);
 
@@ -680,11 +719,8 @@ int cmd_update(const Args& args) {
     return 1;
   }
   std::cout << "base: -" << r.base_deleted << " +" << r.base_added
-            << "\noverdelete: " << r.overdeleted << " condemned"
-            << (opts.strategy == reason::MaintainStrategy::kFbf
-                    ? " (" + std::to_string(r.kept_alive) + " kept alive)"
-                    : std::string())
-            << " in " << r.overdelete_iterations << " iterations, "
+            << "\noverdelete: " << r.overdeleted << " condemned in "
+            << r.overdelete_iterations << " iterations, "
             << util::format_seconds(r.overdelete_seconds)
             << "\nrederive: " << r.rederived << " re-proven one-step, "
             << r.inferred << " total new log entries in "
@@ -890,7 +926,6 @@ int cmd_serve_bench(const Args& args) {
 
   serve::ServiceOptions sopts;
   read_service_options(args, sopts);
-  sopts.maintain_strategy = maintain_strategy_of(args);
   serve::QueryService service(dict, vocab, std::move(store), sopts, {},
                               equality);
 
@@ -962,11 +997,7 @@ int cmd_serve_bench(const Args& args) {
   service.stats().print(std::cout);
   if (delete_ratio > 0 && update_batches > 0) {
     std::cout << "mixed stream: " << deletes_applied.load()
-              << " base triples retracted ("
-              << (sopts.maintain_strategy == reason::MaintainStrategy::kFbf
-                      ? "fbf"
-                      : "dred")
-              << ")\n";
+              << " base triples retracted\n";
   }
   std::cout << "throughput " << util::fmt_double(report.throughput_qps(), 1)
             << " q/s\n";
@@ -1281,43 +1312,25 @@ int cmd_cluster(const Args& args) {
   return 0;
 }
 
-/// Dispatch one command; usage() for an unknown one.
-int run_command(const std::string& command, const Args& args) {
-  if (command == "gen") {
-    return cmd_gen(args);
-  }
-  if (command == "info") {
-    return cmd_info(args);
-  }
-  if (command == "load-bench") {
-    return cmd_load_bench(args);
-  }
-  if (command == "materialize") {
-    return cmd_materialize(args);
-  }
-  if (command == "update") {
-    return cmd_update(args);
-  }
-  if (command == "query") {
-    return cmd_query(args);
-  }
-  if (command == "explain") {
-    return cmd_explain(args);
-  }
-  if (command == "partition") {
-    return cmd_partition(args);
-  }
-  if (command == "cluster" || command == "run") {
-    return cmd_cluster(args);
-  }
-  if (command == "serve-bench") {
-    return cmd_serve_bench(args);
-  }
-  if (command == "serve-dist") {
-    return cmd_serve_dist(args);
-  }
-  return usage();
-}
+/// The command table: name, Command bit (which flags it reads), handler.
+struct CommandSpec {
+  std::string_view name;
+  unsigned bit;
+  int (*run)(const Args&);
+};
+constexpr CommandSpec kCommands[] = {
+    {"gen", kGen, cmd_gen},
+    {"info", kInfo, cmd_info},
+    {"load-bench", kLoadBench, cmd_load_bench},
+    {"materialize", kMaterialize, cmd_materialize},
+    {"update", kUpdate, cmd_update},
+    {"query", kQuery, cmd_query},
+    {"explain", kExplain, cmd_explain},
+    {"partition", kPartition, cmd_partition},
+    {"cluster", kCluster, cmd_cluster},
+    {"run", kCluster, cmd_cluster},
+    {"serve-bench", kServeBench, cmd_serve_bench},
+    {"serve-dist", kServeDist, cmd_serve_dist}};
 
 }  // namespace
 
@@ -1327,13 +1340,19 @@ int main(int argc, char** argv) {
   }
   // Any failure — a bad flag value, unreadable input, a cluster delivery
   // failure — ends in a message and a non-zero status, never an abort.
+  const std::string_view command = argv[1];
+  const auto* spec = std::find_if(
+      std::begin(kCommands), std::end(kCommands),
+      [command](const CommandSpec& c) { return c.name == command; });
+  if (spec == std::end(kCommands)) {
+    return usage();
+  }
   try {
-    const std::string command = argv[1];
-    const Args args(argc, argv, 2);
+    const Args args(argc, argv, 2, spec->name, spec->bit);
     // One RAII session covers every command: configure the sinks up front,
     // flush the trace/metrics files on the way out.
     const obs::Session obs_session(obs_options_from(args));
-    return run_command(command, args);
+    return spec->run(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

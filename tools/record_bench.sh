@@ -12,17 +12,16 @@
 #     asynchronous token-ring executor, steal on/off, threaded) with
 #     measured wall-clock p50/p99 per configuration.
 #   bench/BENCH_incremental.json — incremental maintenance sweep: mixed
-#     add+delete batches through DRed and FBF vs additions-only
-#     incremental closure vs full re-materialization, batch sizes
-#     {1, 10, 100} students.
+#     add+delete batches through DRed vs additions-only incremental
+#     closure vs full re-materialization, batch sizes {1, 10, 100}
+#     students.
 #   bench/BENCH_sameas.json — equality-rewriting sweep on the clique-heavy
 #     generator: naive sameAs closure vs representative rewriting × clique
 #     density {3, 6, 10} × threads {1, 4}, plus query-time class-map
 #     expansion vs naive BGP evaluation.
-#   bench/BENCH_partition.json — Fig. 5 partitioner comparison: the seven
-#     owner policies (multilevel graph, domain, hash, HDRF, Fennel, NE,
-#     HDRF+split-merge) × 2/4/8/16 partitions with speedup/IR/OR/RF/cut
-#     counters.
+#   bench/BENCH_partition.json — Fig. 5 partitioner comparison: the five
+#     owner policies (0 multilevel graph, 1 domain, 2 hash, 3 HDRF, 4 NE)
+#     × 2/4/8/16 partitions with speedup/IR/OR/RF/cut counters.
 # Usage: tools/record_bench.sh [extra benchmark args...]
 #
 # The baselines answer "did this PR make a hot path slower?" — compare a
