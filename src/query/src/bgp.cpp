@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "parowl/util/table.hpp"
 
@@ -39,6 +41,12 @@ std::size_t solve_bgp(const rdf::TripleStore& store,
                       std::span<const rules::Atom> bgp, int num_vars,
                       const std::function<void(const rules::Binding&)>& fn) {
   (void)num_vars;
+  if (bgp.size() > rules::kMaxBodyAtoms) {
+    throw std::invalid_argument(
+        "basic graph pattern has " + std::to_string(bgp.size()) +
+        " atoms; at most " + std::to_string(rules::kMaxBodyAtoms) +
+        " are supported");
+  }
   if (bgp.empty()) {
     return 0;
   }

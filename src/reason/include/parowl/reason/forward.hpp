@@ -72,6 +72,14 @@ struct ForwardOptions {
   EqualityMode equality_mode = EqualityMode::kNaive;
   EqualityManager* equality = nullptr;
   rdf::TermId same_as = rdf::kAnyTerm;
+
+  /// Internal to the cluster (only parallel::Worker sets it): the caller
+  /// closes the symmetric-transitive predicates itself, from forests that
+  /// span the cluster, into the pairs its partition must hold.  run() then
+  /// runs no clique operator, and run() and match_delta() alike skip those
+  /// predicates' symmetric rules and fire their transitive rules only
+  /// through a literal middle term.
+  bool caller_closes_cliques = false;
 };
 
 /// Evaluation statistics.

@@ -304,6 +304,7 @@ std::vector<ForwardEngine::Derivation> ForwardEngine::match_delta(
   // store (contains + match), so the victim's log stays untouched.
   Shard shard;
   shard.reset(rules_.size());
+  shard.clique = options_.caller_closes_cliques;
   process_range(lo, hi, shard);
   std::vector<Derivation> out;
   out.reserve(shard.pending.size());
@@ -356,8 +357,10 @@ ForwardStats ForwardEngine::run(std::size_t delta_begin) {
   // the whole store; a component the first frontier does not touch is
   // already a clique, because every rule instance over the prefix has its
   // head in the prefix or in the frontier (true of run(0), of worker
-  // rounds, and of DRed rederivation).
-  const bool clique = options_.semi_naive && !cliques_.predicates.empty();
+  // rounds, and of DRed rederivation).  A caller that closes the clique
+  // predicates itself has the same joins skipped and no operator run.
+  const bool clique = options_.semi_naive && !cliques_.predicates.empty() &&
+                      !options_.caller_closes_cliques;
   std::optional<CliqueClosure> closure;
   if (clique) {
     closure.emplace(cliques_.predicates, options_.dict);
@@ -374,7 +377,7 @@ ForwardStats ForwardEngine::run(std::size_t delta_begin) {
   // the round batch is the thread shards in order, then the operator's.
   std::vector<Shard> shards(threads + (clique ? 1 : 0));
   for (std::size_t i = 0; i < threads; ++i) {
-    shards[i].clique = clique;
+    shards[i].clique = clique || options_.caller_closes_cliques;
   }
   // Round-barrier team: the matching pass and the barrier insert both run
   // on it; the calling thread is member 0.

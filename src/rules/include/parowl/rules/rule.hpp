@@ -67,7 +67,8 @@ inline constexpr int kMaxRuleVars = 16;
 /// Maximum number of atoms in a rule body or a query's basic graph
 /// pattern.  The join enumerators track the atoms already matched in an
 /// `unsigned` mask and test it against (1u << n) - 1, which is undefined
-/// from n = 32 on, so both parsers reject longer bodies.
+/// from n = 32 on, so both parsers reject longer bodies, and RuleSet and
+/// query::solve_bgp throw std::invalid_argument on them.
 inline constexpr std::size_t kMaxBodyAtoms = 31;
 
 /// A partial assignment of rule variables to term ids (0 = unbound).
@@ -99,13 +100,14 @@ struct Rule {
   friend bool operator==(const Rule&, const Rule&) = default;
 };
 
-/// An ordered collection of rules with name lookup.
+/// An ordered collection of rules with name lookup.  Both ways in throw
+/// std::invalid_argument on a body of more than kMaxBodyAtoms atoms.
 class RuleSet {
  public:
   RuleSet() = default;
-  explicit RuleSet(std::vector<Rule> rules) : rules_(std::move(rules)) {}
+  explicit RuleSet(std::vector<Rule> rules);
 
-  void add(Rule rule) { rules_.push_back(std::move(rule)); }
+  void add(Rule rule);
   [[nodiscard]] const std::vector<Rule>& rules() const { return rules_; }
   [[nodiscard]] std::size_t size() const { return rules_.size(); }
   [[nodiscard]] bool empty() const { return rules_.empty(); }

@@ -1,6 +1,8 @@
 #include "parowl/rules/rule.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace parowl::rules {
 
@@ -110,6 +112,30 @@ rdf::TriplePattern to_pattern(const Atom& atom, const Binding& binding) {
   };
   return rdf::TriplePattern{resolve(atom.s), resolve(atom.p),
                             resolve(atom.o)};
+}
+
+namespace {
+
+void check_body_size(const Rule& rule) {
+  if (rule.body.size() > kMaxBodyAtoms) {
+    throw std::invalid_argument(
+        "rule " + rule.name + " has " + std::to_string(rule.body.size()) +
+        " body atoms; at most " + std::to_string(kMaxBodyAtoms) +
+        " are supported");
+  }
+}
+
+}  // namespace
+
+RuleSet::RuleSet(std::vector<Rule> rules) : rules_(std::move(rules)) {
+  for (const Rule& r : rules_) {
+    check_body_size(r);
+  }
+}
+
+void RuleSet::add(Rule rule) {
+  check_body_size(rule);
+  rules_.push_back(std::move(rule));
 }
 
 const Rule* RuleSet::find(std::string_view name) const {

@@ -201,5 +201,21 @@ TEST_F(QueryTest, ParserRejectsMoreThanThirtyOneAtoms) {
   EXPECT_EQ(run(query(30)).size(), 0u);
 }
 
+// BGPs built in code skip the parser's check; solve_bgp makes it: 31
+// atoms answer, 32 throw instead of joining under an overflowed mask.
+TEST_F(QueryTest, SolveBgpRejectsMoreThanThirtyOneAtoms) {
+  small_kb();
+  const rules::Atom professor{rules::AtomTerm::var(0),
+                              rules::AtomTerm::constant(vocab.rdf_type),
+                              rules::AtomTerm::constant(
+                                  iri("http://ex/Professor"))};
+  const auto count = [&](std::size_t atoms) {
+    const std::vector<rules::Atom> bgp(atoms, professor);
+    return solve_bgp(store, bgp, 1, [](const rules::Binding&) {});
+  };
+  EXPECT_EQ(count(31), 2u);
+  EXPECT_THROW(count(32), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace parowl::query

@@ -167,6 +167,36 @@ TEST_F(ParserTest, RejectsBodiesOverThirtyOneAtoms) {
   EXPECT_NE(err.find("more than 31"), std::string::npos) << err;
 }
 
+// Rules built in code reach the same `unsigned` join mask as parsed ones:
+// 31 body atoms still fire, and RuleSet refuses 32 both ways in.
+TEST(RuleSet, RejectsBodiesOverThirtyOneAtoms) {
+  const auto rule = [](std::size_t atoms) {
+    Rule r;
+    r.name = "wide" + std::to_string(atoms);
+    for (std::size_t i = 0; i < atoms; ++i) {
+      r.body.push_back(Atom{AtomTerm::var(0), AtomTerm::constant(1),
+                            AtomTerm::constant(100 + i)});
+    }
+    r.head = Atom{AtomTerm::var(0), AtomTerm::constant(1),
+                  AtomTerm::constant(99)};
+    r.num_vars = 1;
+    return r;
+  };
+  RuleSet rules;
+  rules.add(rule(31));
+  EXPECT_NO_THROW(RuleSet(std::vector<Rule>{rule(31)}));
+  EXPECT_THROW(rules.add(rule(32)), std::invalid_argument);
+  EXPECT_THROW(RuleSet(std::vector<Rule>{rule(32)}), std::invalid_argument);
+  ASSERT_EQ(rules.size(), 1u);
+
+  rdf::TripleStore store;
+  for (rdf::TermId c = 100; c < 131; ++c) {
+    store.insert({7, 1, c});
+  }
+  reason::forward_closure(store, rules);
+  EXPECT_TRUE(store.contains({7, 1, 99}));
+}
+
 TEST_F(ParserTest, RejectsUnsafeRule) {
   std::string err;
   EXPECT_FALSE(parser.parse_rule("(?a <p> ?b) -> (?a <p> ?c)", &err)
