@@ -95,7 +95,7 @@ void BM_DistServe(benchmark::State& state) {
 
   serve::WorkloadReport r;
   for (auto _ : state) {
-    r = dist::run_workload(service, u.queries, open_loop(200));
+    r = serve::run_workload(service, u.queries, open_loop(200));
   }
   report(state, r);
   const dist::DistStats stats = service.stats();

@@ -60,20 +60,16 @@ class ShardCatalog {
   /// Per-partition snapshot versions, indexed by partition.
   [[nodiscard]] std::vector<std::uint64_t> versions() const;
 
-  /// Append `additions` to the shards they belong on (placement rule above)
-  /// and bump those shards' versions.  Returns the partitions touched,
-  /// sorted.  Additions are raw triples — the serving tier's shard refresh
-  /// path, not an incremental closure (ROADMAP: live updates across shards).
-  std::vector<std::uint32_t> refresh(std::span<const rdf::Triple> additions);
-
-  /// Mixed refresh after an incremental maintenance batch: remove
-  /// `deletions` (the triples the maintainer actually retired from the
-  /// closure) from the shards they were placed on, then append `additions`
-  /// (the new log tail).  Only touched partitions re-encode and bump their
-  /// versions; untouched shards keep their bytes and version.  Returns the
-  /// touched partitions, sorted.
-  std::vector<std::uint32_t> refresh(std::span<const rdf::Triple> additions,
-                                     std::span<const rdf::Triple> deletions);
+  /// Refresh after an incremental maintenance batch: remove `deletions`
+  /// (the triples the maintainer actually retired from the closure) from the
+  /// shards they were placed on (placement rule above), then append
+  /// `additions` (the new log tail) to the shards they belong on, skipping
+  /// any a shard already holds.  Only touched partitions re-encode and bump
+  /// their versions; untouched shards keep their bytes and version.
+  /// Returns the touched partitions, sorted.
+  std::vector<std::uint32_t> refresh(
+      std::span<const rdf::Triple> additions,
+      std::span<const rdf::Triple> deletions = {});
 
   /// Total encoded bytes across shards (what one full sync ships per
   /// replica set member).

@@ -46,33 +46,8 @@ std::vector<std::uint64_t> ShardCatalog::versions() const {
 }
 
 std::vector<std::uint32_t> ShardCatalog::refresh(
-    std::span<const rdf::Triple> additions) {
-  const auto k = static_cast<std::uint32_t>(shards_.size());
-  std::vector<std::uint32_t> touched;
-  std::vector<std::uint32_t> dests;
-  for (const rdf::Triple& t : additions) {
-    dests.clear();
-    partition::append_shard_destinations(owners_, t, k, dests);
-    for (const std::uint32_t p : dests) {
-      plain_[p].push_back(t);
-      touched.push_back(p);
-    }
-  }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (const std::uint32_t p : touched) {
-    shards_[p].version += 1;
-    encode_shard(p, plain_[p]);
-  }
-  return touched;
-}
-
-std::vector<std::uint32_t> ShardCatalog::refresh(
     std::span<const rdf::Triple> additions,
     std::span<const rdf::Triple> deletions) {
-  if (deletions.empty()) {
-    return refresh(additions);
-  }
   const auto k = static_cast<std::uint32_t>(shards_.size());
   std::vector<std::uint32_t> touched;
   std::vector<std::uint32_t> dests;

@@ -17,15 +17,17 @@ namespace parowl::query {
 ///   WHERE { ?x a ub:Professor . ?x ub:worksFor ?d }
 ///   LIMIT 10
 ///
-/// Supported: PREFIX, SELECT [DISTINCT] (?vars... | *), WHERE with a single
-/// basic graph pattern ('.'-separated triple patterns, `a` as rdf:type,
-/// IRIs, prefixed names, quoted literals), LIMIT.  Keywords are
-/// case-insensitive.
+/// Supported: PREFIX (for the query that declares it), SELECT [DISTINCT]
+/// (?vars... | *), WHERE with a single basic graph pattern ('.'-separated
+/// triple patterns, `a` as rdf:type, IRIs, prefixed names, quoted
+/// literals), LIMIT.  Keywords are case-insensitive.
 class SparqlParser {
  public:
+  /// Interns rdf:type (the meaning of `a`) into `dict`.
   explicit SparqlParser(rdf::Dictionary& dict);
 
-  /// Register a namespace prefix usable by all subsequent queries.
+  /// Register a namespace prefix usable by all subsequent queries.  A
+  /// query's own PREFIX declarations last for that query only.
   void add_prefix(std::string name, std::string iri);
 
   /// Parse one query; returns std::nullopt and sets *error on failure.
@@ -34,6 +36,7 @@ class SparqlParser {
 
  private:
   rdf::Dictionary& dict_;
+  rdf::TermId rdf_type_;
   std::unordered_map<std::string, std::string> prefixes_;
 };
 

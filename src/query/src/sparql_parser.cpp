@@ -24,7 +24,8 @@ bool iequals(std::string_view a, std::string_view b) {
 
 }  // namespace
 
-SparqlParser::SparqlParser(rdf::Dictionary& dict) : dict_(dict) {
+SparqlParser::SparqlParser(rdf::Dictionary& dict)
+    : dict_(dict), rdf_type_(dict.intern_iri(ontology::iri::kRdfType)) {
   add_prefix("rdf", "http://www.w3.org/1999/02/22-rdf-syntax-ns#");
   add_prefix("rdfs", "http://www.w3.org/2000/01/rdf-schema#");
   add_prefix("owl", "http://www.w3.org/2002/07/owl#");
@@ -137,7 +138,9 @@ std::optional<SelectQuery> SparqlParser::parse(std::string_view text,
     return it->second;
   };
 
-  // PREFIX declarations.
+  // PREFIX declarations: they hold for this query only.  A later one
+  // overrides an earlier one, and either overrides a registered prefix.
+  std::unordered_map<std::string, std::string> declared;
   while (iequals(peek(), "PREFIX")) {
     take();
     std::string name(take());
@@ -149,7 +152,7 @@ std::optional<SelectQuery> SparqlParser::parse(std::string_view text,
     if (iri.size() < 2 || iri.front() != '<' || iri.back() != '>') {
       return fail("PREFIX expects <iri>");
     }
-    add_prefix(name, std::string(iri.substr(1, iri.size() - 2)));
+    declared[std::move(name)] = iri.substr(1, iri.size() - 2);
   }
 
   // SELECT clause.
@@ -179,7 +182,14 @@ std::optional<SelectQuery> SparqlParser::parse(std::string_view text,
   }
 
   // Graph pattern.
-  const ontology::Vocabulary vocab(dict_);
+  const auto namespace_of =
+      [&](const std::string& name) -> const std::string* {
+    if (const auto it = declared.find(name); it != declared.end()) {
+      return &it->second;
+    }
+    const auto it = prefixes_.find(name);
+    return it == prefixes_.end() ? nullptr : &it->second;
+  };
   auto parse_term = [&](std::string_view tok,
                         bool object_position) -> std::optional<rules::AtomTerm> {
     if (tok.empty()) {
@@ -193,7 +203,7 @@ std::optional<SelectQuery> SparqlParser::parse(std::string_view text,
       return rules::AtomTerm::var(v);
     }
     if (tok == "a") {
-      return rules::AtomTerm::constant(vocab.rdf_type);
+      return rules::AtomTerm::constant(rdf_type_);
     }
     if (tok.front() == '<' && tok.back() == '>') {
       return rules::AtomTerm::constant(
@@ -209,12 +219,12 @@ std::optional<SelectQuery> SparqlParser::parse(std::string_view text,
     if (colon == std::string_view::npos) {
       return std::nullopt;
     }
-    const auto it = prefixes_.find(std::string(tok.substr(0, colon)));
-    if (it == prefixes_.end()) {
+    const std::string* ns = namespace_of(std::string(tok.substr(0, colon)));
+    if (ns == nullptr) {
       return std::nullopt;
     }
     return rules::AtomTerm::constant(
-        dict_.intern_iri(it->second + std::string(tok.substr(colon + 1))));
+        dict_.intern_iri(*ns + std::string(tok.substr(colon + 1))));
   };
 
   while (peek() != "}") {

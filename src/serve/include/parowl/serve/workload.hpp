@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "parowl/serve/service.hpp"
+#include "parowl/serve/frontend.hpp"
 #include "parowl/serve/stats.hpp"
 
 namespace parowl::serve {
@@ -57,23 +57,10 @@ struct WorkloadReport {
   void print(std::ostream& os) const;
 };
 
-/// The service surface the driver needs: admit `query` and invoke `done`
-/// exactly once (inline when shed).  Both serve::QueryService::submit and
-/// dist::DistService::submit fit, so one driver exercises the single-store
-/// and distributed tiers identically.
-using SubmitFn =
-    std::function<bool(const std::string& query,
-                       std::function<void(const Response&)> done)>;
-
-/// Drive `submit` with requests drawn uniformly (seeded) from `queries`.
-/// Blocks until every admitted request has been answered.  Deterministic in
-/// which queries are issued (not in timing).
-WorkloadReport run_workload(const SubmitFn& submit,
-                            std::span<const std::string> queries,
-                            const WorkloadOptions& options);
-
-/// Convenience overload for the single-store service.
-WorkloadReport run_workload(QueryService& service,
+/// Drive `service` (either serving tier) with requests drawn uniformly
+/// (seeded) from `queries`.  Blocks until every admitted request has been
+/// answered.  Deterministic in which queries are issued (not in timing).
+WorkloadReport run_workload(Frontend& service,
                             std::span<const std::string> queries,
                             const WorkloadOptions& options);
 

@@ -1,9 +1,5 @@
 #include "parowl/serve/stats.hpp"
 
-#include <ostream>
-
-#include "parowl/util/table.hpp"
-
 namespace parowl::serve {
 
 std::string fmt_latency(double seconds) {
@@ -27,13 +23,14 @@ obs::FieldList fields(const CacheCounters& c) {
   };
 }
 
-obs::FieldList fields(const ServiceStats& s) {
+obs::FieldList fields(const RequestStats& s) {
   obs::FieldList out = {
       {"requests", s.total_requests()},
       {"completed", s.completed},
       {"shed", s.shed},
       {"deadline_exceeded", s.deadline_exceeded},
       {"parse_errors", s.parse_errors},
+      {"unavailable", s.unavailable},
       {"unsupported", s.unsupported},
       {"shed_rate", s.shed_rate()},
       {"p50_latency_seconds", s.latency.percentile_seconds(0.50)},
@@ -43,18 +40,14 @@ obs::FieldList fields(const ServiceStats& s) {
   for (obs::Field& f : fields(s.cache)) {
     out.push_back(std::move(f));
   }
-  out.emplace_back("updates_applied", s.updates_applied);
-  out.emplace_back("snapshot_version", s.snapshot_version);
   return out;
 }
 
-void ServiceStats::print(std::ostream& os) const {
-  util::Table table({"metric", "value"});
-  obs::print(*this, table);
-  table.add_row({"p50 latency", fmt_latency(latency.percentile_seconds(0.50))});
-  table.add_row({"p95 latency", fmt_latency(latency.percentile_seconds(0.95))});
-  table.add_row({"p99 latency", fmt_latency(latency.percentile_seconds(0.99))});
-  table.print(os);
+obs::FieldList fields(const ServiceStats& s) {
+  obs::FieldList out = fields(static_cast<const RequestStats&>(s));
+  out.emplace_back("updates_applied", s.updates_applied);
+  out.emplace_back("snapshot_version", s.snapshot_version);
+  return out;
 }
 
 }  // namespace parowl::serve

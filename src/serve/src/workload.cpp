@@ -1,6 +1,5 @@
 #include "parowl/serve/workload.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -19,44 +18,14 @@ namespace {
 
 /// Shared sink for completion callbacks from any thread.
 struct Collector {
-  std::atomic<std::size_t> completed{0};
-  std::atomic<std::size_t> shed{0};
-  std::atomic<std::size_t> deadline_exceeded{0};
-  std::atomic<std::size_t> parse_errors{0};
-  std::atomic<std::size_t> unavailable{0};
-  std::atomic<std::size_t> unsupported{0};
-  std::atomic<std::size_t> cache_hits{0};
-  LatencyHistogram latency;
+  RequestCounters counters;
 
   std::mutex mutex;
   std::condition_variable all_done;
   std::size_t answered = 0;
 
   void record(const Response& response) {
-    switch (response.status) {
-      case RequestStatus::kOk:
-        completed.fetch_add(1, std::memory_order_relaxed);
-        if (response.cache_hit) {
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-        }
-        break;
-      case RequestStatus::kOverloaded:
-        shed.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case RequestStatus::kDeadlineExceeded:
-        deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case RequestStatus::kParseError:
-        parse_errors.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case RequestStatus::kUnavailable:
-        unavailable.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case RequestStatus::kUnsupported:
-        unsupported.fetch_add(1, std::memory_order_relaxed);
-        break;
-    }
-    latency.record_seconds(response.latency_seconds);
+    counters.record(response);
     // Notify under the lock: the waiter may destroy this collector as soon
     // as it sees the count, so nothing here may touch it after unlocking.
     const std::scoped_lock lock(mutex);
@@ -80,21 +49,22 @@ double exponential(util::Rng& rng, double mean) {
 
 WorkloadReport finish(const Collector& collector, std::size_t submitted,
                       double wall_seconds) {
+  const RequestStats counts = collector.counters.stats();
   WorkloadReport report;
   report.submitted = submitted;
-  report.completed = collector.completed.load();
-  report.shed = collector.shed.load();
-  report.deadline_exceeded = collector.deadline_exceeded.load();
-  report.parse_errors = collector.parse_errors.load();
-  report.unavailable = collector.unavailable.load();
-  report.unsupported = collector.unsupported.load();
-  report.cache_hits = collector.cache_hits.load();
+  report.completed = counts.completed;
+  report.shed = counts.shed;
+  report.deadline_exceeded = counts.deadline_exceeded;
+  report.parse_errors = counts.parse_errors;
+  report.unavailable = counts.unavailable;
+  report.unsupported = counts.unsupported;
+  report.cache_hits = collector.counters.cache_hits();
   report.wall_seconds = wall_seconds;
-  report.latency = collector.latency;
+  report.latency = counts.latency;
   return report;
 }
 
-WorkloadReport run_open_loop(const SubmitFn& submit,
+WorkloadReport run_open_loop(Frontend& service,
                              std::span<const std::string> queries,
                              const WorkloadOptions& options) {
   Collector collector;
@@ -110,7 +80,8 @@ WorkloadReport run_open_loop(const SubmitFn& submit,
                     interval * static_cast<double>(i));
     std::this_thread::sleep_until(due);
     const std::string& q = queries[rng.below(queries.size())];
-    submit(q, [&collector](const Response& r) { collector.record(r); });
+    service.submit(q,
+                   [&collector](const Response& r) { collector.record(r); });
   }
   collector.wait_for(options.total_requests);
   const double wall =
@@ -119,7 +90,7 @@ WorkloadReport run_open_loop(const SubmitFn& submit,
   return finish(collector, options.total_requests, wall);
 }
 
-WorkloadReport run_closed_loop(const SubmitFn& submit,
+WorkloadReport run_closed_loop(Frontend& service,
                                std::span<const std::string> queries,
                                const WorkloadOptions& options) {
   Collector collector;
@@ -137,7 +108,7 @@ WorkloadReport run_closed_loop(const SubmitFn& submit,
         std::mutex done_mutex;
         std::condition_variable done_cv;
         bool answered = false;
-        submit(q, [&](const Response& r) {
+        service.submit(q, [&](const Response& r) {
           collector.record(r);
           // Notify under the lock: the waiter's stack frame owns done_cv.
           const std::scoped_lock lock(done_mutex);
@@ -166,26 +137,15 @@ WorkloadReport run_closed_loop(const SubmitFn& submit,
 
 }  // namespace
 
-WorkloadReport run_workload(const SubmitFn& submit,
+WorkloadReport run_workload(Frontend& service,
                             std::span<const std::string> queries,
                             const WorkloadOptions& options) {
   if (queries.empty() || options.total_requests == 0) {
     return {};
   }
   return options.mode == WorkloadMode::kOpenLoop
-             ? run_open_loop(submit, queries, options)
-             : run_closed_loop(submit, queries, options);
-}
-
-WorkloadReport run_workload(QueryService& service,
-                            std::span<const std::string> queries,
-                            const WorkloadOptions& options) {
-  return run_workload(
-      [&service](const std::string& q,
-                 std::function<void(const Response&)> done) {
-        return service.submit(q, std::move(done));
-      },
-      queries, options);
+             ? run_open_loop(service, queries, options)
+             : run_closed_loop(service, queries, options);
 }
 
 std::vector<std::string> load_query_lines(std::istream& in) {

@@ -20,8 +20,10 @@
 #include <string>
 #include <vector>
 
+#include "parowl/gen/lubm.hpp"
 #include "parowl/gen/uobm.hpp"
 #include "parowl/parallel/cluster.hpp"
+#include "parowl/parallel/pipeline.hpp"
 #include "parowl/partition/data_partition.hpp"
 #include "parowl/partition/owner_policy.hpp"
 #include "parowl/reason/clique.hpp"
@@ -611,6 +613,36 @@ TEST(CliqueClusterTest, CheckpointRestoreMidRunGivesTheUninterruptedLogs) {
     EXPECT_EQ(sorted(async_run.logs[w]), sorted(ref.logs[w])) << "worker " << w;
   }
   std::filesystem::remove_all(scratch);
+}
+
+TEST(CliqueClusterTest, MergingOnlyDerivationsKeepsTheWholeStoreMergeLog) {
+  // parallel_materialize merges the input, the ground facts and each
+  // worker's derivations; run_cluster keeps the construction that inserted
+  // every worker's whole store, the oracle here.
+  rdf::Dictionary lubm_dict;
+  const ontology::Vocabulary lubm_vocab(lubm_dict);
+  rdf::TripleStore lubm;
+  gen::LubmOptions lo;
+  lo.universities = 2;
+  gen::generate_lubm(lo, lubm_dict, lubm);
+  const UobmKb uobm(1, 10);
+  for (const auto& [label, kb] :
+       {std::pair{"lubm2", ClusterKb{lubm, lubm_dict, lubm_vocab}},
+        std::pair{"uobm1", ClusterKb{uobm.base, uobm.dict, uobm.vocab}}}) {
+    ClusterConfig config;
+    config.k = 4;
+    const ClusterRun oracle = run_cluster(kb, config);
+
+    const partition::HashOwnerPolicy policy;
+    parallel::ParallelOptions opts;
+    opts.partitions = config.k;
+    opts.policy = &policy;
+    const parallel::ParallelResult run =
+        parallel::parallel_materialize(kb.base, kb.dict, kb.vocab, opts);
+    ASSERT_TRUE(run.merged.has_value()) << label;
+    EXPECT_TRUE(run.merged->triples() == oracle.merged.triples()) << label;
+    EXPECT_EQ(run.inferred, oracle.merged.size() - kb.base.size()) << label;
+  }
 }
 
 }  // namespace

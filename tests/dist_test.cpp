@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -48,8 +53,6 @@ dist::DistOptions dist_options(std::uint32_t replicas = 1,
   dist::DistOptions o;
   o.threads = threads;
   o.queue_capacity = 256;
-  o.cache_shards = 4;
-  o.cache_capacity_per_shard = 64;
   o.replicas = replicas;
   return o;
 }
@@ -291,6 +294,128 @@ TEST(DistService, AllReplicasDeadIsUnavailableNotHung) {
 }
 
 // ---------------------------------------------------------------------------
+// The shared front end's admission, deadline and parse paths
+
+/// Park the executor's only worker on a job that waits for `gate`, so
+/// nothing drains the queue until the gate opens.
+void park_worker(serve::Executor& executor, std::shared_future<void> gate) {
+  serve::Executor::Job job;
+  job.run = [gate](bool) { gate.wait(); };
+  ASSERT_TRUE(executor.try_submit(std::move(job)));
+  while (executor.queue_depth() != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// The largest shard version: what a dist response is stamped with.
+std::uint64_t max_version(const dist::DistService& service) {
+  const std::vector<std::uint64_t> v = service.shard_versions();
+  return *std::max_element(v.begin(), v.end());
+}
+
+TEST(DistService, ShedsWithOverloadedWhenQueueIsFull) {
+  DistFixtureData fx;
+  constexpr std::uint32_t k = 2;
+  parallel::MemoryTransport transport(dist::NodeLayout{k, 1}.num_nodes());
+  dist::DistOptions opts = dist_options();
+  opts.queue_capacity = 2;
+  dist::DistService service(fx.dict, fx.store, fx.owners_for(k), k,
+                            transport, opts);
+  const std::string q = gen::lubm_queries().front().sparql;
+
+  std::promise<void> release;
+  park_worker(service.executor(), release.get_future().share());
+
+  std::atomic<int> ok{0};
+  std::vector<serve::Response> shed;  // written inline by submit
+  auto done = [&](const serve::Response& r) {
+    if (r.status == serve::RequestStatus::kOk) {
+      ok.fetch_add(1);
+    } else {
+      shed.push_back(r);
+    }
+  };
+  EXPECT_TRUE(service.submit(q, done));
+  EXPECT_TRUE(service.submit(q, done));
+  EXPECT_FALSE(service.submit(q, done));
+  EXPECT_FALSE(service.submit(q, done));
+  ASSERT_EQ(shed.size(), 2u);
+  for (const serve::Response& r : shed) {
+    EXPECT_EQ(r.status, serve::RequestStatus::kOverloaded);
+    EXPECT_EQ(r.snapshot_version, max_version(service));
+  }
+
+  release.set_value();
+  service.drain();
+  EXPECT_EQ(ok.load(), 2);
+  const dist::DistStats stats = service.stats();
+  EXPECT_EQ(stats.shed, 2u);
+  EXPECT_EQ(stats.completed, 2u);
+}
+
+TEST(DistService, ExpiredRequestsReportDeadlineExceeded) {
+  DistFixtureData fx;
+  constexpr std::uint32_t k = 2;
+  parallel::MemoryTransport transport(dist::NodeLayout{k, 1}.num_nodes());
+  dist::DistOptions opts = dist_options();
+  opts.queue_capacity = 8;
+  opts.default_deadline_seconds = 1e-3;
+  dist::DistService service(fx.dict, fx.store, fx.owners_for(k), k,
+                            transport, opts);
+  // Move one shard past version 1, so the stamp is not a default.
+  const rdf::TermId type = fx.dict.find_iri(kRdfType);
+  const rdf::TermId grad = fx.dict.find_iri(
+      std::string(gen::kUnivBenchNs) + "GraduateStudent");
+  service.refresh(std::vector<rdf::Triple>{
+      {fx.dict.intern_iri("http://www.Univ9.edu/LateStudent"), type, grad}});
+  ASSERT_EQ(max_version(service), 2u);
+
+  std::promise<void> release;
+  park_worker(service.executor(), release.get_future().share());
+  std::optional<serve::Response> expired;
+  service.submit(gen::lubm_queries().front().sparql,
+                 [&](const serve::Response& r) { expired = r; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));  // > deadline
+  release.set_value();
+  service.drain();
+  ASSERT_TRUE(expired.has_value());
+  EXPECT_EQ(expired->status, serve::RequestStatus::kDeadlineExceeded);
+  EXPECT_EQ(expired->snapshot_version, 2u);
+  EXPECT_EQ(service.stats().deadline_exceeded, 1u);
+}
+
+TEST(DistService, ParseErrorsAreReportedNotCached) {
+  DistFixtureData fx;
+  constexpr std::uint32_t k = 2;
+  parallel::MemoryTransport transport(dist::NodeLayout{k, 1}.num_nodes());
+  dist::DistService service(fx.dict, fx.store, fx.owners_for(k), k,
+                            transport, dist_options());
+  const serve::Response r = service.execute("NOT SPARQL AT ALL");
+  EXPECT_EQ(r.status, serve::RequestStatus::kParseError);
+  EXPECT_FALSE(r.error.empty());
+  const serve::Response again = service.execute("NOT SPARQL AT ALL");
+  EXPECT_EQ(again.status, serve::RequestStatus::kParseError);
+  EXPECT_FALSE(again.cache_hit);
+  EXPECT_EQ(service.stats().parse_errors, 2u);
+}
+
+TEST(DistService, QueryPrefixesDoNotLeakAcrossRequests) {
+  DistFixtureData fx;
+  constexpr std::uint32_t k = 2;
+  parallel::MemoryTransport transport(dist::NodeLayout{k, 1}.num_nodes());
+  dist::DistService service(fx.dict, fx.store, fx.owners_for(k), k,
+                            transport, dist_options());
+  const std::string undeclared = "SELECT ?x WHERE { ?x a foo:C }";
+  EXPECT_EQ(service.execute(undeclared).status,
+            serve::RequestStatus::kParseError);
+  const serve::Response declared = service.execute(
+      "PREFIX foo: <http://example.org/foo#> " + undeclared);
+  EXPECT_EQ(declared.status, serve::RequestStatus::kOk);
+  EXPECT_EQ(service.execute(undeclared).status,
+            serve::RequestStatus::kParseError);
+}
+
+// ---------------------------------------------------------------------------
 // Satellite fix: cache key includes the shard version vector
 
 TEST(DistService, ShardRefreshInvalidatesMergedResultCache) {
@@ -355,7 +480,7 @@ TEST(DistWorkload, ClosedLoopDriverCompletesOverDistService) {
   wo.total_requests = 40;
   wo.clients = 2;
   const serve::WorkloadReport report =
-      dist::run_workload(service, queries, wo);
+      serve::run_workload(service, queries, wo);
   EXPECT_EQ(report.submitted, 40u);
   EXPECT_EQ(report.completed, 40u);
   EXPECT_EQ(report.shed, 0u);

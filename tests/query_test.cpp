@@ -120,6 +120,24 @@ TEST_F(QueryTest, ParserRejectsMalformedQueries) {
   EXPECT_FALSE(parser.parse("SELECT ?x WHERE { }", &error));
 }
 
+TEST_F(QueryTest, QueryPrefixesHoldForTheirQueryOnly) {
+  small_kb();
+  // A declaration overrides the registered prefix for its own query...
+  EXPECT_EQ(run("PREFIX ex: <http://elsewhere/> "
+                "SELECT ?x WHERE { ?x a ex:Professor }")
+                .size(),
+            0u);
+  EXPECT_EQ(run("PREFIX staff: <http://ex/> "
+                "SELECT ?x WHERE { ?x a staff:Professor }")
+                .size(),
+            2u);
+  // ... and neither it nor a new name outlives that query.
+  EXPECT_EQ(run("SELECT ?x WHERE { ?x a ex:Professor }").size(), 2u);
+  std::string error;
+  EXPECT_FALSE(
+      parser.parse("SELECT ?x WHERE { ?x a staff:Professor }", &error));
+}
+
 TEST_F(QueryTest, CaseInsensitiveKeywords) {
   small_kb();
   const ResultSet r =

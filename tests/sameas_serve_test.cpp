@@ -88,8 +88,6 @@ struct SameAsServeFixture {
     serve::ServiceOptions o;
     o.threads = 1;
     o.queue_capacity = 64;
-    o.cache_shards = 2;
-    o.cache_capacity_per_shard = 32;
     return o;
   }
 };
@@ -276,8 +274,6 @@ TEST(SameAsDist, AnswersMatchNaiveSingleStoreAcrossPartitionCounts) {
     dist::DistOptions o;
     o.threads = 1;
     o.queue_capacity = 64;
-    o.cache_shards = 2;
-    o.cache_capacity_per_shard = 32;
     o.equality = fx.eq;
     o.same_as = fx.vocab->owl_same_as;
     dist::DistService dist_service(fx.dict, fx.rewrite_store, std::move(owners),

@@ -39,8 +39,6 @@ serve::ServiceOptions small_options(std::size_t threads = 2) {
   serve::ServiceOptions o;
   o.threads = threads;
   o.queue_capacity = 256;
-  o.cache_shards = 4;
-  o.cache_capacity_per_shard = 64;
   return o;
 }
 
@@ -486,6 +484,20 @@ TEST(QueryService, ParseErrorsAreReportedNotCached) {
   EXPECT_EQ(again.status, serve::RequestStatus::kParseError);
   EXPECT_FALSE(again.cache_hit);
   EXPECT_EQ(service.stats().parse_errors, 2u);
+}
+
+TEST(QueryService, QueryPrefixesDoNotLeakAcrossRequests) {
+  ServeFixtureData fx;
+  serve::QueryService service(fx.dict, *fx.vocab, std::move(fx.store),
+                              small_options());
+  const std::string undeclared = "SELECT ?x WHERE { ?x a foo:C }";
+  EXPECT_EQ(service.execute(undeclared).status,
+            serve::RequestStatus::kParseError);
+  const serve::Response declared = service.execute(
+      "PREFIX foo: <http://example.org/foo#> " + undeclared);
+  EXPECT_EQ(declared.status, serve::RequestStatus::kOk);
+  EXPECT_EQ(service.execute(undeclared).status,
+            serve::RequestStatus::kParseError);
 }
 
 // ---------------------------------------------------------------------------

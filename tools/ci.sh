@@ -20,7 +20,8 @@
 # tier1 is every fast deterministic suite, tier2 the slower sweeps.  The
 # ASan subset covers the transport/worker/cluster/fault layers plus the
 # ingest pipeline, triple codec, partitioner suite (streaming state
-# machines), incremental maintenance (in-place erasure), and the forward
+# machines), the serving front end both tiers share (admission, shedding,
+# deadlines), incremental maintenance (in-place erasure), and the forward
 # engine's clique operator — the places where serialization and
 # concurrency bugs would live.
 
@@ -52,14 +53,14 @@ if [ "$full" = 1 ]; then
   ctest --preset default -j "$jobs" -L tier2
 fi
 
-echo "=== asan subset (transport/worker/cluster/fault/async/ingest/codec/dist/incremental/sameas/partition/clique) ==="
+echo "=== asan subset (transport/worker/cluster/fault/async/ingest/codec/serve front end/dist/incremental/sameas/partition/clique) ==="
 cmake --preset asan
 cmake --build --preset asan -j "$jobs" \
   --target transport_test worker_test cluster_test fault_injection_test \
   async_test async_equivalence_test codec_test ingest_equivalence_test \
-  dist_test incremental_test incremental_equivalence_test \
+  serve_test dist_test incremental_test incremental_equivalence_test \
   sameas_equivalence_test sameas_serve_test graph_partition_test clique_test
-ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|Dist|Incremental|SameAs|Partition|Streaming|Clique'
+ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|QueryService|Dist|Incremental|SameAs|Partition|Streaming|Clique'
 
 echo "=== tsan subset (obs, dist executor + replica RCU, async steal/token, incremental serve loop + serve oracles, QueryService readers vs the copy-on-write updater, equality rewrite, reader->partitioner chunk sink, parallel ingest merge + bulk insert, engine round barrier, clique operator, async-threaded executor on UOBM, cluster load + end-of-run aggregation team, threaded round driver under the fault sweep, transports + the worker's shared envelope path) ==="
 cmake --preset tsan

@@ -897,8 +897,7 @@ serve::WorkloadOptions workload_options_from(const Args& args) {
 }
 
 /// The knobs serve::ServiceOptions and dist::DistOptions share.
-template <typename Options>
-void read_service_options(const Args& args, Options& o) {
+void read_service_options(const Args& args, serve::FrontendOptions& o) {
   o.threads = args.count<std::size_t>("--threads", 2);
   o.queue_capacity = args.count<std::size_t>("--queue", 64);
   o.cache_enabled = !args.flag("--no-cache");
@@ -994,7 +993,7 @@ int cmd_serve_bench(const Args& args) {
             << (sopts.cache_enabled ? "on" : "off") << ") ---\n";
   report.print(std::cout);
   std::cout << "\n--- service stats ---\n";
-  service.stats().print(std::cout);
+  serve::print(service.stats(), std::cout);
   if (delete_ratio > 0 && update_batches > 0) {
     std::cout << "mixed stream: " << deletes_applied.load()
               << " base triples retracted\n";
@@ -1167,7 +1166,7 @@ int cmd_serve_dist(const Args& args) {
   const serve::WorkloadOptions wopts = workload_options_from(args);
 
   const serve::WorkloadReport report =
-      dist::run_workload(service, queries, wopts);
+      serve::run_workload(service, queries, wopts);
   service.drain();
 
   std::cout << "\n--- client view ("
@@ -1177,7 +1176,7 @@ int cmd_serve_dist(const Args& args) {
             << (dopts.cache_enabled ? "on" : "off") << ") ---\n";
   report.print(std::cout);
   std::cout << "\n--- dist service stats ---\n";
-  service.stats().print(std::cout);
+  serve::print(service.stats(), std::cout);
   if (faulty) {
     const parallel::FaultLog inj = faulty->injected_faults();
     std::cout << "faults: injected " << inj.total() << " (drop " << inj.drops
