@@ -70,7 +70,8 @@ void Worker::fold(const rdf::Triple& t, bool own) {
 std::size_t Worker::close_cliques() {
   std::vector<rdf::Triple> pairs;
   std::vector<std::uint32_t> rules;
-  // Attempts are the engine's statistic; the worker keeps firings only.
+  // Attempts are the engine's statistic; the worker keeps firings only and
+  // publishes the pairs checked against those it inserts.
   std::vector<std::size_t> attempts(rule_base_.size(), 0);
   cliques_.close_touched(store_, pairs, rules, attempts, owners_);
   std::size_t added = 0;
@@ -84,6 +85,10 @@ std::size_t Worker::close_cliques() {
     rule_firings_[rules[i]] += 1;
     ++added;
   }
+  PAROWL_COUNT("parallel.clique_checked",
+               std::accumulate(attempts.begin(), attempts.end(),
+                               std::size_t{0}));
+  PAROWL_COUNT("parallel.clique_inserted", added);
   return added;
 }
 

@@ -64,7 +64,7 @@ struct IngestStats {
   ParseStats parse;            // identical to the serial parser's stats
   std::size_t bytes = 0;       // input size
   unsigned threads_used = 1;   // parse-stage threads actually spawned
-  double read_seconds = 0.0;   // file -> memory (ingest_file only)
+  double read_seconds = 0.0;   // open + map (ingest_file only)
   double scan_seconds = 0.0;   // boundary scan + env pre-pass
   double parse_seconds = 0.0;  // parallel chunk parsing (wall clock)
   double merge_seconds = 0.0;  // dictionary merge + remap + store insert
@@ -89,8 +89,13 @@ IngestStats ingest_turtle(std::string_view text, Dictionary& dict,
                           TripleStore& store,
                           const IngestOptions& options = {});
 
-/// Read `path` into memory and ingest it (".ttl" parses as Turtle,
-/// anything else as N-Triples).  Returns false on I/O failure with *error.
+/// Map `path` read-only and ingest the mapped bytes in place (".ttl"
+/// parses as Turtle, anything else as N-Triples); the parse threads read
+/// the pages in themselves.  Returns false with *error when the file cannot
+/// be opened or mapped or is not a regular file (a FIFO, a directory, a
+/// device).  Precondition: nothing truncates the file while it is being
+/// ingested — a page past the new end faults, and the process ends with
+/// SIGBUS rather than getting a read error.
 bool ingest_file(const std::string& path, Dictionary& dict,
                  TripleStore& store, IngestStats& stats,
                  const IngestOptions& options = {},

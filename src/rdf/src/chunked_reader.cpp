@@ -1,8 +1,13 @@
 #include "parowl/rdf/chunked_reader.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <fstream>
-#include <sstream>
+#include <cerrno>
+#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -33,40 +38,107 @@ unsigned resolve_threads(unsigned requested) {
   return std::max(1u, requested);
 }
 
-/// Parse one newline-delimited region with exactly the semantics of the
-/// getline loop in parse_ntriples.  Diagnostics record chunk-local
-/// line/offset in first_error_line/first_error_offset; the message text is
-/// kept raw in first_error for the merge to format.
-void parse_ntriples_chunk(std::string_view chunk, Dictionary& dict,
-                          ChunkResult& out) {
-  dict.reserve(Dictionary::estimate_terms(chunk.size()));
+/// The getline loop of parse_ntriples over a view, copying no line: each
+/// parsed triple goes to `emit`; triples and bad lines are counted into
+/// `stats`, and the first malformed line keeps its line/offset relative to
+/// `text` in first_error_line/first_error_offset and its raw message in
+/// first_error, for the caller to format.  Returns the lines scanned.
+template <typename Emit>
+std::size_t parse_ntriples_lines(std::string_view text, Dictionary& dict,
+                                 ParseStats& stats, Emit&& emit) {
   std::string error;
+  std::size_t lines = 0;
   std::size_t pos = 0;
-  while (pos < chunk.size()) {
-    const std::size_t nl = chunk.find('\n', pos);
-    const std::size_t end = nl == std::string_view::npos ? chunk.size() : nl;
-    const std::string_view line = chunk.substr(pos, end - pos);
+  while (pos < text.size()) {
+    const std::size_t nl = text.find('\n', pos);
+    const std::size_t end = nl == std::string_view::npos ? text.size() : nl;
+    const std::string_view line = text.substr(pos, end - pos);
     const std::size_t line_start = pos;
-    pos = nl == std::string_view::npos ? chunk.size() : nl + 1;
-    ++out.lines;
+    pos = nl == std::string_view::npos ? text.size() : nl + 1;
+    ++lines;
     const auto trimmed = util::trim(line);
     if (trimmed.empty() || trimmed.front() == '#') {
       continue;
     }
     error.clear();
     if (const auto t = parse_ntriples_line(line, dict, &error)) {
-      ++out.stats.triples;
-      out.triples.push_back(*t);
+      ++stats.triples;
+      emit(*t);
     } else {
-      ++out.stats.bad_lines;
-      if (out.stats.first_error_line == 0) {
-        out.stats.first_error = error;  // raw message; formatted at merge
-        out.stats.first_error_line = out.lines;
-        out.stats.first_error_offset = line_start;
+      ++stats.bad_lines;
+      if (stats.first_error_line == 0) {
+        stats.first_error = error;  // raw message; the caller formats it
+        stats.first_error_line = lines;
+        stats.first_error_offset = line_start;
       }
     }
   }
+  return lines;
 }
+
+/// Parse one newline-delimited chunk into chunk-local tables.
+void parse_ntriples_chunk(std::string_view chunk, Dictionary& dict,
+                          ChunkResult& out) {
+  dict.reserve(Dictionary::estimate_terms(chunk.size()));
+  out.lines = parse_ntriples_lines(
+      chunk, dict, out.stats,
+      [&out](const Triple& t) { out.triples.push_back(t); });
+}
+
+/// A whole regular file mapped read-only, unmapped on destruction.  An
+/// empty file is an empty view with no mapping.
+class MappedFile {
+ public:
+  MappedFile() = default;
+  MappedFile(const MappedFile&) = delete;
+  MappedFile& operator=(const MappedFile&) = delete;
+  ~MappedFile() {
+    if (size_ != 0) {
+      ::munmap(data_, size_);
+    }
+  }
+
+  /// Map `path`.  False with *error when it cannot be opened, is not a
+  /// regular file (O_NONBLOCK keeps the open of a FIFO with no writer from
+  /// blocking), or cannot be mapped.
+  bool map(const std::string& path, std::string* error) {
+    std::string message;
+    const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+    struct stat st {};
+    if (fd < 0) {
+      message = "cannot open " + path + ": " + std::strerror(errno);
+    } else if (::fstat(fd, &st) != 0) {
+      message = "cannot stat " + path + ": " + std::strerror(errno);
+    } else if (!S_ISREG(st.st_mode)) {
+      message = path + " is not a regular file";
+    } else if (st.st_size > 0) {
+      const auto size = static_cast<std::size_t>(st.st_size);
+      void* data = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+      if (data == MAP_FAILED) {
+        message = "cannot map " + path + ": " + std::strerror(errno);
+      } else {
+        data_ = data;
+        size_ = size;
+      }
+    }
+    if (fd >= 0) {
+      ::close(fd);
+    }
+    if (message.empty()) {
+      return true;
+    }
+    if (error != nullptr) *error = std::move(message);
+    return false;
+  }
+
+  [[nodiscard]] std::string_view view() const {
+    return {static_cast<const char*>(data_), size_};
+  }
+
+ private:
+  void* data_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 /// Merge the per-chunk tables into the global ones exactly as a serial
 /// parse of the chunks in order would have built them, on all members of
@@ -172,12 +244,20 @@ IngestStats ingest_ntriples(std::string_view text, Dictionary& dict,
   const unsigned threads = resolve_threads(options.threads);
   util::Stopwatch sw;
   if (threads == 1) {
-    // Serial fast path: no thread-local tables, no merge — identical to
-    // parse_ntriples by construction (same per-line loop).
+    // Serial fast path: no thread-local tables, no merge — the chunks'
+    // per-line loop straight into the global tables, which is
+    // parse_ntriples' loop over the view in place.
     PAROWL_SPAN("rdf.parse", {{"chunks", 1}});
     const std::size_t before = store.size();
-    std::istringstream in{std::string(text)};
-    stats.parse = parse_ntriples(in, dict, store);
+    ParseStats& parse = stats.parse;
+    dict.reserve(Dictionary::estimate_terms(text.size()));
+    parse_ntriples_lines(text, dict, parse, [&](const Triple& t) {
+      if (!store.insert(t)) ++parse.duplicates;
+    });
+    if (parse.first_error_line != 0) {
+      parse.first_error = format_parse_error(
+          parse.first_error_line, parse.first_error_offset, parse.first_error);
+    }
     flush_serial_sink(store, before, options);
     stats.parse_seconds = sw.elapsed_seconds();
     return stats;
@@ -337,25 +417,14 @@ bool ingest_file(const std::string& path, Dictionary& dict,
   obs::configure(options.obs);
   obs::Span read_span("rdf.read", {{"path", path}});
   util::Stopwatch sw;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open " + path;
+  MappedFile file;
+  if (!file.map(path, error)) {
     return false;
-  }
-  std::string text;
-  in.seekg(0, std::ios::end);
-  const auto size = in.tellg();
-  if (size > 0) {
-    text.resize(static_cast<std::size_t>(size));
-    in.seekg(0);
-    if (!in.read(text.data(), size)) {
-      if (error != nullptr) *error = "cannot read " + path;
-      return false;
-    }
   }
   const double read_seconds = sw.elapsed_seconds();
   read_span.close();
   const bool turtle = path.size() >= 4 && path.ends_with(".ttl");
+  const std::string_view text = file.view();
   stats = turtle ? ingest_turtle(text, dict, store, options)
                  : ingest_ntriples(text, dict, store, options);
   stats.read_seconds = read_seconds;

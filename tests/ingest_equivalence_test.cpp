@@ -5,12 +5,15 @@
 // scanner must not mis-split on — and compare byte-for-byte via snapshots.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "parowl/gen/lubm.hpp"
@@ -319,18 +322,58 @@ TEST(IngestEquivalence, TurtleSpanScannerFindsOnlyTopLevelDots) {
 
 class IngestFileTest : public ::testing::Test {
  protected:
-  std::string write_temp(const char* name, const std::string& text) {
+  /// A temp path that carries the pid, so concurrent test processes never
+  /// share one; removed (recursively) at teardown.
+  std::string temp_path(const std::string& name) {
     const std::string path =
-        (std::filesystem::temp_directory_path() / name).string();
+        (std::filesystem::temp_directory_path() /
+         ("parowl_" + std::to_string(::getpid()) + "_" + name))
+            .string();
+    cleanup_.push_back(path);
+    return path;
+  }
+  std::string write_temp(const std::string& name, const std::string& text) {
+    const std::string path = temp_path(name);
     std::ofstream out(path, std::ios::binary);
     out << text;
     return path;
   }
   void TearDown() override {
     for (const std::string& p : cleanup_) {
-      std::filesystem::remove(p);
+      std::filesystem::remove_all(p);
     }
   }
+
+  /// ingest_file on `text` written to `name` must give the same snapshot
+  /// bytes and ParseStats as ingesting `text` from memory, at every thread
+  /// count.
+  void expect_file_matches_memory(const std::string& name,
+                                  const std::string& text) {
+    const std::string path = write_temp(name, text);
+    const bool turtle = name.ends_with(".ttl");
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+      const std::string label = name + " threads=" + std::to_string(threads);
+      IngestOptions opts;
+      opts.threads = threads;
+      Dictionary want_dict;
+      TripleStore want_store;
+      const IngestStats want =
+          turtle ? ingest_turtle(text, want_dict, want_store, opts)
+                 : ingest_ntriples(text, want_dict, want_store, opts);
+      Dictionary dict;
+      TripleStore store;
+      IngestStats got;
+      std::string error;
+      ASSERT_TRUE(ingest_file(path, dict, store, got, opts, &error))
+          << label << ": " << error;
+      expect_stats_equal(got.parse, want.parse, label);
+      EXPECT_EQ(got.bytes, text.size()) << label;
+      EXPECT_EQ(snapshot_bytes(dict, store),
+                snapshot_bytes(want_dict, want_store))
+          << label;
+    }
+  }
+
   std::vector<std::string> cleanup_;
 };
 
@@ -338,9 +381,8 @@ TEST_F(IngestFileTest, RoutesByExtensionAndReportsBytes) {
   const std::string nt = "<http://x/a> <http://x/p> <http://x/b> .\n";
   const std::string ttl =
       "@prefix ex: <http://x/> .\nex:a ex:p ex:b .\n";
-  const std::string nt_path = write_temp("parowl_ingest_test.nt", nt);
-  const std::string ttl_path = write_temp("parowl_ingest_test.ttl", ttl);
-  cleanup_ = {nt_path, ttl_path};
+  const std::string nt_path = write_temp("ingest_test.nt", nt);
+  const std::string ttl_path = write_temp("ingest_test.ttl", ttl);
 
   for (const unsigned threads : {1u, 4u}) {
     IngestOptions opts;
@@ -377,6 +419,103 @@ TEST_F(IngestFileTest, MissingFileFailsWithError) {
   EXPECT_FALSE(ingest_file("/nonexistent/kb.nt", dict, store, stats, {},
                            &error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST_F(IngestFileTest, DirectoryIsRefused) {
+  const std::string path = temp_path("d.nt");
+  ASSERT_TRUE(std::filesystem::create_directory(path));
+  Dictionary dict;
+  TripleStore store;
+  IngestStats stats;
+  std::string error;
+  EXPECT_FALSE(ingest_file(path, dict, store, stats, {}, &error));
+  EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+}
+
+// A FIFO with no writer: the open must not block, and the FIFO is refused
+// rather than read as an empty (or partial) KB.
+TEST_F(IngestFileTest, FifoIsRefusedWithoutBlocking) {
+  const std::string path = temp_path("fifo.nt");
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  Dictionary dict;
+  TripleStore store;
+  IngestStats stats;
+  std::string error;
+  EXPECT_FALSE(ingest_file(path, dict, store, stats, {}, &error));
+  EXPECT_NE(error.find("not a regular file"), std::string::npos) << error;
+}
+
+TEST_F(IngestFileTest, EmptyFileLoadsAsEmptyKb) {
+  for (const char* name : {"empty.nt", "empty.ttl"}) {
+    const std::string path = write_temp(name, "");
+    for (const unsigned threads : {1u, 4u}) {
+      IngestOptions opts;
+      opts.threads = threads;
+      Dictionary dict;
+      TripleStore store;
+      IngestStats stats;
+      std::string error;
+      ASSERT_TRUE(ingest_file(path, dict, store, stats, opts, &error))
+          << name << ": " << error;
+      EXPECT_EQ(stats.bytes, 0u) << name;
+      EXPECT_EQ(stats.parse.triples, 0u) << name;
+      EXPECT_EQ(dict.size(), 0u) << name;
+      EXPECT_EQ(store.size(), 0u) << name;
+    }
+  }
+}
+
+TEST_F(IngestFileTest, MatchesInMemoryIngestAcrossThreads) {
+  expect_file_matches_memory("lubm1.nt", lubm_ntriples(1));
+  expect_file_matches_memory("tricky.ttl", tricky_turtle());
+}
+
+/// `head` + a comment line + `last`, padded so the whole document is an
+/// exact multiple of the page size: the mapping then ends on a page
+/// boundary, and a read past the last byte touches the next, unmapped
+/// page.
+std::string page_aligned(const std::string& head, const std::string& last) {
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t base = head.size() + last.size();
+  std::size_t pad = page - base % page;  // "#" + filler + "\n"
+  if (pad < 2) pad += page;
+  std::string text = head + "#" + std::string(pad - 2, 'x') + "\n" + last;
+  EXPECT_EQ(text.size() % page, 0u);
+  return text;
+}
+
+// The last line has no newline and ends after a complete statement, inside
+// an IRI, or on a backslash inside a literal: each parser must stop at the
+// mapping's last byte.
+TEST_F(IngestFileTest, PageAlignedFilesMatchInMemoryIngest) {
+  const std::string nt_head =
+      "<http://x/a> <http://x/p> <http://x/b> .\n"
+      "<http://x/b> <http://x/p> \"lit\" .\n";
+  const std::pair<const char*, std::string> nt_lasts[] = {
+      {"complete.nt", "<http://x/c> <http://x/p> <http://x/d> ."},
+      {"iri.nt", "<http://x/c> <http://x/p> <http://x/unterminated"},
+      {"backslash.nt", "<http://x/c> <http://x/p> \"ends on \\"},
+  };
+  for (const auto& [name, last] : nt_lasts) {
+    const std::string text = page_aligned(nt_head, last);
+    sweep_ntriples(text, name);
+    expect_file_matches_memory(name, text);
+  }
+
+  const std::string ttl_head =
+      "@prefix ex: <http://x/> .\n"
+      "ex:a ex:p ex:b .\n"
+      "ex:b ex:p \"lit\" .\n";
+  const std::pair<const char*, std::string> ttl_lasts[] = {
+      {"complete.ttl", "ex:c ex:p ex:d ."},
+      {"iri.ttl", "ex:c ex:p <http://x/unterminated"},
+      {"backslash.ttl", "ex:c ex:p \"ends on \\"},
+  };
+  for (const auto& [name, last] : ttl_lasts) {
+    const std::string text = page_aligned(ttl_head, last);
+    sweep_turtle(text, name);
+    expect_file_matches_memory(name, text);
+  }
 }
 
 }  // namespace

@@ -22,8 +22,9 @@
 # ingest pipeline, triple codec, partitioner suite (streaming state
 # machines), the serving front end both tiers share (admission, shedding,
 # deadlines), incremental maintenance (in-place erasure), and the forward
-# engine's clique operator — the places where serialization and
-# concurrency bugs would live.
+# engine's clique operator, plus the mutated-input robustness suite
+# (N-Triples, Turtle, SPARQL, rule and snapshot parsers) — the places where
+# serialization, parsing and concurrency bugs would live.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -53,14 +54,15 @@ if [ "$full" = 1 ]; then
   ctest --preset default -j "$jobs" -L tier2
 fi
 
-echo "=== asan subset (transport/worker/cluster/fault/async/ingest/codec/serve front end/dist/incremental/sameas/partition/clique) ==="
+echo "=== asan subset (transport/worker/cluster/fault/async/ingest/codec/serve front end/dist/incremental/sameas/partition/clique/mutated parser + snapshot input) ==="
 cmake --preset asan
 cmake --build --preset asan -j "$jobs" \
   --target transport_test worker_test cluster_test fault_injection_test \
   async_test async_equivalence_test codec_test ingest_equivalence_test \
   serve_test dist_test incremental_test incremental_equivalence_test \
-  sameas_equivalence_test sameas_serve_test graph_partition_test clique_test
-ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|QueryService|Dist|Incremental|SameAs|Partition|Streaming|Clique'
+  sameas_equivalence_test sameas_serve_test graph_partition_test clique_test \
+  parser_robustness_test
+ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|QueryService|Dist|Incremental|SameAs|Partition|Streaming|Clique|Parser|SnapshotRobustness'
 
 echo "=== tsan subset (obs, dist executor + replica RCU, async steal/token, incremental serve loop + serve oracles, QueryService readers vs the copy-on-write updater, equality rewrite, reader->partitioner chunk sink, parallel ingest merge + bulk insert, engine round barrier, clique operator, async-threaded executor on UOBM, cluster load + end-of-run aggregation team, threaded round driver under the fault sweep, transports + the worker's shared envelope path) ==="
 cmake --preset tsan
