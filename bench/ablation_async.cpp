@@ -10,8 +10,9 @@
 // steals).  tools/record_bench.sh captures the sweep as
 // bench/BENCH_async.json.
 //
-// Single-core caveat: all workers share one core here, so wall-clock rows
-// compare *executor overhead* (barrier bookkeeping vs token ring + steal
+// Only kAsyncThreaded runs its workers on threads of their own; the other
+// rows step every worker on the calling thread, so their wall-clock
+// compares *executor overhead* (barrier bookkeeping vs token ring + steal
 // machinery), while the modeled makespan/idle columns carry the parallel
 // story — async removes barrier waits, most visibly where partitions are
 // imbalanced.  See EXPERIMENTS.md "Asynchronous execution".
@@ -84,7 +85,7 @@ void run_cluster_exec(benchmark::State& state, Universe& u) {
       break;
     case kAsyncNoSteal:
       opts.mode = parallel::ExecutionMode::kAsync;
-      opts.async_exec.steal = false;
+      opts.async.steal = false;
       break;
     case kAsyncThreaded:
       opts.mode = parallel::ExecutionMode::kAsyncThreaded;

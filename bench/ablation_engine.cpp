@@ -1,8 +1,7 @@
 // Ablations for the reasoning-engine design choices called out in
 // DESIGN.md:
 //   1. semi-naive vs naive forward evaluation,
-//   2. single-join rule compilation (§II) vs running the generic pD* rules,
-//   3. per-query vs shared tabling in the query-driven materializer.
+//   2. single-join rule compilation (§II) vs running the generic pD* rules.
 
 #include "bench_common.hpp"
 #include "parowl/util/timer.hpp"
@@ -45,23 +44,8 @@ int main() {
     }
   }
 
-  // 3. Query-driven tabling scope (smaller scale: it is the slow engine).
-  for (const bool share : {false, true}) {
-    Universe u;
-    make_lubm(u, 2 * s);
-    reason::MaterializeOptions opts;
-    opts.strategy = reason::Strategy::kQueryDriven;
-    opts.share_tables = share;
-    const auto r = reason::materialize(u.store, u.dict, *u.vocab, opts);
-    table.add_row({share ? "query-driven, shared tables"
-                         : "query-driven, per-query tables (Jena-like)",
-                   u.name, util::fmt_double(r.reason_seconds, 3),
-                   std::to_string(r.inferred), std::to_string(r.iterations)});
-  }
-
   table.print(std::cout);
   std::cout << "\nExpected: semi-naive and compilation each speed the "
-               "forward engine; per-query\ntables are the expensive Jena "
-               "behaviour the paper's super-linear model rests on.\n";
+               "forward engine.\n";
   return 0;
 }

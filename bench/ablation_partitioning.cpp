@@ -1,8 +1,6 @@
-// Ablations for the partitioning design choices called out in DESIGN.md:
-//   1. FM boundary refinement on/off in the multilevel graph partitioner
-//      (edge-cut, IR, and resulting speedup),
-//   2. predicate-statistics edge weighting of the rule-dependency graph
-//      (§III-B) vs unweighted.
+// Ablation for a partitioning design choice called out in DESIGN.md:
+// predicate-statistics edge weighting of the rule-dependency graph (§III-B)
+// vs unweighted.
 
 #include "parowl/rules/dependency_graph.hpp"
 
@@ -15,36 +13,10 @@ int main() {
   const unsigned s = scale_factor();
   print_header("Ablation: partitioning design choices");
 
-  // 1. FM refinement.
-  {
-    Universe u;
-    make_lubm(u, 10 * s);
-    const double serial = serial_seconds(u, reason::Strategy::kQueryDriven);
-    util::Table table({"refinement", "procs", "IR", "bal", "speedup"});
-    for (const bool refine : {true, false}) {
-      partition::PartitionerOptions popts;
-      popts.refine = refine;
-      const partition::GraphOwnerPolicy policy(popts);
-      for (const unsigned k : {4u, 8u}) {
-        const partition::DataPartitioning dp = partition::partition_data(
-            u.store, u.dict, *u.vocab, policy, k);
-        const partition::PartitionMetrics m =
-            partition::compute_partition_metrics(dp, u.dict);
-        const SpeedupPoint p = run_data_point(
-            u, policy, k, reason::Strategy::kQueryDriven, serial);
-        table.add_row({refine ? "FM on" : "FM off", std::to_string(k),
-                       util::fmt_double(m.input_replication, 3),
-                       util::fmt_double(m.bal, 0),
-                       util::fmt_double(p.speedup, 2)});
-      }
-    }
-    table.print(std::cout);
-  }
-
-  // 2. Rule-dependency edge weighting (§III-B).  Both assignments are
-  //    scored under the *weighted* graph — the expected tuple traffic — so
-  //    the numbers are comparable; UOBM is used because its closure-heavy
-  //    predicates make the weights strongly non-uniform.
+  // Rule-dependency edge weighting (§III-B).  Both assignments are scored
+  // under the *weighted* graph — the expected tuple traffic — so the
+  // numbers are comparable; UOBM is used because its closure-heavy
+  // predicates make the weights strongly non-uniform.
   {
     Universe u;
     make_uobm(u, 4 * s);
@@ -118,8 +90,7 @@ int main() {
     table.print(std::cout);
   }
 
-  std::cout << "\nExpected: refinement lowers IR and lifts speedup.  For "
-               "the rule graph,\nbase-data statistics can *mispredict* "
+  std::cout << "\nExpected: base-data statistics can *mispredict* "
                "post-closure traffic (closure-heavy\npredicates are rare "
                "in the base data); statistics from a materialized run\n"
                "(the stationary-data-set policy of the paper's [16]) "

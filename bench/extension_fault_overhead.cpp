@@ -37,7 +37,7 @@ RunRow run_config(const Universe& u, const partition::OwnerPolicy& policy,
     opts.policy = &policy;
     opts.build_merged = false;
     opts.faults = faults;
-    opts.checkpoint.dir = ckpt_dir;
+    opts.checkpoint_dir = ckpt_dir;
 
     util::Stopwatch watch;
     const parallel::ParallelResult r =

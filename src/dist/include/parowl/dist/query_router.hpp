@@ -22,18 +22,6 @@ namespace parowl::dist {
 ///     the closure is done.
 /// See docs/architecture.md "Distributed serving" for the side-by-side.
 
-/// Tuning knobs of the fan-out/retry/failover loop.
-struct RouterOptions {
-  /// Total transmissions per partition before the query gives up
-  /// (kUnavailable).  With FaultSpec.max_faulty_attempts = 3 the default
-  /// survives any schedule plus one dead replica.
-  std::uint32_t max_attempts = 8;
-  /// Unanswered transmissions to one replica before advancing to the next
-  /// (failover).  Retrying the same replica once first distinguishes a
-  /// lost envelope from a dead host.
-  std::uint32_t attempts_per_replica = 2;
-};
-
 /// Counters of one routed request.
 struct RouteStats {
   std::uint32_t partitions_touched = 0;
@@ -66,16 +54,16 @@ struct RouteStats {
 ///
 /// Fault tolerance reuses the parallel plane's envelope protocol: requests
 /// and responses are checksummed Batches; lost or corrupt legs are
-/// retransmitted with a bumped attempt counter, and after
-/// `attempts_per_replica` silent tries the router fails over to the
-/// partition's next replica.  Replicas re-answer duplicate requests
-/// idempotently, so at-least-once delivery composes into exactly-once
-/// gathering (responses are deduplicated per partition).
+/// retransmitted with a bumped attempt counter, and after two silent tries
+/// the router fails over to the partition's next replica, giving up after
+/// eight transmissions per partition (constants in query_router.cpp).
+/// Replicas re-answer duplicate requests idempotently, so at-least-once
+/// delivery composes into exactly-once gathering (responses are
+/// deduplicated per partition).
 class QueryRouter {
  public:
   QueryRouter(const partition::OwnerTable& owners, NodeLayout layout,
-              ReplicaSet& replicas, parallel::Transport& transport,
-              RouterOptions options = {});
+              ReplicaSet& replicas, parallel::Transport& transport);
 
   /// The query's partition footprint: `patterns[p]` holds the scan patterns
   /// partition p must answer (deduplicated); `partitions` lists the p with
@@ -88,7 +76,7 @@ class QueryRouter {
 
   enum class Outcome {
     kOk,
-    kUnavailable,  // a partition answered on no replica within max_attempts
+    kUnavailable,  // a partition answered on no replica in time
   };
 
   /// Evaluate `query` distributed; `request` must be unique per call (it is
@@ -98,14 +86,11 @@ class QueryRouter {
   Outcome run(const query::SelectQuery& query, std::uint32_t request,
               query::ResultSet* out, RouteStats* stats);
 
-  [[nodiscard]] const RouterOptions& options() const { return options_; }
-
  private:
   const partition::OwnerTable& owners_;
   NodeLayout layout_;
   ReplicaSet& replicas_;
   parallel::Transport& transport_;
-  RouterOptions options_;
 };
 
 }  // namespace parowl::dist

@@ -20,8 +20,6 @@ struct DistOptions : serve::FrontendOptions {
   /// Replicas per partition.
   std::uint32_t replicas = 1;
 
-  RouterOptions router;
-
   /// Frozen equality class map when the closure was materialized under
   /// sameAs rewriting (null = naive).  Queries are then rewritten into
   /// representative space before routing and the merged rows are expanded

@@ -9,6 +9,19 @@
 #include "parowl/util/timer.hpp"
 
 namespace parowl::dist {
+namespace {
+
+/// Total transmissions per partition before the query gives up
+/// (kUnavailable).  With FaultSpec.max_faulty_attempts = 3 this survives
+/// any schedule plus one dead replica.
+constexpr std::uint32_t kMaxAttempts = 8;
+
+/// Unanswered transmissions to one replica before advancing to the next
+/// (failover).  Retrying the same replica once first distinguishes a lost
+/// envelope from a dead host.
+constexpr std::uint32_t kAttemptsPerReplica = 2;
+
+}  // namespace
 
 obs::FieldList fields(const RouteStats& s) {
   return {
@@ -27,13 +40,11 @@ obs::FieldList fields(const RouteStats& s) {
 
 QueryRouter::QueryRouter(const partition::OwnerTable& owners,
                          NodeLayout layout, ReplicaSet& replicas,
-                         parallel::Transport& transport,
-                         RouterOptions options)
+                         parallel::Transport& transport)
     : owners_(owners),
       layout_(layout),
       replicas_(replicas),
-      transport_(transport),
-      options_(options) {}
+      transport_(transport) {}
 
 QueryRouter::Footprint QueryRouter::footprint(
     const query::SelectQuery& query) const {
@@ -111,19 +122,18 @@ QueryRouter::Outcome QueryRouter::run(const query::SelectQuery& query,
   }
   std::size_t remaining = pending.size();
   for (std::uint32_t iter = 0;
-       remaining > 0 && iter < options_.max_attempts; ++iter) {
+       remaining > 0 && iter < kMaxAttempts; ++iter) {
     // Scatter: (re)send every unanswered partition's scan to its currently
     // selected replica.  The replica index advances every
-    // attempts_per_replica silent tries — the failover schedule.
+    // kAttemptsPerReplica silent tries — the failover schedule.
     std::vector<std::uint32_t> targets;
     for (Pending& ps : pending) {
       if (ps.done) {
         continue;
       }
       const std::uint32_t replica =
-          (ps.attempt / options_.attempts_per_replica) % layout_.replicas;
-      if (ps.attempt > 0 &&
-          ps.attempt % options_.attempts_per_replica == 0) {
+          (ps.attempt / kAttemptsPerReplica) % layout_.replicas;
+      if (ps.attempt > 0 && ps.attempt % kAttemptsPerReplica == 0) {
         stats->failovers += 1;
       }
       parallel::Batch req;

@@ -106,8 +106,7 @@ DistService::DistService(rdf::Dictionary& dict,
               options.replicas == 0 ? 1 : options.replicas},
       catalog_(closure, std::move(owners), layout_.partitions),
       replicas_(catalog_, layout_, transport),
-      router_(catalog_.owners(), layout_, replicas_, transport,
-              options.router) {}
+      router_(catalog_.owners(), layout_, replicas_, transport) {}
 
 DistService::~DistService() { stop(); }
 

@@ -46,48 +46,24 @@ enum class ExecutionMode {
 };
 
 /// Communication-cost model used to convert measured traffic into the
-/// simulated makespan.
+/// simulated makespan (a tuple is charged as 64 serialized bytes).  A file
+/// transport ignores it: the measured read/write/parse time *is* the
+/// communication cost there, as in the paper's shared-filesystem
+/// implementation.
 struct NetworkModel {
-  /// When true (automatic for FileTransport), use measured transport
-  /// seconds as the per-round communication cost.
-  bool use_measured_io = false;
-
   double latency_seconds = 100e-6;          // per message
   double bandwidth_bytes_per_sec = 125e6;   // ~1 Gbit/s
-  double bytes_per_tuple = 64.0;            // serialized triple estimate
 };
 
-/// Round-granular checkpointing.  A checkpoint is taken at a round
-/// boundary — after full acknowledged delivery and aggregation — which is a
-/// consistent cut: nothing is in flight, so the per-worker files of one
-/// round together capture the whole cluster state.
-struct CheckpointOptions {
-  std::string dir;             // empty = checkpointing disabled
-  std::uint32_t interval = 1;  // checkpoint every N rounds
-  /// Keep the last N checkpointed rounds per worker (0 = keep all).
-  std::uint32_t retain = 0;
-};
-
-/// Ack/retry delivery and crash-injection knobs.
+/// Crash injection for recovery tests (kSequentialSimulated and kAsync
+/// only): when `crash_at_round` >= 0, worker `crash_worker` dies — throws
+/// SimulatedCrash — as round `crash_at_round` reaches its compute phase
+/// (kAsync: at its `crash_at_round`-th activation once an epoch cut has
+/// checkpointed every worker).  `run()` then restores the whole cluster from the last complete
+/// checkpoint set (the single-process equivalent of restarting the killed
+/// node: at a round boundary the survivors' checkpoints equal their live
+/// state) and resumes.
 struct FaultToleranceOptions {
-  /// Delivery sub-iterations per round before giving up.  With the default
-  /// FaultSpec (max_faulty_attempts = 3) every schedule completes well
-  /// within this bound.
-  std::uint32_t max_retries = 10;
-
-  /// Virtual exponential backoff charged per retry sub-iteration (no real
-  /// sleeping — the cost is added to the simulated makespan and reported).
-  double backoff_base_seconds = 100e-6;
-  double backoff_multiplier = 2.0;
-
-  /// Crash injection for recovery tests (kSequentialSimulated and kAsync
-  /// only): when `crash_at_round` >= 0, worker `crash_worker` dies —
-  /// throws SimulatedCrash — as round `crash_at_round` reaches its compute
-  /// phase (kAsync: at its `crash_at_round`-th activation once an epoch
-  /// checkpoint exists).  `run()` then restores the whole cluster from the
-  /// last complete checkpoint set (the single-process equivalent of
-  /// restarting the killed node: at a round boundary the survivors'
-  /// checkpoints equal their live state) and resumes.
   std::int64_t crash_at_round = -1;
   std::uint32_t crash_worker = 0;
 };
@@ -101,10 +77,6 @@ struct AsyncOptions {
   /// Max frontier tuples one async_step evaluates (the activation grain —
   /// smaller chunks interleave communication more aggressively).
   std::size_t chunk = 256;
-  /// Idle polls without progress before unacked envelopes are resent.
-  std::uint32_t retransmit_after = 3;
-  /// Checkpoint every N termination-token epochs (0 = every epoch).
-  std::uint32_t checkpoint_epochs = 1;
 };
 
 /// What the asynchronous executors did, beyond the round-mode accounting.
@@ -126,7 +98,12 @@ struct ClusterOptions {
   ExecutionMode mode = ExecutionMode::kSequentialSimulated;
   NetworkModel network;
   std::size_t max_rounds = 10000;
-  CheckpointOptions checkpoint;
+
+  /// Checkpoint directory ("" = checkpointing disabled).  Every worker
+  /// checkpoints after every round, once delivery and aggregation are done:
+  /// nothing is in flight then, so one round's per-worker files together
+  /// are a consistent cut of the whole cluster.  All rounds are kept.
+  std::string checkpoint_dir;
   FaultToleranceOptions fault_tolerance;
   AsyncOptions async;
 
@@ -142,8 +119,8 @@ class SimulatedCrash : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Thrown when a round cannot be fully delivered within
-/// FaultToleranceOptions::max_retries sub-iterations, when a run needs more
+/// Thrown when a round cannot be fully delivered within the bounded retry
+/// loop (10 sub-iterations, cluster.cpp), when a run needs more
 /// than ClusterOptions::max_rounds rounds (or termination-token epochs),
 /// and when an asynchronous run stalls.
 class DeliveryFailure : public std::runtime_error {
@@ -172,7 +149,7 @@ struct RunReport {
   std::uint64_t retransmissions = 0;    // batches resent after missing acks
   std::uint64_t redeliveries = 0;       // duplicates discarded by batch id
   std::uint64_t checksum_failures = 0;  // corrupt envelopes detected
-  std::uint64_t checkpoints_written = 0;
+  std::uint64_t checkpoints_written = 0;  // files on disk, not attempts
   double backoff_seconds = 0.0;         // virtual retry backoff charged
   bool recovered = false;               // a crash was recovered from
   std::int64_t recovered_from_round = -1;
@@ -218,7 +195,7 @@ struct ClusterResult {
 ///
 /// Delivery within each round is an ack/retry loop: workers collect and
 /// acknowledge validated envelopes, senders retransmit whatever the shared
-/// AckBoard is still missing, bounded by max_retries with (virtual)
+/// AckBoard is still missing, bounded by a fixed retry count with (virtual)
 /// exponential backoff.  Because receivers deduplicate by batch id and
 /// aggregate in canonical order, the closure — store logs, per-rule
 /// firings, round stats — is bit-identical whether or not faults occurred.
@@ -246,7 +223,7 @@ class Cluster {
   /// checkpoint set loads cleanly (torn or damaged files disqualify their
   /// round); a subsequent `run()` resumes at the following round.  Returns
   /// the restored round; throws SimulatedCrash when no usable round
-  /// exists.  Requires checkpoint.dir to be set and workers added.
+  /// exists.  Requires checkpoint_dir to be set and workers added.
   std::int64_t restore_from_checkpoints();
 
   [[nodiscard]] const Worker& worker(std::uint32_t id) const {
@@ -269,8 +246,9 @@ class Cluster {
   /// One asynchronous scheduling step of worker `w`: drain arrivals,
   /// evaluate a chunk or steal, retransmit when idle, pass the token.
   void poll(std::uint32_t w, AsyncState& state);
-  void checkpoint_worker(Worker& worker, std::uint32_t round);
-  [[nodiscard]] bool checkpoint_due(std::uint32_t round) const;
+  /// Write `worker`'s checkpoint for `round`; false (and a warning) when
+  /// the file could not be written.
+  bool checkpoint_worker(Worker& worker, std::uint32_t round);
   void finalize(ClusterResult& result);
   void finalize_async(ClusterResult& result, const AsyncStats& stats);
   /// Fill result.report and publish it with the run's headline gauges.
@@ -278,6 +256,9 @@ class Cluster {
 
   Transport& transport_;
   ClusterOptions options_;
+  /// Charge measured transport time instead of the network model: true
+  /// for file transports (see NetworkModel).
+  const bool measured_io_;
   std::vector<std::unique_ptr<Worker>> workers_;
   AckBoard ack_board_;
 
@@ -286,6 +267,8 @@ class Cluster {
   bool recovered_ = false;
   std::int64_t recovered_from_round_ = -1;
   std::uint64_t checkpoints_written_ = 0;
+  /// Some epoch cut of the async driver wrote every worker's file.
+  bool complete_cut_ = false;
   double backoff_seconds_ = 0.0;
 };
 

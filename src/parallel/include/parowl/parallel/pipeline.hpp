@@ -21,8 +21,11 @@ enum class Approach {
   kHybrid,
 };
 
-/// End-to-end options for a parallel materialization run.
-struct ParallelOptions {
+/// End-to-end options for a parallel materialization run: the cluster's
+/// own options (execution mode, network model, checkpointing, crash
+/// injection, async knobs, obs), which parallel_materialize hands to the
+/// Cluster as they are, plus the partitioning and pipeline knobs.
+struct ParallelOptions : ClusterOptions {
   /// Data partitions (data/hybrid) or rule partitions (rule approach).
   std::uint32_t partitions = 4;
 
@@ -49,13 +52,7 @@ struct ParallelOptions {
   /// paper).  Only consulted when weighted_rule_graph is true.
   const rdf::TripleStore* rule_statistics = nullptr;
 
-  ExecutionMode mode = ExecutionMode::kSequentialSimulated;
-  NetworkModel network;
   rules::HorstOptions horst;
-
-  /// Asynchronous-executor knobs (kAsync / kAsyncThreaded), forwarded to
-  /// ClusterOptions.
-  AsyncOptions async_exec;
 
   /// External transport (e.g. a FileTransport on a spool directory).  When
   /// null, an in-memory transport is created internally.
@@ -67,17 +64,9 @@ struct ParallelOptions {
   /// changes.
   const FaultSpec* faults = nullptr;
 
-  /// Round-granular checkpointing directory ("" = disabled) and the
-  /// ack/retry + crash-injection knobs, forwarded to ClusterOptions.
-  CheckpointOptions checkpoint;
-  FaultToleranceOptions fault_tolerance;
-
   /// Build the merged output store (base + schema + every derivation).
   /// Disable for large benchmark sweeps where only counts matter.
   bool build_merged = true;
-
-  /// Observability sinks/sampling, forwarded to ClusterOptions.
-  obs::ObsOptions obs;
 };
 
 /// Outcome of a parallel run.

@@ -41,13 +41,7 @@ struct WorkerOptions {
   /// paper's Jena materialization behaviour (super-linear cost in partition
   /// size); kForward is the efficient engine.
   reason::Strategy strategy = reason::Strategy::kForward;
-  bool share_tables = false;  // query-driven table sharing
   const rdf::Dictionary* dict = nullptr;
-
-  /// Threads for the forward engine's matching pass inside each worker's
-  /// local closure (0 = hardware concurrency).  Closures are bit-identical
-  /// for every value, so this composes transparently with any executor.
-  unsigned reason_threads = 1;
 };
 
 /// A batch of tuples routed to one destination partition.

@@ -32,6 +32,23 @@ fs::path checkpoint_path(const std::string& dir, std::uint32_t worker,
 /// Mirrors the send-sequence gap the worker applies on checkpoint load.
 constexpr std::uint32_t kRecoveryEpochGap = 1u << 20;
 
+/// Delivery sub-iterations per round before the round is declared
+/// undeliverable.  With the default FaultSpec (max_faulty_attempts = 3)
+/// every schedule completes well within this bound.
+constexpr std::uint32_t kMaxRetries = 10;
+
+/// Virtual exponential backoff charged per retry sub-iteration (no real
+/// sleeping: the cost is added to the simulated makespan and reported).
+constexpr double kBackoffBaseSeconds = 100e-6;
+constexpr double kBackoffMultiplier = 2.0;
+
+/// Serialized size of one triple in the network model.
+constexpr double kBytesPerTuple = 64.0;
+
+/// Async driver: idle polls without progress before a worker resends its
+/// unacknowledged envelopes.
+constexpr std::uint32_t kRetransmitAfter = 3;
+
 /// Safety valve of the async driver: a worker's idle polls while no worker
 /// progressed (no arrival, evaluation, steal or token) and none is inside
 /// a step, before the run is declared stalled.  The standstill must also
@@ -57,15 +74,12 @@ class StepGuard {
 }  // namespace
 
 Cluster::Cluster(Transport& transport, ClusterOptions options)
-    : transport_(transport), options_(std::move(options)) {
+    : transport_(transport),
+      options_(std::move(options)),
+      measured_io_(transport_.name().find("file") != std::string::npos) {
   obs::configure(options_.obs);
-  if (transport_.name().find("file") != std::string::npos) {
-    // File IPC: the measured read/write/parse time *is* the communication
-    // cost, as in the paper's shared-filesystem implementation.
-    options_.network.use_measured_io = true;
-  }
-  if (!options_.checkpoint.dir.empty()) {
-    fs::create_directories(options_.checkpoint.dir);
+  if (!options_.checkpoint_dir.empty()) {
+    fs::create_directories(options_.checkpoint_dir);
   }
 }
 
@@ -83,17 +97,12 @@ void Cluster::load(std::uint32_t id, std::span<const rdf::Triple> base) {
   workers_[id]->load(base);
 }
 
-bool Cluster::checkpoint_due(std::uint32_t round) const {
-  return !options_.checkpoint.dir.empty() &&
-         round % std::max<std::uint32_t>(1, options_.checkpoint.interval) == 0;
-}
-
-void Cluster::checkpoint_worker(Worker& worker, std::uint32_t round) {
+bool Cluster::checkpoint_worker(Worker& worker, std::uint32_t round) {
   obs::Span span("parallel.checkpoint",
                  {{"round", round}, {"worker", worker.id()}},
                  100 + worker.id());
-  const std::string& dir = options_.checkpoint.dir;
-  const fs::path final_path = checkpoint_path(dir, worker.id(), round);
+  const fs::path final_path =
+      checkpoint_path(options_.checkpoint_dir, worker.id(), round);
   const fs::path tmp_path = final_path.string() + ".tmp";
   try {
     {
@@ -109,25 +118,13 @@ void Cluster::checkpoint_worker(Worker& worker, std::uint32_t round) {
                    " failed: ", e.what());
     std::error_code ec;
     fs::remove(tmp_path, ec);
-    return;
+    return false;
   }
-
-  const std::uint32_t retain = options_.checkpoint.retain;
-  if (retain > 0) {
-    const std::uint64_t horizon =
-        static_cast<std::uint64_t>(retain) *
-        std::max<std::uint32_t>(1, options_.checkpoint.interval);
-    if (round >= horizon) {
-      std::error_code ec;
-      fs::remove(checkpoint_path(dir, worker.id(),
-                                 static_cast<std::uint32_t>(round - horizon)),
-                 ec);
-    }
-  }
+  return true;
 }
 
 std::int64_t Cluster::restore_from_checkpoints() {
-  const std::string& dir = options_.checkpoint.dir;
+  const std::string& dir = options_.checkpoint_dir;
   if (dir.empty() || workers_.empty()) {
     throw SimulatedCrash("no checkpoint directory configured");
   }
@@ -239,7 +236,6 @@ void Cluster::each_worker(util::ThreadTeam* team,
 
 void Cluster::deliver_round(std::uint32_t round, util::ThreadTeam* team) {
   PAROWL_SPAN("parallel.deliver", {{"round", round}});
-  const FaultToleranceOptions& ft = options_.fault_tolerance;
   std::vector<std::size_t> resent(workers_.size());
   const auto collect = [&](Worker& worker) {
     worker.collect(round, &ack_board_);
@@ -247,7 +243,7 @@ void Cluster::deliver_round(std::uint32_t round, util::ThreadTeam* team) {
   ack_board_.clear();
 
   each_worker(team, collect);
-  double backoff = ft.backoff_base_seconds;
+  double backoff = kBackoffBaseSeconds;
   for (std::uint32_t retry = 0;; ++retry) {
     each_worker(team, [&](Worker& worker) {
       resent[worker.id()] = worker.retransmit_unacked(round, ack_board_);
@@ -257,26 +253,27 @@ void Cluster::deliver_round(std::uint32_t round, util::ThreadTeam* team) {
     if (total == 0) {
       break;  // every envelope of the round is acknowledged
     }
-    if (retry >= ft.max_retries) {
+    if (retry >= kMaxRetries) {
       std::ostringstream msg;
       msg << "round " << round << ": " << total
-          << " batches undelivered after " << ft.max_retries << " retries";
+          << " batches undelivered after " << kMaxRetries << " retries";
       throw DeliveryFailure(msg.str());
     }
     backoff_seconds_ += backoff;  // virtual: charged, not slept
-    backoff *= ft.backoff_multiplier;
+    backoff *= kBackoffMultiplier;
     each_worker(team, collect);
   }
-  const bool checkpoint = checkpoint_due(round);
+  const bool checkpoint = !options_.checkpoint_dir.empty();
+  // One slot per worker: the threaded driver writes them concurrently.
+  std::vector<std::uint8_t> written(workers_.size());
   each_worker(team, [&](Worker& worker) {
     worker.aggregate_round(round);
     if (checkpoint) {
-      checkpoint_worker(worker, round);
+      written[worker.id()] = checkpoint_worker(worker, round) ? 1 : 0;
     }
   });
-  if (checkpoint) {
-    checkpoints_written_ += workers_.size();
-  }
+  checkpoints_written_ +=
+      std::accumulate(written.begin(), written.end(), std::uint64_t{0});
 }
 
 ClusterResult Cluster::run_rounds(util::ThreadTeam* team) {
@@ -408,15 +405,15 @@ void Cluster::poll(std::uint32_t w, AsyncState& state) {
   AsyncWorker& c = state.workers[w];
   const auto comm_cost = [&net](std::size_t batches, std::size_t tuples) {
     return net.latency_seconds * static_cast<double>(batches) +
-           net.bytes_per_tuple * static_cast<double>(tuples) /
+           kBytesPerTuple * static_cast<double>(tuples) /
                std::max(1.0, net.bandwidth_bytes_per_sec);
   };
 
   // Injected crash: the async analogue of crash_at_round is "the Nth
-  // evaluation activation of crash_worker" — deferred until the first
-  // epoch checkpoint exists, so recovery is always possible (the test
-  // knob is for exercising recovery, not unrecoverable loss).
-  if (crash_armed_ && w == ft.crash_worker && checkpoints_written_ > 0 &&
+  // evaluation activation of crash_worker" — deferred until an epoch cut
+  // has written every worker's checkpoint, so recovery is always possible
+  // (the test knob is for exercising recovery, not unrecoverable loss).
+  if (crash_armed_ && w == ft.crash_worker && complete_cut_ &&
       static_cast<std::int64_t>(c.activations) >= ft.crash_at_round) {
     crash_armed_ = false;
     throw SimulatedCrash("worker " + std::to_string(w) +
@@ -524,8 +521,7 @@ void Cluster::poll(std::uint32_t w, AsyncState& state) {
     obs::Span idle_span("parallel.idle", {{"worker", w}}, 100 + w);
     util::Stopwatch idle_watch;
     c.idle_polls += 1;
-    if (c.idle_polls % std::max<std::uint32_t>(1, ao.retransmit_after) ==
-        0) {
+    if (c.idle_polls % kRetransmitAfter == 0) {
       const std::scoped_lock lock(c.m);
       // Round 0: the slot every async counter accumulates on.
       if (worker.release_acked(ack_board_) > 0 &&
@@ -574,19 +570,18 @@ void Cluster::poll(std::uint32_t w, AsyncState& state) {
       c.has_token = false;
       c.token_black = false;
       state.probe_outstanding = false;
-      if (!state.threaded && !options_.checkpoint.dir.empty() &&
-          state.probe_epoch %
-                  std::max<std::uint32_t>(1, ao.checkpoint_epochs) ==
-              0) {
-        // Epoch cut: every worker checkpoints with the token epoch as the
-        // round header.  In-flight envelopes are covered by the retained
-        // outbox logs each checkpoint embeds.
+      if (!state.threaded && !options_.checkpoint_dir.empty()) {
+        // Epoch cut, one per probe: every worker checkpoints with the
+        // token epoch as the round header.  In-flight envelopes are
+        // covered by the retained outbox logs each checkpoint embeds.
+        std::size_t written = 0;
         for (auto& wk : workers_) {
           wk->release_acked(ack_board_);
-          checkpoint_worker(*wk, state.probe_epoch);
+          written += checkpoint_worker(*wk, state.probe_epoch) ? 1 : 0;
           wk->prune_outbox();
-          ++checkpoints_written_;
         }
+        checkpoints_written_ += written;
+        complete_cut_ = complete_cut_ || written == workers_.size();
       }
       if (white && !c.dirty && passive) {
         state.terminated = true;
@@ -611,7 +606,7 @@ ClusterResult Cluster::run_async(util::ThreadTeam* team) {
   util::Stopwatch wall;
   ClusterResult result;
   const std::size_t n = workers_.size();
-  const bool checkpointing = !options_.checkpoint.dir.empty();
+  const bool checkpointing = !options_.checkpoint_dir.empty();
   AsyncState state(n, team != nullptr,
                    start_round_ > 0 ? start_round_ + kRecoveryEpochGap : 0);
   state.terminated = n == 0;
@@ -677,12 +672,11 @@ ClusterResult Cluster::run_async(util::ThreadTeam* team) {
     const auto final_epoch = static_cast<std::uint32_t>(
         state.epoch_base + state.token_epochs + 1);
     for (auto& worker : workers_) {
-      checkpoint_worker(*worker, final_epoch);
-      ++checkpoints_written_;
+      checkpoints_written_ += checkpoint_worker(*worker, final_epoch) ? 1 : 0;
     }
   }
-  backoff_seconds_ += options_.fault_tolerance.backoff_base_seconds *
-                      static_cast<double>(state.retransmit_sweeps);
+  backoff_seconds_ +=
+      kBackoffBaseSeconds * static_cast<double>(state.retransmit_sweeps);
 
   AsyncStats stats;
   stats.activations = state.activations;
@@ -761,11 +755,11 @@ void Cluster::finalize_async(ClusterResult& result, const AsyncStats& stats) {
 void Cluster::finalize(ClusterResult& result) {
   const NetworkModel& net = options_.network;
   // A worker's communication cost in one round: measured, or modeled.
-  const auto comm_of = [&net](const RoundStats& rs) {
-    return net.use_measured_io
+  const auto comm_of = [this, &net](const RoundStats& rs) {
+    return measured_io_
                ? rs.io_seconds
                : net.latency_seconds * static_cast<double>(rs.sent_messages) +
-                     net.bytes_per_tuple *
+                     kBytesPerTuple *
                          static_cast<double>(rs.sent_tuples +
                                              rs.received_tuples) /
                          net.bandwidth_bytes_per_sec;

@@ -159,14 +159,7 @@ ParallelResult parallel_materialize(const rdf::TripleStore& store,
     faulty = std::make_unique<FaultyTransport>(*transport, *options.faults);
     transport = faulty.get();
   }
-  ClusterOptions copts;
-  copts.mode = options.mode;
-  copts.network = options.network;
-  copts.checkpoint = options.checkpoint;
-  copts.fault_tolerance = options.fault_tolerance;
-  copts.async = options.async_exec;
-  copts.obs = options.obs;
-  Cluster cluster(*transport, copts);
+  Cluster cluster(*transport, options);
   for (WorkerPlan& wp : plan.workers) {
     cluster.add_worker(std::move(wp.rule_base), wp.router, wopts);
   }

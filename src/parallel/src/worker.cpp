@@ -116,7 +116,6 @@ std::vector<Outgoing> Worker::compute_local(double* compute_seconds) {
   if (options_.strategy == reason::Strategy::kForward) {
     reason::ForwardOptions fopts;
     fopts.dict = options_.dict;
-    fopts.threads = options_.reason_threads;
     fopts.caller_closes_cliques = owners_.owners != nullptr;
     reason::ForwardEngine engine(store_, rule_base_, fopts);
     // The engine's fixpoint, then the components its derivations changed;
@@ -140,7 +139,7 @@ std::vector<Outgoing> Worker::compute_local(double* compute_seconds) {
     // Incremental after round 0: only resources affected by newly received
     // tuples are re-queried (frontier_ == 0 falls back to a full run).
     reason::query_driven_closure_delta(store_, *options_.dict, rule_base_,
-                                       frontier_, options_.share_tables);
+                                       frontier_);
     frontier_ = store_.size();
   }
   if (compute_seconds != nullptr) {
@@ -427,7 +426,6 @@ Worker::AsyncStepStats Worker::async_step(std::size_t max_delta) {
     }
     reason::ForwardOptions fopts;
     fopts.dict = options_.dict;
-    fopts.threads = options_.reason_threads;
     fopts.caller_closes_cliques = owners_.owners != nullptr;
     reason::ForwardEngine engine(store_, rule_base_, fopts);
     const auto derivations = engine.match_delta(frontier_, hi);
@@ -452,7 +450,7 @@ Worker::AsyncStepStats Worker::async_step(std::size_t max_delta) {
       return st;
     }
     reason::query_driven_closure_delta(store_, *options_.dict, rule_base_,
-                                       frontier_, options_.share_tables);
+                                       frontier_);
     st.consumed = backlog_before;
     frontier_ = store_.size();
     st.derived = store_.size() - before;

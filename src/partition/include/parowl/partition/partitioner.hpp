@@ -53,10 +53,6 @@ struct PartitionerOptions {
   /// IRI — a giant hub if kept).  Used by the streaming bootstrap, where no
   /// schema exclusion set exists yet.
   rdf::TermId type_predicate = rdf::kAnyTerm;
-
-  /// Multilevel: run Fiduccia–Mattheyses boundary refinement after each
-  /// uncoarsening step.  Disabling it is the "no refinement" ablation.
-  bool refine = true;
 };
 
 /// The outcome of a partitioning run: the assignment itself plus the

@@ -323,9 +323,7 @@ std::vector<std::uint8_t> bisect(const Graph& g, std::uint64_t target0,
   for (std::uint32_t v = 0; v < g.num_vertices(); ++v) {
     side[v] = coarse_side[coarse_of[v]];
   }
-  if (options.refine) {
-    fm_refine(g, side, target0, options.balance_slack, kRefinePasses);
-  }
+  fm_refine(g, side, target0, options.balance_slack, kRefinePasses);
   return side;
 }
 

@@ -37,14 +37,6 @@ struct MaterializeOptions {
   /// only speed changes.
   unsigned threads = 1;
 
-  /// One backward-engine table per query (mimics independent queries, the
-  /// Jena behaviour); when true, tables are shared across all queries of a
-  /// sweep (faster, used for the ablation bench).
-  bool share_tables = false;
-
-  /// Safety cap on query-driven outer sweeps.
-  std::size_t max_sweeps = 64;
-
   /// Observability sinks/sampling, forwarded to the ForwardOptions the
   /// materializer builds.
   obs::ObsOptions obs;
@@ -97,13 +89,13 @@ struct QueryDrivenStats {
 
 /// Run the query-driven (Jena-like) materialization loop on `store` with an
 /// already-compiled rule set: sweep (r, ?p, ?o) queries over every resource,
-/// asserting answers, until a sweep adds nothing.  Exposed so the parallel
-/// workers can use the same strategy the paper's implementation does.
+/// asserting answers, until a sweep adds nothing (at most 64 sweeps).  Each
+/// query gets fresh backward-engine tables, as Jena's independent
+/// per-resource queries do.  Exposed so the parallel workers can use the
+/// same strategy the paper's implementation does.
 QueryDrivenStats query_driven_closure(rdf::TripleStore& store,
                                       const rdf::Dictionary& dict,
-                                      const rules::RuleSet& rules,
-                                      bool share_tables = false,
-                                      std::size_t max_sweeps = 64);
+                                      const rules::RuleSet& rules);
 
 /// Incremental query-driven closure: only re-query the resources affected
 /// by the triples at/after `delta_begin` in the store log (their endpoints
@@ -120,9 +112,7 @@ QueryDrivenStats query_driven_closure(rdf::TripleStore& store,
 QueryDrivenStats query_driven_closure_delta(rdf::TripleStore& store,
                                             const rdf::Dictionary& dict,
                                             const rules::RuleSet& rules,
-                                            std::size_t delta_begin,
-                                            bool share_tables = false,
-                                            std::size_t max_sweeps = 64);
+                                            std::size_t delta_begin);
 
 /// Materialize `store` in place: compute all OWL-Horst consequences of its
 /// schema + instance triples and add them.  Returns statistics.

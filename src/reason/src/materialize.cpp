@@ -3,7 +3,6 @@
 #include "parowl/obs/obs.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <unordered_set>
 
 #include "parowl/util/timer.hpp"
@@ -30,32 +29,25 @@ rules::CompiledRules compile_ontology(const rdf::TripleStore& store,
 
 namespace {
 
+/// Safety cap on query-driven outer sweeps.
+constexpr std::size_t kMaxSweeps = 64;
+
 /// One query-driven sweep over the given resource set, asserting every
 /// (r, ?p, ?o) answer.  Returns the number of new triples.
 std::size_t query_driven_sweep_over(
     rdf::TripleStore& store, const rdf::Dictionary& dict,
-    const rules::RuleSet& rules, bool share_tables,
+    const rules::RuleSet& rules,
     const std::unordered_set<rdf::TermId>& resources) {
   const BackwardOptions opts{.dict = &dict};
-  std::unique_ptr<BackwardEngine> shared;
-  if (share_tables) {
-    shared = std::make_unique<BackwardEngine>(store, rules, opts);
-  }
-
   std::size_t added = 0;
   std::vector<rdf::Triple> answers;
   for (const rdf::TermId r : resources) {
     answers.clear();
-    if (share_tables) {
-      shared->query(rdf::TriplePattern{r, rdf::kAnyTerm, rdf::kAnyTerm},
-                    answers);
-    } else {
-      // Fresh tables per query — each query pays the full proof-space
-      // exploration, as Jena's per-resource materialization queries do.
-      BackwardEngine engine(store, rules, opts);
-      engine.query(rdf::TriplePattern{r, rdf::kAnyTerm, rdf::kAnyTerm},
-                   answers);
-    }
+    // Fresh tables per query — each query pays the full proof-space
+    // exploration, as Jena's per-resource materialization queries do.
+    BackwardEngine engine(store, rules, opts);
+    engine.query(rdf::TriplePattern{r, rdf::kAnyTerm, rdf::kAnyTerm},
+                 answers);
     for (const rdf::Triple& t : answers) {
       added += store.insert(t) ? 1 : 0;
     }
@@ -66,8 +58,7 @@ std::size_t query_driven_sweep_over(
 /// One full sweep: (r, ?p, ?o) for every resource in the store.
 std::size_t query_driven_sweep(rdf::TripleStore& store,
                                const rdf::Dictionary& dict,
-                               const rules::RuleSet& rules,
-                               bool share_tables) {
+                               const rules::RuleSet& rules) {
   // Snapshot the resources first: insertions during the sweep must not
   // perturb the iteration.
   std::unordered_set<rdf::TermId> resources;
@@ -77,7 +68,7 @@ std::size_t query_driven_sweep(rdf::TripleStore& store,
       resources.insert(t.o);
     }
   }
-  return query_driven_sweep_over(store, dict, rules, share_tables, resources);
+  return query_driven_sweep_over(store, dict, rules, resources);
 }
 
 }  // namespace
@@ -85,9 +76,7 @@ std::size_t query_driven_sweep(rdf::TripleStore& store,
 QueryDrivenStats query_driven_closure_delta(rdf::TripleStore& store,
                                             const rdf::Dictionary& dict,
                                             const rules::RuleSet& rules,
-                                            std::size_t delta_begin,
-                                            bool share_tables,
-                                            std::size_t max_sweeps) {
+                                            std::size_t delta_begin) {
   QueryDrivenStats stats;
   if (delta_begin >= store.size()) {
     return stats;  // no new information: the closure cannot change
@@ -99,12 +88,11 @@ QueryDrivenStats query_driven_closure_delta(rdf::TripleStore& store,
         return r.body.size() <= 2;
       });
   if (delta_begin == 0 || !single_join_shape) {
-    return query_driven_closure(store, dict, rules, share_tables,
-                                max_sweeps);
+    return query_driven_closure(store, dict, rules);
   }
 
   std::size_t mark = delta_begin;
-  while (stats.sweeps < max_sweeps) {
+  while (stats.sweeps < kMaxSweeps) {
     const std::size_t end = store.size();
     if (mark >= end) {
       break;
@@ -130,22 +118,18 @@ QueryDrivenStats query_driven_closure_delta(rdf::TripleStore& store,
       store.for_object(n, [&](const rdf::Triple& t) { note(t.s); });
     }
     mark = end;
-    stats.added +=
-        query_driven_sweep_over(store, dict, rules, share_tables, affected);
+    stats.added += query_driven_sweep_over(store, dict, rules, affected);
   }
   return stats;
 }
 
 QueryDrivenStats query_driven_closure(rdf::TripleStore& store,
                                       const rdf::Dictionary& dict,
-                                      const rules::RuleSet& rules,
-                                      bool share_tables,
-                                      std::size_t max_sweeps) {
+                                      const rules::RuleSet& rules) {
   QueryDrivenStats stats;
-  while (stats.sweeps < max_sweeps) {
+  while (stats.sweeps < kMaxSweeps) {
     ++stats.sweeps;
-    const std::size_t added =
-        query_driven_sweep(store, dict, rules, share_tables);
+    const std::size_t added = query_driven_sweep(store, dict, rules);
     stats.added += added;
     if (added == 0) {
       break;
@@ -213,8 +197,7 @@ MaterializeResult materialize(rdf::TripleStore& store,
     result.eq_conflicts = stats.eq_conflicts;
     result.endpoint_index_builds = stats.endpoint_index_builds;
   } else {
-    const QueryDrivenStats stats = query_driven_closure(
-        store, dict, active, options.share_tables, options.max_sweeps);
+    const QueryDrivenStats stats = query_driven_closure(store, dict, active);
     result.iterations = stats.sweeps;
   }
   result.reason_seconds = reason_watch.elapsed_seconds();

@@ -77,12 +77,8 @@ class Updater {
  public:
   /// `dict` must already contain every term the batches will reference; the
   /// closure itself interns nothing.  `cache` may be null (no caching).
-  /// `reason_threads` fans out the incremental closure's matching pass
-  /// (0 = hardware concurrency); the published snapshot is bit-identical
-  /// for every value.
   Updater(SnapshotRegistry& registry, ResultCache* cache,
-          const rdf::Dictionary& dict, const ontology::Vocabulary& vocab,
-          unsigned reason_threads = 1);
+          const rdf::Dictionary& dict, const ontology::Vocabulary& vocab);
 
   /// Apply one batch of *instance* triples: retract `deletions` from the
   /// asserted base and add `additions`, maintaining the closure
@@ -104,7 +100,6 @@ class Updater {
   ResultCache* cache_;
   const rdf::Dictionary& dict_;
   const ontology::Vocabulary& vocab_;
-  unsigned reason_threads_;
   mutable std::mutex write_mutex_;
   std::uint64_t batches_ = 0;
   // Compiled on the first batch; reset when a closure delta changes the

@@ -63,7 +63,7 @@ QueryService::QueryService(
       same_as_(vocab.owl_same_as),
       registry_(make_initial_snapshot(std::move(store), base,
                                       std::move(equality))),
-      updater_(registry_, &cache(), dict, vocab, /*reason_threads=*/1) {}
+      updater_(registry_, &cache(), dict, vocab) {}
 
 QueryService::~QueryService() { stop(); }
 

@@ -18,12 +18,8 @@ void sort_unique(std::vector<rdf::TermId>& ids) {
 
 Updater::Updater(SnapshotRegistry& registry, ResultCache* cache,
                  const rdf::Dictionary& dict,
-                 const ontology::Vocabulary& vocab, unsigned reason_threads)
-    : registry_(registry),
-      cache_(cache),
-      dict_(dict),
-      vocab_(vocab),
-      reason_threads_(reason_threads) {}
+                 const ontology::Vocabulary& vocab)
+    : registry_(registry), cache_(cache), dict_(dict), vocab_(vocab) {}
 
 UpdateOutcome Updater::apply(std::span<const rdf::Triple> additions,
                              std::span<const rdf::Triple> deletions) {
@@ -67,7 +63,6 @@ UpdateOutcome Updater::apply(std::span<const rdf::Triple> additions,
   next->version = old_snap->version + 1;
 
   reason::MaintainOptions mopts;
-  mopts.threads = reason_threads_;
   // Rewrite mode: hand the maintainer a private clone of the class map
   // (RCU) so readers expanding through the old snapshot never race.  It
   // only ever *grows* the clone — batches that would shrink a class come

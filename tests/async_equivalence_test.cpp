@@ -248,7 +248,7 @@ TEST_F(AsyncEquivalenceTest, KillRestoreMidRunMatchesSync) {
     const auto ckpt = scratch_dir("crash");
     MemoryTransport transport(parts);
     ClusterOptions copts = async_options();
-    copts.checkpoint.dir = ckpt.string();
+    copts.checkpoint_dir = ckpt.string();
     copts.fault_tolerance.crash_at_round = 1;  // Nth activation post-ckpt
     copts.fault_tolerance.crash_worker = crash_worker;
     ClusterResult result;
@@ -273,7 +273,7 @@ TEST_F(AsyncEquivalenceTest, KillRestoreUnderFaultsMatchesSync) {
   const FaultSpec spec = make_spec(kMixes[4], 31);  // mixed
   FaultyTransport faulty(inner, spec);
   ClusterOptions copts = async_options();
-  copts.checkpoint.dir = ckpt.string();
+  copts.checkpoint_dir = ckpt.string();
   copts.fault_tolerance.crash_at_round = 1;
   copts.fault_tolerance.crash_worker = 2;
   ClusterResult result;

@@ -166,7 +166,7 @@ TEST_F(AsyncTest, AsyncClusterStealDisabledMatchesSerial) {
   opts.partitions = 4;
   opts.policy = &policy;
   opts.mode = ExecutionMode::kAsync;
-  opts.async_exec.steal = false;
+  opts.async.steal = false;
   const ParallelResult result =
       parallel_materialize(store, dict, vocab, opts);
   expect_equivalent(result);
@@ -181,8 +181,8 @@ TEST_F(AsyncTest, AsyncClusterSmallChunksSteal) {
   opts.partitions = 4;
   opts.policy = &policy;
   opts.mode = ExecutionMode::kAsync;
-  opts.async_exec.chunk = 16;
-  opts.async_exec.steal_batch = 16;
+  opts.async.chunk = 16;
+  opts.async.steal_batch = 16;
   const ParallelResult result =
       parallel_materialize(store, dict, vocab, opts);
   expect_equivalent(result);

@@ -362,7 +362,6 @@ struct ClusterConfig {
   std::uint32_t k = 2;
   parallel::ExecutionMode mode = parallel::ExecutionMode::kSequentialSimulated;
   const parallel::FaultSpec* faults = nullptr;
-  unsigned reason_threads = 1;
   std::string checkpoint_dir;
   std::int64_t crash_at_round = -1;
   std::size_t async_chunk = 256;
@@ -400,7 +399,7 @@ ClusterRun run_cluster(const ClusterKb& kb, const ClusterConfig& config) {
   RecordingTransport transport(*inner);
   parallel::ClusterOptions copts;
   copts.mode = config.mode;
-  copts.checkpoint.dir = config.checkpoint_dir;
+  copts.checkpoint_dir = config.checkpoint_dir;
   copts.fault_tolerance.crash_at_round = config.crash_at_round;
   copts.fault_tolerance.crash_worker = config.k - 1;
   copts.async.chunk = config.async_chunk;
@@ -408,7 +407,6 @@ ClusterRun run_cluster(const ClusterKb& kb, const ClusterConfig& config) {
   parallel::Cluster cluster(transport, copts);
   parallel::WorkerOptions wopts;
   wopts.dict = &kb.dict;
-  wopts.reason_threads = config.reason_threads;
   for (std::uint32_t p = 0; p < config.k; ++p) {
     cluster.load(cluster.add_worker(compiled.rules, router, wopts),
                  dp.parts[p]);
@@ -495,8 +493,6 @@ TEST(CliqueClusterTest, WorkerLogsAreByteIdenticalAcrossThreadsAndDrivers) {
     ClusterConfig config;
     config.k = 3;
     const ClusterRun ref = run_cluster(ckb, config);
-    config.reason_threads = 4;
-    EXPECT_EQ(run_cluster(ckb, config).logs, ref.logs) << "seed " << seed;
     config.mode = parallel::ExecutionMode::kThreaded;
     EXPECT_EQ(run_cluster(ckb, config).logs, ref.logs) << "seed " << seed;
   }

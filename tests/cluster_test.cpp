@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <unordered_set>
 
@@ -35,6 +36,47 @@ class ClusterTest : public ::testing::Test {
 
     serial.insert_all(store.triples());
     reason::materialize(serial, dict, vocab, {});
+  }
+
+  /// What a cluster run charged for communication, and the sum over rounds
+  /// of the largest per-worker transport time it measured.
+  struct IoCharge {
+    double charged = 0.0;
+    double measured = 0.0;
+  };
+
+  /// Run a hash-partitioned 3-worker cluster over `transport` under an
+  /// absurdly slow network model (10 ms a message, 10 kB/s).
+  IoCharge run_with_slow_network(Transport& transport) {
+    const rules::CompiledRules compiled =
+        reason::compile_ontology(store, vocab, {});
+    const partition::HashOwnerPolicy policy;
+    partition::DataPartitioning dp =
+        partition::partition_data(store, dict, vocab, policy, 3);
+    const auto router = std::make_shared<OwnerRouter>(std::move(dp.owners));
+    ClusterOptions copts;
+    copts.network.latency_seconds = 0.01;
+    copts.network.bandwidth_bytes_per_sec = 1e4;
+    Cluster cluster(transport, copts);
+    WorkerOptions wopts;
+    wopts.dict = &dict;
+    for (std::uint32_t p = 0; p < 3; ++p) {
+      cluster.load(cluster.add_worker(compiled.rules, router, wopts),
+                   dp.parts[p]);
+    }
+    const ClusterResult result = cluster.run();
+    IoCharge io{result.io_seconds, 0.0};
+    for (std::size_t round = 0; round < result.rounds; ++round) {
+      double slowest = 0.0;
+      for (std::uint32_t w = 0; w < cluster.num_workers(); ++w) {
+        const std::vector<RoundStats>& rounds = cluster.worker(w).rounds();
+        if (round < rounds.size()) {
+          slowest = std::max(slowest, rounds[round].io_seconds);
+        }
+      }
+      io.measured += slowest;
+    }
+    return io;
   }
 
   void expect_equivalent(const ParallelResult& result) {
@@ -200,6 +242,36 @@ TEST_F(ClusterTest, NetworkModelChargesCommunication) {
             fast.cluster.simulated_seconds);
 }
 
+TEST_F(ClusterTest, FileTransportsChargeMeasuredIoNotTheModel) {
+  // A file transport's measured read/write/parse time is its communication
+  // cost, with or without faults injected on top; the in-memory transport
+  // is charged by the model.
+  const auto spool = std::filesystem::temp_directory_path() /
+                     ("parowl_measured_io_" + std::to_string(::getpid()));
+  FileTransport file(spool, 3);
+  const IoCharge by_file = run_with_slow_network(file);
+  EXPECT_GT(by_file.measured, 0.0);
+  EXPECT_DOUBLE_EQ(by_file.charged, by_file.measured);
+
+  FaultSpec spec;
+  spec.seed = 5;
+  spec.drop = 0.2;
+  spec.duplicate = 0.1;
+  FileTransport faulty_file(spool / "faulty", 3);
+  FaultyTransport faulty(faulty_file, spec);
+  const IoCharge by_faulty = run_with_slow_network(faulty);
+  EXPECT_GT(faulty.injected_faults().total(), 0u);
+  EXPECT_GT(by_faulty.measured, 0.0);
+  EXPECT_DOUBLE_EQ(by_faulty.charged, by_faulty.measured);
+
+  MemoryTransport memory(3);
+  const IoCharge by_model = run_with_slow_network(memory);
+  // One 10 ms message latency is far above any measured in-memory send.
+  EXPECT_GE(by_model.charged, 0.01);
+  EXPECT_GT(by_model.charged, by_model.measured);
+  std::filesystem::remove_all(spool);
+}
+
 TEST_F(ClusterTest, PerWorkerReasonTotalsExposed) {
   const partition::GraphOwnerPolicy policy;
   ParallelOptions opts;
@@ -289,7 +361,7 @@ TEST_F(ClusterTest, CheckpointsAreWrittenAtRoundGranularity) {
   ParallelOptions opts;
   opts.partitions = 3;
   opts.policy = &policy;
-  opts.checkpoint.dir = ckpt_dir.string();
+  opts.checkpoint_dir = ckpt_dir.string();
   const ParallelResult result =
       parallel_materialize(store, dict, vocab, opts);
   expect_equivalent(result);
@@ -303,6 +375,61 @@ TEST_F(ClusterTest, CheckpointsAreWrittenAtRoundGranularity) {
   std::filesystem::remove_all(ckpt_dir);
 }
 
+TEST_F(ClusterTest, FailedCheckpointIsNotCounted) {
+  const partition::HashOwnerPolicy policy;
+  for (const ExecutionMode mode :
+       {ExecutionMode::kSequentialSimulated, ExecutionMode::kThreaded}) {
+    const auto ckpt_dir =
+        std::filesystem::temp_directory_path() /
+        ("parowl_ckpt_fail_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(ckpt_dir);
+    // A directory where worker 0's round-0 temporary file goes fails that
+    // one write; the run carries on without it.
+    std::filesystem::create_directories(ckpt_dir / "w0_r0.ckpt.tmp");
+    ParallelOptions opts;
+    opts.partitions = 3;
+    opts.policy = &policy;
+    opts.mode = mode;
+    opts.checkpoint_dir = ckpt_dir.string();
+    const ParallelResult result =
+        parallel_materialize(store, dict, vocab, opts);
+    expect_equivalent(result);
+    EXPECT_FALSE(std::filesystem::exists(ckpt_dir / "w0_r0.ckpt"));
+    std::size_t files = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(ckpt_dir)) {
+      files += entry.path().extension() == ".ckpt";
+    }
+    EXPECT_GT(files, 0u);
+    EXPECT_EQ(result.cluster.report.checkpoints_written, files);
+    std::filesystem::remove_all(ckpt_dir);
+  }
+}
+
+TEST_F(ClusterTest, AsyncCrashWaitsForACompleteCheckpointCut) {
+  // Worker 0's file of the first epoch cut cannot be written, so that cut
+  // is incomplete; the injected crash must wait for a cut recovery can
+  // load, or not fire at all.
+  const partition::HashOwnerPolicy policy;
+  const auto ckpt_dir = std::filesystem::temp_directory_path() /
+                        ("parowl_ckpt_cut_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(ckpt_dir);
+  std::filesystem::create_directories(ckpt_dir / "w0_r1.ckpt.tmp");
+  ParallelOptions opts;
+  opts.partitions = 4;
+  opts.policy = &policy;
+  opts.mode = ExecutionMode::kAsync;
+  opts.checkpoint_dir = ckpt_dir.string();
+  opts.fault_tolerance.crash_at_round = 1;
+  opts.fault_tolerance.crash_worker = 1;
+  const ParallelResult result =
+      parallel_materialize(store, dict, vocab, opts);
+  expect_equivalent(result);
+  if (result.cluster.report.recovered) {
+    EXPECT_GT(result.cluster.report.recovered_from_round, 1);
+  }
+  std::filesystem::remove_all(ckpt_dir);
+}
+
 TEST_F(ClusterTest, KilledWorkerRecoversFromCheckpointAndMatchesSerial) {
   const partition::HashOwnerPolicy policy;
   const auto ckpt_dir = std::filesystem::temp_directory_path() /
@@ -310,7 +437,7 @@ TEST_F(ClusterTest, KilledWorkerRecoversFromCheckpointAndMatchesSerial) {
   ParallelOptions opts;
   opts.partitions = 4;
   opts.policy = &policy;
-  opts.checkpoint.dir = ckpt_dir.string();
+  opts.checkpoint_dir = ckpt_dir.string();
   opts.fault_tolerance.crash_at_round = 1;
   opts.fault_tolerance.crash_worker = 1;
   const ParallelResult result =

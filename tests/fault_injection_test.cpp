@@ -258,7 +258,7 @@ TEST_F(FaultInjectionTest, WorkerKillRecoversToBitIdenticalFixpoint) {
     const auto ckpt = scratch_dir("crash");
     MemoryTransport transport(parts);
     ClusterOptions copts;
-    copts.checkpoint.dir = ckpt.string();
+    copts.checkpoint_dir = ckpt.string();
     copts.fault_tolerance.crash_at_round = 1;
     copts.fault_tolerance.crash_worker = crash_worker;
     ClusterResult result;
@@ -288,7 +288,7 @@ TEST_F(FaultInjectionTest, CrashUnderFaultsIsStillBitIdentical) {
   const FaultSpec spec = make_spec(kMixes[4], 31);  // mixed
   FaultyTransport faulty(inner, spec);
   ClusterOptions copts;
-  copts.checkpoint.dir = ckpt.string();
+  copts.checkpoint_dir = ckpt.string();
   copts.fault_tolerance.crash_at_round = 1;
   copts.fault_tolerance.crash_worker = 2;
   ClusterResult result;
@@ -309,7 +309,7 @@ TEST_F(FaultInjectionTest, FreshClusterRestoresFromCheckpointFiles) {
 
   MemoryTransport first_transport(parts);
   ClusterOptions copts;
-  copts.checkpoint.dir = ckpt.string();
+  copts.checkpoint_dir = ckpt.string();
   ClusterResult first_result;
   const Fingerprint golden = run(parts, first_transport, copts, &first_result);
   EXPECT_GT(first_result.report.checkpoints_written, 0u);
@@ -342,7 +342,7 @@ TEST_F(FaultInjectionTest, DamagedCheckpointRoundFallsBackToOlderOne) {
 
   MemoryTransport first_transport(parts);
   ClusterOptions copts;
-  copts.checkpoint.dir = ckpt.string();
+  copts.checkpoint_dir = ckpt.string();
   ClusterResult first_result;
   run(parts, first_transport, copts, &first_result);
   ASSERT_GE(first_result.rounds, 2u);

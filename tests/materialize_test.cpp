@@ -206,20 +206,6 @@ TEST_F(MaterializeTest, LubmGeneratedDataForwardVsQueryDriven) {
   }
 }
 
-TEST_F(MaterializeTest, SharedTablesQueryDrivenAgrees) {
-  tiny_family_kb();
-  rdf::TripleStore shared_store;
-  shared_store.insert_all(store.triples());
-
-  MaterializeOptions qd;
-  qd.strategy = Strategy::kQueryDriven;
-  materialize(store, dict, vocab, qd);
-
-  qd.share_tables = true;
-  materialize(shared_store, dict, vocab, qd);
-  EXPECT_EQ(store.size(), shared_store.size());
-}
-
 TEST_F(MaterializeTest, MaterializeIsIdempotent) {
   tiny_family_kb();
   materialize(store, dict, vocab, {});

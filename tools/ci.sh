@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The commit gate: configure, build, run the tier1 test label (fast,
-# deterministic), then an ASan pass over the fault-tolerance surface.
+# deterministic), then ASan, UBSan and TSan passes over test subsets.
 #
-#   tools/ci.sh           # tier1 + asan subset
+#   tools/ci.sh           # tier1 + asan, ubsan and tsan subsets
 #   tools/ci.sh --full    # adds tier2 (stress/property/fault sweeps)
 #   tools/ci.sh --compare # adds the benchmark compare stage (opt-in, slow)
 #
@@ -24,7 +24,11 @@
 # deadlines), incremental maintenance (in-place erasure), and the forward
 # engine's clique operator, plus the mutated-input robustness suite
 # (N-Triples, Turtle, SPARQL, rule and snapshot parsers) — the places where
-# serialization, parsing and concurrency bugs would live.
+# serialization, parsing and concurrency bugs would live.  The UBSan subset
+# (-fno-sanitize-recover=all, so any undefined behaviour fails the test)
+# runs the mutated-input suite, the codec and ingest paths, and the
+# transport/worker/fault/cluster layers that decode envelopes and
+# checkpoints.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -63,6 +67,13 @@ cmake --build --preset asan -j "$jobs" \
   sameas_equivalence_test sameas_serve_test graph_partition_test clique_test \
   parser_robustness_test
 ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|QueryService|Dist|Incremental|SameAs|Partition|Streaming|Clique|Parser|SnapshotRobustness'
+
+echo "=== ubsan subset (mutated parser + snapshot input, codec, ingest, transport, worker, fault sweep, cluster) ==="
+cmake --preset ubsan
+cmake --build --preset ubsan -j "$jobs" \
+  --target parser_robustness_test codec_test ingest_equivalence_test \
+  transport_test worker_test fault_injection_test cluster_test
+ctest --preset ubsan -j "$jobs" -R 'Parser|SnapshotRobustness|TermTable|TripleBlock|Varint|Zigzag|Ingest|AtomMatchesTuple|Transport|OwnerRouter|RuleMatchRouter|Worker|Fault|RoundFlavour|Cluster'
 
 echo "=== tsan subset (obs, dist executor + replica RCU, async steal/token, incremental serve loop + serve oracles, QueryService readers vs the copy-on-write updater, equality rewrite, reader->partitioner chunk sink, parallel ingest merge + bulk insert, engine round barrier, clique operator, async-threaded executor on UOBM, cluster load + end-of-run aggregation team, threaded round driver under the fault sweep, transports + the worker's shared envelope path) ==="
 cmake --preset tsan

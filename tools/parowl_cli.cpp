@@ -1236,9 +1236,9 @@ int cmd_cluster(const Args& args) {
                   : approach == "hybrid" ? parallel::Approach::kHybrid
                                          : parallel::Approach::kDataPartition;
   opts.mode = exec_mode_of(args);
-  opts.async_exec.steal = !args.flag("--no-steal");
-  opts.async_exec.steal_batch = args.count<std::size_t>("--steal-batch", 256);
-  opts.async_exec.chunk = args.count<std::size_t>("--chunk", 256, 1);
+  opts.async.steal = !args.flag("--no-steal");
+  opts.async.steal_batch = args.count<std::size_t>("--steal-batch", 256);
+  opts.async.chunk = args.count<std::size_t>("--chunk", 256, 1);
   opts.local_strategy = local_strategy_of(args);
   std::unique_ptr<partition::OwnerPolicy> policy;
   if (bootstrap) {
@@ -1263,7 +1263,7 @@ int cmd_cluster(const Args& args) {
     faults = parse_fault_spec(faults_arg);
     opts.faults = &faults;
   }
-  opts.checkpoint.dir = args.option("--checkpoint-dir");
+  opts.checkpoint_dir = args.option("--checkpoint-dir");
 
   const parallel::ParallelResult r =
       parallel::parallel_materialize(store, dict, vocab, opts);
@@ -1298,7 +1298,7 @@ int cmd_cluster(const Args& args) {
     std::cout << "IR=" << util::fmt_double(r.metrics->input_replication, 3)
               << " OR=" << util::fmt_double(r.output_replication, 3) << "\n";
   }
-  if (!faults_arg.empty() || !opts.checkpoint.dir.empty()) {
+  if (!faults_arg.empty() || !opts.checkpoint_dir.empty()) {
     const parallel::RunReport& rep = r.cluster.report;
     std::cout << "faults: injected " << rep.injected.total() << " (drop "
               << rep.injected.drops << ", dup " << rep.injected.duplicates
