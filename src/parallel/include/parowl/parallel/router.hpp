@@ -2,11 +2,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "parowl/partition/owner_policy.hpp"
 #include "parowl/rdf/dictionary.hpp"
 #include "parowl/rdf/term.hpp"
+#include "parowl/rules/match.hpp"
 #include "parowl/rules/rule.hpp"
 
 namespace parowl::parallel {
@@ -50,6 +52,21 @@ class OwnerRouter final : public Router {
   partition::OwnerTable owners_;
 };
 
+/// The rule subset of one partition with its dispatch index: a tuple
+/// triggers the partition iff it binds one of the index's candidates, the
+/// decision the forward engine makes when it matches the tuple.
+struct RulePartition {
+  explicit RulePartition(rules::RuleSet rule_set)
+      : rules(std::move(rule_set)), index(rules) {}
+
+  [[nodiscard]] bool triggered_by(const rdf::Triple& t) const {
+    return index.triggers(rules, t);
+  }
+
+  rules::RuleSet rules;
+  rules::DispatchIndex index;
+};
+
 /// Rule-partitioning router: a tuple goes to every partition holding a rule
 /// with a body atom the tuple can trigger (§IV: "we match the newly
 /// generated [tuple] with all the rules of other partitions").
@@ -63,8 +80,7 @@ class RuleMatchRouter final : public Router {
              std::vector<std::uint32_t>& out) const override;
 
  private:
-  /// Body atoms per partition, flattened for the match loop.
-  std::vector<std::vector<rules::Atom>> body_atoms_;
+  std::vector<RulePartition> parts_;
 };
 
 /// Hybrid router: workers form a (data x rule) grid; worker id =
@@ -80,17 +96,12 @@ class HybridRouter final : public Router {
              std::vector<std::uint32_t>& out) const override;
 
   [[nodiscard]] std::uint32_t rule_parts() const {
-    return static_cast<std::uint32_t>(body_atoms_.size());
+    return static_cast<std::uint32_t>(parts_.size());
   }
 
  private:
   partition::OwnerTable owners_;
-  std::vector<std::vector<rules::Atom>> body_atoms_;
+  std::vector<RulePartition> parts_;
 };
-
-/// True iff `t` can instantiate `atom` (constants agree; variables match
-/// anything; repeated variables must bind consistently).
-[[nodiscard]] bool atom_matches_tuple(const rules::Atom& atom,
-                                      const rdf::Triple& t);
 
 }  // namespace parowl::parallel

@@ -1,52 +1,55 @@
 #include "parowl/parallel/router.hpp"
 
-#include <algorithm>
-
 namespace parowl::parallel {
+namespace {
+
+/// The distinct owners of `t`'s subject and object, subject first; terms
+/// absent from the table contribute none.  Returns how many were written.
+std::size_t endpoint_owners(const partition::OwnerTable& owners,
+                            const rdf::Triple& t, std::uint32_t (&out)[2]) {
+  std::size_t n = 0;
+  if (const auto it = owners.find(t.s); it != owners.end()) {
+    out[n++] = it->second;
+  }
+  if (const auto it = owners.find(t.o); it != owners.end()) {
+    if (n == 0 || out[0] != it->second) {
+      out[n++] = it->second;
+    }
+  }
+  return n;
+}
+
+std::vector<RulePartition> index_parts(
+    const std::vector<rules::RuleSet>& rule_parts) {
+  std::vector<RulePartition> parts;
+  parts.reserve(rule_parts.size());
+  for (const rules::RuleSet& rule_set : rule_parts) {
+    parts.emplace_back(rule_set);
+  }
+  return parts;
+}
+
+}  // namespace
 
 void OwnerRouter::route(const rdf::Triple& t, std::uint32_t self,
                         std::vector<std::uint32_t>& out) const {
-  std::uint32_t first = self;
-  if (const auto it = owners_.find(t.s); it != owners_.end()) {
-    if (it->second != self) {
-      out.push_back(it->second);
-      first = it->second;
+  std::uint32_t owners[2];
+  const std::size_t n = endpoint_owners(owners_, t, owners);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (owners[i] != self) {
+      out.push_back(owners[i]);
     }
   }
-  if (const auto it = owners_.find(t.o); it != owners_.end()) {
-    if (it->second != self && it->second != first) {
-      out.push_back(it->second);
-    }
-  }
-}
-
-bool atom_matches_tuple(const rules::Atom& atom, const rdf::Triple& t) {
-  rules::Binding binding{};
-  return rules::bind_atom(atom, t, binding);
 }
 
 RuleMatchRouter::RuleMatchRouter(
-    const std::vector<rules::RuleSet>& partition_rules) {
-  body_atoms_.resize(partition_rules.size());
-  for (std::size_t p = 0; p < partition_rules.size(); ++p) {
-    for (const rules::Rule& r : partition_rules[p].rules()) {
-      for (const rules::Atom& a : r.body) {
-        body_atoms_[p].push_back(a);
-      }
-    }
-  }
-}
+    const std::vector<rules::RuleSet>& partition_rules)
+    : parts_(index_parts(partition_rules)) {}
 
 void RuleMatchRouter::route(const rdf::Triple& t, std::uint32_t self,
                             std::vector<std::uint32_t>& out) const {
-  for (std::uint32_t p = 0; p < body_atoms_.size(); ++p) {
-    if (p == self) {
-      continue;
-    }
-    const bool triggers = std::ranges::any_of(
-        body_atoms_[p],
-        [&t](const rules::Atom& a) { return atom_matches_tuple(a, t); });
-    if (triggers) {
+  for (std::uint32_t p = 0; p < parts_.size(); ++p) {
+    if (p != self && parts_[p].triggered_by(t)) {
       out.push_back(p);
     }
   }
@@ -54,42 +57,18 @@ void RuleMatchRouter::route(const rdf::Triple& t, std::uint32_t self,
 
 HybridRouter::HybridRouter(partition::OwnerTable owners,
                            const std::vector<rules::RuleSet>& rule_parts)
-    : owners_(std::move(owners)) {
-  body_atoms_.resize(rule_parts.size());
-  for (std::size_t j = 0; j < rule_parts.size(); ++j) {
-    for (const rules::Rule& r : rule_parts[j].rules()) {
-      for (const rules::Atom& a : r.body) {
-        body_atoms_[j].push_back(a);
-      }
-    }
-  }
-}
+    : owners_(std::move(owners)), parts_(index_parts(rule_parts)) {}
 
 void HybridRouter::route(const rdf::Triple& t, std::uint32_t self,
                          std::vector<std::uint32_t>& out) const {
-  const auto num_rule_parts = static_cast<std::uint32_t>(body_atoms_.size());
-
-  // Owning data partitions of the tuple's endpoints (at most two).
   std::uint32_t data_parts[2];
-  std::size_t num_data = 0;
-  if (const auto it = owners_.find(t.s); it != owners_.end()) {
-    data_parts[num_data++] = it->second;
-  }
-  if (const auto it = owners_.find(t.o); it != owners_.end()) {
-    if (num_data == 0 || data_parts[0] != it->second) {
-      data_parts[num_data++] = it->second;
-    }
-  }
-
-  for (std::uint32_t j = 0; j < num_rule_parts; ++j) {
-    const bool triggers = std::ranges::any_of(
-        body_atoms_[j],
-        [&t](const rules::Atom& a) { return atom_matches_tuple(a, t); });
-    if (!triggers) {
+  const std::size_t num_data = endpoint_owners(owners_, t, data_parts);
+  for (std::uint32_t j = 0; j < parts_.size(); ++j) {
+    if (!parts_[j].triggered_by(t)) {
       continue;
     }
     for (std::size_t i = 0; i < num_data; ++i) {
-      const std::uint32_t dest = data_parts[i] * num_rule_parts + j;
+      const std::uint32_t dest = data_parts[i] * rule_parts() + j;
       if (dest != self) {
         out.push_back(dest);
       }

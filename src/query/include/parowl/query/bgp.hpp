@@ -35,13 +35,14 @@ struct ResultSet {
   [[nodiscard]] std::size_t size() const { return rows.size(); }
 };
 
-/// Enumerate all solutions of the BGP over `store`, invoking `fn` with each
-/// complete binding.  Join order is chosen greedily by bound-position count
-/// (the same heuristic as the forward engine).  Returns the number of
-/// solutions visited.
+/// Enumerate the solutions of the BGP over `store`, invoking `fn` with each
+/// complete binding; `fn` returns false to stop the enumeration.  The join
+/// is the forward engine's (rules::join_body: most bound atom first).
+/// Returns the number of solutions visited, the one that stopped it
+/// included.
 std::size_t solve_bgp(const rdf::TripleStore& store,
-                      std::span<const rules::Atom> bgp, int num_vars,
-                      const std::function<void(const rules::Binding&)>& fn);
+                      std::span<const rules::Atom> bgp,
+                      const std::function<bool(const rules::Binding&)>& fn);
 
 /// Evaluate a SELECT query to a result table.
 [[nodiscard]] ResultSet evaluate(const rdf::TripleStore& store,

@@ -6,41 +6,14 @@
 #include <stdexcept>
 #include <string>
 
+#include "parowl/rules/match.hpp"
 #include "parowl/util/table.hpp"
 
 namespace parowl::query {
-namespace {
-
-struct Enumerator {
-  const rdf::TripleStore& store;
-  std::span<const rules::Atom> bgp;
-  const std::function<void(const rules::Binding&)>& fn;
-  std::size_t solutions = 0;
-
-  void recurse(unsigned done_mask, rules::Binding& binding) {
-    if (done_mask == (1u << bgp.size()) - 1) {
-      ++solutions;
-      fn(binding);
-      return;
-    }
-    const std::size_t best = rules::most_bound_atom(bgp, done_mask, binding);
-    const auto pattern = rules::to_pattern(bgp[best], binding);
-    store.match(pattern, [&](const rdf::Triple& t) {
-      rules::Binding saved = binding;
-      if (rules::bind_atom(bgp[best], t, binding)) {
-        recurse(done_mask | (1u << best), binding);
-      }
-      binding = saved;
-    });
-  }
-};
-
-}  // namespace
 
 std::size_t solve_bgp(const rdf::TripleStore& store,
-                      std::span<const rules::Atom> bgp, int num_vars,
-                      const std::function<void(const rules::Binding&)>& fn) {
-  (void)num_vars;
+                      std::span<const rules::Atom> bgp,
+                      const std::function<bool(const rules::Binding&)>& fn) {
   if (bgp.size() > rules::kMaxBodyAtoms) {
     throw std::invalid_argument(
         "basic graph pattern has " + std::to_string(bgp.size()) +
@@ -50,10 +23,13 @@ std::size_t solve_bgp(const rdf::TripleStore& store,
   if (bgp.empty()) {
     return 0;
   }
-  Enumerator e{store, bgp, fn};
+  std::size_t solutions = 0;
   rules::Binding binding{};
-  e.recurse(0, binding);
-  return e.solutions;
+  rules::join_body(store, bgp, 0, binding, [&] {
+    ++solutions;
+    return fn(binding);
+  });
+  return solutions;
 }
 
 ResultSet evaluate(const rdf::TripleStore& store, const SelectQuery& query) {
@@ -63,25 +39,18 @@ ResultSet evaluate(const rdf::TripleStore& store, const SelectQuery& query) {
   }
 
   std::set<std::vector<rdf::TermId>> dedup;
-  bool done = false;
-  solve_bgp(store, query.where, query.num_vars(),
-            [&](const rules::Binding& binding) {
-              if (done) {
-                return;
-              }
-              std::vector<rdf::TermId> row;
-              row.reserve(query.projection.size());
-              for (const int v : query.projection) {
-                row.push_back(binding[static_cast<std::size_t>(v)]);
-              }
-              if (query.distinct && !dedup.insert(row).second) {
-                return;
-              }
-              results.rows.push_back(std::move(row));
-              if (query.limit && results.rows.size() >= *query.limit) {
-                done = true;  // stop collecting (enumeration still finishes)
-              }
-            });
+  solve_bgp(store, query.where, [&](const rules::Binding& binding) {
+    std::vector<rdf::TermId> row;
+    row.reserve(query.projection.size());
+    for (const int v : query.projection) {
+      row.push_back(binding[static_cast<std::size_t>(v)]);
+    }
+    if (query.distinct && !dedup.insert(row).second) {
+      return true;
+    }
+    results.rows.push_back(std::move(row));
+    return !query.limit || results.rows.size() < *query.limit;  // LIMIT
+  });
   return results;
 }
 

@@ -179,11 +179,12 @@ EqualityEvalResult evaluate_with_equality(const rdf::TripleStore& store,
   }
   const std::vector<bool> expand = expand_flags(query, roles);
   Expander expander{query, roles, expand, eq, out, {}, false, {}};
-  solve_bgp(store, where, query.num_vars(),
-            [&](const rules::Binding& binding) {
-              ++out.stats.rows_in;
-              expander.emit(binding, 0);
-            });
+  // LIMIT applies after expansion, so the enumeration runs to the end.
+  solve_bgp(store, where, [&](const rules::Binding& binding) {
+    ++out.stats.rows_in;
+    expander.emit(binding, 0);
+    return true;
+  });
   out.stats.seconds = watch.elapsed_seconds();
   span.arg({"rows_in", out.stats.rows_in});
   span.arg({"rows_out", out.stats.rows_out});

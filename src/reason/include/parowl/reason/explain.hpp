@@ -30,9 +30,12 @@ struct ExplainOptions {
 /// premises are in the store and recursively explains those premises until
 /// everything bottoms out at base facts.
 ///
-/// Because the store is a fixpoint, a minimal-depth proof always exists for
-/// every derived triple; the explainer searches shallow-first (premises
-/// that are base facts are preferred), so the returned tree is concise.
+/// Because the store is a fixpoint, every derived triple has a proof.  The
+/// search is depth-first: it tries the rules in rule-set order, each rule's
+/// body instantiations in join order (rules::join_body), and returns the
+/// first proof whose premises all bottom out at base facts within the depth
+/// bound without revisiting a triple on the current path.  That proof is
+/// not necessarily the shallowest one.
 class Explainer {
  public:
   /// `materialized` must contain the closure; `base` the asserted leaves;

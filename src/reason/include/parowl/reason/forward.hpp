@@ -12,6 +12,7 @@
 #include "parowl/rdf/triple_store.hpp"
 #include "parowl/reason/clique.hpp"
 #include "parowl/reason/equality.hpp"
+#include "parowl/rules/match.hpp"
 #include "parowl/rules/rule.hpp"
 
 namespace parowl::reason {
@@ -159,12 +160,6 @@ class ForwardEngine {
                                                     std::size_t hi);
 
  private:
-  /// One body atom usable as the entry point of a rule firing.
-  struct PivotRef {
-    std::uint32_t rule = 0;
-    std::uint32_t pivot = 0;
-  };
-
   /// Per-thread accumulation state for one iteration's matching pass: the
   /// deduplicated derivations awaiting the round barrier, in emission
   /// order, each tagged with the rule that produced it (for
@@ -187,36 +182,15 @@ class ForwardEngine {
     }
   };
 
-  /// Candidate pivots for one predicate, discriminated a second time on
-  /// the pivot atom's object position (Rete-style alpha discrimination):
-  /// a pivot like (?x rdf:type Student) only ever binds triples whose
-  /// object is Student, so type triples skip every other class's rules.
-  /// `generic` holds the pivots with a variable object (merged with the
-  /// wildcard-predicate pivots); `by_object` holds the constant-object
-  /// pivots keyed by that constant.  Both are in (rule, pivot) order, so
-  /// an ordered merge visits surviving pairs in the order a scan of every
-  /// pair would.
-  struct Bucket {
-    std::vector<PivotRef> generic;
-    rdf::IdMap<std::uint32_t> object_slot;  // object const -> index + 1
-    std::vector<std::vector<PivotRef>> by_object;
-  };
-
-  /// Route one frontier triple to its candidate (rule, pivot) pairs.
-  void dispatch_triple(const rdf::Triple& t, Shard& shard);
-
   /// Match frontier triples [lo, hi) against their candidate pivots,
   /// accumulating into `shard`.
   void process_range(std::size_t lo, std::size_t hi, Shard& shard);
 
   /// Match one frontier triple against body atom `pivot` of `rule`; on
-  /// success join the remaining atoms against the store.
+  /// success join the remaining atoms against the store and collect the
+  /// heads into `shard`.
   void fire_rule(std::size_t rule_index, std::size_t pivot,
                  const rdf::Triple& delta_triple, Shard& shard);
-
-  /// Recursive join over unprocessed body atoms.
-  void join(std::size_t rule_index, unsigned done_mask,
-            rules::Binding& binding, Shard& shard);
 
   /// True iff this run rewrites equality (mode, manager, sameAs id, dict).
   [[nodiscard]] bool rewrite_active() const;
@@ -238,12 +212,8 @@ class ForwardEngine {
   const rules::RuleSet& rules_;
   ForwardOptions options_;
 
-  // Dispatch index: predicate -> Bucket, stored as a flat IdMap of bucket
-  // indexes + 1 (0 = absent); wildcard_pivots_ alone serves predicates
-  // unseen at construction.
-  rdf::IdMap<std::uint32_t> pivot_bucket_slot_;
-  std::vector<Bucket> pivot_buckets_;
-  std::vector<PivotRef> wildcard_pivots_;
+  /// Routes each frontier triple to the (rule, pivot) pairs it can bind.
+  rules::DispatchIndex dispatch_;
 
   /// Symmetric-transitive predicates and each rule's role for them.
   CliqueAnalysis cliques_;

@@ -4,42 +4,9 @@
 #include <functional>
 #include <sstream>
 
-#include "parowl/rules/rule.hpp"
+#include "parowl/rules/match.hpp"
 
 namespace parowl::reason {
-namespace {
-
-/// Enumerate instantiations of `body` against `store` under `binding`,
-/// invoking `emit` with the premise triples of each complete match.
-/// `emit` returns true to stop the enumeration (a proof was found).
-bool enumerate_premises(const rdf::TripleStore& store,
-                        const std::vector<rules::Atom>& body,
-                        unsigned done_mask, rules::Binding& binding,
-                        std::vector<rdf::Triple>& premises,
-                        const std::function<bool()>& emit) {
-  if (done_mask == (1u << body.size()) - 1) {
-    return emit();
-  }
-  const std::size_t best = rules::most_bound_atom(body, done_mask, binding);
-  bool stopped = false;
-  store.match(rules::to_pattern(body[best], binding),
-              [&](const rdf::Triple& t) {
-                if (stopped) {
-                  return;
-                }
-                rules::Binding saved = binding;
-                if (rules::bind_atom(body[best], t, binding)) {
-                  premises[best] = t;
-                  stopped = enumerate_premises(store, body, done_mask |
-                                               (1u << best),
-                                               binding, premises, emit);
-                }
-                binding = saved;
-              });
-  return stopped;
-}
-
-}  // namespace
 
 Explainer::Explainer(const rdf::TripleStore& materialized,
                      const rdf::TripleStore& base,
@@ -78,16 +45,15 @@ std::unique_ptr<Derivation> Explainer::prove(
     if (!rules::bind_atom(rule.head, t, binding)) {
       continue;
     }
-    std::vector<rdf::Triple> premises(rule.body.size());
-    const bool found = enumerate_premises(
-        materialized_, rule.body, 0, binding, premises, [&]() {
+    const bool exhausted = rules::join_body(
+        materialized_, rule.body, 0, binding, [&] {
           // Premises must not be the goal itself (trivial self-loops like
           // symmetric pairs are caught by the path guard when recursing).
           std::vector<std::unique_ptr<Derivation>> proofs;
-          for (const rdf::Triple& premise : premises) {
-            auto sub = prove(premise, depth - 1, on_path);
+          for (const rules::Atom& atom : rule.body) {
+            auto sub = prove(rules::ground(atom, binding), depth - 1, on_path);
             if (!sub) {
-              return false;  // try the next instantiation
+              return true;  // try the next instantiation
             }
             proofs.push_back(std::move(sub));
           }
@@ -95,9 +61,9 @@ std::unique_ptr<Derivation> Explainer::prove(
           result->triple = t;
           result->rule_name = rule.name;
           result->premises = std::move(proofs);
-          return true;
+          return false;  // proved: stop the join
         });
-    if (found) {
+    if (!exhausted) {
       break;
     }
   }

@@ -3,7 +3,6 @@
 #include "parowl/obs/obs.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <optional>
 #include <span>
 #include <string>
@@ -13,12 +12,6 @@
 #include "parowl/util/thread_team.hpp"
 
 namespace parowl::reason {
-namespace {
-
-using rules::bind_atom;
-using rules::to_pattern;
-
-}  // namespace
 
 ForwardEngine::ForwardEngine(rdf::TripleStore& store,
                              const rules::RuleSet& rules,
@@ -26,58 +19,8 @@ ForwardEngine::ForwardEngine(rdf::TripleStore& store,
     : store_(store),
       rules_(rules),
       options_(options),
+      dispatch_(rules),
       cliques_(analyze_cliques(rules)) {
-  // Compile the rule set into the dispatch index: every (rule, pivot) pair,
-  // bucketed by the pivot atom's predicate.  A pivot with a constant
-  // predicate c can only bind triples with predicate c; a pivot whose
-  // predicate position is a variable (the sameAs family) can bind anything
-  // and lands in the wildcard bucket.  Within a predicate bucket, pivots
-  // with a constant object are discriminated a second time on that
-  // constant.  Every list is built in (rule, pivot) order and
-  // dispatch_triple merges them in that order, so dispatching a triple
-  // visits candidates in exactly the order a scan of every pair would
-  // visit its surviving ones.
-  for (std::size_t r = 0; r < rules_.size(); ++r) {
-    const rules::Rule& rule = rules_[r];
-    for (std::size_t b = 0; b < rule.body.size(); ++b) {
-      const PivotRef pr{static_cast<std::uint32_t>(r),
-                        static_cast<std::uint32_t>(b)};
-      const rules::Atom& atom = rule.body[b];
-      if (atom.p.is_var()) {
-        wildcard_pivots_.push_back(pr);
-        continue;
-      }
-      std::uint32_t& slot = pivot_bucket_slot_[atom.p.const_id()];
-      if (slot == 0) {
-        pivot_buckets_.emplace_back();
-        slot = static_cast<std::uint32_t>(pivot_buckets_.size());
-      }
-      Bucket& bucket = pivot_buckets_[slot - 1];
-      if (atom.o.is_var()) {
-        bucket.generic.push_back(pr);
-      } else {
-        std::uint32_t& oslot = bucket.object_slot[atom.o.const_id()];
-        if (oslot == 0) {
-          bucket.by_object.emplace_back();
-          oslot = static_cast<std::uint32_t>(bucket.by_object.size());
-        }
-        bucket.by_object[oslot - 1].push_back(pr);
-      }
-    }
-  }
-  // Wildcard-predicate pivots can bind any triple: merge them into every
-  // bucket's generic list, restoring (rule, pivot) order.
-  if (!wildcard_pivots_.empty()) {
-    for (Bucket& bucket : pivot_buckets_) {
-      bucket.generic.insert(bucket.generic.end(), wildcard_pivots_.begin(),
-                            wildcard_pivots_.end());
-      std::sort(bucket.generic.begin(), bucket.generic.end(),
-                [](const PivotRef a, const PivotRef b) {
-                  return a.rule != b.rule ? a.rule < b.rule
-                                          : a.pivot < b.pivot;
-                });
-    }
-  }
   // Rewrite mode: collect every constant term the rule set mentions.  An
   // equality class touching one of these is a schema-level merge the
   // individual-oriented rewrite cannot express (see eq_conflicts).
@@ -188,78 +131,6 @@ std::size_t ForwardEngine::rewrite_store(std::size_t keep_end,
   return frontier;
 }
 
-void ForwardEngine::dispatch_triple(const rdf::Triple& t, Shard& shard) {
-  const std::uint32_t* slot = pivot_bucket_slot_.find(t.p);
-  if (slot == nullptr) {
-    // Predicate unseen at construction: only wildcard pivots can bind.
-    for (const PivotRef pr : wildcard_pivots_) {
-      fire_rule(pr.rule, pr.pivot, t, shard);
-    }
-    return;
-  }
-  const Bucket& bucket = pivot_buckets_[*slot - 1];
-  const std::uint32_t* oslot = bucket.object_slot.find(t.o);
-  if (oslot == nullptr) {
-    for (const PivotRef pr : bucket.generic) {
-      fire_rule(pr.rule, pr.pivot, t, shard);
-    }
-    return;
-  }
-  // Ordered merge of the generic pivots and this object's pivots keeps the
-  // global (rule, pivot) visit order of a full scan.
-  const std::vector<PivotRef>& exact = bucket.by_object[*oslot - 1];
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < bucket.generic.size() || j < exact.size()) {
-    const bool take_generic =
-        j == exact.size() ||
-        (i < bucket.generic.size() &&
-         (bucket.generic[i].rule != exact[j].rule
-              ? bucket.generic[i].rule < exact[j].rule
-              : bucket.generic[i].pivot < exact[j].pivot));
-    const PivotRef pr = take_generic ? bucket.generic[i++] : exact[j++];
-    fire_rule(pr.rule, pr.pivot, t, shard);
-  }
-}
-
-void ForwardEngine::join(std::size_t rule_index, unsigned done_mask,
-                         rules::Binding& binding, Shard& shard) {
-  const rules::Rule& rule = rules_[rule_index];
-  const auto body_size = rule.body.size();
-
-  if (done_mask == (1u << body_size) - 1) {
-    // All atoms matched: instantiate the head.
-    const auto pattern = to_pattern(rule.head, binding);
-    assert(pattern.s != rdf::kAnyTerm && pattern.p != rdf::kAnyTerm &&
-           pattern.o != rdf::kAnyTerm);
-    ++shard.attempts[rule_index];
-    if (options_.dict != nullptr &&
-        options_.dict->kind(pattern.s) == rdf::TermKind::kLiteral) {
-      return;  // literal guard: no statements about literals
-    }
-    const rdf::Triple derived{pattern.s, pattern.p, pattern.o};
-    if (!store_.contains(derived) && shard.seen.insert(derived)) {
-      shard.pending.push_back(derived);
-      shard.rules.push_back(static_cast<std::uint32_t>(rule_index));
-    }
-    return;
-  }
-
-  const std::size_t best =
-      rules::most_bound_atom(rule.body, done_mask, binding);
-  assert(best < body_size);
-
-  const auto pattern = to_pattern(rule.body[best], binding);
-  const auto on_match = [&](const rdf::Triple& t) {
-    rules::Binding saved = binding;
-    if (bind_atom(rule.body[best], t, binding)) {
-      join(rule_index, done_mask | (1u << best), binding, shard);
-    }
-    binding = saved;
-  };
-  store_.match(pattern, on_match);
-}
-
 void ForwardEngine::fire_rule(std::size_t rule_index, std::size_t pivot,
                               const rdf::Triple& delta_triple, Shard& shard) {
   const rules::Rule& rule = rules_[rule_index];
@@ -269,7 +140,7 @@ void ForwardEngine::fire_rule(std::size_t rule_index, std::size_t pivot,
     return;  // the clique operator closes this predicate
   }
   rules::Binding binding{};
-  if (!bind_atom(rule.body[pivot], delta_triple, binding)) {
+  if (!rules::bind_atom(rule.body[pivot], delta_triple, binding)) {
     return;
   }
   if (role == CliqueRole::kTransitive) {
@@ -281,7 +152,19 @@ void ForwardEngine::fire_rule(std::size_t rule_index, std::size_t pivot,
       return;
     }
   }
-  join(rule_index, 1u << pivot, binding, shard);
+  rules::join_body(store_, rule.body, 1u << pivot, binding, [&] {
+    const rdf::Triple derived = rules::ground(rule.head, binding);
+    ++shard.attempts[rule_index];
+    if (options_.dict != nullptr &&
+        options_.dict->kind(derived.s) == rdf::TermKind::kLiteral) {
+      return true;  // literal guard: no statements about literals
+    }
+    if (!store_.contains(derived) && shard.seen.insert(derived)) {
+      shard.pending.push_back(derived);
+      shard.rules.push_back(static_cast<std::uint32_t>(rule_index));
+    }
+    return true;
+  });
 }
 
 void ForwardEngine::process_range(std::size_t lo, std::size_t hi,
@@ -292,7 +175,10 @@ void ForwardEngine::process_range(std::size_t lo, std::size_t hi,
   // threads.
   const std::vector<rdf::Triple>& log = store_.triples();
   for (std::size_t i = lo; i < hi; ++i) {
-    dispatch_triple(log[i], shard);
+    const rdf::Triple& t = log[i];
+    dispatch_.for_each_candidate(t, [&](const rules::PivotRef ref) {
+      fire_rule(ref.rule, ref.pivot, t, shard);
+    });
   }
 }
 
@@ -300,7 +186,7 @@ std::vector<ForwardEngine::Derivation> ForwardEngine::match_delta(
     std::size_t lo, std::size_t hi) {
   // One matching pass, no insertion, no iteration to fixpoint: exactly the
   // body of a single round restricted to [lo, hi), with the results
-  // returned instead of merged into the store.  `join` only reads the
+  // returned instead of merged into the store.  The join only reads the
   // store (contains + match), so the victim's log stays untouched.
   Shard shard;
   shard.reset(rules_.size());

@@ -7,96 +7,11 @@
 #include "parowl/obs/obs.hpp"
 #include "parowl/reason/materialize.hpp"
 #include "parowl/rules/compiler.hpp"
+#include "parowl/rules/match.hpp"
 #include "parowl/util/timer.hpp"
 
 namespace parowl::reason {
 namespace {
-
-/// One body atom usable as a forward-propagation entry point, mirroring the
-/// forward engine's dispatch pairs.
-struct PivotRef {
-  std::uint32_t rule = 0;
-  std::uint32_t pivot = 0;
-};
-
-/// Predicate-keyed dispatch index over a rule set: deletions propagate the
-/// same way derivations do, by routing each condemned triple only to the
-/// (rule, pivot) pairs whose pivot pattern can bind it.
-struct DispatchIndex {
-  rdf::IdMap<std::uint32_t> slot;            // predicate -> bucket index + 1
-  std::vector<std::vector<PivotRef>> buckets;
-  std::vector<PivotRef> wildcard;            // variable-predicate pivots
-
-  explicit DispatchIndex(const rules::RuleSet& rules) {
-    for (std::uint32_t r = 0; r < rules.size(); ++r) {
-      const std::vector<rules::Atom>& body = rules[r].body;
-      for (std::uint32_t i = 0; i < body.size(); ++i) {
-        if (body[i].p.is_const()) {
-          std::uint32_t& s = slot[body[i].p.const_id()];
-          if (s == 0) {
-            buckets.emplace_back();
-            s = static_cast<std::uint32_t>(buckets.size());
-          }
-          buckets[s - 1].push_back({r, i});
-        } else {
-          wildcard.push_back({r, i});
-        }
-      }
-    }
-  }
-
-  /// Invoke `fn(PivotRef)` for every candidate pair of `t`.
-  template <typename Fn>
-  void dispatch(const rdf::Triple& t, Fn&& fn) const {
-    if (const std::uint32_t* s = slot.find(t.p)) {
-      for (const PivotRef& ref : buckets[*s - 1]) {
-        fn(ref);
-      }
-    }
-    for (const PivotRef& ref : wildcard) {
-      fn(ref);
-    }
-  }
-};
-
-/// Recursive join of `rule`'s body atoms not in `done_mask` against `store`,
-/// invoking `fn()` for every complete binding.  `fn` returns false to stop
-/// the enumeration (existence checks).  Returns false iff stopped early.
-template <typename Fn>
-bool join_rest(const rdf::TripleStore& store, const rules::Rule& rule,
-               unsigned done_mask, rules::Binding& binding, Fn&& fn) {
-  const auto body_size = static_cast<unsigned>(rule.body.size());
-  if (done_mask == (1u << body_size) - 1) {
-    return fn();
-  }
-  const std::size_t best =
-      rules::most_bound_atom(rule.body, done_mask, binding);
-  assert(best < body_size);
-  const auto pattern = rules::to_pattern(rule.body[best], binding);
-  bool keep_going = true;
-  store.match(pattern, [&](const rdf::Triple& t) {
-    if (!keep_going) {
-      return;
-    }
-    rules::Binding saved = binding;
-    if (rules::bind_atom(rule.body[best], t, binding)) {
-      keep_going =
-          join_rest(store, rule, done_mask | (1u << best), binding, fn);
-    }
-    binding = saved;
-  });
-  return keep_going;
-}
-
-/// Ground `head` under a complete binding (range restriction guarantees
-/// every head variable is bound).
-rdf::Triple ground_head(const rules::Atom& head,
-                        const rules::Binding& binding) {
-  const auto pattern = rules::to_pattern(head, binding);
-  assert(pattern.s != rdf::kAnyTerm && pattern.p != rdf::kAnyTerm &&
-         pattern.o != rdf::kAnyTerm);
-  return {pattern.s, pattern.p, pattern.o};
-}
 
 /// True iff some rule derives `t` in one step from facts in `store`.
 bool one_step_derivable(const rdf::TripleStore& store,
@@ -106,10 +21,9 @@ bool one_step_derivable(const rdf::TripleStore& store,
     if (!rules::bind_atom(rule.head, t, binding)) {
       continue;
     }
-    const bool exhausted =
-        join_rest(store, rule, 0, binding, [&] { return false; });
-    if (!exhausted) {
-      return true;  // enumeration stopped at the first complete binding
+    if (!rules::join_body(store, rule.body, 0, binding,
+                          [] { return false; })) {
+      return true;  // the join stopped at the first complete binding
     }
   }
   return false;
@@ -253,7 +167,7 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store, rdf::TripleSet& base,
     return result;
   }
 
-  const DispatchIndex dispatch(compiled.rules);
+  const rules::DispatchIndex dispatch(compiled.rules);
 
   // Facts that can never leave the closure: the updated base plus the
   // compile-time ground facts (schema-derived; instance deletions cannot
@@ -286,14 +200,14 @@ MaintainResult Maintainer::apply(rdf::TripleStore& store, rdf::TripleSet& base,
         frontier_end = cone.size();
       }
       const rdf::Triple t = cone[processed++];
-      dispatch.dispatch(t, [&](const PivotRef& ref) {
+      dispatch.for_each_candidate(t, [&](const rules::PivotRef ref) {
         const rules::Rule& rule = compiled.rules[ref.rule];
         rules::Binding binding{};
         if (!rules::bind_atom(rule.body[ref.pivot], t, binding)) {
           return;
         }
-        join_rest(store, rule, 1u << ref.pivot, binding, [&] {
-          const rdf::Triple head = ground_head(rule.head, binding);
+        rules::join_body(store, rule.body, 1u << ref.pivot, binding, [&] {
+          const rdf::Triple head = rules::ground(rule.head, binding);
           // A sameAs head means the deleted fact supported a merge (rdfp1/2
           // fired through it); the class map would have to shrink, which it
           // cannot.  Checked BEFORE the contains test — rewritten stores

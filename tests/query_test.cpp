@@ -152,10 +152,36 @@ TEST_F(QueryTest, SolveBgpCountsSolutions) {
       rules::Atom{rules::AtomTerm::var(0), rules::AtomTerm::constant(worksFor),
                   rules::AtomTerm::var(1)}};
   std::size_t count = 0;
-  const std::size_t solutions = solve_bgp(
-      store, bgp, 2, [&count](const rules::Binding&) { ++count; });
+  const std::size_t solutions =
+      solve_bgp(store, bgp, [&count](const rules::Binding&) {
+        ++count;
+        return true;
+      });
   EXPECT_EQ(solutions, 2u);
   EXPECT_EQ(count, 2u);
+}
+
+// The callback's `false` ends the join at once: evaluate relies on it to
+// stop at LIMIT instead of enumerating every remaining solution.
+TEST_F(QueryTest, SolveBgpStopsWhenTheCallbackDeclines) {
+  const auto likes = iri("http://ex/likes");
+  for (int i = 0; i < 12; ++i) {
+    store.insert({iri("http://ex/fan" + std::to_string(i)), likes,
+                  iri("http://ex/owl")});
+  }
+  const std::vector<rules::Atom> bgp{
+      rules::Atom{rules::AtomTerm::var(0), rules::AtomTerm::constant(likes),
+                  rules::AtomTerm::var(1)}};
+  const auto all = [](const rules::Binding&) { return true; };
+  EXPECT_EQ(solve_bgp(store, bgp, all), 12u);
+
+  std::size_t calls = 0;
+  const std::size_t visited = solve_bgp(store, bgp, [&](const rules::Binding&) {
+    ++calls;
+    return false;
+  });
+  EXPECT_EQ(visited, 1u);
+  EXPECT_EQ(calls, 1u);
 }
 
 TEST_F(QueryTest, ToTextRendersHeaderAndRows) {
@@ -229,7 +255,7 @@ TEST_F(QueryTest, SolveBgpRejectsMoreThanThirtyOneAtoms) {
                                   iri("http://ex/Professor"))};
   const auto count = [&](std::size_t atoms) {
     const std::vector<rules::Atom> bgp(atoms, professor);
-    return solve_bgp(store, bgp, 1, [](const rules::Binding&) {});
+    return solve_bgp(store, bgp, [](const rules::Binding&) { return true; });
   };
   EXPECT_EQ(count(31), 2u);
   EXPECT_THROW(count(32), std::invalid_argument);

@@ -3,10 +3,13 @@
 #include <sstream>
 #include <string>
 
+#include "parowl/gen/lubm.hpp"
 #include "parowl/reason/forward.hpp"
+#include "parowl/reason/materialize.hpp"
 #include "parowl/rules/compiler.hpp"
 #include "parowl/rules/dependency_graph.hpp"
 #include "parowl/rules/horst_rules.hpp"
+#include "parowl/rules/match.hpp"
 #include "parowl/rules/rule.hpp"
 #include "parowl/rules/rule_parser.hpp"
 
@@ -257,6 +260,75 @@ TEST(HorstRules, OptionsPruneRuleFamilies) {
   HorstOptions reflexive;
   reflexive.include_reflexivity = true;
   EXPECT_NE(horst_rules(vocab, reflexive).find("rdfs6"), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch index
+
+/// The (rule, atom) pairs of `rules` whose atom binds `t`, by a scan of
+/// every pair: the ground truth the index must reproduce.
+std::vector<PivotRef> binding_pairs(const RuleSet& rules,
+                                    const rdf::Triple& t) {
+  std::vector<PivotRef> out;
+  for (std::uint32_t r = 0; r < rules.size(); ++r) {
+    for (std::uint32_t a = 0; a < rules[r].body.size(); ++a) {
+      Binding binding{};
+      if (bind_atom(rules[r].body[a], t, binding)) {
+        out.push_back({r, a});
+      }
+    }
+  }
+  return out;
+}
+
+/// The index's candidates for `t` that bind it, in visit order.
+std::vector<PivotRef> binding_candidates(const DispatchIndex& index,
+                                         const RuleSet& rules,
+                                         const rdf::Triple& t) {
+  std::vector<PivotRef> out;
+  index.for_each_candidate(t, [&](const PivotRef ref) {
+    Binding binding{};
+    if (bind_atom(rules[ref.rule].body[ref.pivot], t, binding)) {
+      out.push_back(ref);
+    }
+  });
+  return out;
+}
+
+// Over a whole LUBM(1) closure plus triples whose predicate no rule names,
+// for the compiled rules and the generic Horst rules (variable-predicate
+// sameAs atoms included): the index loses no binding pair and visits the
+// pairs in ascending (rule, atom) order, the order a full scan would.
+TEST(DispatchIndex, CandidatesThatBindAreExactlyAFullScanInOrder) {
+  rdf::Dictionary dict;
+  const ontology::Vocabulary vocab(dict);
+  rdf::TripleStore store;
+  gen::LubmOptions opts;
+  opts.universities = 1;
+  gen::generate_lubm(opts, dict, store);
+  reason::materialize(store, dict, vocab, {});
+
+  std::vector<rdf::Triple> triples = store.triples();
+  const rdf::TermId unknown = dict.intern_iri("http://ex/notInAnyRule");
+  const rdf::TermId some = triples.front().s;
+  triples.push_back({some, unknown, some});
+  triples.push_back({some, unknown, vocab.owl_thing});
+  triples.push_back({vocab.owl_same_as, unknown, some});
+
+  const RuleSet generic = horst_rules(vocab);
+  const RuleSet compiled = reason::compile_ontology(store, vocab).rules;
+  for (const RuleSet* rules : {&compiled, &generic}) {
+    const DispatchIndex index(*rules);
+    std::size_t pairs = 0;
+    for (const rdf::Triple& t : triples) {
+      const std::vector<PivotRef> expected = binding_pairs(*rules, t);
+      const std::vector<PivotRef> got = binding_candidates(index, *rules, t);
+      ASSERT_EQ(got, expected) << "triple " << t.s << " " << t.p << " " << t.o;
+      EXPECT_EQ(index.triggers(*rules, t), !expected.empty());
+      pairs += got.size();
+    }
+    EXPECT_GT(pairs, triples.size());  // the check is not vacuous
+  }
 }
 
 // ---------------------------------------------------------------------------

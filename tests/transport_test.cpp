@@ -580,14 +580,17 @@ TEST(RuleMatchRouter, VariablePredicateAtomMatchesEverything) {
   EXPECT_EQ(dests[0], 0u);
 }
 
+// The routers' trigger test is the dispatch index's: a candidate atom must
+// also bind, so a repeated variable constrains the tuple.
 TEST(AtomMatchesTuple, RepeatedVariableConstraint) {
   rdf::Dictionary dict;
   rules::RuleParser parser(dict);
-  const auto rule = parser.parse_rule("r: (?x <p> ?x) -> (?x <q> ?x)");
-  ASSERT_TRUE(rule.has_value());
+  rules::RuleSet rule_set;
+  rule_set.add(*parser.parse_rule("r: (?x <p> ?x) -> (?x <q> ?x)"));
+  const rules::DispatchIndex index(rule_set);
   const auto p = dict.find_iri("p");
-  EXPECT_TRUE(atom_matches_tuple(rule->body[0], {7, p, 7}));
-  EXPECT_FALSE(atom_matches_tuple(rule->body[0], {7, p, 8}));
+  EXPECT_TRUE(index.triggers(rule_set, {7, p, 7}));
+  EXPECT_FALSE(index.triggers(rule_set, {7, p, 8}));
 }
 
 }  // namespace

@@ -26,9 +26,11 @@
 # (N-Triples, Turtle, SPARQL, rule and snapshot parsers) — the places where
 # serialization, parsing and concurrency bugs would live.  The UBSan subset
 # (-fno-sanitize-recover=all, so any undefined behaviour fails the test)
-# runs the mutated-input suite, the codec and ingest paths, and the
+# runs the mutated-input suite, the codec and ingest paths, the
 # transport/worker/fault/cluster layers that decode envelopes and
-# checkpoints.
+# checkpoints, and the rule matcher (rules/match.hpp) with its callers: the
+# forward engine, maintenance, queries and the explainer, whose joins shift
+# `1u << n` masks.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -68,12 +70,14 @@ cmake --build --preset asan -j "$jobs" \
   parser_robustness_test
 ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|QueryService|Dist|Incremental|SameAs|Partition|Streaming|Clique|Parser|SnapshotRobustness'
 
-echo "=== ubsan subset (mutated parser + snapshot input, codec, ingest, transport, worker, fault sweep, cluster) ==="
+echo "=== ubsan subset (mutated parser + snapshot input, codec, ingest, transport, worker, fault sweep, cluster, the rule matcher and its callers) ==="
 cmake --preset ubsan
 cmake --build --preset ubsan -j "$jobs" \
   --target parser_robustness_test codec_test ingest_equivalence_test \
-  transport_test worker_test fault_injection_test cluster_test
-ctest --preset ubsan -j "$jobs" -R 'Parser|SnapshotRobustness|TermTable|TripleBlock|Varint|Zigzag|Ingest|AtomMatchesTuple|Transport|OwnerRouter|RuleMatchRouter|Worker|Fault|RoundFlavour|Cluster'
+  transport_test worker_test fault_injection_test cluster_test \
+  rules_test forward_test engine_equivalence_test incremental_test \
+  query_test explain_test lubm_queries_test
+ctest --preset ubsan -j "$jobs" -R 'Parser|SnapshotRobustness|TermTable|TripleBlock|Varint|Zigzag|Ingest|AtomMatchesTuple|Transport|OwnerRouter|RuleMatchRouter|Worker|Fault|RoundFlavour|Cluster|ForwardTest|EngineEquivalence|IncrementalMaintain|IncrementalServe|QueryTest|ExplainTest|LubmQueries|BindAtom|ToPattern|Compiler|HorstRules|DispatchIndex'
 
 echo "=== tsan subset (obs, dist executor + replica RCU, async steal/token, incremental serve loop + serve oracles, QueryService readers vs the copy-on-write updater, equality rewrite, reader->partitioner chunk sink, parallel ingest merge + bulk insert, engine round barrier, clique operator, async-threaded executor on UOBM, cluster load + end-of-run aggregation team, threaded round driver under the fault sweep, transports + the worker's shared envelope path) ==="
 cmake --preset tsan
