@@ -8,11 +8,13 @@
 // baseline under the identical workload.  Counters report the
 // client-observed p50/p99 in microseconds plus per-run routing totals.
 //
-// Single-core caveat (as for the ingest sweep): router, replicas, and the
-// executor all share one core here, so added partitions/replicas cost
-// fan-out work without buying parallel scan time; compare rows for the
-// *shape* (tail vs fan-out width, failover overhead), not absolute
-// speedups.  See EXPERIMENTS.md "Distributed serving".
+// Fan-out is not parallel: the front end runs two executor threads, so
+// two requests proceed at once on a multi-core host, but one request's
+// scans run one after another on its executor thread over the in-memory
+// transport.  Added partitions/replicas therefore cost fan-out work
+// without buying parallel scan time; compare rows for the *shape* (tail
+// vs fan-out width, failover overhead), not absolute speedups.  See
+// EXPERIMENTS.md "Distributed serving".
 
 #include <benchmark/benchmark.h>
 

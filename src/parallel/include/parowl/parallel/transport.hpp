@@ -51,19 +51,13 @@ struct CommStats {
 /// Stats protocol (obs/report.hpp): obs::to_json / obs::print / obs::publish.
 [[nodiscard]] obs::FieldList fields(const CommStats& s);
 
-/// SplitMix64 finalizer — the avalanche behind every checksum and every
-/// deterministic fault decision in this layer.
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x);
-
 /// Uniform double in [0, 1) from a hash value.
 [[nodiscard]] double hash_unit(std::uint64_t h);
 
-/// Content digest of one triple (SplitMix64 over the packed ids).
-[[nodiscard]] std::uint64_t triple_digest(const rdf::Triple& t);
-
-/// Order-insensitive batch checksum: wrapping sum of triple digests.  The
-/// closure is a set, so a reordered batch is *not* corrupt; a batch with a
-/// mutated, missing, or extra tuple is.
+/// Order-insensitive batch checksum: wrapping sum of the triples'
+/// rdf::triple_digest values.  The closure is a set, so a reordered
+/// batch is *not* corrupt; a batch with a mutated, missing, or extra tuple
+/// is.
 [[nodiscard]] std::uint64_t batch_checksum(std::span<const rdf::Triple> tuples);
 
 /// Globally unique batch identity: (from, to, round, seq) packed into 64

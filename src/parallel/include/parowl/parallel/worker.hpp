@@ -235,7 +235,8 @@ class Worker {
   /// sets `*round` to the round the checkpoint was taken at and returns
   /// true; on failure returns false with `*error` describing why (the
   /// worker is left cleared, sender state included).  Never throws on a
-  /// damaged stream: counts read from the file size nothing up front.
+  /// damaged stream: the digest is checked before anything is decoded, and
+  /// every count is bounded by the bytes left.
   bool load_checkpoint(std::istream& in, std::uint32_t* round,
                        std::string* error = nullptr);
 

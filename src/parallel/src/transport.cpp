@@ -7,30 +7,21 @@
 
 #include "parowl/rdf/codec.hpp"
 #include "parowl/util/log.hpp"
+#include "parowl/util/strings.hpp"
 #include "parowl/util/timer.hpp"
 
 namespace parowl::parallel {
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using util::mix64;
 
 double hash_unit(std::uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-std::uint64_t triple_digest(const rdf::Triple& t) {
-  return mix64((static_cast<std::uint64_t>(t.s) << 32) ^
-               (static_cast<std::uint64_t>(t.p) << 16) ^ t.o);
-}
-
 std::uint64_t batch_checksum(std::span<const rdf::Triple> tuples) {
   std::uint64_t sum = 0;
   for (const rdf::Triple& t : tuples) {
-    sum += triple_digest(t);  // wrapping sum: order-insensitive
+    sum += rdf::triple_digest(t);  // wrapping sum: order-insensitive
   }
   return sum;
 }

@@ -1,15 +1,20 @@
 #include "parowl/parallel/worker.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <istream>
+#include <iterator>
+#include <limits>
 #include <numeric>
 #include <ostream>
+#include <string_view>
 #include <tuple>
 
 #include "parowl/obs/obs.hpp"
 #include "parowl/rdf/codec.hpp"
 #include "parowl/reason/forward.hpp"
+#include "parowl/util/strings.hpp"
 #include "parowl/util/thread_team.hpp"
 #include "parowl/util/timer.hpp"
 
@@ -565,209 +570,154 @@ void Worker::prune_outbox() {
 
 // -- Checkpointing ----------------------------------------------------
 //
-// Format (binary, little-endian on every supported target):
-//   magic "POWC" | u32 version | u32 worker id | u32 round
-//   u64 base_size | u64 frontier | u64 route_mark
-//   u64 ntriples | codec triple blocks (delta varints + block checksums)
-//   u64 nseen    | nseen * u64
-//   u64 nrounds  | nrounds * RoundStats (4 x f64, 8 x u64)
-//   u64 nrules   | nrules * u64
-//   u32 send_seq | u64 noutbox | noutbox * outbox entry
-//   u64 digest   (mix64 chain over every field above)
-// Version 2 replaced the fixed 3 x u32 triple records with the shared
-// compact codec (rdf/codec.hpp).  Version 3 adds the async executor's
-// sender state: the monotonic send sequence and the outbox log (each
-// entry: u32 to | u32 kind | u32 round=sender-seq | u64 ntuples | codec
-// triple blocks), so a recovered worker can resend in-flight envelopes.
-// Version 4 digests every bit of an outbox entry's destination (version
-// 3 packed it into one word that dropped its top byte).  Counts read from
-// the file size nothing up front: vectors grow as records decode, so a
-// damaged count fails as a truncated stream instead of a huge allocation.
-// In async runs the `round` header field holds the termination-token
-// epoch of the cut.  The digest is computed over *decoded* values, so it
-// survives format changes unchanged: a torn or bit-flipped file fails the
-// magic/block-checksum/digest check on load.
+// Format version 5, every field in rdf::codec's encoding:
+//   "POWC" | varint version
+//   varint worker id | varint round
+//   varint base_size | varint frontier | varint route_mark
+//   triple block: the store log
+//   varint nseen   | nseen varint batch ids, ascending
+//   varint nrounds | per round: the four seconds fields as u64le bit
+//                    patterns, then the eight counters as varints
+//   varint nrules  | nrules varint firings
+//   varint send_seq
+//   varint noutbox | per entry: varint to | varint kind |
+//                    varint round (the sender sequence) | triple block
+//   u64le digest   (util::fnv1a64 of every byte before it)
+// The loader checks magic, version and digest before it decodes anything,
+// then bounds every count by the bytes left, so a torn or damaged file is
+// rejected and no count can size an allocation past the file.  Identical
+// state writes identical bytes (seen ids are sorted).  In async runs the
+// `round` field holds the termination-token epoch of the cut.  Files of
+// any other version are rejected.
 
 namespace {
 
-constexpr std::uint32_t kCkptMagic = 0x43574F50;  // "POWC"
-constexpr std::uint32_t kCkptVersion = 4;
+constexpr std::string_view kCkptMagic = "POWC";
+constexpr std::uint64_t kCkptVersion = 5;
 /// Gap added to send_seq_ (and by the executor to the probe-epoch base)
 /// on checkpoint load, so post-recovery batch ids and token epochs can
 /// never collide with in-flight pre-crash ones.
 constexpr std::uint32_t kRecoverySeqGap = 1u << 20;
 
-template <typename T>
-void put(std::ostream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
+/// RoundStats' fields, listed once for the writer and the reader.
+constexpr std::array kStatSeconds{
+    &RoundStats::reason_seconds, &RoundStats::io_seconds,
+    &RoundStats::sync_seconds, &RoundStats::aggregate_seconds};
+constexpr std::array kStatCounts{
+    &RoundStats::derived,         &RoundStats::sent_tuples,
+    &RoundStats::sent_messages,   &RoundStats::received_tuples,
+    &RoundStats::received_new,    &RoundStats::retransmitted,
+    &RoundStats::redelivered,     &RoundStats::corrupt_batches};
 
-template <typename T>
-bool get(std::istream& in, T& value) {
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  return static_cast<bool>(in);
-}
+/// Fewest bytes a record can encode to: the bound on each count.
+constexpr std::size_t kMinStatsBytes = 8 * kStatSeconds.size() +
+                                       kStatCounts.size();
+/// Three varints and an empty block (magic, two varints, u64 checksum).
+constexpr std::size_t kMinOutboxBytes = 3 + 11;
 
-void put_stats(std::ostream& out, const RoundStats& rs) {
-  put(out, rs.reason_seconds);
-  put(out, rs.io_seconds);
-  put(out, rs.sync_seconds);
-  put(out, rs.aggregate_seconds);
-  put(out, static_cast<std::uint64_t>(rs.derived));
-  put(out, static_cast<std::uint64_t>(rs.sent_tuples));
-  put(out, static_cast<std::uint64_t>(rs.sent_messages));
-  put(out, static_cast<std::uint64_t>(rs.received_tuples));
-  put(out, static_cast<std::uint64_t>(rs.received_new));
-  put(out, static_cast<std::uint64_t>(rs.retransmitted));
-  put(out, static_cast<std::uint64_t>(rs.redelivered));
-  put(out, static_cast<std::uint64_t>(rs.corrupt_batches));
-}
-
-bool get_stats(std::istream& in, RoundStats& rs) {
-  std::uint64_t u = 0;
-  bool ok = get(in, rs.reason_seconds) && get(in, rs.io_seconds) &&
-            get(in, rs.sync_seconds) && get(in, rs.aggregate_seconds);
-  auto load_size = [&](std::size_t& field) {
-    ok = ok && get(in, u);
-    field = static_cast<std::size_t>(u);
-  };
-  load_size(rs.derived);
-  load_size(rs.sent_tuples);
-  load_size(rs.sent_messages);
-  load_size(rs.received_tuples);
-  load_size(rs.received_new);
-  load_size(rs.retransmitted);
-  load_size(rs.redelivered);
-  load_size(rs.corrupt_batches);
-  return ok;
-}
-
-/// Chained digest over every serialized field, so a bit flip anywhere in
-/// the file — header, log, seen ids, stats, firings — fails validation.
-class CkptDigest {
+/// Bounds-checked decoder of a checkpoint body.  The first failure sticks:
+/// every later read yields zero, and `finish` names what failed.
+class CkptReader {
  public:
-  void add(std::uint64_t v) { d_ = mix64(d_ ^ v); }
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-  [[nodiscard]] std::uint64_t value() const { return d_; }
+  explicit CkptReader(std::string_view body) : in_(body) {}
 
- private:
-  std::uint64_t d_ = 0x243f6a8885a308d3ULL;
-};
+  std::uint64_t u64() {
+    std::uint64_t v = 0;
+    if (ok() && !rdf::codec::get_varint(in_, v)) fail("truncated checkpoint");
+    return ok() ? v : 0;
+  }
 
-/// Wire fields of one outbox entry, pre-extracted for digesting/encoding.
-struct OutboxWire {
-  std::uint32_t to = 0;
-  std::uint32_t kind = 0;
-  std::uint32_t round = 0;  // the sender's monotonic sequence
-  std::vector<rdf::Triple> tuples;
-};
+  std::uint32_t u32() {
+    const std::uint64_t v = u64();
+    if (v > std::numeric_limits<std::uint32_t>::max()) {
+      fail("checkpoint field out of range");
+    }
+    return ok() ? static_cast<std::uint32_t>(v) : 0;
+  }
 
-std::uint64_t state_digest(std::uint32_t id, std::uint32_t round,
-                           std::uint64_t base_size, std::uint64_t frontier,
-                           std::uint64_t route_mark,
-                           std::span<const rdf::Triple> log,
-                           std::span<const std::uint64_t> seen_in_order,
-                           std::span<const RoundStats> stats,
-                           std::span<const std::size_t> firings,
-                           std::uint32_t send_seq,
-                           std::span<const OutboxWire> outbox) {
-  CkptDigest acc;
-  acc.add((static_cast<std::uint64_t>(id) << 32) | round);
-  acc.add(base_size);
-  acc.add(frontier);
-  acc.add(route_mark);
-  acc.add(static_cast<std::uint64_t>(log.size()));
-  for (const rdf::Triple& t : log) {
-    acc.add(triple_digest(t));
+  double f64() {
+    std::uint64_t bits = 0;
+    if (ok() && !rdf::codec::get_u64le(in_, bits)) {
+      fail("truncated checkpoint");
+    }
+    return ok() ? std::bit_cast<double>(bits) : 0.0;
   }
-  acc.add(static_cast<std::uint64_t>(seen_in_order.size()));
-  for (const std::uint64_t b : seen_in_order) {
-    acc.add(b);
+
+  /// A record count, rejected unless that many records of at least
+  /// `min_bytes` each fit in the bytes left.
+  std::size_t count(std::size_t min_bytes) {
+    const std::uint64_t n = u64();
+    if (n > in_.size() / min_bytes) {
+      fail("checkpoint count exceeds the bytes left");
+    }
+    return ok() ? static_cast<std::size_t>(n) : 0;
   }
-  acc.add(static_cast<std::uint64_t>(stats.size()));
-  for (const RoundStats& rs : stats) {
-    acc.add(rs.reason_seconds);
-    acc.add(rs.io_seconds);
-    acc.add(rs.sync_seconds);
-    acc.add(rs.aggregate_seconds);
-    acc.add(static_cast<std::uint64_t>(rs.derived));
-    acc.add(static_cast<std::uint64_t>(rs.sent_tuples));
-    acc.add(static_cast<std::uint64_t>(rs.sent_messages));
-    acc.add(static_cast<std::uint64_t>(rs.received_tuples));
-    acc.add(static_cast<std::uint64_t>(rs.received_new));
-    acc.add(static_cast<std::uint64_t>(rs.retransmitted));
-    acc.add(static_cast<std::uint64_t>(rs.redelivered));
-    acc.add(static_cast<std::uint64_t>(rs.corrupt_batches));
-  }
-  acc.add(static_cast<std::uint64_t>(firings.size()));
-  for (const std::size_t f : firings) {
-    acc.add(static_cast<std::uint64_t>(f));
-  }
-  acc.add(static_cast<std::uint64_t>(send_seq));
-  acc.add(static_cast<std::uint64_t>(outbox.size()));
-  for (const OutboxWire& e : outbox) {
-    acc.add((static_cast<std::uint64_t>(e.to) << 32) | e.round);
-    acc.add(static_cast<std::uint64_t>(e.kind));
-    acc.add(static_cast<std::uint64_t>(e.tuples.size()));
-    for (const rdf::Triple& t : e.tuples) {
-      acc.add(triple_digest(t));
+
+  void block(std::vector<rdf::Triple>& out) {
+    std::string why;
+    if (ok() && !rdf::codec::decode_block(in_, out, &why)) {
+      fail("checkpoint " + why);
     }
   }
-  return acc.value();
-}
+
+  void fail(std::string why) {
+    if (ok()) error_ = std::move(why);
+  }
+
+  [[nodiscard]] bool ok() const { return error_.empty(); }
+
+  /// The first failure, or trailing bytes; empty when the body decoded.
+  [[nodiscard]] const std::string& finish() {
+    if (!in_.empty()) fail("trailing bytes in checkpoint");
+    return error_;
+  }
+
+ private:
+  std::string_view in_;
+  std::string error_;
+};
 
 }  // namespace
 
 void Worker::save_checkpoint(std::ostream& out, std::uint32_t round) const {
-  put(out, kCkptMagic);
-  put(out, kCkptVersion);
-  put(out, id_);
-  put(out, round);
-  put(out, static_cast<std::uint64_t>(base_size_));
-  put(out, static_cast<std::uint64_t>(frontier_));
-  put(out, static_cast<std::uint64_t>(route_mark_));
-
-  const auto& log = store_.triples();
-  put(out, static_cast<std::uint64_t>(log.size()));
-  rdf::codec::write_blocks(out, log);
+  using rdf::codec::put_varint;
+  std::string buf(kCkptMagic);
+  put_varint(buf, kCkptVersion);
+  for (const std::uint64_t v :
+       {std::uint64_t{id_}, std::uint64_t{round}, std::uint64_t{base_size_},
+        std::uint64_t{frontier_}, std::uint64_t{route_mark_}}) {
+    put_varint(buf, v);
+  }
+  rdf::codec::encode_block(store_.triples(), buf);
 
   // Sorted so identical state produces byte-identical checkpoints.
   std::vector<std::uint64_t> seen(seen_batches_.begin(), seen_batches_.end());
   std::sort(seen.begin(), seen.end());
-  put(out, static_cast<std::uint64_t>(seen.size()));
-  for (const std::uint64_t b : seen) {
-    put(out, b);
-  }
+  put_varint(buf, seen.size());
+  for (const std::uint64_t b : seen) put_varint(buf, b);
 
-  put(out, static_cast<std::uint64_t>(rounds_.size()));
+  put_varint(buf, rounds_.size());
   for (const RoundStats& rs : rounds_) {
-    put_stats(out, rs);
+    for (const auto field : kStatSeconds) {
+      rdf::codec::put_u64le(buf, std::bit_cast<std::uint64_t>(rs.*field));
+    }
+    for (const auto field : kStatCounts) put_varint(buf, rs.*field);
   }
 
-  put(out, static_cast<std::uint64_t>(rule_firings_.size()));
-  for (const std::size_t f : rule_firings_) {
-    put(out, static_cast<std::uint64_t>(f));
-  }
+  put_varint(buf, rule_firings_.size());
+  for (const std::size_t f : rule_firings_) put_varint(buf, f);
 
-  put(out, send_seq_);
-  std::vector<OutboxWire> outbox;
-  outbox.reserve(outbox_.size());
+  put_varint(buf, send_seq_);
+  put_varint(buf, outbox_.size());
   for (const OutboxEntry& e : outbox_) {
-    outbox.push_back(OutboxWire{e.batch.to,
-                                static_cast<std::uint32_t>(e.batch.kind),
-                                e.batch.round, e.batch.tuples});
-  }
-  put(out, static_cast<std::uint64_t>(outbox.size()));
-  for (const OutboxWire& e : outbox) {
-    put(out, e.to);
-    put(out, e.kind);
-    put(out, e.round);
-    put(out, static_cast<std::uint64_t>(e.tuples.size()));
-    rdf::codec::write_blocks(out, e.tuples);
+    put_varint(buf, e.batch.to);
+    put_varint(buf, static_cast<std::uint64_t>(e.batch.kind));
+    put_varint(buf, e.batch.round);
+    rdf::codec::encode_block(e.batch.tuples, buf);
   }
 
-  put(out, state_digest(id_, round, base_size_, frontier_, route_mark_, log,
-                        seen, rounds_, rule_firings_, send_seq_, outbox));
+  rdf::codec::put_u64le(buf, util::fnv1a64(buf));
+  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
 bool Worker::load_checkpoint(std::istream& in, std::uint32_t* round,
@@ -790,109 +740,69 @@ bool Worker::load_checkpoint(std::istream& in, std::uint32_t* round,
     return false;
   };
 
-  std::uint32_t magic = 0;
-  std::uint32_t version = 0;
-  std::uint32_t saved_id = 0;
-  std::uint32_t saved_round = 0;
-  if (!get(in, magic) || magic != kCkptMagic) {
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  std::string_view body(bytes);
+  if (!body.starts_with(kCkptMagic)) {
     return fail("bad checkpoint magic");
   }
-  if (!get(in, version) || version != kCkptVersion) {
+  body.remove_prefix(kCkptMagic.size());
+  std::uint64_t version = 0;
+  if (!rdf::codec::get_varint(body, version) || version != kCkptVersion) {
     return fail("unsupported checkpoint version");
   }
-  if (!get(in, saved_id) || saved_id != id_) {
+  if (body.size() < 8) {
+    return fail("truncated checkpoint");
+  }
+  body.remove_suffix(8);
+  const std::string_view sealed(bytes.data(), bytes.size() - 8);
+  std::string_view tail = std::string_view(bytes).substr(sealed.size());
+  std::uint64_t digest = 0;
+  if (!rdf::codec::get_u64le(tail, digest) ||
+      digest != util::fnv1a64(sealed)) {
+    return fail("checkpoint digest mismatch (torn or damaged file)");
+  }
+
+  CkptReader r(body);
+  if (r.u32() != id_ && r.ok()) {
     return fail("checkpoint belongs to a different worker");
   }
-  if (!get(in, saved_round)) {
-    return fail("truncated checkpoint header");
-  }
-
-  std::uint64_t base = 0;
-  std::uint64_t frontier = 0;
-  std::uint64_t route_mark = 0;
-  if (!get(in, base) || !get(in, frontier) || !get(in, route_mark)) {
-    return fail("truncated checkpoint header");
-  }
-
-  std::uint64_t ntriples = 0;
-  if (!get(in, ntriples)) {
-    return fail("truncated checkpoint (triple count)");
-  }
+  const std::uint32_t saved_round = r.u32();
+  const std::uint64_t base = r.u64();
+  const std::uint64_t frontier = r.u64();
+  const std::uint64_t route_mark = r.u64();
   std::vector<rdf::Triple> log;
-  if (!rdf::codec::read_blocks(
-          in, ntriples, [&log](const rdf::Triple& t) { log.push_back(t); })) {
-    return fail("truncated checkpoint (triples)");
+  r.block(log);
+
+  std::vector<std::uint64_t> seen(r.count(1));
+  for (std::uint64_t& b : seen) b = r.u64();
+
+  std::vector<RoundStats> stats(r.count(kMinStatsBytes));
+  for (RoundStats& rs : stats) {
+    for (const auto field : kStatSeconds) rs.*field = r.f64();
+    for (const auto field : kStatCounts) rs.*field = r.u64();
   }
 
-  std::uint64_t nseen = 0;
-  if (!get(in, nseen)) {
-    return fail("truncated checkpoint (seen count)");
-  }
-  std::vector<std::uint64_t> seen;
-  for (std::uint64_t i = 0; i < nseen; ++i) {
-    std::uint64_t b = 0;
-    if (!get(in, b)) {
-      return fail("truncated checkpoint (seen ids)");
-    }
-    seen.push_back(b);
-  }
+  std::vector<std::size_t> firings(r.count(1));
+  for (std::size_t& f : firings) f = r.u64();
 
-  std::uint64_t nrounds = 0;
-  if (!get(in, nrounds)) {
-    return fail("truncated checkpoint (round count)");
-  }
-  std::vector<RoundStats> stats;
-  for (std::uint64_t i = 0; i < nrounds; ++i) {
-    if (!get_stats(in, stats.emplace_back())) {
-      return fail("truncated checkpoint (round stats)");
+  const std::uint32_t send_seq = r.u32();
+  std::vector<OutboxEntry> outbox(r.count(kMinOutboxBytes));
+  for (OutboxEntry& e : outbox) {
+    Batch& b = e.batch;
+    b.from = id_;
+    b.to = r.u32();
+    const std::uint64_t kind = r.u64();
+    if (kind > static_cast<std::uint64_t>(BatchKind::kStealResult)) {
+      r.fail("checkpoint outbox entry of unknown kind");
     }
+    b.kind = static_cast<BatchKind>(kind);
+    b.round = r.u32();
+    r.block(b.tuples);
+    b.checksum = batch_checksum(b.tuples);
   }
-
-  std::uint64_t nrules = 0;
-  if (!get(in, nrules)) {
-    return fail("truncated checkpoint (rule count)");
-  }
-  std::vector<std::size_t> firings;
-  for (std::uint64_t i = 0; i < nrules; ++i) {
-    std::uint64_t u = 0;
-    if (!get(in, u)) {
-      return fail("truncated checkpoint (rule firings)");
-    }
-    firings.push_back(static_cast<std::size_t>(u));
-  }
-
-  std::uint32_t send_seq = 0;
-  if (!get(in, send_seq)) {
-    return fail("truncated checkpoint (send sequence)");
-  }
-  std::uint64_t noutbox = 0;
-  if (!get(in, noutbox)) {
-    return fail("truncated checkpoint (outbox count)");
-  }
-  std::vector<OutboxWire> outbox;
-  for (std::uint64_t i = 0; i < noutbox; ++i) {
-    OutboxWire e;
-    std::uint64_t ntuples = 0;
-    if (!get(in, e.to) || !get(in, e.kind) || !get(in, e.round) ||
-        !get(in, ntuples) ||
-        e.kind > static_cast<std::uint32_t>(BatchKind::kStealResult)) {
-      return fail("truncated checkpoint (outbox entry)");
-    }
-    if (!rdf::codec::read_blocks(in, ntuples, [&e](const rdf::Triple& t) {
-          e.tuples.push_back(t);
-        })) {
-      return fail("truncated checkpoint (outbox tuples)");
-    }
-    outbox.push_back(std::move(e));
-  }
-
-  std::uint64_t digest = 0;
-  if (!get(in, digest)) {
-    return fail("truncated checkpoint (digest)");
-  }
-  if (digest != state_digest(id_, saved_round, base, frontier, route_mark,
-                             log, seen, stats, firings, send_seq, outbox)) {
-    return fail("checkpoint digest mismatch (torn or damaged file)");
+  if (const std::string& why = r.finish(); !why.empty()) {
+    return fail(why);
   }
 
   store_.clear();
@@ -914,18 +824,7 @@ bool Worker::load_checkpoint(std::istream& in, std::uint32_t* round,
   // minted after recovery is distinct from anything in flight pre-crash,
   // so stale envelopes can only ever be deduplicated, never confused.
   send_seq_ = send_seq + kRecoverySeqGap;
-  outbox_.clear();
-  for (OutboxWire& e : outbox) {
-    Batch b;
-    b.from = id_;
-    b.to = e.to;
-    b.kind = static_cast<BatchKind>(e.kind);
-    b.round = e.round;
-    b.seq = 0;
-    b.tuples = std::move(e.tuples);
-    b.checksum = batch_checksum(b.tuples);
-    outbox_.push_back(OutboxEntry{std::move(b), -1});
-  }
+  outbox_ = std::move(outbox);
   ckpt_count_ = 0;
   if (round != nullptr) {
     *round = saved_round;

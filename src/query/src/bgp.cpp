@@ -38,6 +38,9 @@ ResultSet evaluate(const rdf::TripleStore& store, const SelectQuery& query) {
     results.columns.push_back(query.variable_names[static_cast<std::size_t>(v)]);
   }
 
+  if (query.limit == 0u) {
+    return results;  // LIMIT 0: the limit is met before the first row
+  }
   std::set<std::vector<rdf::TermId>> dedup;
   solve_bgp(store, query.where, [&](const rules::Binding& binding) {
     std::vector<rdf::TermId> row;

@@ -106,7 +106,7 @@ struct Expander {
   EqualityEvalResult& out;
 
   std::set<std::vector<rdf::TermId>> dedup;
-  bool done = false;
+  bool done = false;  // LIMIT met (at once for LIMIT 0)
   rules::Binding expanded{};
 
   void emit(const rules::Binding& binding, std::size_t v) {
@@ -178,7 +178,8 @@ EqualityEvalResult evaluate_with_equality(const rdf::TripleStore& store,
         query.variable_names[static_cast<std::size_t>(v)]);
   }
   const std::vector<bool> expand = expand_flags(query, roles);
-  Expander expander{query, roles, expand, eq, out, {}, false, {}};
+  Expander expander{query, roles, expand, eq, out, {}, query.limit == 0u,
+                    {}};
   // LIMIT applies after expansion, so the enumeration runs to the end.
   solve_bgp(store, where, [&](const rules::Binding& binding) {
     ++out.stats.rows_in;
@@ -222,7 +223,8 @@ EqualityEvalResult expand_equality_results(const SelectQuery& original,
         original.variable_names[static_cast<std::size_t>(v)]);
   }
   const std::vector<bool> expand = expand_flags(original, roles);
-  Expander expander{original, roles, expand, eq, out, {}, false, {}};
+  Expander expander{original, roles, expand, eq, out, {},
+                    original.limit == 0u, {}};
   const auto num_vars = static_cast<std::size_t>(original.num_vars());
   for (const std::vector<rdf::TermId>& row : rep_rows.rows) {
     ++out.stats.rows_in;

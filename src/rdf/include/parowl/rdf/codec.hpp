@@ -2,12 +2,15 @@
 
 // Compact binary triple codec — the single wire/disk format of the data
 // plane.  Snapshots, file-transport batch envelopes, and worker checkpoints
-// all serialize triples as *blocks*:
+// all serialize triples as *blocks*; a checkpoint is built from the
+// codec's varints, u64le words and blocks throughout, sealed by one digest
+// over all its bytes that the loader checks before decoding anything.
+// A block is
 //
 //   +------+---------------+---------------------+------------------+
 //   | 0xB7 | varint count  | varint payload_len  | payload ...      |
 //   +------+---------------+---------------------+------------------+
-//   | u64 checksum (chained SplitMix64 over the decoded sequence)   |
+//   | u64 checksum (chained triple_digest of the decoded sequence)  |
 //   +----------------------------------------------------------------+
 //
 // The payload stores, per triple, the zigzag-varint *delta* of each field
@@ -64,7 +67,8 @@ bool get_u64le(std::istream& in, std::uint64_t& v);
 
 // ----------------------------------------------------------- triple blocks
 
-/// Order-sensitive digest of a triple sequence (chained SplitMix64).
+/// Order-sensitive digest of a triple sequence (rdf::triple_digest
+/// chained through util::mix64).
 [[nodiscard]] std::uint64_t sequence_digest(std::span<const Triple> ts);
 
 /// Triples per block when writing long logs (`write_blocks`).

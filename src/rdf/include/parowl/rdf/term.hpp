@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <functional>
 
+#include "parowl/util/strings.hpp"
+
 namespace parowl::rdf {
 
 /// Dense identifier for an interned RDF term.  Id 0 is reserved and acts as
@@ -45,16 +47,19 @@ struct TriplePattern {
   }
 };
 
+/// Content digest of one triple (util::mix64 over the packed ids): the
+/// hash of unordered triple sets, the word rdf::codec's block checksums
+/// chain (order-sensitive) and the transport's batch checksums sum
+/// (order-insensitive).  Inline: all of them run it per triple.
+[[nodiscard]] constexpr std::uint64_t triple_digest(const Triple& t) {
+  return util::mix64((static_cast<std::uint64_t>(t.s) << 32) ^
+                     (static_cast<std::uint64_t>(t.p) << 16) ^ t.o);
+}
+
 /// Hash functor for Triple (usable as std::unordered_* hasher).
 struct TripleHash {
   std::size_t operator()(const Triple& t) const noexcept {
-    // Mix the three 32-bit ids into one 64-bit word, then finalize.
-    std::uint64_t h = (static_cast<std::uint64_t>(t.s) << 32) ^
-                      (static_cast<std::uint64_t>(t.p) << 16) ^ t.o;
-    h += 0x9e3779b97f4a7c15ULL;
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<std::size_t>(h ^ (h >> 31));
+    return static_cast<std::size_t>(triple_digest(t));
   }
 };
 

@@ -20,11 +20,6 @@ bool fail(std::string* error, const char* msg) {
   return false;
 }
 
-std::uint64_t triple_word(const Triple& t) {
-  return util::mix64((static_cast<std::uint64_t>(t.s) << 32) ^
-                     (static_cast<std::uint64_t>(t.p) << 16) ^ t.o);
-}
-
 /// Decode the delta payload of a block in place.  Kept separate so the
 /// string_view and istream entry points share one implementation.
 bool decode_payload(std::string_view payload, std::uint64_t count,
@@ -50,7 +45,7 @@ bool decode_payload(std::string_view payload, std::uint64_t count,
       }
       *fields[f] = static_cast<TermId>(value);
     }
-    digest = util::mix64(digest ^ triple_word(t));
+    digest = util::mix64(digest ^ triple_digest(t));
     out.push_back(t);
     prev = t;
   }
@@ -130,7 +125,7 @@ bool get_u64le(std::istream& in, std::uint64_t& v) {
 
 std::uint64_t sequence_digest(std::span<const Triple> ts) {
   std::uint64_t digest = kSequenceSeed;
-  for (const Triple& t : ts) digest = util::mix64(digest ^ triple_word(t));
+  for (const Triple& t : ts) digest = util::mix64(digest ^ triple_digest(t));
   return digest;
 }
 
@@ -171,7 +166,7 @@ bool decode_block(std::string_view& in, std::vector<Triple>& out,
   if (count > payload_len && count != 0) {
     return fail(error, "triple block count/payload mismatch");
   }
-  if (in.size() < payload_len + 8) {
+  if (in.size() < 8 || in.size() - 8 < payload_len) {
     return fail(error, "truncated triple block");
   }
   const std::string_view payload = in.substr(0, payload_len);

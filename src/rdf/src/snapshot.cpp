@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "parowl/rdf/codec.hpp"
+#include "parowl/util/strings.hpp"
 
 namespace parowl::rdf {
 namespace {
@@ -13,15 +14,6 @@ namespace {
 constexpr char kMagic[4] = {'P', 'A', 'R', 'O'};
 constexpr std::uint32_t kVersion = 2;
 constexpr std::uint32_t kVersionEquality = 3;
-
-/// SplitMix64 finalizer — same mixer the codec's block checksums use,
-/// chained over every value of the equality trailer.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 void put_u32(std::ostream& out, std::uint32_t v) {
   const std::array<char, 4> bytes{
@@ -66,7 +58,7 @@ std::string encode_equality(const EqualityClassMap& eq) {
   std::uint64_t digest = 0;
   const auto put = [&](std::uint64_t v) {
     codec::put_varint(buf, v);
-    digest = mix64(digest ^ v);
+    digest = util::mix64(digest ^ v);
   };
   put(eq.members.size());
   TermId prev = 0;
@@ -106,7 +98,7 @@ bool decode_equality(std::istream& in, std::uint64_t terms,
       ok = false;
       return 0;
     }
-    digest = mix64(digest ^ v);
+    digest = util::mix64(digest ^ v);
     return v;
   };
   const auto valid_term = [terms](std::uint64_t id) {

@@ -1,15 +1,9 @@
 #include "parowl/util/rng.hpp"
 
+#include "parowl/util/strings.hpp"
+
 namespace parowl::util {
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
@@ -18,10 +12,12 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) {
-  // Expand the single seed word into four non-zero state words.
+  // Expand the single seed word into four non-zero state words with
+  // SplitMix64: mix64 adds the golden-ratio step to its argument itself.
   std::uint64_t sm = seed;
   for (auto& word : s_) {
-    word = splitmix64(sm);
+    word = mix64(sm);
+    sm += 0x9e3779b97f4a7c15ULL;
   }
 }
 

@@ -6,8 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "parowl/parallel/transport.hpp"
 #include "parowl/rdf/codec.hpp"
+#include "parowl/rdf/snapshot.hpp"
 #include "parowl/util/rng.hpp"
+#include "parowl/util/strings.hpp"
 
 namespace parowl::rdf {
 namespace {
@@ -134,6 +137,19 @@ TEST(TripleBlock, TruncationAtEveryPrefixFails) {
     EXPECT_TRUE(got.empty());  // failed decode leaves no partial output
     EXPECT_FALSE(error.empty());
   }
+}
+
+TEST(TripleBlock, PayloadLengthNearTwoToThe64IsTruncation) {
+  // payload_len + 8 wraps to a small number; the bound must not.
+  std::string buf(1, static_cast<char>(0xB7));
+  codec::put_varint(buf, 0);                      // count
+  codec::put_varint(buf, ~std::uint64_t{0} - 3);  // payload_len
+  buf.append(16, '\0');
+  std::string_view in = buf;
+  std::vector<Triple> got;
+  std::string error;
+  EXPECT_FALSE(codec::decode_block(in, got, &error));
+  EXPECT_EQ(error, "truncated triple block");
 }
 
 TEST(TripleBlock, EverySingleBitFlipFails) {
@@ -287,6 +303,55 @@ TEST(TermTable, TruncationFailsCleanly) {
     EXPECT_FALSE(codec::read_terms(in, dict.size(), got, &error)) << cut;
     EXPECT_FALSE(error.empty());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned digests: every checksum, fault decision and snapshot byte depends
+// on these values, so a change to the shared mixer or triple digest shows
+// here first.  The constants were read off the code before the transport,
+// codec and snapshot copies of the mixer were merged into util::mix64.
+
+std::vector<Triple> pinned_triples() {
+  return {{1, 2, 3}, {70000, 5, 1}, {4, 4, 0xFFFFFFFFu}};
+}
+
+TEST(CodecPins, Mix64) {
+  EXPECT_EQ(util::mix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(util::mix64(1), 0x910a2dec89025cc1ULL);
+  EXPECT_EQ(util::mix64(0x0123456789abcdefULL), 0x157a3807a48faa9dULL);
+}
+
+TEST(CodecPins, SequenceDigestAndBatchChecksum) {
+  const std::vector<Triple> ts = pinned_triples();
+  EXPECT_EQ(codec::sequence_digest(ts), 0x036e67691e8e880dULL);
+  EXPECT_EQ(codec::sequence_digest({}), 0x70617277626c6b31ULL);
+  EXPECT_EQ(parallel::batch_checksum(ts), 0x18d38cd9f49ea848ULL);
+}
+
+TEST(CodecPins, SnapshotBytes) {
+  Dictionary dict;
+  TripleStore store;
+  const TermId a = dict.intern_iri("http://ex/a");
+  const TermId b = dict.intern_iri("http://ex/b");
+  const TermId p = dict.intern_iri("http://ex/p");
+  const TermId lit = dict.intern_literal("\"a\"");
+  store.insert({a, p, b});
+  store.insert({b, p, lit});
+  store.insert({a, p, a});
+  std::ostringstream v2;
+  save_snapshot(v2, dict, store);
+  EXPECT_EQ(v2.str().size(), 66u);
+  EXPECT_EQ(util::fnv1a64(v2.str()), 0x3440dbb413ca775fULL);
+
+  EqualityClassMap eq;
+  eq.members = {{a, a}, {b, a}};
+  eq.literals = {{a, lit}};
+  eq.self_terms = {b};
+  eq.raw_edges = {{lit, p, a}};
+  std::ostringstream v3;
+  save_snapshot(v3, dict, store, &eq);
+  EXPECT_EQ(v3.str().size(), 88u);
+  EXPECT_EQ(util::fnv1a64(v3.str()), 0xeb839a4ec6408991ULL);
 }
 
 }  // namespace

@@ -268,5 +268,75 @@ TEST(SnapshotRobustness, NonEmptyTargetIsRejected) {
   EXPECT_EQ(error, "dictionary/store must be empty");
 }
 
+// Version 3 appends the equality class map of a rewrite-mode closure,
+// sealed by its own digest chain; it loads only through the equality-aware
+// entry point.
+
+std::string valid_v3_snapshot_bytes() {
+  rdf::Dictionary dict;
+  rdf::TripleStore store;
+  const auto s = dict.intern_iri("http://x/s");
+  const auto p = dict.intern_iri("http://x/p");
+  const auto o = dict.intern_iri("http://x/o");
+  const auto lit = dict.intern_literal("\"s\"");
+  store.insert({s, p, o});
+  rdf::EqualityClassMap eq;
+  eq.members = {{s, s}, {o, s}};
+  eq.literals = {{s, lit}};
+  eq.self_terms = {o};
+  eq.raw_edges = {{lit, p, s}};
+  std::ostringstream out;
+  rdf::save_snapshot(out, dict, store, &eq);
+  return out.str();
+}
+
+bool try_load_v3(const std::string& bytes, std::string* error) {
+  std::istringstream in(bytes);
+  rdf::Dictionary dict;
+  rdf::TripleStore store;
+  rdf::EqualityClassMap eq;
+  return rdf::load_snapshot(in, dict, store, eq, error);
+}
+
+TEST(SnapshotRobustness, V3RoundTripBaseline) {
+  const std::string bytes = valid_v3_snapshot_bytes();
+  ASSERT_EQ(bytes[4], 3);  // version field, little-endian
+  std::istringstream in(bytes);
+  rdf::Dictionary dict;
+  rdf::TripleStore store;
+  rdf::EqualityClassMap eq;
+  std::string error;
+  ASSERT_TRUE(rdf::load_snapshot(in, dict, store, eq, &error)) << error;
+  EXPECT_EQ(eq.members.size(), 2u);
+  EXPECT_EQ(eq.literals.size(), 1u);
+  EXPECT_EQ(eq.self_terms.size(), 1u);
+  EXPECT_EQ(eq.raw_edges.size(), 1u);
+}
+
+TEST(SnapshotRobustness, V3TruncationAtEveryPrefixFailsCleanly) {
+  const std::string bytes = valid_v3_snapshot_bytes();
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    std::string error;
+    EXPECT_FALSE(try_load_v3(bytes.substr(0, cut), &error))
+        << "prefix of " << cut << " bytes loaded";
+    EXPECT_FALSE(error.empty());
+  }
+}
+
+TEST(SnapshotRobustness, V3EverySingleBitFlipIsDetected) {
+  const std::string bytes = valid_v3_snapshot_bytes();
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutated = bytes;
+      mutated[i] = static_cast<char>(mutated[i] ^ (1 << bit));
+      std::string error;
+      EXPECT_FALSE(try_load_v3(mutated, &error))
+          << "flip of bit " << bit << " at byte " << i
+          << " loaded successfully";
+      EXPECT_FALSE(error.empty());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace parowl

@@ -93,6 +93,12 @@ TEST_F(QueryTest, LimitTruncates) {
   EXPECT_EQ(r.size(), 2u);
 }
 
+TEST_F(QueryTest, LimitZeroReturnsNoRows) {
+  small_kb();
+  EXPECT_EQ(run("SELECT ?x WHERE { ?x a ?c } LIMIT 0").size(), 0u);
+  EXPECT_EQ(run("SELECT DISTINCT ?x WHERE { ?x a ?c } LIMIT 0").size(), 0u);
+}
+
 TEST_F(QueryTest, LiteralObjectMatch) {
   small_kb();
   store.insert({iri("http://ex/kim"), iri("http://ex/name"),

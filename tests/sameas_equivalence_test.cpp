@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -198,6 +199,34 @@ TEST(SameAsEquivalence, LimitAppliesAfterExpansion) {
   const auto all = sorted_rows(query::evaluate(naive.store, q));
   for (const auto& row : limited.results.rows) {
     EXPECT_TRUE(std::binary_search(all.begin(), all.end(), row));
+  }
+}
+
+TEST(SameAsEquivalence, LimitZeroReturnsNoRows) {
+  EqFixture f("cliques");
+  const RewriteRun rewrite = rewrite_closure(f);
+
+  for (const char* text : {"SELECT ?x ?y WHERE { ?x id:relatesTo0 ?y }",
+                           "SELECT DISTINCT ?x WHERE { ?x id:relatesTo0 ?y }"}) {
+    query::SelectQuery q = parse(f.dict, text);
+    q.limit = 0;
+    EXPECT_EQ(query::evaluate_with_equality(rewrite.store, q, rewrite.eq,
+                                            f.vocab->owl_same_as)
+                  .results.size(),
+              0u)
+        << text;
+    // The split form, as the sharded router runs it.
+    std::string message;
+    const std::optional<query::SelectQuery> widened =
+        query::rewrite_for_equality(q, rewrite.eq, f.vocab->owl_same_as,
+                                    &message);
+    ASSERT_TRUE(widened.has_value()) << text << ": " << message;
+    const query::ResultSet rep_rows = query::evaluate(rewrite.store, *widened);
+    ASSERT_GT(rep_rows.size(), 0u) << text;
+    EXPECT_EQ(
+        query::expand_equality_results(q, rep_rows, rewrite.eq).results.size(),
+        0u)
+        << text;
   }
 }
 

@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <sstream>
+#include <string_view>
 
 #include "parowl/parallel/worker.hpp"
 #include "parowl/rdf/codec.hpp"
 #include "parowl/rules/rule_parser.hpp"
+#include "parowl/util/strings.hpp"
 
 namespace parowl::parallel {
 namespace {
@@ -66,7 +67,9 @@ class WorkerTest : public ::testing::Test {
   }
 
   /// Load `bytes` into a fresh worker: false, with a reason, never a throw.
-  void expect_rejected(const std::string& bytes, const std::string& what) {
+  /// Returns the reason.
+  std::string expect_rejected(const std::string& bytes,
+                              const std::string& what) {
     Worker fresh(0, trans_rules(), std::make_shared<EverythingToRouter>(1),
                  &transport, options());
     std::stringstream in(bytes);
@@ -76,6 +79,7 @@ class WorkerTest : public ::testing::Test {
         << what;
     EXPECT_FALSE(loaded) << what << " accepted";
     EXPECT_FALSE(error.empty()) << what;
+    return error;
   }
 };
 
@@ -249,46 +253,72 @@ TEST_F(WorkerTest, CheckpointDetectsTamperedBytes) {
   }
 }
 
-/// Byte offsets of every count a checkpoint stores: the triple, seen-id,
-/// round, rule and outbox counts, then each outbox entry's tuple count.
-std::vector<std::size_t> checkpoint_count_offsets(const std::string& bytes) {
-  std::vector<std::size_t> offsets;
-  std::size_t pos = 40;  // magic, version, id, round and the three marks
+/// Where one varint count sits in a checkpoint: byte offset and length.
+struct CountField {
+  std::size_t offset = 0;
+  std::size_t size = 0;
+};
+
+/// Every count a version-5 checkpoint stores: the store log's block count,
+/// the seen-id, round, rule and outbox counts, then each outbox entry's
+/// block count.
+std::vector<CountField> checkpoint_counts(const std::string& bytes) {
+  std::vector<CountField> counts;
+  std::string_view in(bytes);
+  in.remove_suffix(8);  // the digest
+  const auto pos = [&] { return bytes.size() - 8 - in.size(); };
+  const auto varint = [&] {
+    std::uint64_t v = 0;
+    EXPECT_TRUE(rdf::codec::get_varint(in, v)) << "at byte " << pos();
+    return v;
+  };
   const auto count = [&] {
-    offsets.push_back(pos);
+    const std::size_t at = pos();
+    const std::uint64_t n = varint();
+    counts.push_back({at, pos() - at});
+    return n;
+  };
+  const auto block = [&] {
+    std::string_view header = in.substr(1);  // past the block magic
+    const std::size_t at = pos() + 1;
     std::uint64_t n = 0;
-    std::memcpy(&n, bytes.data() + pos, sizeof(n));
-    pos += sizeof(n);
-    return static_cast<std::size_t>(n);
+    EXPECT_TRUE(rdf::codec::get_varint(header, n));
+    counts.push_back({at, bytes.size() - 8 - header.size() - at});
+    std::vector<rdf::Triple> ts;
+    EXPECT_TRUE(rdf::codec::decode_block(in, ts));
   };
-  const auto skip_blocks = [&](std::size_t n) {
-    std::istringstream in(bytes.substr(pos));
-    EXPECT_TRUE(rdf::codec::read_blocks(in, n, [](const rdf::Triple&) {}));
-    pos += static_cast<std::size_t>(in.tellg());
-  };
-  skip_blocks(count());  // store log
-  pos += 8 * count();    // seen batch ids
-  pos += 96 * count();   // round stats: 4 x f64 + 8 x u64 each
-  pos += 8 * count();    // rule firings
-  pos += 4;              // send sequence
-  const std::size_t outbox = count();
-  for (std::size_t i = 0; i < outbox; ++i) {
-    pos += 12;  // destination, kind, sender sequence
-    skip_blocks(count());
+  in.remove_prefix(4);  // magic
+  for (int i = 0; i < 6; ++i) varint();  // version, id, round, three marks
+  block();                                // store log
+  for (std::uint64_t n = count(); n > 0; --n) varint();  // seen batch ids
+  for (std::uint64_t n = count(); n > 0; --n) {          // round stats
+    in.remove_prefix(4 * 8);              // the seconds fields
+    for (int i = 0; i < 8; ++i) varint();  // the counters
   }
-  return offsets;
+  for (std::uint64_t n = count(); n > 0; --n) varint();  // rule firings
+  varint();                                               // send sequence
+  for (std::uint64_t n = count(); n > 0; --n) {           // outbox
+    for (int i = 0; i < 3; ++i) varint();  // destination, kind, sequence
+    block();
+  }
+  EXPECT_TRUE(in.empty());
+  return counts;
 }
 
 TEST_F(WorkerTest, CheckpointRejectsInflatedCounts) {
   const std::string bytes = outbox_checkpoint();
-  const std::vector<std::size_t> offsets = checkpoint_count_offsets(bytes);
-  ASSERT_EQ(offsets.size(), 6u);  // five counts plus one outbox entry's
-  EXPECT_EQ(offsets[0] + 7, 47u);  // top byte of the triple count
-  for (const std::size_t offset : offsets) {
-    std::string damaged = bytes;
-    damaged[offset + 7] = static_cast<char>(damaged[offset + 7] ^ 0xff);
-    expect_rejected(damaged,
-                    "count at byte " + std::to_string(offset) + " inflated");
+  const std::vector<CountField> counts = checkpoint_counts(bytes);
+  ASSERT_EQ(counts.size(), 6u);  // five counts plus one outbox entry's
+  for (const CountField& c : counts) {
+    std::string damaged = bytes.substr(0, c.offset);
+    rdf::codec::put_varint(damaged, std::uint64_t{1} << 40);
+    damaged += bytes.substr(c.offset + c.size,
+                            bytes.size() - 8 - c.offset - c.size);
+    // Re-sealed, so the digest passes and the count bound must object.
+    rdf::codec::put_u64le(damaged, util::fnv1a64(damaged));
+    const std::string error = expect_rejected(
+        damaged, "count at byte " + std::to_string(c.offset) + " inflated");
+    EXPECT_NE(error.find("count"), std::string::npos) << error;
   }
 }
 

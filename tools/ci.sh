@@ -22,7 +22,8 @@
 # ingest pipeline, triple codec, partitioner suite (streaming state
 # machines), the serving front end both tiers share (admission, shedding,
 # deadlines), incremental maintenance (in-place erasure), and the forward
-# engine's clique operator, plus the mutated-input robustness suite
+# engine's clique operator, BGP queries over the shared rule-body join,
+# plus the mutated-input robustness suite
 # (N-Triples, Turtle, SPARQL, rule and snapshot parsers) — the places where
 # serialization, parsing and concurrency bugs would live.  The UBSan subset
 # (-fno-sanitize-recover=all, so any undefined behaviour fails the test)
@@ -60,15 +61,15 @@ if [ "$full" = 1 ]; then
   ctest --preset default -j "$jobs" -L tier2
 fi
 
-echo "=== asan subset (transport/worker/cluster/fault/async/ingest/codec/serve front end/dist/incremental/sameas/partition/clique/mutated parser + snapshot input) ==="
+echo "=== asan subset (transport/worker/cluster/fault/async/ingest/codec/serve front end/dist/incremental/sameas/partition/clique/BGP queries/mutated parser + snapshot input) ==="
 cmake --preset asan
 cmake --build --preset asan -j "$jobs" \
   --target transport_test worker_test cluster_test fault_injection_test \
   async_test async_equivalence_test codec_test ingest_equivalence_test \
   serve_test dist_test incremental_test incremental_equivalence_test \
   sameas_equivalence_test sameas_serve_test graph_partition_test clique_test \
-  parser_robustness_test
-ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|QueryService|Dist|Incremental|SameAs|Partition|Streaming|Clique|Parser|SnapshotRobustness'
+  parser_robustness_test query_test
+ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|QueryService|QueryTest|Dist|Incremental|SameAs|Partition|Streaming|Clique|Parser|SnapshotRobustness'
 
 echo "=== ubsan subset (mutated parser + snapshot input, codec, ingest, transport, worker, fault sweep, cluster, the rule matcher and its callers) ==="
 cmake --preset ubsan
