@@ -30,10 +30,10 @@ struct RouteStats {
   std::uint32_t failovers = 0;         // replica advances
   std::uint32_t checksum_failures = 0; // corrupt responses discarded
   std::uint32_t redeliveries = 0;      // duplicate responses discarded
-  std::uint64_t gathered_triples = 0;  // after cross-partition dedup
+  std::uint64_t gathered_triples = 0;  // distinct triples gathered
   double route_seconds = 0.0;          // footprint computation
   double fanout_seconds = 0.0;         // scatter + replica pump + gather
-  double merge_seconds = 0.0;          // central join over the gathered store
+  double merge_seconds = 0.0;          // gathered store build + central join
 };
 
 [[nodiscard]] obs::FieldList fields(const RouteStats& s);
@@ -45,12 +45,17 @@ struct RouteStats {
 /// single shard.  Instead it scatters per-*atom* scan patterns: each atom's
 /// matches are gathered from every partition the atom's footprint touches
 /// (pattern_footprint: one partition when an endpoint constant is owned,
-/// all of them otherwise), the union is deduplicated into a gathered store,
-/// and the join runs centrally.  Because each shard holds every triple its
-/// owned endpoints appear in, the gathered set equals the atom's matches
-/// against the full closure, so the central join sees exactly the triples
-/// the single-store evaluation would — answers are bit-identical (modulo
-/// the canonical row order the merge imposes).
+/// all of them otherwise), each partition's payload is inserted as it came
+/// (store order, unsorted) into one gathered store, in partition order, and
+/// that store — the only dedup on the read path — drops the triples several
+/// partitions or patterns matched; the join runs centrally.  Because each
+/// shard holds every triple its owned endpoints appear in, the gathered set
+/// equals the atom's matches against the full closure, so the central join
+/// sees exactly the triples the single-store evaluation would — answers are
+/// bit-identical (modulo the canonical row order the merge imposes).  With
+/// LIMIT, the rows kept are the first the join enumerates over the gathered
+/// store: deterministic, since partition order and payloads are fixed, but
+/// not the first rows in sorted order.
 ///
 /// Fault tolerance reuses the parallel plane's envelope protocol: requests
 /// and responses are checksummed Batches; lost or corrupt legs are

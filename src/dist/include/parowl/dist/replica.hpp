@@ -27,7 +27,10 @@ namespace parowl::dist {
 ///   request   from = router (node 0), round = request id, seq = partition,
 ///             tuples = scan patterns (rdf::kAnyTerm = wildcard)
 ///   response  from = this replica's node, to = router, round = request id,
-///             tuples = the sorted, deduplicated union of local matches,
+///             tuples = the local matches in store order: pattern by
+///             pattern in request order, each in the store's index order,
+///             not sorted or deduplicated (a triple two patterns match
+///             appears once per pattern),
 ///             attempt mirroring the request's attempt (so a FaultyTransport
 ///             schedule bounded by max_faulty_attempts also bounds the
 ///             response path).
@@ -35,6 +38,9 @@ namespace parowl::dist {
 /// Requests are deduplicated by batch id for accounting (note_redelivery)
 /// but *re-answered* idempotently: the first response may have been lost,
 /// and the matches are a pure function of (shard version, patterns).
+/// Every replica of a partition decodes the same shard bytes in the same
+/// order into the same store, so the replicas answer byte-identically and
+/// a re-answer carries the same checksum.
 class ShardReplica {
  public:
   ShardReplica(std::uint32_t node, std::uint32_t partition,

@@ -76,7 +76,8 @@ class ShardCatalog {
   [[nodiscard]] std::uint64_t encoded_bytes() const;
 
   /// Decode an EncodedShard's bytes back into triples (log order).  Returns
-  /// false and sets *error on header mismatch or block corruption.
+  /// false and sets *error on header mismatch, a triple count the bytes
+  /// cannot hold, block corruption or trailing bytes.
   static bool decode(const EncodedShard& shard,
                      std::vector<rdf::Triple>& out, std::string* error);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_set>
 
 #include "parowl/obs/trace.hpp"
 #include "parowl/partition/data_partition.hpp"
@@ -198,13 +197,17 @@ QueryRouter::Outcome QueryRouter::run(const query::SelectQuery& query,
     return Outcome::kUnavailable;
   }
 
-  // Merge: dedup the gathered per-atom matches into one store and join
-  // centrally.  The gathered set is exactly the union of each atom's
-  // matches against the full closure (shard self-containment), so the join
-  // enumerates the same solutions as single-store evaluation; sorting the
-  // rows fixes the one remaining degree of freedom (enumeration order).
+  // Merge: insert each partition's matches into one store, in footprint
+  // partition order, and join centrally.  The store drops the triples that
+  // two partitions, or two patterns, both matched.  The gathered set is
+  // exactly the union of each atom's matches against the full closure
+  // (shard self-containment), so the join enumerates the same solutions as
+  // single-store evaluation; sorting the rows fixes the one remaining
+  // degree of freedom (enumeration order).
   // Note LIMIT: the cutoff applies during enumeration over the gathered
-  // store, so with LIMIT the answer is a deterministic canonical subset.
+  // store, whose order is fixed by the partition order and the replicas'
+  // payloads, so a LIMIT answer is deterministic — but it is not the
+  // subset that comes first in sorted order.
   util::Stopwatch merge_watch;
   std::optional<obs::Span> merge_span;
   if (traced) {
@@ -213,22 +216,23 @@ QueryRouter::Outcome QueryRouter::run(const query::SelectQuery& query,
                            {"request", request}},
                        kDistTrackBase + NodeLayout::kRouterNode);
   }
-  std::vector<rdf::Triple> gathered;
-  for (Pending& ps : pending) {
-    gathered.insert(gathered.end(), ps.triples.begin(), ps.triples.end());
-  }
-  std::sort(gathered.begin(), gathered.end());
-  gathered.erase(std::unique(gathered.begin(), gathered.end()),
-                 gathered.end());
-  stats->gathered_triples = gathered.size();
-
   rdf::TripleStore store;
-  store.insert_all(gathered);
+  {
+    obs::Span gather_span("dist.gather", {},
+                          kDistTrackBase + NodeLayout::kRouterNode);
+    std::size_t gathered = 0;
+    for (const Pending& ps : pending) {
+      gathered += ps.triples.size();
+      store.insert_all(ps.triples);
+    }
+    gather_span.arg({"gathered", gathered});
+    gather_span.arg({"distinct", store.size()});
+  }
+  stats->gathered_triples = store.size();
   *out = query::evaluate(store, query);
   std::sort(out->rows.begin(), out->rows.end());
   stats->merge_seconds = merge_watch.elapsed_seconds();
   if (merge_span) {
-    merge_span->arg({"gathered", gathered.size()});
     merge_span->arg({"rows", out->rows.size()});
   }
   return Outcome::kOk;

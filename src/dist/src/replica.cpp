@@ -1,6 +1,5 @@
 #include "parowl/dist/replica.hpp"
 
-#include <algorithm>
 #include <optional>
 
 #include "parowl/obs/trace.hpp"
@@ -79,11 +78,12 @@ std::size_t ShardReplica::serve(parallel::Transport& transport,
                     [&](const rdf::Triple& t) { matches.push_back(t); });
       }
     }
-    // Canonical response payload: sorted and deduplicated, so the same
-    // (shard version, patterns) pair always yields byte-identical batches —
-    // retransmitted responses carry the same checksum.
-    std::sort(matches.begin(), matches.end());
-    matches.erase(std::unique(matches.begin(), matches.end()), matches.end());
+    // Matches in store order: request pattern order, then the store's
+    // index order.  Every replica of the partition decodes the same shard
+    // bytes into the same store, so the same (shard version, patterns) pair
+    // always yields byte-identical batches — retransmitted responses carry
+    // the same checksum.  Overlapping patterns may repeat a triple; the
+    // router's gathered store drops the repeats.
     if (span) {
       span->arg({"matches", matches.size()});
     }

@@ -155,6 +155,14 @@ bool ShardCatalog::decode(const EncodedShard& shard,
     }
     return false;
   }
+  // Each triple takes at least 3 block payload bytes, so a count the bytes
+  // left cannot hold is damage, rejected before it sizes the reservation.
+  if (count > in.size() / 3) {
+    if (error) {
+      *error = "shard: triple count exceeds the bytes left";
+    }
+    return false;
+  }
   out.clear();
   out.reserve(count);
   while (out.size() < count) {
@@ -165,6 +173,12 @@ bool ShardCatalog::decode(const EncodedShard& shard,
   if (out.size() != count) {
     if (error) {
       *error = "shard: triple count mismatch";
+    }
+    return false;
+  }
+  if (!in.empty()) {
+    if (error) {
+      *error = "shard: trailing bytes";
     }
     return false;
   }

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "parowl/obs/trace.hpp"
 #include "parowl/rules/match.hpp"
 #include "parowl/util/table.hpp"
 
@@ -33,12 +34,14 @@ std::size_t solve_bgp(const rdf::TripleStore& store,
 }
 
 ResultSet evaluate(const rdf::TripleStore& store, const SelectQuery& query) {
+  obs::Span span("query.evaluate", {{"atoms", query.where.size()}});
   ResultSet results;
   for (const int v : query.projection) {
     results.columns.push_back(query.variable_names[static_cast<std::size_t>(v)]);
   }
 
   if (query.limit == 0u) {
+    span.arg({"rows", 0});
     return results;  // LIMIT 0: the limit is met before the first row
   }
   std::set<std::vector<rdf::TermId>> dedup;
@@ -54,6 +57,7 @@ ResultSet evaluate(const rdf::TripleStore& store, const SelectQuery& query) {
     results.rows.push_back(std::move(row));
     return !query.limit || results.rows.size() < *query.limit;  // LIMIT
   });
+  span.arg({"rows", results.rows.size()});
   return results;
 }
 

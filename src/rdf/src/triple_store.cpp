@@ -24,6 +24,13 @@ std::uint64_t next_tag() {
 /// it appends without reallocating the copy.
 std::size_t with_headroom(std::size_t n) { return n + n / 8 + 16; }
 
+std::vector<Triple> copy_with_headroom(const std::vector<Triple>& from) {
+  std::vector<Triple> to;
+  to.reserve(with_headroom(from.size()));
+  to.assign(from.begin(), from.end());
+  return to;
+}
+
 std::size_t count_clone(std::size_t bytes) {
   PAROWL_COUNT("rdf.store.cow_clone_bytes", bytes);
   return bytes;
@@ -33,14 +40,15 @@ std::size_t count_clone(std::size_t bytes) {
 
 TripleStore::TripleStore() : tag_(next_tag()) { clear(); }
 
-// A copy copies the log and shares every segment; both stores then take
-// fresh tags, so neither writes a shared segment in place.  The source is
-// only read (its segment references and the log) and retagged, which is
-// safe against concurrent readers of a published store.  The endpoint
-// postings are not copied: the copy rebuilds them on its first unbound
-// probe.
+// A copy copies the log, with the headroom a cloned segment gets (so the
+// copy's first batch does not reallocate it), and shares every segment;
+// both stores then take fresh tags, so neither writes a shared segment in
+// place.  The source is only read (its segment references and the log)
+// and retagged, which is safe against concurrent readers of a published
+// store.  The endpoint postings are not copied: the copy rebuilds them on
+// its first unbound probe.
 TripleStore::TripleStore(const TripleStore& other)
-    : log_(other.log_),
+    : log_(copy_with_headroom(other.log_)),
       set_(other.set_),
       set_shift_(other.set_shift_),
       set_limit_(other.set_limit_),
@@ -103,11 +111,7 @@ std::size_t TripleStore::unshare(Shared<TripleSet>& ref, std::uint64_t tag) {
 }
 
 std::size_t TripleStore::unshare(Shared<Segment>& ref, std::uint64_t tag) {
-  const std::vector<Triple>& old = ref.ptr->triples;
-  std::vector<Triple> triples;
-  triples.reserve(with_headroom(old.size()));
-  triples.assign(old.begin(), old.end());
-  return adopt(ref, tag, std::move(triples));
+  return adopt(ref, tag, copy_with_headroom(ref.ptr->triples));
 }
 
 std::size_t TripleStore::adopt(Shared<Segment>& ref, std::uint64_t tag,

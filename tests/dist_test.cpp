@@ -294,6 +294,175 @@ TEST(DistService, AllReplicasDeadIsUnavailableNotHung) {
 }
 
 // ---------------------------------------------------------------------------
+// Determinism of the unsorted read path: replicas answer in store order and
+// the router dedups only in its gathered store.
+
+TEST(DistReplica, ReplicasOfOnePartitionAnswerByteIdentically) {
+  DistFixtureData fx;
+  constexpr std::uint32_t k = 4;
+  constexpr std::uint32_t p = 1;
+  constexpr std::uint32_t request = 4242;  // no service request uses it
+  parallel::MemoryTransport transport(dist::NodeLayout{k, 2}.num_nodes());
+  dist::DistService service(fx.dict, fx.store, fx.owners_for(k), k,
+                            transport, dist_options(/*replicas=*/2));
+
+  // Overlapping patterns: every GraduateStudent typing also matches the
+  // first one, so the payload repeats triples.
+  const rdf::TermId type = fx.dict.find_iri(kRdfType);
+  const rdf::TermId grad = fx.dict.find_iri(
+      std::string(gen::kUnivBenchNs) + "GraduateStudent");
+  const rdf::TermId takes = fx.dict.find_iri(
+      std::string(gen::kUnivBenchNs) + "takesCourse");
+  ASSERT_NE(type, rdf::kAnyTerm);
+  ASSERT_NE(grad, rdf::kAnyTerm);
+  ASSERT_NE(takes, rdf::kAnyTerm);
+  const std::vector<rdf::Triple> patterns{{rdf::kAnyTerm, type, rdf::kAnyTerm},
+                                          {rdf::kAnyTerm, type, grad},
+                                          {rdf::kAnyTerm, takes, rdf::kAnyTerm}};
+
+  const dist::NodeLayout& layout = service.layout();
+  const auto ask = [&](std::uint32_t replica) {
+    parallel::Batch req;
+    req.from = dist::NodeLayout::kRouterNode;
+    req.to = layout.replica_node(p, replica);
+    req.round = request;
+    req.seq = p;
+    req.checksum = parallel::batch_checksum(patterns);
+    req.tuples = patterns;
+    transport.send_batch(std::move(req));
+    EXPECT_EQ(service.replicas().serve(layout.replica_node(p, replica),
+                                       request),
+              1u);
+    std::vector<parallel::Batch> answers =
+        transport.receive_batches(dist::NodeLayout::kRouterNode, request);
+    EXPECT_EQ(answers.size(), 1u);
+    return answers.empty() ? parallel::Batch{} : std::move(answers.front());
+  };
+
+  const parallel::Batch first = ask(0);
+  const parallel::Batch second = ask(1);
+  const parallel::Batch resent = ask(0);  // same id: a redelivery
+  ASSERT_TRUE(first.valid());
+  EXPECT_EQ(first.tuples, second.tuples);
+  EXPECT_EQ(first.checksum, second.checksum);
+  EXPECT_EQ(first.tuples, resent.tuples);
+  EXPECT_EQ(first.checksum, resent.checksum);
+
+  // The payload is every pattern's matches in turn, repeats kept.
+  std::vector<rdf::Triple> shard;
+  ASSERT_TRUE(dist::ShardCatalog::decode(service.catalog().shard(p), shard,
+                                         nullptr));
+  std::size_t expected = 0;
+  std::unordered_set<rdf::Triple, rdf::TripleHash> distinct;
+  for (const rdf::Triple& pattern : patterns) {
+    for (const rdf::Triple& t : shard) {
+      if (rdf::TriplePattern{pattern.s, pattern.p, pattern.o}.matches(t)) {
+        ++expected;
+        distinct.insert(t);
+      }
+    }
+  }
+  EXPECT_EQ(first.tuples.size(), expected);
+  EXPECT_GT(first.tuples.size(), distinct.size());
+  const std::unordered_set<rdf::Triple, rdf::TripleHash> answered(
+      first.tuples.begin(), first.tuples.end());
+  EXPECT_EQ(answered, distinct);
+}
+
+TEST(DistService, LimitAnswerIsTheSameUnderFaultsAndFailover) {
+  // LIMIT keeps the first rows the join enumerates over the gathered
+  // store; partition order and byte-identical replica payloads fix that
+  // store, so faults, retransmissions and a failover do not move the rows.
+  DistFixtureData fx;
+  constexpr std::uint32_t k = 4;
+  const std::string sparql =
+      "PREFIX ub: <" + std::string(gen::kUnivBenchNs) +
+      ">\nSELECT ?x ?y WHERE { ?x a ub:Student . ?y a ub:Faculty . "
+      "?x ub:advisor ?y } LIMIT 5";
+  dist::DistOptions options = dist_options(/*replicas=*/2);
+  options.cache_enabled = false;  // every execute is routed
+
+  parallel::MemoryTransport clean(dist::NodeLayout{k, 1}.num_nodes());
+  dist::DistService reference(fx.dict, fx.store, fx.owners_for(k), k, clean,
+                              dist_options());
+  const serve::Response want = reference.execute(sparql);
+  ASSERT_EQ(want.status, serve::RequestStatus::kOk);
+  ASSERT_EQ(want.results.rows.size(), 5u);
+
+  for (const std::uint64_t seed : {1ULL, 29ULL}) {
+    parallel::MemoryTransport inner(dist::NodeLayout{k, 2}.num_nodes());
+    parallel::FaultSpec spec;
+    spec.seed = seed;
+    spec.drop = 0.15;
+    spec.duplicate = 0.10;
+    spec.corrupt = 0.10;
+    spec.delay = 0.05;
+    spec.reorder = 0.20;
+    parallel::FaultyTransport transport(inner, spec);
+    dist::DistService service(fx.dict, fx.store, fx.owners_for(k), k,
+                              transport, options);
+    for (int round = 0; round < 4; ++round) {
+      if (round == 2) {
+        service.kill_replica(1, 0);
+      }
+      const serve::Response got = service.execute(sparql);
+      ASSERT_EQ(got.status, serve::RequestStatus::kOk)
+          << "seed=" << seed << " round=" << round;
+      expect_identical(want.results, got.results,
+                       "seed=" + std::to_string(seed) + " round " +
+                           std::to_string(round));
+    }
+    EXPECT_GT(transport.injected_faults().total(), 0u) << "seed=" << seed;
+  }
+}
+
+TEST(DistRouter, GatheredTriplesCountTheDistinctPayloadTriples) {
+  DistFixtureData fx;
+  constexpr std::uint32_t k = 4;
+  parallel::MemoryTransport transport(dist::NodeLayout{k, 1}.num_nodes());
+  dist::DistService service(fx.dict, fx.store, fx.owners_for(k), k,
+                            transport, dist_options());
+  dist::QueryRouter router(service.catalog().owners(), service.layout(),
+                           service.replicas(), transport);
+  std::vector<std::vector<rdf::Triple>> shards(k);
+  for (std::uint32_t p = 0; p < k; ++p) {
+    ASSERT_TRUE(dist::ShardCatalog::decode(service.catalog().shard(p),
+                                           shards[p], nullptr));
+  }
+
+  query::SparqlParser parser(fx.dict);
+  std::uint32_t request = 1000;  // above every id the service hands out
+  bool some_repeat = false;
+  for (const gen::LubmQuery& q : gen::lubm_queries()) {
+    const auto parsed = parser.parse(q.sparql);
+    ASSERT_TRUE(parsed.has_value()) << q.name;
+    const dist::QueryRouter::Footprint fp = router.footprint(*parsed);
+    std::size_t payload = 0;
+    std::unordered_set<rdf::Triple, rdf::TripleHash> distinct;
+    for (const std::uint32_t p : fp.partitions) {
+      for (const rdf::Triple& pattern : fp.patterns[p]) {
+        for (const rdf::Triple& t : shards[p]) {
+          if (rdf::TriplePattern{pattern.s, pattern.p, pattern.o}.matches(t)) {
+            ++payload;
+            distinct.insert(t);
+          }
+        }
+      }
+    }
+    query::ResultSet rows;
+    dist::RouteStats stats;
+    ASSERT_EQ(router.run(*parsed, request++, &rows, &stats),
+              dist::QueryRouter::Outcome::kOk)
+        << q.name;
+    EXPECT_EQ(stats.gathered_triples, distinct.size()) << q.name;
+    some_repeat = some_repeat || payload > distinct.size();
+  }
+  // Some query gathers a triple twice (two partitions or two patterns), so
+  // the count is not just the payload length.
+  EXPECT_TRUE(some_repeat);
+}
+
+// ---------------------------------------------------------------------------
 // The shared front end's admission, deadline and parse paths
 
 /// Park the executor's only worker on a job that waits for `gate`, so

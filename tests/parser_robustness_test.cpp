@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "parowl/dist/shard_catalog.hpp"
 #include "parowl/query/sparql_parser.hpp"
+#include "parowl/rdf/codec.hpp"
 #include "parowl/rdf/ntriples.hpp"
 #include "parowl/rdf/snapshot.hpp"
 #include "parowl/rdf/turtle.hpp"
@@ -336,6 +340,85 @@ TEST(SnapshotRobustness, V3EverySingleBitFlipIsDetected) {
       EXPECT_FALSE(error.empty());
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Shard robustness: a replica decodes the shard bytes it is shipped, so
+// damaged bytes must fail with an error, never crash, hang or over-allocate.
+
+/// Partition 1's shard of a three-triple closure split over two owners:
+/// an owned triple and one crossing from partition 0, in one codec block.
+dist::EncodedShard small_shard() {
+  rdf::TripleStore closure;
+  closure.insert({1, 2, 3});
+  closure.insert({4, 2, 5});
+  closure.insert({1, 6, 4});
+  const dist::ShardCatalog catalog(closure, {{1, 0}, {4, 1}}, 2);
+  return catalog.shard(1);
+}
+
+bool try_decode(const dist::EncodedShard& shard, std::string* error) {
+  std::vector<rdf::Triple> out;
+  return dist::ShardCatalog::decode(shard, out, error);
+}
+
+TEST(ShardCatalogRobustness, RoundTripBaseline) {
+  const dist::EncodedShard shard = small_shard();
+  std::vector<rdf::Triple> out;
+  std::string error;
+  ASSERT_TRUE(dist::ShardCatalog::decode(shard, out, &error)) << error;
+  EXPECT_EQ(out, (std::vector<rdf::Triple>{{4, 2, 5}, {1, 6, 4}}));
+}
+
+TEST(ShardCatalogRobustness, TruncationAtEveryPrefixFailsCleanly) {
+  const dist::EncodedShard shard = small_shard();
+  for (std::size_t cut = 0; cut < shard.bytes.size(); ++cut) {
+    dist::EncodedShard cut_shard = shard;
+    cut_shard.bytes.resize(cut);
+    std::string error;
+    EXPECT_FALSE(try_decode(cut_shard, &error))
+        << "prefix of " << cut << " bytes decoded";
+    EXPECT_FALSE(error.empty());
+  }
+}
+
+TEST(ShardCatalogRobustness, EverySingleBitFlipIsDetected) {
+  const dist::EncodedShard shard = small_shard();
+  for (std::size_t i = 0; i < shard.bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      dist::EncodedShard mutated = shard;
+      mutated.bytes[i] = static_cast<char>(mutated.bytes[i] ^ (1 << bit));
+      std::string error;
+      EXPECT_FALSE(try_decode(mutated, &error))
+          << "flip of bit " << bit << " at byte " << i
+          << " decoded successfully";
+      EXPECT_FALSE(error.empty());
+    }
+  }
+}
+
+TEST(ShardCatalogRobustness, TrailingBytesAreRejected) {
+  dist::EncodedShard shard = small_shard();
+  shard.bytes.push_back('\0');
+  std::string error;
+  EXPECT_FALSE(try_decode(shard, &error));
+  EXPECT_EQ(error, "shard: trailing bytes");
+}
+
+TEST(ShardCatalogRobustness, HugeTripleCountFailsOnBytesNotAllocation) {
+  // A header whose count no byte string could hold: rejected before it
+  // sizes the output vector.
+  dist::EncodedShard shard;
+  shard.partition = 1;
+  shard.version = 1;
+  shard.bytes = "PSD1";
+  rdf::codec::put_varint(shard.bytes, shard.partition);
+  rdf::codec::put_varint(shard.bytes, shard.version);
+  rdf::codec::put_varint(shard.bytes, std::uint64_t{1} << 62);
+  shard.bytes.append(64, '\0');
+  std::string error;
+  EXPECT_FALSE(try_decode(shard, &error));
+  EXPECT_EQ(error, "shard: triple count exceeds the bytes left");
 }
 
 }  // namespace

@@ -548,6 +548,24 @@ TEST(TripleStore, CopyPreservesIndexesIndependently) {
   EXPECT_TRUE(b.contains({5, 2, 3}));
 }
 
+TEST(TripleStore, CopyGivesItsLogHeadroom) {
+  // A copy's log gets the headroom a cloned segment gets (n + n/8 + 16), so
+  // the first batch inserted into a copied snapshot appends without
+  // reallocating the whole log.
+  TripleStore source;
+  for (TermId i = 0; i < 1000; ++i) {
+    source.insert({1 + i, 1 + i % 3, 1 + i % 7});
+  }
+  const std::size_t n = source.size();
+  TripleStore copy = source;
+  EXPECT_GE(copy.triples().capacity(), n + n / 8 + 16);
+  const Triple* const before = copy.triples().data();
+  for (TermId i = 0; i < n / 8 + 16; ++i) {
+    ASSERT_TRUE(copy.insert({5000 + i, 1, 1}));
+  }
+  EXPECT_EQ(copy.triples().data(), before) << "the log was reallocated";
+}
+
 TEST(TripleStore, MovedFromStoreIsEmptyAndUsable) {
   // Big enough that the filter and the posting pages are well past their
   // initial sizes.

@@ -61,7 +61,7 @@ if [ "$full" = 1 ]; then
   ctest --preset default -j "$jobs" -L tier2
 fi
 
-echo "=== asan subset (transport/worker/cluster/fault/async/ingest/codec/serve front end/dist/incremental/sameas/partition/clique/BGP queries/mutated parser + snapshot input) ==="
+echo "=== asan subset (transport/worker/cluster/fault/async/ingest/codec/serve front end/dist/incremental/sameas/partition/clique/BGP queries/mutated parser, snapshot + shard input) ==="
 cmake --preset asan
 cmake --build --preset asan -j "$jobs" \
   --target transport_test worker_test cluster_test fault_injection_test \
@@ -69,16 +69,16 @@ cmake --build --preset asan -j "$jobs" \
   serve_test dist_test incremental_test incremental_equivalence_test \
   sameas_equivalence_test sameas_serve_test graph_partition_test clique_test \
   parser_robustness_test query_test
-ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|QueryService|QueryTest|Dist|Incremental|SameAs|Partition|Streaming|Clique|Parser|SnapshotRobustness'
+ctest --preset asan -j "$jobs" -R 'Transport|Worker|Cluster|Fault|Async|Ingest|Codec|Varint|Zigzag|TripleBlock|TermTable|QueryService|QueryTest|Dist|Incremental|SameAs|Partition|Streaming|Clique|Parser|SnapshotRobustness|ShardCatalogRobustness'
 
-echo "=== ubsan subset (mutated parser + snapshot input, codec, ingest, transport, worker, fault sweep, cluster, the rule matcher and its callers) ==="
+echo "=== ubsan subset (mutated parser, snapshot + shard input, codec, ingest, transport, worker, fault sweep, cluster, dist scatter/gather, the rule matcher and its callers) ==="
 cmake --preset ubsan
 cmake --build --preset ubsan -j "$jobs" \
   --target parser_robustness_test codec_test ingest_equivalence_test \
   transport_test worker_test fault_injection_test cluster_test \
   rules_test forward_test engine_equivalence_test incremental_test \
-  query_test explain_test lubm_queries_test
-ctest --preset ubsan -j "$jobs" -R 'Parser|SnapshotRobustness|TermTable|TripleBlock|Varint|Zigzag|Ingest|AtomMatchesTuple|Transport|OwnerRouter|RuleMatchRouter|Worker|Fault|RoundFlavour|Cluster|ForwardTest|EngineEquivalence|IncrementalMaintain|IncrementalServe|QueryTest|ExplainTest|LubmQueries|BindAtom|ToPattern|Compiler|HorstRules|DispatchIndex'
+  query_test explain_test lubm_queries_test dist_test
+ctest --preset ubsan -j "$jobs" -R 'Parser|SnapshotRobustness|ShardCatalogRobustness|Dist|TermTable|TripleBlock|Varint|Zigzag|Ingest|AtomMatchesTuple|Transport|OwnerRouter|RuleMatchRouter|Worker|Fault|RoundFlavour|Cluster|ForwardTest|EngineEquivalence|IncrementalMaintain|IncrementalServe|QueryTest|ExplainTest|LubmQueries|BindAtom|ToPattern|Compiler|HorstRules|DispatchIndex'
 
 echo "=== tsan subset (obs, dist executor + replica RCU, async steal/token, incremental serve loop + serve oracles, QueryService readers vs the copy-on-write updater, equality rewrite, reader->partitioner chunk sink, parallel ingest merge + bulk insert, engine round barrier, clique operator, async-threaded executor on UOBM, cluster load + end-of-run aggregation team, threaded round driver under the fault sweep, transports + the worker's shared envelope path) ==="
 cmake --preset tsan

@@ -227,11 +227,13 @@ def eq_breakdown(spans, markdown):
 def dist_breakdown(spans, names, markdown):
     # Distributed serving tier: the router's per-request phases
     # (dist.route footprint computation, dist.fanout scatter/gather,
-    # dist.merge canonical merge + evaluation) land on the "dist router"
-    # track; each replica's scan service time (dist.scan) lands on its own
+    # dist.merge gathered-store build + evaluation, and dist.gather, the
+    # store build inside it) land on the "dist router" track; each
+    # replica's scan service time (dist.scan) lands on its own
     # "dist replica p<P>/r<R>" track, so rows double as the per-partition
     # fan-out breakdown.
-    stages = ["dist.route", "dist.fanout", "dist.merge", "dist.scan"]
+    stages = ["dist.route", "dist.fanout", "dist.merge", "dist.gather",
+              "dist.scan"]
     per_track = collections.defaultdict(
         lambda: collections.defaultdict(float))
     scan_counts = collections.defaultdict(int)
